@@ -27,7 +27,7 @@ from .errors import (
     SamplerError,
     SpecValidationError,
 )
-from .families import Family, log_likelihood
+from .families import Family
 from .model import (
     BlockData,
     Dataset,
@@ -58,7 +58,7 @@ from .report import (
     label_of,
     top_models,
 )
-from .sampler import SamplerConfig, Trace, load_trace, run_chains, save_trace
+from .sampler import Trace, load_trace, run_chains, save_trace
 from .simulate import (
     SimDesign,
     full_scale_design,

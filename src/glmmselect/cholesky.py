@@ -6,11 +6,16 @@ diagonal matrix with nonnegative entries ``lam`` and ``Gamma`` is unit
 lower-triangular with subdiagonal entries packed row-major into ``r``:
 (2,1), (3,1), (3,2), (4,1), ...  Setting ``lam[k] = 0`` removes effect k;
 the membership constraint then zeroes row and column k of ``Gamma``
-(diagonal stays 1), which this module applies through
-:func:`project_constraints`.
+(diagonal stays 1).  That masking is written only here, in
+:func:`mask_factors`; :func:`project_constraints` is its checked public form.
+
+Identity rule: when no packed ``r`` entry is nonzero, the effective Gamma is
+the identity whatever the indicators, and is returned without masking.
+``ssvs-diagonal`` keeps ``r`` at zero and q = 1 has no ``r``.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -23,15 +28,20 @@ __all__ = [
     "gamma_matrix",
     "pack_gamma",
     "project_constraints",
+    "mask_factors",
     "assemble_covariance",
     "decompose_covariance",
     "random_effect_vector",
 ]
 
 
+@lru_cache(maxsize=64)
 def tril_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row/column indices of the packed subdiagonal, in packing order."""
-    return np.tril_indices(q, k=-1)
+    """Row/column indices of the packed subdiagonal, in packing order (cached, read-only)."""
+    rows, cols = np.tril_indices(q, k=-1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
 def gamma_matrix(q: int, r: np.ndarray) -> np.ndarray:
@@ -112,13 +122,25 @@ def project_constraints(factors: CholeskyFactors, include: np.ndarray) -> Effect
     include = np.asarray(include)
     if include.shape != factors.lam.shape:
         raise ConfigurationError("indicator vector length does not match lam")
-    lam_eff = np.where(include.astype(bool), factors.lam, 0.0)
-    gamma = gamma_matrix(factors.q, factors.r)
-    dead = lam_eff == 0.0
-    gamma[dead, :] = 0.0
-    gamma[:, dead] = 0.0
-    np.fill_diagonal(gamma, 1.0)
+    lam_eff, gamma = mask_factors(factors.lam, factors.r, include)
     return EffectiveFactors(lam_eff=lam_eff, gamma=gamma)
+
+
+def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`project_constraints` without input checks, as (lam_eff, gamma).
+
+    The caller passes float ``lam`` and ``include`` of length q, and ``r`` of length q(q-1)/2.
+    """
+    q = lam.shape[0]
+    lam_eff = np.where(include, lam, 0.0)
+    gamma = np.eye(q)
+    if np.count_nonzero(r):
+        gamma[tril_pairs(q)] = r
+        dead = lam_eff == 0.0
+        gamma[dead, :] = 0.0
+        gamma[:, dead] = 0.0
+        np.fill_diagonal(gamma, 1.0)
+    return lam_eff, gamma
 
 
 def assemble_covariance(eff: EffectiveFactors) -> np.ndarray:
@@ -172,8 +194,7 @@ def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> CholeskyFacto
                 raise DecompositionError("active submatrix is not PSD within tol") from exc
         lam[idx] = np.diag(chol)
         gamma[np.ix_(idx, idx)] = chol / np.diag(chol)[:, None]
-    rows, cols = tril_pairs(q)
-    return CholeskyFactors(lam=lam, r=gamma[rows, cols])
+    return CholeskyFactors(lam=lam, r=pack_gamma(gamma))
 
 
 def random_effect_vector(eff: EffectiveFactors, xi: np.ndarray) -> np.ndarray:

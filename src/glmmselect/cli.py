@@ -232,7 +232,7 @@ def cmd_ppc(args) -> int:
     rng = np.random.default_rng(args.seed if args.seed is not None else spec.sampler.seed)
     reps = replicate_data(trace, spec, data, args.n_rep, rng, conditional=not args.marginal)
     os.makedirs(args.out, exist_ok=True)
-    if spec.family.kind in ("poisson", "negative_binomial", "bernoulli"):
+    if spec.family.counts:
         max_count = args.max_count if args.max_count is not None else int(data.y.max())
         bins = rootogram(data.y, reps, max_count)
         write_csv(

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DataError, SpecValidationError
-from .families import CANONICAL_LINKS, Family
+from .families import CANONICAL_LINKS, Family, family_scale
 from .ioutil import atomic_write_text
 from .model import (
     BlockData,
@@ -122,7 +122,7 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     if kind in CANONICAL_LINKS and link is not None and link != CANONICAL_LINKS[kind]:
         problems.append(f"unsupported link {link!r} for family {kind!r}")
     dispersion = fam_doc.get("dispersion")
-    if kind in ("negative_binomial", "gaussian"):
+    if family_scale(kind) is not None:
         if dispersion is None:
             dispersion = 1.0
         elif not dispersion > 0:

@@ -20,12 +20,9 @@ import numpy as np
 from scipy.special import expit, gammaln, logit
 
 from .errors import ConfigurationError, SamplerError
-from .model import Dataset, ModelDims, ModelSpec, ParameterState
+from .families import NB_DISPERSION_RATE, NB_DISPERSION_SHAPE, SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE, scale_field
+from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, total_log_likelihood
 from .priors import (
-    NB_DISPERSION_RATE,
-    NB_DISPERSION_SHAPE,
-    SIGMA2_IG_SCALE,
-    SIGMA2_IG_SHAPE,
     log_prior_state,
     sample_halfnormal,
     sample_invgamma,
@@ -33,7 +30,6 @@ from .priors import (
 )
 from .slicing import SliceStats, slice_update, slice_update_vec
 from . import cholesky
-from .model import total_log_likelihood
 
 __all__ = [
     "GibbsEngine",
@@ -108,6 +104,8 @@ class GibbsEngine:
         self.hyper = spec.hyper
         self.mode = spec.mode
         self.adapting = False
+        self._scale_field = scale_field(spec.family.kind)
+        self._update_scale = {"dispersion": self._update_dispersion, "sigma2": self._update_sigma2}.get(self._scale_field)
 
         self.y = data.y
         self.n_obs = data.n_obs
@@ -115,7 +113,6 @@ class GibbsEngine:
         self._offset = data.offset if data.offset is not None else None
         self._blocks = []
         for bdata in data.blocks:
-            rows, cols = cholesky.tril_pairs(bdata.q)
             self._blocks.append(
                 {
                     "Z": np.ascontiguousarray(bdata.Z),
@@ -123,8 +120,6 @@ class GibbsEngine:
                     "groups": bdata.groups,
                     "n_groups": bdata.n_groups,
                     "q": bdata.q,
-                    "rows": rows,
-                    "cols": cols,
                 }
             )
 
@@ -181,38 +176,16 @@ class GibbsEngine:
         self.widths["kappa"] = [np.full(q, float(base["kappa"])) for q, _ in self.dims.blocks]
         self.widths["m"] = [np.full(q, float(base["m"])) for q, _ in self.dims.blocks]
 
-    def set_response(self, y: np.ndarray) -> None:
-        """Swap the response vector (resimulation loops); designs unchanged."""
-        y = np.asarray(y, dtype=float)
-        if y.shape != (self.n_obs,):
-            raise ConfigurationError("replacement response has wrong length")
-        self.y = y
-
     # ------------------------------------------------------ cached predictors
 
     def _gamma_eff(self, bi: int):
-        """Effective Gamma matrix and lam_eff for block bi under current state."""
+        """lam_eff and effective Gamma of block bi under the current state."""
         bs = self.state.blocks[bi]
-        blk = self._blocks[bi]
-        q = blk["q"]
-        lam_eff = np.where(bs.include.astype(bool), bs.lam, 0.0)
-        if self.mode == "ssvs-diagonal" or q == 1:
-            gamma = np.eye(q)
-        else:
-            gamma = np.eye(q)
-            gamma[blk["rows"], blk["cols"]] = bs.r
-            dead = lam_eff == 0.0
-            gamma[dead, :] = 0.0
-            gamma[:, dead] = 0.0
-            np.fill_diagonal(gamma, 1.0)
-        return lam_eff, gamma
+        return cholesky.mask_factors(bs.lam, bs.r, bs.include)
 
     def _block_eta(self, bi: int, lam_eff, gamma) -> np.ndarray:
         blk = self._blocks[bi]
-        bs = self.state.blocks[bi]
-        lg = lam_eff[:, None] * gamma
-        rho = bs.xi @ lg.T
-        return np.einsum("ij,ij->i", blk["Z"], rho[blk["groups"]])
+        return block_predictor(blk["Z"], blk["groups"], self.state.blocks[bi].xi, lam_eff[:, None] * gamma)
 
     def recompute_caches(self) -> None:
         eta = self.data.X @ self.state.beta_eff()
@@ -228,17 +201,8 @@ class GibbsEngine:
 
     def _ll_terms(self, eta: np.ndarray) -> np.ndarray:
         """Per-observation log-likelihood up to eta-independent constants."""
-        kind = self.spec.family.kind
-        y = self.y
-        with np.errstate(over="ignore", invalid="ignore"):
-            if kind == "poisson":
-                return y * eta - np.exp(eta)
-            if kind == "negative_binomial":
-                r = self.state.dispersion
-                return y * eta - (y + r) * np.log(r + np.exp(eta))
-            if kind == "bernoulli":
-                return y * eta - np.logaddexp(0.0, eta)
-            return -0.5 * (y - eta) ** 2 / self.state.sigma2
+        field = self._scale_field
+        return self.spec.family.log_kernel(self.y, eta, getattr(self.state, field) if field else None)
 
     def _ll_sum(self, eta: np.ndarray) -> float:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -249,9 +213,7 @@ class GibbsEngine:
         return total_log_likelihood(self.spec, self.state, self.data)
 
     def log_posterior(self) -> float:
-        return self.log_likelihood() + log_prior_state(
-            self.hyper, self.state, self.spec.family.kind
-        )
+        return self.log_likelihood() + log_prior_state(self.hyper, self.state, self.spec.family.kind)
 
     # ---------------------------------------------------------- fixed effects
 
@@ -264,20 +226,49 @@ class GibbsEngine:
     def _beta_prior_var(self, p: int) -> float:
         return self.state.sigma2 / (self.hyper.g_shrink * self.state.theta[p])
 
-    def _update_J(self, p: int) -> None:
+    def _indicator_pair(self, which):
+        """Log-likelihoods with one indicator on and off, and a setter for it.
+
+        ``which`` is ("fixed", p) or ("random", block_index, k).  Returns
+        (ll_on, ll_off, set_to); ``set_to(on)`` stores the indicator value and
+        the cached predictors of that branch.
+        """
         st = self.state
-        delta = self._Xcols[p] * st.beta[p]
-        eta_off = self._eta - delta if st.J[p] else self._eta
-        eta_on = eta_off + delta
-        ll_on = self._ll_sum(eta_on)
-        ll_off = self._ll_sum(eta_off)
-        p_inc = self._inclusion_prob(ll_on, ll_off)
-        if self.rng.random() < p_inc:
-            st.J[p] = 1
-            self._eta = eta_on
+        if which[0] == "fixed":
+            p = which[1]
+            delta = self._Xcols[p] * st.beta[p]
+            eta_off = self._eta - delta if st.J[p] else self._eta
+            eta_on = eta_off + delta
+
+            def set_to(on):
+                st.J[p] = on
+                self._eta = eta_on if on else eta_off
+
+        elif which[0] == "random":
+            bi, k = which[1], which[2]
+            bs = st.blocks[bi]
+            eta_rest = self._eta - self._eta_block[bi]
+            saved = bs.include[k]
+            bs.include[k] = 1
+            blk_on = self._block_eta(bi, *self._gamma_eff(bi))
+            bs.include[k] = 0
+            blk_off = self._block_eta(bi, *self._gamma_eff(bi))
+            bs.include[k] = saved
+            eta_on = eta_rest + blk_on
+            eta_off = eta_rest + blk_off
+
+            def set_to(on):
+                bs.include[k] = on
+                self._eta = eta_on if on else eta_off
+                self._eta_block[bi] = blk_on if on else blk_off
+
         else:
-            st.J[p] = 0
-            self._eta = eta_off
+            raise ConfigurationError(f"unknown indicator selector {which!r}")
+        return self._ll_sum(eta_on), self._ll_sum(eta_off), set_to
+
+    def _update_J(self, p: int) -> None:
+        ll_on, ll_off, set_to = self._indicator_pair(("fixed", p))
+        set_to(self.rng.random() < self._inclusion_prob(ll_on, ll_off))
 
     def _update_beta(self, p: int) -> None:
         st = self.state
@@ -326,29 +317,10 @@ class GibbsEngine:
     # --------------------------------------------------------- random effects
 
     def _update_I(self, bi: int, k: int) -> None:
-        bs = self.state.blocks[bi]
-        eta_rest = self._eta - self._eta_block[bi]
-        saved = bs.include[k]
-        bs.include[k] = 1
-        lam_on, gam_on = self._gamma_eff(bi)
-        blk_on = self._block_eta(bi, lam_on, gam_on)
-        bs.include[k] = 0
-        lam_off, gam_off = self._gamma_eff(bi)
-        blk_off = self._block_eta(bi, lam_off, gam_off)
-        bs.include[k] = saved
-        ll_on = self._ll_sum(eta_rest + blk_on)
-        ll_off = self._ll_sum(eta_rest + blk_off)
+        ll_on, ll_off, set_to = self._indicator_pair(("random", bi, k))
         # raw lam/r/xi densities cancel between branches (same slab pseudo-priors
         # and Sigma_r = I), so the odds reduce to prior odds times the LR
-        p_inc = self._inclusion_prob(ll_on, ll_off)
-        if self.rng.random() < p_inc:
-            bs.include[k] = 1
-            self._eta = eta_rest + blk_on
-            self._eta_block[bi] = blk_on
-        else:
-            bs.include[k] = 0
-            self._eta = eta_rest + blk_off
-            self._eta_block[bi] = blk_off
+        set_to(self.rng.random() < self._inclusion_prob(ll_on, ll_off))
 
     def _update_lambda(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
@@ -389,8 +361,8 @@ class GibbsEngine:
     def _update_r(self, bi: int, j: int) -> None:
         bs = self.state.blocks[bi]
         blk = self._blocks[bi]
-        u = int(blk["rows"][j])
-        v = int(blk["cols"][j])
+        rows, cols = cholesky.tril_pairs(blk["q"])
+        u, v = int(rows[j]), int(cols[j])
         if not (bs.include[u] and bs.include[v]):
             bs.r[j] = self.rng.normal(0.0, 1.0)
             return
@@ -540,10 +512,8 @@ class GibbsEngine:
                 self._update_xi_col(bi, k)
             for k in range(q):
                 self._update_kappa_m(bi, k)
-        if self.spec.family.kind == "negative_binomial":
-            self._update_dispersion()
-        elif self.spec.family.kind == "gaussian":
-            self._update_sigma2()
+        if self._update_scale is not None:
+            self._update_scale()
         self.scan_count += 1
         if self.adapting:
             self._adapt_widths()
@@ -629,26 +599,7 @@ def indicator_inclusion_probability(which, state: ParameterState, spec: ModelSpe
     engine = GibbsEngine(
         spec, data, rng=np.random.default_rng(0), state=state, assert_invariants=False
     )
-    pi = spec.hyper.prior_inclusion
-    if which[0] == "fixed":
-        p = which[1]
-        st = engine.state
-        delta = engine._Xcols[p] * st.beta[p]
-        eta_off = engine._eta - delta if st.J[p] else engine._eta
-        ll_on = engine._ll_sum(eta_off + delta)
-        ll_off = engine._ll_sum(eta_off)
-    elif which[0] == "random":
-        bi, k = which[1], which[2]
-        bs = engine.state.blocks[bi]
-        saved = bs.include[k]
-        eta_rest = engine._eta - engine._eta_block[bi]
-        bs.include[k] = 1
-        ll_on = engine._ll_sum(eta_rest + engine._block_eta(bi, *engine._gamma_eff(bi)))
-        bs.include[k] = 0
-        ll_off = engine._ll_sum(eta_rest + engine._block_eta(bi, *engine._gamma_eff(bi)))
-        bs.include[k] = saved
-    else:
-        raise ConfigurationError(f"unknown indicator selector {which!r}")
+    ll_on, ll_off, _ = engine._indicator_pair(which)
     return engine._inclusion_prob(ll_on, ll_off)
 
 

@@ -28,6 +28,7 @@ __all__ = [
     "ParameterState",
     "ModelDims",
     "MODES",
+    "block_predictor",
     "linear_predictor",
     "linear_predictor_all",
     "total_log_likelihood",
@@ -293,24 +294,22 @@ class ParameterState:
                 raise ConfigurationError("xi has wrong shape")
 
 
-def _family_with_state(spec: ModelSpec, state: ParameterState) -> Family:
-    fam = spec.family
-    if fam.kind == "negative_binomial":
-        return fam.with_dispersion(float(state.dispersion))
-    if fam.kind == "gaussian":
-        return fam.with_dispersion(float(state.sigma2))
-    return fam
+def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings: np.ndarray) -> np.ndarray:
+    """One random block's term of eta: row j gets Z[j] . (loadings @ xi[groups[j]]).
+
+    ``loadings`` is Lambda_eff Gamma_eff (q, q) and ``xi`` the (n_groups, q)
+    latent effects.
+    """
+    rho = xi @ loadings.T          # (n_groups, q) effect vectors
+    return np.einsum("ij,ij->i", Z, rho[groups])
 
 
 def linear_predictor_all(spec: ModelSpec, state: ParameterState, data: Dataset) -> np.ndarray:
     """Linear predictor for every observation, using effective values."""
-    ModelDims.of(spec, data)  # raises on mismatch
     state.check_dims(ModelDims.of(spec, data))
     eta = data.X @ state.beta_eff()
     for bdata, bstate in zip(data.blocks, state.blocks):
-        eff = bstate.effective()
-        rho = bstate.xi @ eff.loadings().T          # (n_groups, q) effect vectors
-        eta = eta + np.einsum("ij,ij->i", bdata.Z, rho[bdata.groups])
+        eta = eta + block_predictor(bdata.Z, bdata.groups, bstate.xi, bstate.effective().loadings())
     if data.offset is not None:
         eta = eta + data.offset
     return eta
@@ -327,6 +326,5 @@ def total_log_likelihood(spec: ModelSpec, state: ParameterState, data: Dataset) 
     """Sum of per-observation log-likelihoods, in fixed observation order."""
     if data.n_obs == 0:
         return 0.0
-    fam = _family_with_state(spec, state)
     eta = linear_predictor_all(spec, state, data)
-    return float(np.sum(fam.log_likelihood(data.y, eta)))
+    return float(np.sum(spec.family.at_scale(state).log_likelihood(data.y, eta)))

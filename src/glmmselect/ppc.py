@@ -13,7 +13,7 @@ import numpy as np
 
 from .cholesky import CholeskyFactors, project_constraints
 from .errors import ConfigurationError
-from .model import Dataset, ModelSpec
+from .model import Dataset, ModelSpec, block_predictor
 
 __all__ = ["PpcSummary", "replicate_data", "rootogram", "mean_sd_scatter"]
 
@@ -38,8 +38,7 @@ def _draw_eta(spec: ModelSpec, data: Dataset, chain, i: int, rng, conditional: b
         else:
             kappa = chain.kappa[bi][i]
             xi = rng.standard_normal((bdata.n_groups, bdata.q)) * np.sqrt(kappa)[None, :]
-        rho = xi @ eff.loadings().T
-        eta = eta + np.einsum("ij,ij->i", bdata.Z, rho[bdata.groups])
+        eta = eta + block_predictor(bdata.Z, bdata.groups, xi, eff.loadings())
     if data.offset is not None:
         eta = eta + data.offset
     return eta
@@ -73,13 +72,7 @@ def replicate_data(
         i = int(flat - bounds[ci])
         chain = trace.chains[ci]
         eta = _draw_eta(spec, data, chain, i, rng, conditional)
-        if fam.kind == "negative_binomial":
-            fam_i = fam.with_dispersion(float(chain.dispersion[i]))
-        elif fam.kind == "gaussian":
-            fam_i = fam.with_dispersion(float(chain.sigma2[i]))
-        else:
-            fam_i = fam
-        out[row] = fam_i.sample(rng, eta)
+        out[row] = fam.at_scale(chain, i).sample(rng, eta)
     return out
 
 

@@ -10,8 +10,9 @@ Hierarchies (per coefficient / effect):
                    coordinates killed by excluded effects carry an independent
                    marginal-normal pseudo-prior on their raw values
   latent effects   xi ~ N(0, kappa) with kappa ~ Exp(m^2/2), m ~ Gamma(1, 1)
-  dispersion       NB overdispersion ~ Gamma(0.01, rate 0.01);
-                   gaussian sigma2 ~ IG(0.01, 0.01)
+  family scale     the prior of its family (NB overdispersion ~ Gamma(0.01,
+                   rate 0.01), gaussian sigma2 ~ IG(0.01, 0.01)); see
+                   :mod:`glmmselect.families`
 
 Excluded coefficients keep evolving under the same slab density (pseudo-prior
 scheme), so indicator flips stay reversible with exact Bernoulli conditionals.
@@ -20,10 +21,10 @@ scheme), so indicator flips stay reversible with exact Bernoulli conditionals.
 import math
 
 import numpy as np
-from scipy.special import gammaln
 
 from .cholesky import tril_pairs
 from .errors import ConfigurationError
+from .families import family_scale, gamma_logpdf, invgamma_logpdf, sample_invgamma, scale_field
 from .model import BlockState, Hyperparameters, ModelDims, ParameterState
 
 __all__ = [
@@ -38,18 +39,9 @@ __all__ = [
     "invgamma_logpdf",
     "sample_invgamma",
     "sample_halfnormal",
-    "NB_DISPERSION_SHAPE",
-    "NB_DISPERSION_RATE",
-    "SIGMA2_IG_SHAPE",
-    "SIGMA2_IG_SCALE",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
-
-NB_DISPERSION_SHAPE = 0.01
-NB_DISPERSION_RATE = 0.01
-SIGMA2_IG_SHAPE = 0.01
-SIGMA2_IG_SCALE = 0.01
 
 
 def _require_positive(**values):
@@ -69,27 +61,8 @@ def halfnormal_logpdf(x, var):
     return np.where(x < 0, -np.inf, out)
 
 
-def invgamma_logpdf(x, shape, scale):
-    """IG(shape, scale) log-density: x^-(a+1) exp(-scale/x) normalized."""
-    x = np.asarray(x, dtype=float)
-    return shape * np.log(scale) - gammaln(shape) - (shape + 1.0) * np.log(x) - scale / x
-
-
-def gamma_logpdf(x, shape, rate):
-    x = np.asarray(x, dtype=float)
-    return shape * np.log(rate) - gammaln(shape) + (shape - 1.0) * np.log(x) - rate * x
-
-
 def exponential_logpdf(x, rate):
     return np.log(rate) - rate * np.asarray(x, dtype=float)
-
-
-def sample_invgamma(rng, shape, scale, size=None):
-    g = rng.gamma(shape, 1.0 / scale, size=size)
-    # tiny shapes (e.g. nu = 0.01) underflow to exactly 0; cap at the float
-    # boundary so downstream draws stay finite
-    g = np.maximum(g, 1e-300)
-    return 1.0 / g
 
 
 def sample_halfnormal(rng, var, size=None):
@@ -199,10 +172,9 @@ def log_prior_state(hyper: Hyperparameters, state: ParameterState, family_kind: 
         total += float(np.sum(normal_logpdf(bs.xi, bs.kappa[None, :])))
         total += float(np.sum(exponential_logpdf(bs.kappa, bs.m**2 / 2.0)))
         total += float(np.sum(gamma_logpdf(bs.m, 1.0, 1.0)))
-    if family_kind == "negative_binomial":
-        total += float(gamma_logpdf(state.dispersion, NB_DISPERSION_SHAPE, NB_DISPERSION_RATE))
-    elif family_kind == "gaussian":
-        total += float(invgamma_logpdf(state.sigma2, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE))
+    scale = family_scale(family_kind)
+    if scale is not None:
+        total += scale.log_prior(getattr(state, scale.field))
     return total
 
 
@@ -215,9 +187,9 @@ def sample_prior(
 ) -> ParameterState:
     """Exact draw from the full joint prior (initialization and checks)."""
     pi = hyper.prior_inclusion
-    sigma2 = 1.0
-    if family_kind == "gaussian":
-        sigma2 = float(sample_invgamma(rng, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE))
+    scale, field = family_scale(family_kind), scale_field(family_kind)
+    # sigma2 enters the beta prior, so it is drawn first; any other scale is drawn last
+    sigma2 = scale.draw_prior(rng) if field == "sigma2" else 1.0
     phi = rng.gamma(1.0, 1.0, size=dims.l)
     theta = rng.exponential(2.0 / phi**2)
     beta = rng.normal(0.0, np.sqrt(sigma2 / (hyper.g_shrink * theta)))
@@ -240,9 +212,7 @@ def sample_prior(
         blocks.append(
             BlockState(lam=lam, include=include, tau2=tau2, r=r, xi=xi, kappa=kappa, m=m)
         )
-    dispersion = None
-    if family_kind == "negative_binomial":
-        dispersion = float(rng.gamma(NB_DISPERSION_SHAPE, 1.0 / NB_DISPERSION_RATE))
+    dispersion = scale.draw_prior(rng) if field == "dispersion" else None
     return ParameterState(
         beta=beta, J=J, theta=theta, phi=phi, blocks=blocks, dispersion=dispersion, sigma2=sigma2
     )

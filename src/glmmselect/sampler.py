@@ -15,17 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cholesky import tril_pairs
 from .engine import GibbsEngine
 from .errors import ConfigurationError, SamplerError
+from .families import scale_field
 from .ioutil import atomic_write_text, format_float
 from .model import Dataset, ModelDims, ModelSpec, SamplerSettings
 
-__all__ = ["SamplerConfig", "ChainTrace", "Trace", "run_chains", "save_trace", "load_trace"]
+__all__ = ["ChainTrace", "Trace", "run_chains", "save_trace", "load_trace"]
 
 log = logging.getLogger(__name__)
-
-# the sampler's configuration is the spec's sampler settings block
-SamplerConfig = SamplerSettings
 
 
 @dataclass
@@ -44,6 +43,24 @@ class ChainTrace:
     dispersion: np.ndarray | None = None
     sigma2: np.ndarray | None = None
     stepout_fallbacks: int = 0
+
+    @staticmethod
+    def zeros(seed: int, n: int, dims: ModelDims, scale: str | None) -> "ChainTrace":
+        """A chain of ``n`` zero draws, with the family scale's array if any."""
+        chain = ChainTrace(
+            seed=seed,
+            beta=np.zeros((n, dims.l)),
+            J=np.zeros((n, dims.l), dtype=np.int8),
+            lam=[np.zeros((n, q)) for q, _ in dims.blocks],
+            include=[np.zeros((n, q), dtype=np.int8) for q, _ in dims.blocks],
+            r=[np.zeros((n, q * (q - 1) // 2)) for q, _ in dims.blocks],
+            xi=[np.zeros((n, n_g, q)) for q, n_g in dims.blocks],
+            kappa=[np.zeros((n, q)) for q, _ in dims.blocks],
+            log_posterior=np.zeros(n),
+        )
+        if scale is not None:
+            setattr(chain, scale, np.zeros(n))
+        return chain
 
     @property
     def n_recorded(self) -> int:
@@ -80,44 +97,59 @@ class Trace:
 
     def scalar_matrix(self, name: str) -> np.ndarray:
         """(chains, K) matrix of one named scalar column (diagnostics input)."""
-        cols = [chain_columns(c, self.dims, self.family_kind) for c in self.chains]
-        out = []
-        for mapping in cols:
-            if name not in mapping:
-                raise ConfigurationError(f"unknown trace column {name!r}")
-            out.append(mapping[name])
-        return np.stack(out, axis=0)
+        for entry in trace_schema(self.dims, self.family_kind):
+            if entry[0] == name:
+                return np.stack([_column(c, *entry[1:]) for c in self.chains], axis=0)
+        raise ConfigurationError(f"unknown trace column {name!r}")
 
     def column_names(self) -> list:
-        return list(chain_columns(self.chains[0], self.dims, self.family_kind).keys())
+        return [entry[0] for entry in trace_schema(self.dims, self.family_kind)]
+
+
+def trace_schema(dims: ModelDims, family_kind: str) -> list:
+    """Every scalar trace column in CSV order, as (name, field, block, index).
+
+    ``field`` is a ChainTrace attribute, ``block`` the random-block position
+    in its per-block list (None for per-chain arrays), and ``index`` the
+    position inside one recorded draw.
+    """
+    schema = [("log_posterior", "log_posterior", None, ())]
+    schema += [(f"beta{p + 1}", "beta", None, (p,)) for p in range(dims.l)]
+    schema += [(f"J{p + 1}", "J", None, (p,)) for p in range(dims.l)]
+    for bi, (q, n_groups) in enumerate(dims.blocks):
+        tag = bi + 1
+        schema += [(f"lam{tag}_{k + 1}", "lam", bi, (k,)) for k in range(q)]
+        schema += [(f"I{tag}_{k + 1}", "include", bi, (k,)) for k in range(q)]
+        schema += [
+            (f"r{tag}_{u + 1}_{v + 1}", "r", bi, (j,))
+            for j, (u, v) in enumerate(zip(*tril_pairs(q)))
+        ]
+        schema += [(f"kappa{tag}_{k + 1}", "kappa", bi, (k,)) for k in range(q)]
+        schema += [
+            (f"xi{tag}_g{i + 1}_{k + 1}", "xi", bi, (i, k))
+            for i in range(n_groups)
+            for k in range(q)
+        ]
+    field = scale_field(family_kind)
+    if field is not None:
+        schema.append((field, field, None, ()))
+    return schema
+
+
+def _column(chain: ChainTrace, field: str, block, index: tuple) -> np.ndarray:
+    """View of one trace column inside the chain's arrays (writable)."""
+    arr = getattr(chain, field)
+    if block is not None:
+        arr = arr[block]
+    return arr[(slice(None),) + index]
 
 
 def chain_columns(chain: ChainTrace, dims: ModelDims, family_kind: str) -> dict:
     """Flatten one chain into named scalar columns, in stable order."""
-    cols = {"log_posterior": chain.log_posterior}
-    for p in range(dims.l):
-        cols[f"beta{p + 1}"] = chain.beta[:, p]
-    for p in range(dims.l):
-        cols[f"J{p + 1}"] = chain.J[:, p]
-    for bi, (q, n_groups) in enumerate(dims.blocks):
-        tag = bi + 1
-        for k in range(q):
-            cols[f"lam{tag}_{k + 1}"] = chain.lam[bi][:, k]
-        for k in range(q):
-            cols[f"I{tag}_{k + 1}"] = chain.include[bi][:, k]
-        rows, colids = np.tril_indices(q, k=-1)
-        for j, (u, v) in enumerate(zip(rows, colids)):
-            cols[f"r{tag}_{u + 1}_{v + 1}"] = chain.r[bi][:, j]
-        for k in range(q):
-            cols[f"kappa{tag}_{k + 1}"] = chain.kappa[bi][:, k]
-        for i in range(n_groups):
-            for k in range(q):
-                cols[f"xi{tag}_g{i + 1}_{k + 1}"] = chain.xi[bi][:, i, k]
-    if family_kind == "negative_binomial":
-        cols["dispersion"] = chain.dispersion
-    elif family_kind == "gaussian":
-        cols["sigma2"] = chain.sigma2
-    return cols
+    return {
+        name: _column(chain, field, block, index)
+        for name, field, block, index in trace_schema(dims, family_kind)
+    }
 
 
 def _run_single_chain(spec: ModelSpec, data: Dataset, settings: SamplerSettings, chain: int) -> ChainTrace:
@@ -133,21 +165,8 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, settings: SamplerSettings,
     for _ in range(settings.burnin):
         engine.scan()
 
-    n_rec = settings.kept // settings.thin
-    l = dims.l
-    rec = ChainTrace(
-        seed=seed,
-        beta=np.zeros((n_rec, l)),
-        J=np.zeros((n_rec, l), dtype=np.int8),
-        lam=[np.zeros((n_rec, q)) for q, _ in dims.blocks],
-        include=[np.zeros((n_rec, q), dtype=np.int8) for q, _ in dims.blocks],
-        r=[np.zeros((n_rec, q * (q - 1) // 2)) for q, _ in dims.blocks],
-        xi=[np.zeros((n_rec, n_g, q)) for q, n_g in dims.blocks],
-        kappa=[np.zeros((n_rec, q)) for q, _ in dims.blocks],
-        log_posterior=np.zeros(n_rec),
-        dispersion=np.zeros(n_rec) if spec.family.kind == "negative_binomial" else None,
-        sigma2=np.zeros(n_rec) if spec.family.kind == "gaussian" else None,
-    )
+    scale = scale_field(spec.family.kind)
+    rec = ChainTrace.zeros(seed, settings.kept // settings.thin, dims, scale)
     idx = 0
     for it in range(settings.kept):
         engine.scan()
@@ -156,17 +175,11 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, settings: SamplerSettings,
             rec.beta[idx] = st.beta
             rec.J[idx] = st.J
             for bi, bs in enumerate(st.blocks):
-                rec.lam[bi][idx] = bs.lam
-                rec.include[bi][idx] = bs.include
-                rec.r[bi][idx] = bs.r
-                rec.xi[bi][idx] = bs.xi
-                rec.kappa[bi][idx] = bs.kappa
+                for name in ("lam", "include", "r", "xi", "kappa"):
+                    getattr(rec, name)[bi][idx] = getattr(bs, name)
             rec.log_posterior[idx] = engine.log_posterior()
-            if rec.dispersion is not None:
-                rec.dispersion[idx] = st.dispersion
-            if rec.sigma2 is not None:
-                rec.sigma2[idx] = st.sigma2
-            engine.check_exclusion_invariant()
+            if scale is not None:
+                getattr(rec, scale)[idx] = getattr(st, scale)
             idx += 1
     rec.stepout_fallbacks = sum(s.fallbacks for s in engine.stats.values())
     if rec.stepout_fallbacks:
@@ -236,47 +249,11 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
             reader = csv.reader(fh)
             header = next(reader)
             rows = [row for row in reader]
-        data_cols = {name: np.array([float(r[j]) for r in rows]) for j, name in enumerate(header)}
-        n = len(rows)
-        l = dims.l
-        chain = ChainTrace(
-            seed=spec.sampler.seed + ci - 1,
-            beta=np.column_stack([data_cols[f"beta{p + 1}"] for p in range(l)]) if n else np.zeros((0, l)),
-            J=np.column_stack([data_cols[f"J{p + 1}"] for p in range(l)]).astype(np.int8) if n else np.zeros((0, l), dtype=np.int8),
-            lam=[],
-            include=[],
-            r=[],
-            xi=[],
-            kappa=[],
-            log_posterior=data_cols["log_posterior"] if n else np.zeros(0),
-        )
-        for bi, (q, n_groups) in enumerate(dims.blocks):
-            tag = bi + 1
-            chain.lam.append(
-                np.column_stack([data_cols[f"lam{tag}_{k + 1}"] for k in range(q)]) if n else np.zeros((0, q))
-            )
-            chain.include.append(
-                np.column_stack([data_cols[f"I{tag}_{k + 1}"] for k in range(q)]).astype(np.int8)
-                if n
-                else np.zeros((0, q), dtype=np.int8)
-            )
-            rws, cls = np.tril_indices(q, k=-1)
-            names = [f"r{tag}_{u + 1}_{v + 1}" for u, v in zip(rws, cls)]
-            chain.r.append(
-                np.column_stack([data_cols[nm] for nm in names]) if (n and names) else np.zeros((n, len(names)))
-            )
-            xi = np.zeros((n, n_groups, q))
-            for i in range(n_groups):
-                for k in range(q):
-                    xi[:, i, k] = data_cols[f"xi{tag}_g{i + 1}_{k + 1}"]
-            chain.xi.append(xi)
-            chain.kappa.append(
-                np.column_stack([data_cols[f"kappa{tag}_{k + 1}"] for k in range(q)]) if n else np.zeros((0, q))
-            )
-        if spec.family.kind == "negative_binomial":
-            chain.dispersion = data_cols["dispersion"]
-        elif spec.family.kind == "gaussian":
-            chain.sigma2 = data_cols["sigma2"]
+        position = {name: j for j, name in enumerate(header)}
+        chain = ChainTrace.zeros(spec.sampler.seed + ci - 1, len(rows), dims, scale_field(spec.family.kind))
+        for name, field, block, index in trace_schema(dims, spec.family.kind):
+            j = position[name]
+            _column(chain, field, block, index)[:] = [float(r[j]) for r in rows]
         chains.append(chain)
         ci += 1
     if not chains:

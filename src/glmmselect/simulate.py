@@ -14,8 +14,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cholesky import decompose_covariance, project_constraints
-from .errors import ConfigurationError
-from .model import BlockData, Dataset, Family, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings
+from .errors import ConfigurationError, GlmmSelectError
+from .model import BlockData, Dataset, Family, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor
 from .report import fixed_effect_rmse, modal_random_pattern, top_models
 from .sampler import run_chains
 
@@ -151,9 +151,8 @@ def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, SimTru
         factors = decompose_covariance(design.omega)
         eff = project_constraints(factors, np.ones(design.q, dtype=np.int8))
         xi = rng.standard_normal((design.n, design.q))
-        rho = xi @ eff.loadings().T
 
-        eta = X @ beta + np.einsum("ij,ij->i", Z, rho[groups])
+        eta = X @ beta + block_predictor(Z, groups, xi, eff.loadings())
         n_clamped = int(np.sum(eta > design.eta_clamp))
         if n_clamped:
             log.info("replicate %d: clamped %d linear predictors at %.1f", replicate, n_clamped, design.eta_clamp)
@@ -249,7 +248,7 @@ def _fit_one_replicate(design: SimDesign, spec: ModelSpec, modes, replicate: int
                 random_correct=bool(random_ok),
                 rmse=fixed_effect_rmse(trace, truth.beta),
             )
-        except Exception as exc:  # a failed fit marks the replicate failed
+        except GlmmSelectError as exc:  # a failed fit marks the replicate failed
             log.warning("replicate %d mode %s failed: %s", replicate, mode, exc)
             row["error"] = str(exc)
         out.append(row)

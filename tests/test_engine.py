@@ -19,22 +19,32 @@ from glmmselect.model import (
     total_log_likelihood,
 )
 from glmmselect.families import Family
-from glmmselect.priors import sample_prior
+from glmmselect.priors import log_prior_state, sample_prior
+
+KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
 
 
-def poisson_setup(seed=0, n=8, n_i=3, mode="ssvs-full"):
+def toy_family(kind):
+    return Family(kind=kind, dispersion=1.0 if kind in ("negative_binomial", "gaussian") else None)
+
+
+def toy_setup(seed=0, n=8, n_i=3, mode="ssvs-full", q=1, kind="poisson"):
+    """Random intercept plus q - 1 random slopes on extra standard-normal columns."""
     rng = np.random.default_rng(seed)
     n_obs = n * n_i
     X = rng.standard_normal((n_obs, 2))
     X[:, 0] = 1.0
     groups = np.repeat(np.arange(n), n_i)
     y = rng.poisson(1.5, n_obs).astype(float)
-    data = Dataset(y=y, X=X, blocks=(BlockData(Z=X[:, :1], groups=groups, n_groups=n),))
+    if kind == "bernoulli":
+        y = np.minimum(y, 1.0)
+    Z = np.column_stack([X[:, :1], rng.standard_normal((n_obs, q - 1))])
+    data = Dataset(y=y, X=X, blocks=(BlockData(Z=Z, groups=groups, n_groups=n),))
     spec = ModelSpec(
-        family=Family(kind="poisson"),
+        family=toy_family(kind),
         response="y",
         fixed_effects=("1", "x2"),
-        random_blocks=(RandomBlock(group="g", columns=("1",)),),
+        random_blocks=(RandomBlock(group="g", columns=("1",) + tuple(f"z{k}" for k in range(2, q + 1))),),
         hyper=Hyperparameters(v=1.0, nu=1.0),
         sampler=SamplerSettings(seed=seed, adapt=0, burnin=0, kept=10),
         mode=mode,
@@ -43,11 +53,12 @@ def poisson_setup(seed=0, n=8, n_i=3, mode="ssvs-full"):
 
 
 class TestIndicatorConditional:
-    def test_matches_two_branch_likelihood_oracle(self):
-        spec, data = poisson_setup(3)
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_matches_two_branch_likelihood_oracle(self, q):
+        spec, data = toy_setup(3, q=q)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(1))
         state = engine.state
-        for which in [("fixed", 0), ("fixed", 1), ("random", 0, 0)]:
+        for which in [("fixed", 0), ("fixed", 1)] + [("random", 0, k) for k in range(q)]:
             p = indicator_inclusion_probability(which, state, spec, data)
             s_on, s_off = state.copy(), state.copy()
             if which[0] == "fixed":
@@ -61,7 +72,7 @@ class TestIndicatorConditional:
             assert p == pytest.approx(oracle, abs=1e-12)
 
     def test_empty_dataset_reproduces_prior(self):
-        spec, _ = poisson_setup(4)
+        spec, _ = toy_setup(4)
         data0 = Dataset(
             y=np.zeros(0),
             X=np.zeros((0, 2)),
@@ -72,14 +83,14 @@ class TestIndicatorConditional:
         assert indicator_inclusion_probability(("random", 0, 0), state, spec, data0) == 0.5
 
     def test_zero_coefficient_is_coin_flip(self):
-        spec, data = poisson_setup(6)
+        spec, data = toy_setup(6)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(2))
         state = engine.state
         state.beta[1] = 0.0
         assert indicator_inclusion_probability(("fixed", 1), state, spec, data) == pytest.approx(0.5)
 
     def test_update_indicator_only_touches_target(self):
-        spec, data = poisson_setup(7)
+        spec, data = toy_setup(7)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(3))
         state = engine.state
         new = update_indicator(("fixed", 1), state, spec, data, np.random.default_rng(11))
@@ -90,7 +101,7 @@ class TestIndicatorConditional:
 
 class TestGibbsScan:
     def test_no_selection_mode_keeps_indicators(self):
-        spec, data = poisson_setup(8, mode="no-selection")
+        spec, data = toy_setup(8, mode="no-selection")
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(4))
         for _ in range(20):
             engine.scan()
@@ -98,7 +109,7 @@ class TestGibbsScan:
             assert np.all(engine.state.blocks[0].include == 1)
 
     def test_seeded_determinism(self):
-        spec, data = poisson_setup(9)
+        spec, data = toy_setup(9)
         e1 = GibbsEngine(spec, data, rng=np.random.default_rng(5))
         e2 = GibbsEngine(spec, data, rng=np.random.default_rng(5))
         for _ in range(15):
@@ -109,24 +120,41 @@ class TestGibbsScan:
         np.testing.assert_array_equal(e1.state.J, e2.state.J)
 
     def test_functional_scan_does_not_mutate_input(self):
-        spec, data = poisson_setup(10)
+        spec, data = toy_setup(10)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(6))
         state = engine.state
         before = state.beta.copy()
         gibbs_scan(state, spec, data, np.random.default_rng(7))
         np.testing.assert_array_equal(state.beta, before)
 
-    def test_cached_predictor_matches_full_recompute(self):
-        spec, data = poisson_setup(11)
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(8))
+    @pytest.mark.parametrize("q, seed", [(1, 8), (3, 14)])
+    def test_cached_predictor_matches_full_recompute(self, q, seed):
+        spec, data = toy_setup(11, q=q)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(seed))
+        free_r_seen = q == 1
         for _ in range(25):
             engine.scan()
             cached = engine._eta.copy()
             fresh = linear_predictor_all(spec, engine.state, data)
             assert np.max(np.abs(cached - fresh)) < 1e-9
+            free_r_seen |= engine.state.blocks[0].include.sum() >= 2
+        # with q = 3 the masked Gamma must have had a free r entry at some scan
+        assert free_r_seen
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_log_posterior_is_likelihood_plus_prior(self, kind):
+        spec, data = toy_setup(19, q=2, kind=kind)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(20))
+        for _ in range(5):
+            engine.scan()
+            want = total_log_likelihood(spec, engine.state, data) + log_prior_state(
+                spec.hyper, engine.state, kind
+            )
+            assert np.isfinite(want)
+            assert engine.log_posterior() == want
 
     def test_exclusion_invariant_enforced(self):
-        spec, data = poisson_setup(12)
+        spec, data = toy_setup(12)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(9))
         for _ in range(30):
             engine.scan()

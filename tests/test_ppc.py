@@ -17,20 +17,24 @@ from glmmselect.ppc import mean_sd_scatter, replicate_data, rootogram
 from glmmselect.sampler import run_chains
 
 
-def fitted_setup(seed=0, kept=60):
+def fitted_setup(seed=0, kept=60, kind="poisson"):
     rng = np.random.default_rng(seed)
     n, n_i = 8, 4
     n_obs = n * n_i
     X = rng.standard_normal((n_obs, 2))
     X[:, 0] = 1.0
     groups = np.repeat(np.arange(n), n_i)
+    y = rng.poisson(2.0, n_obs).astype(float)
+    if kind == "bernoulli":
+        y = np.minimum(y, 1.0)
     data = Dataset(
-        y=rng.poisson(2.0, n_obs).astype(float),
+        y=y,
         X=X,
         blocks=(BlockData(Z=X[:, :1], groups=groups, n_groups=n),),
     )
+    dispersion = 1.0 if kind in ("negative_binomial", "gaussian") else None
     spec = ModelSpec(
-        family=Family(kind="poisson"),
+        family=Family(kind=kind, dispersion=dispersion),
         response="y",
         fixed_effects=("1", "x2"),
         random_blocks=(RandomBlock(group="g", columns=("1",)),),
@@ -48,6 +52,20 @@ class TestReplicateData:
         assert reps.shape == (25, data.n_obs)
         assert np.all(reps >= 0)
         assert np.all(reps == np.floor(reps))
+
+    @pytest.mark.parametrize("kind", ["poisson", "negative_binomial", "gaussian", "bernoulli"])
+    def test_draws_on_family_support(self, kind):
+        spec, data, trace = fitted_setup(8, kept=20, kind=kind)
+        for conditional in (True, False):
+            reps = replicate_data(trace, spec, data, 15, np.random.default_rng(9), conditional)
+            assert reps.shape == (15, data.n_obs)
+            assert np.all(np.isfinite(reps))
+            if kind == "gaussian":
+                assert len(np.unique(reps)) == reps.size
+            else:
+                assert np.all(reps >= 0) and np.all(reps == np.floor(reps))
+            if kind == "bernoulli":
+                assert set(np.unique(reps)) <= {0.0, 1.0}
 
     def test_n_rep_zero(self):
         spec, data, trace = fitted_setup(2)

@@ -11,10 +11,12 @@ from glmmselect.model import (
     RandomBlock,
     SamplerSettings,
 )
-from glmmselect.sampler import load_trace, run_chains, save_trace
+from glmmselect.sampler import chain_columns, load_trace, run_chains, save_trace
 
 
-def small_problem(seed=0, kept=30, chains=2, thin=1, adapt=5, burnin=5, l=2, with_block=True):
+def small_problem(
+    seed=0, kept=30, chains=2, thin=1, adapt=5, burnin=5, l=2, with_block=True, kind="poisson"
+):
     rng = np.random.default_rng(seed)
     n, n_i = 6, 3
     n_obs = n * n_i
@@ -23,9 +25,13 @@ def small_problem(seed=0, kept=30, chains=2, thin=1, adapt=5, burnin=5, l=2, wit
     groups = np.repeat(np.arange(n), n_i)
     blocks = (BlockData(Z=X[:, :1], groups=groups, n_groups=n),) if with_block else ()
     rblocks = (RandomBlock(group="g", columns=("1",)),) if with_block else ()
-    data = Dataset(y=rng.poisson(1.5, n_obs).astype(float), X=X, blocks=blocks)
+    y = rng.poisson(1.5, n_obs).astype(float)
+    if kind == "bernoulli":
+        y = np.minimum(y, 1.0)
+    data = Dataset(y=y, X=X, blocks=blocks)
+    dispersion = 1.0 if kind in ("negative_binomial", "gaussian") else None
     spec = ModelSpec(
-        family=Family(kind="poisson"),
+        family=Family(kind=kind, dispersion=dispersion),
         response="y",
         fixed_effects=tuple(["1"] + [f"x{i}" for i in range(2, l + 1)]),
         random_blocks=rblocks,
@@ -103,16 +109,25 @@ class TestRunChains:
 
 
 class TestTracePersistence:
-    def test_roundtrip(self, tmp_path):
-        spec, data = small_problem(seed=10, kept=12)
+    @pytest.mark.parametrize("kind", ["poisson", "negative_binomial", "gaussian", "bernoulli"])
+    def test_roundtrip(self, tmp_path, kind):
+        spec, data = small_problem(seed=10, kept=12, kind=kind)
         trace = run_chains(spec, data)
         save_trace(trace, str(tmp_path))
         back = load_trace(str(tmp_path), spec, data)
+        names = trace.column_names()
+        assert back.column_names() == names
+        scale = {"negative_binomial": "dispersion", "gaussian": "sigma2"}.get(kind)
+        assert (scale in names) if scale else not {"dispersion", "sigma2"} & set(names)
         for c1, c2 in zip(trace.chains, back.chains):
             np.testing.assert_allclose(c1.beta, c2.beta, rtol=0, atol=0)
             np.testing.assert_array_equal(c1.J, c2.J)
             np.testing.assert_allclose(c1.xi[0], c2.xi[0], rtol=0, atol=0)
             np.testing.assert_allclose(c1.log_posterior, c2.log_posterior, rtol=0, atol=0)
+            cols1 = chain_columns(c1, trace.dims, kind)
+            cols2 = chain_columns(c2, back.dims, kind)
+            for name in names:
+                np.testing.assert_array_equal(cols1[name], cols2[name], err_msg=name)
 
     def test_byte_identical_rewrites(self, tmp_path):
         spec, data = small_problem(seed=11, kept=12)

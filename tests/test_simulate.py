@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from glmmselect import simulate
+from glmmselect.errors import SamplerError
 from glmmselect.model import Hyperparameters, SamplerSettings
 from glmmselect.simulate import (
     SimDesign,
@@ -132,6 +134,25 @@ class TestReplication:
         assert summ["percent"] == 100.0
         assert summ["percent_random"] == 100.0
         assert summ["rmse"] < 0.1
+
+    def _failing_fit(self, monkeypatch, exc):
+        def fail(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(simulate, "run_chains", fail)
+        design = scaled_design(n=10, n_i=4)
+        return design, build_model_spec(design, sampler=self._quick_settings())
+
+    def test_sampler_error_marks_replicate_failed(self, monkeypatch):
+        design, spec = self._failing_fit(monkeypatch, SamplerError("no feasible start"))
+        result = run_replication(design, spec, 2)
+        assert [(r["ok"], r["error"]) for r in result.rows] == [(False, "no feasible start")] * 2
+        assert result.summary("ssvs-diagonal")["n_failed"] == 2
+
+    def test_programming_error_propagates(self, monkeypatch):
+        design, spec = self._failing_fit(monkeypatch, RuntimeError("bug in the fit"))
+        with pytest.raises(RuntimeError, match="bug in the fit"):
+            run_replication(design, spec, 1)
 
     def test_parallel_matches_serial(self):
         design = SimDesign(
