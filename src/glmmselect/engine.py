@@ -10,7 +10,10 @@ as a pseudo-prior).  Excluded raw values are refreshed from the prior each
 scan to keep indicator flips mobile.
 
 The linear predictor is cached and adjusted incrementally; a full recompute
-at the start of every scan bounds float drift.
+at the start of every scan bounds float drift.  An indicator flip adjusts the
+cached block term by a delta: the on and off loadings Lambda_eff Gamma_eff
+differ only in row k and column k.  ``scan`` owns the ``np.errstate`` guard
+for overflow in the likelihood loop, so the per-evaluation code runs unguarded.
 """
 
 import logging
@@ -205,12 +208,14 @@ class GibbsEngine:
         return self.spec.family.log_kernel(self.y, eta, getattr(self.state, field) if field else None)
 
     def _ll_sum(self, eta: np.ndarray) -> float:
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.sum(self._ll_terms(eta)))
+        return float(self._ll_terms(eta).sum())
 
     def log_likelihood(self) -> float:
         """Full log-likelihood (constants included) at the current state."""
-        return total_log_likelihood(self.spec, self.state, self.data)
+        if self.n_obs == 0:
+            return 0.0
+        self.recompute_caches()
+        return float(np.sum(self.spec.family.at_scale(self.state).log_likelihood(self.y, self._eta)))
 
     def log_posterior(self) -> float:
         return self.log_likelihood() + log_prior_state(self.hyper, self.state, self.spec.family.kind)
@@ -247,20 +252,28 @@ class GibbsEngine:
         elif which[0] == "random":
             bi, k = which[1], which[2]
             bs = st.blocks[bi]
-            eta_rest = self._eta - self._eta_block[bi]
-            saved = bs.include[k]
+            blk = self._blocks[bi]
+            groups = blk["groups"]
+            saved = bool(bs.include[k])
             bs.include[k] = 1
-            blk_on = self._block_eta(bi, *self._gamma_eff(bi))
-            bs.include[k] = 0
-            blk_off = self._block_eta(bi, *self._gamma_eff(bi))
+            lam_eff, gamma = self._gamma_eff(bi)
             bs.include[k] = saved
-            eta_on = eta_rest + blk_on
-            eta_off = eta_rest + blk_off
+            # off zeroes row and column k of the loadings (the exclusion
+            # invariant), so on - off is row k and column k of the on loadings
+            row = lam_eff[k] * gamma[k, :]
+            col = lam_eff * gamma[:, k]
+            col[k] = 0.0
+            delta = blk["Zcols"][k] * (bs.xi @ row)[groups]
+            if col.any():
+                delta += (blk["Z"] @ col) * bs.xi[groups, k]
+            eta_on = self._eta if saved else self._eta + delta
+            eta_off = self._eta - delta if saved else self._eta
 
             def set_to(on):
+                if bool(on) != saved:
+                    self._eta_block[bi] = self._eta_block[bi] + delta if on else self._eta_block[bi] - delta
                 bs.include[k] = on
                 self._eta = eta_on if on else eta_off
-                self._eta_block[bi] = blk_on if on else blk_off
 
         else:
             raise ConfigurationError(f"unknown indicator selector {which!r}")
@@ -491,34 +504,35 @@ class GibbsEngine:
 
     def scan(self) -> None:
         """One full Gibbs sweep over every parameter."""
-        self.recompute_caches()
-        select = self.mode != "no-selection"
-        for p in range(self.dims.l):
-            if select:
-                self._update_J(p)
-            self._update_beta(p)
-        self._update_theta_phi()
-        for bi in range(len(self._blocks)):
-            q = self._blocks[bi]["q"]
-            for k in range(q):
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.recompute_caches()
+            select = self.mode != "no-selection"
+            for p in range(self.dims.l):
                 if select:
-                    self._update_I(bi, k)
-                self._update_lambda(bi, k)
-                self._update_tau2(bi, k)
-            if self.mode != "ssvs-diagonal":
-                for j in range(q * (q - 1) // 2):
-                    self._update_r(bi, j)
-            for k in range(q):
-                self._update_xi_col(bi, k)
-            for k in range(q):
-                self._update_kappa_m(bi, k)
-        if self._update_scale is not None:
-            self._update_scale()
-        self.scan_count += 1
-        if self.adapting:
-            self._adapt_widths()
-        if self.assert_invariants:
-            self.check_exclusion_invariant()
+                    self._update_J(p)
+                self._update_beta(p)
+            self._update_theta_phi()
+            for bi in range(len(self._blocks)):
+                q = self._blocks[bi]["q"]
+                for k in range(q):
+                    if select:
+                        self._update_I(bi, k)
+                    self._update_lambda(bi, k)
+                    self._update_tau2(bi, k)
+                if self.mode != "ssvs-diagonal":
+                    for j in range(q * (q - 1) // 2):
+                        self._update_r(bi, j)
+                for k in range(q):
+                    self._update_xi_col(bi, k)
+                for k in range(q):
+                    self._update_kappa_m(bi, k)
+            if self._update_scale is not None:
+                self._update_scale()
+            self.scan_count += 1
+            if self.adapting:
+                self._adapt_widths()
+            if self.assert_invariants:
+                self.check_exclusion_invariant()
 
     # ------------------------------------------------------------- adaptation
 
@@ -569,14 +583,24 @@ class GibbsEngine:
     def check_exclusion_invariant(self) -> None:
         """Excluded effects must contribute exact zeros to Omega and eta."""
         for bi, bs in enumerate(self.state.blocks):
+            excluded = np.flatnonzero(bs.include == 0)
+            if not excluded.size:
+                continue
             lam_eff, gamma = self._gamma_eff(bi)
             lg = lam_eff[:, None] * gamma
             omega = lg @ lg.T
-            for k in np.flatnonzero(bs.include == 0):
-                if np.any(omega[k, :] != 0.0) or np.any(omega[:, k] != 0.0):
+
+            def leaks(m):  # per excluded k: row k or column k of m has a nonzero
+                return ((m[excluded, :] != 0.0) | (m[:, excluded].T != 0.0)).any(axis=1)
+
+            bad_omega = leaks(omega)
+            bad = bad_omega | leaks(lg)
+            if bad.any():
+                i = int(np.argmax(bad))
+                k = excluded[i]
+                if bad_omega[i]:
                     raise SamplerError(f"exclusion invariant violated in Omega (block {bi}, k {k})")
-                if np.any(lg[:, k] != 0.0) or np.any(lg[k, :] != 0.0):
-                    raise SamplerError(f"excluded effect {k} contributes to eta (block {bi})")
+                raise SamplerError(f"excluded effect {k} contributes to eta (block {bi})")
 
 
 # ------------------------------------------------------------ functional API
@@ -599,7 +623,8 @@ def indicator_inclusion_probability(which, state: ParameterState, spec: ModelSpe
     engine = GibbsEngine(
         spec, data, rng=np.random.default_rng(0), state=state, assert_invariants=False
     )
-    ll_on, ll_off, _ = engine._indicator_pair(which)
+    with np.errstate(over="ignore", invalid="ignore"):
+        ll_on, ll_off, _ = engine._indicator_pair(which)
     return engine._inclusion_prob(ll_on, ll_off)
 
 

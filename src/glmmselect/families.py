@@ -178,15 +178,15 @@ class Family:
         """Per-observation log-likelihood up to eta-free terms, unchecked (sampler inner loop).
 
         ``scale_value`` is the state's value of :attr:`scale`; kinds without one ignore it.
+        Overflow of ``exp`` gives -inf terms; callers set ``np.errstate`` to silence it.
         """
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "poisson":
-                return y * eta - np.exp(eta)
-            if self.kind == "negative_binomial":
-                return y * eta - (y + scale_value) * np.log(scale_value + np.exp(eta))
-            if self.kind == "bernoulli":
-                return y * eta - np.logaddexp(0.0, eta)
-            return -0.5 * (y - eta) ** 2 / scale_value
+        if self.kind == "poisson":
+            return y * eta - np.exp(eta)
+        if self.kind == "negative_binomial":
+            return y * eta - (y + scale_value) * np.log(scale_value + np.exp(eta))
+        if self.kind == "bernoulli":
+            return y * eta - np.logaddexp(0.0, eta)
+        return -0.5 * (y - eta) ** 2 / scale_value
 
     def sample(self, rng: np.random.Generator, eta: np.ndarray, eta_cap: float = 30.0) -> np.ndarray:
         """Draw responses at the given linear predictor.

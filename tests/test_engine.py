@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -15,11 +17,14 @@ from glmmselect.model import (
     ModelSpec,
     RandomBlock,
     SamplerSettings,
+    block_predictor,
     linear_predictor_all,
     total_log_likelihood,
 )
+from glmmselect.errors import SamplerError
 from glmmselect.families import Family
 from glmmselect.priors import log_prior_state, sample_prior
+from glmmselect.simulate import build_model_spec, full_scale_design, simulate_dataset
 
 KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
 
@@ -70,6 +75,47 @@ class TestIndicatorConditional:
             ll_off = total_log_likelihood(spec, s_off, data)
             oracle = 1.0 / (1.0 + np.exp(-(ll_on - ll_off)))
             assert p == pytest.approx(oracle, abs=1e-12)
+
+    def test_random_flip_delta_matches_full_recompute(self):
+        # after a few scans the cached block term has drifted by incremental updates
+        q = 4
+        spec, data = toy_setup(21, q=q)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(22))
+        for _ in range(3):
+            engine.scan()
+        bs = engine.state.blocks[0]
+        assert np.count_nonzero(bs.r) == bs.r.size
+        free_r_seen = False
+        for k in range(q):
+            for _ in range(2):  # from the current value of include[k], then from its flip
+                ll_on, ll_off, set_to = engine._indicator_pair(("random", 0, k))
+                s_on, s_off = engine.state.copy(), engine.state.copy()
+                s_on.blocks[0].include[k], s_off.blocks[0].include[k] = 1, 0
+                want = total_log_likelihood(spec, s_on, data) - total_log_likelihood(spec, s_off, data)
+                assert ll_on - ll_off == pytest.approx(want, abs=1e-9)
+                free_r_seen |= bs.include.sum() - bs.include[k] >= 1
+                set_to(not bs.include[k])
+                fresh = block_predictor(data.blocks[0].Z, data.blocks[0].groups, bs.xi, bs.effective().loadings())
+                assert np.max(np.abs(engine._eta_block[0] - fresh)) < 1e-9
+                assert np.max(np.abs(engine._eta - linear_predictor_all(spec, engine.state, data))) < 1e-9
+        # some flip of k happened while another effect was in, so Gamma had a free r entry
+        assert free_r_seen
+
+    def test_overflowing_branch_raises_no_warning(self):
+        design = full_scale_design()
+        data, _ = simulate_dataset(design, 0)
+        spec = build_model_spec(design, mode="ssvs-full")
+        state = GibbsEngine(spec, data, rng=np.random.default_rng(3)).state
+        k = 4
+        state.blocks[0].include[k] = 0
+        state.blocks[0].lam[k] = 1e4
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # the on branch puts eta near +-1e4, so exp overflows and ll_on is -inf
+            assert indicator_inclusion_probability(("random", 0, k), state, spec, data) == 0.0
+            engine = GibbsEngine(spec, data, rng=np.random.default_rng(4), state=state)
+            for _ in range(3):
+                engine.scan()
 
     def test_empty_dataset_reproduces_prior(self):
         spec, _ = toy_setup(4)
@@ -158,6 +204,32 @@ class TestGibbsScan:
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(9))
         for _ in range(30):
             engine.scan()
+            engine.check_exclusion_invariant()
+
+    @staticmethod
+    def _leaky_engine(monkeypatch, leak):
+        spec, data = toy_setup(23, q=3)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(24), assert_invariants=False)
+        bs = engine.state.blocks[0]
+        bs.include[:] = (1, 1, 0)
+        lam_eff = np.array([0.7, 1.3, 0.0])
+        gamma = np.eye(3)
+        gamma[1, 0] = 0.4
+        if leak == "omega":
+            lam_eff[2] = 0.5  # excluded scale left unmasked: Omega[2, 2] != 0
+        else:
+            gamma[1, 2] = 0.3  # excluded column of Gamma left unmasked: loadings[1, 2] != 0
+        monkeypatch.setattr(engine, "_gamma_eff", lambda bi: (lam_eff, gamma))
+        return engine
+
+    def test_invariant_catches_leak_in_omega(self, monkeypatch):
+        engine = self._leaky_engine(monkeypatch, "omega")
+        with pytest.raises(SamplerError, match=r"invariant violated in Omega \(block 0, k 2\)"):
+            engine.check_exclusion_invariant()
+
+    def test_invariant_catches_leak_in_loadings(self, monkeypatch):
+        engine = self._leaky_engine(monkeypatch, "loadings")
+        with pytest.raises(SamplerError, match=r"excluded effect 2 contributes to eta \(block 0\)"):
             engine.check_exclusion_invariant()
 
     def test_diagonal_mode_never_moves_r(self):
