@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .errors import DataError, SpecValidationError
-from .families import CANONICAL_LINKS, Family, family_scale
+from .families import CANONICAL_LINKS, Family
 from .ioutil import atomic_write_text
 from .model import (
     BlockData,
@@ -121,14 +121,8 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     link = fam_doc.get("link")
     if kind in CANONICAL_LINKS and link is not None and link != CANONICAL_LINKS[kind]:
         problems.append(f"unsupported link {link!r} for family {kind!r}")
-    dispersion = fam_doc.get("dispersion")
-    if family_scale(kind) is not None:
-        if dispersion is None:
-            dispersion = 1.0
-        elif not dispersion > 0:
-            problems.append("family dispersion must be positive")
-    elif dispersion is not None:
-        problems.append(f"family {kind!r} takes no dispersion")
+    if "dispersion" in fam_doc:
+        problems.append("family.dispersion is not a setting: the family scale is sampled from its prior")
 
     response = doc.get("response")
     if not response:
@@ -177,7 +171,7 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     if problems:
         raise SpecValidationError(problems)
 
-    family = Family(kind=kind, link=link, dispersion=dispersion)
+    family = Family(kind=kind, link=link)
     return ModelSpec(
         family=family,
         response=response,
@@ -202,7 +196,7 @@ def parse_spec(path: str) -> ModelSpec:
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:
-    doc = {
+    return {
         "family": {"kind": spec.family.kind, "link": spec.family.link},
         "response": spec.response,
         "fixed_effects": list(spec.fixed_effects),
@@ -224,14 +218,9 @@ def spec_to_dict(spec: ModelSpec) -> dict:
             "kept": spec.sampler.kept,
             "thin": spec.sampler.thin,
             "seed": spec.sampler.seed,
-            "slice_widths": dict(spec.sampler.slice_widths),
-            "max_stepouts": spec.sampler.max_stepouts,
         },
         "mode": spec.mode,
     }
-    if spec.family.dispersion is not None:
-        doc["family"]["dispersion"] = spec.family.dispersion
-    return doc
 
 
 def write_dataset_csv(path: str, data: Dataset, spec: ModelSpec) -> None:

@@ -9,11 +9,21 @@ times prior odds, valid because excluded raw values keep their slab density
 as a pseudo-prior).  Excluded raw values are refreshed from the prior each
 scan to keep indicator flips mobile.
 
+Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
+group keyed ``(kind, block)`` (block None for the fixed effects and the
+dispersion).  Every width starts at 1.0.  While ``adapting`` is set, each scan
+adds the group's draws as a (rows, size) batch, averaged over rows (the groups
+of xi; a single row elsewhere), and from the 20th scan on each width is 2.5
+running standard deviations, clipped to [1e-4, 1e4].
+
 The linear predictor is cached and adjusted incrementally; a full recompute
-at the start of every scan bounds float drift.  An indicator flip adjusts the
-cached block term by a delta: the on and off loadings Lambda_eff Gamma_eff
-differ only in row k and column k.  ``scan`` owns the ``np.errstate`` guard
-for overflow in the likelihood loop, so the per-evaluation code runs unguarded.
+at the end of every scan bounds float drift, and ``log_posterior`` reads the
+cache it leaves.  Code that edits ``state`` directly must call
+``recompute_caches`` before the next scan or ``log_posterior``.  An indicator
+flip adjusts the cached block term by a delta: the on and off loadings
+Lambda_eff Gamma_eff differ only in row k and column k.  ``scan`` owns the
+``np.errstate`` guard for overflow in the likelihood loop, so the
+per-evaluation code runs unguarded.
 """
 
 import logging
@@ -39,50 +49,34 @@ __all__ = [
     "gibbs_scan",
     "update_indicator",
     "indicator_inclusion_probability",
-    "DEFAULT_WIDTHS",
 ]
 
 log = logging.getLogger(__name__)
 
-DEFAULT_WIDTHS = {
-    "beta": 1.0,
-    "phi": 1.0,
-    "lam": 1.0,
-    "r": 1.0,
-    "xi": 1.0,
-    "kappa": 1.0,
-    "m": 1.0,
-    "dispersion": 1.0,
-}
-
+_SLICE_KINDS = ("beta", "phi", "lam", "r", "xi", "kappa", "m", "dispersion")
 _WIDTH_MIN = 1e-4
 _WIDTH_MAX = 1e4
 _ADAPT_MIN_COUNT = 20
 
 
-class _Welford:
-    """Running mean/variance for slice-width adaptation."""
+class _Width:
+    """Slice widths of one parameter group, with the running sums that adapt them."""
 
-    def __init__(self, shape):
+    def __init__(self, size: int):
+        self.width = np.ones(size)
         self.count = 0
-        self.total = np.zeros(shape)
-        self.total_sq = np.zeros(shape)
+        self.total = np.zeros(size)
+        self.total_sq = np.zeros(size)
 
-    def add(self, values):
+    def add(self, draws: np.ndarray) -> None:
+        """Add one scan's (rows, size) draws; from the 20th scan, width = 2.5 sd."""
         self.count += 1
-        self.total += values
-        self.total_sq += np.asarray(values) ** 2
-
-    def add_batch(self, values):
-        values = np.asarray(values, dtype=float)
-        self.count += 1
-        self.total += values.mean(axis=0)
-        self.total_sq += (values**2).mean(axis=0)
-
-    def std(self):
-        mean = self.total / self.count
-        var = np.maximum(self.total_sq / self.count - mean**2, 0.0)
-        return np.sqrt(var)
+        self.total += draws.mean(axis=0)
+        self.total_sq += (draws**2).mean(axis=0)
+        if self.count >= _ADAPT_MIN_COUNT:
+            mean = self.total / self.count
+            sd = np.sqrt(np.maximum(self.total_sq / self.count - mean**2, 0.0))
+            self.width = np.clip(2.5 * sd, _WIDTH_MIN, _WIDTH_MAX)
 
 
 class GibbsEngine:
@@ -92,15 +86,13 @@ class GibbsEngine:
         self,
         spec: ModelSpec,
         data: Dataset,
-        settings=None,
         rng: np.random.Generator | None = None,
         state: ParameterState | None = None,
         assert_invariants: bool = True,
     ):
         self.spec = spec
         self.data = data
-        self.settings = settings if settings is not None else spec.sampler
-        self.rng = rng if rng is not None else np.random.default_rng(self.settings.seed)
+        self.rng = rng if rng is not None else np.random.default_rng(spec.sampler.seed)
         self.dims = ModelDims.of(spec, data)
         data.validate_for(spec.family)
         self.assert_invariants = assert_invariants
@@ -138,9 +130,8 @@ class GibbsEngine:
             for bs in self.state.blocks:
                 bs.r[:] = 0.0
 
-        self._init_widths()
-        self.stats = {name: SliceStats() for name in DEFAULT_WIDTHS}
-        self._welford = {}
+        self.widths = {key: _Width(draws.shape[1]) for key, draws in self._draws().items()}
+        self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
         self.scan_count = 0
         self._eta = np.zeros(self.n_obs)
         self._eta_block = [np.zeros(self.n_obs) for _ in self._blocks]
@@ -161,23 +152,6 @@ class GibbsEngine:
             if self.n_obs == 0 or math.isfinite(total_log_likelihood(self.spec, state, self.data)):
                 return state
         raise SamplerError("could not find a prior draw with finite likelihood")
-
-    def _init_widths(self):
-        base = dict(DEFAULT_WIDTHS)
-        base.update(self.settings.slice_widths or {})
-        l = self.dims.l
-        self.widths = {
-            "beta": np.full(l, float(base["beta"])),
-            "phi": np.full(l, float(base["phi"])),
-            "dispersion": float(base["dispersion"]),
-        }
-        self.widths["lam"] = [np.full(q, float(base["lam"])) for q, _ in self.dims.blocks]
-        self.widths["r"] = [
-            np.full(q * (q - 1) // 2, float(base["r"])) for q, _ in self.dims.blocks
-        ]
-        self.widths["xi"] = [np.full(q, float(base["xi"])) for q, _ in self.dims.blocks]
-        self.widths["kappa"] = [np.full(q, float(base["kappa"])) for q, _ in self.dims.blocks]
-        self.widths["m"] = [np.full(q, float(base["m"])) for q, _ in self.dims.blocks]
 
     # ------------------------------------------------------ cached predictors
 
@@ -211,14 +185,40 @@ class GibbsEngine:
         return float(self._ll_terms(eta).sum())
 
     def log_likelihood(self) -> float:
-        """Full log-likelihood (constants included) at the current state."""
+        """Full log-likelihood (constants included) at the cached predictor."""
         if self.n_obs == 0:
             return 0.0
-        self.recompute_caches()
         return float(np.sum(self.spec.family.at_scale(self.state).log_likelihood(self.y, self._eta)))
 
     def log_posterior(self) -> float:
         return self.log_likelihood() + log_prior_state(self.hyper, self.state, self.spec.family.kind)
+
+    # ---------------------------------------------------------- slice updates
+
+    def _slice(self, kind: str, target, x0, width, lower: float = -math.inf) -> float:
+        """One slice update of a scalar coordinate; ``kind`` names its stats."""
+        return slice_update(target, float(x0), float(width), self.rng, lower=lower, stats=self.stats[kind])
+
+    def _slice_along(self, kind: str, c, old, var, width, x0, lower: float = -math.inf, bi=None) -> float:
+        """Slice update of a coordinate whose term in eta is ``c * x``, under a N(0, var) prior.
+
+        ``old`` is the value the cached eta holds and ``x0`` the start point.
+        Moves the cached eta, and block ``bi``'s term if given, to the new value.
+        """
+        eta_minus = self._eta - c * old
+
+        def tgt(x):
+            return self._ll_sum(eta_minus + c * x) - 0.5 * x * x / var
+
+        new = self._slice(kind, tgt, x0, width, lower)
+        self._eta = eta_minus + c * new
+        if bi is not None:
+            self._eta_block[bi] = self._eta_block[bi] + c * (new - old)
+        return new
+
+    def _slice_rate(self, kind: str, x0, t, width) -> float:
+        """Slice update of a rate latent (phi, m): target 2 log x - x - t x^2 / 2 on x > 0."""
+        return self._slice(kind, lambda x: 2.0 * math.log(x) - x - t * x * x / 2.0, x0, width, 0.0)
 
     # ---------------------------------------------------------- fixed effects
 
@@ -287,22 +287,8 @@ class GibbsEngine:
         st = self.state
         var_p = self._beta_prior_var(p)
         if st.J[p]:
-            c = self._Xcols[p]
-            eta_minus = self._eta - c * st.beta[p]
-
-            def tgt(x):
-                return self._ll_sum(eta_minus + c * x) - 0.5 * x * x / var_p
-
-            new = slice_update(
-                tgt,
-                float(st.beta[p]),
-                float(self.widths["beta"][p]),
-                self.rng,
-                max_stepouts=self.settings.max_stepouts,
-                stats=self.stats["beta"],
-            )
-            st.beta[p] = new
-            self._eta = eta_minus + c * new
+            width = self.widths["beta", None].width[p]
+            st.beta[p] = self._slice_along("beta", self._Xcols[p], st.beta[p], var_p, width, st.beta[p])
         else:
             st.beta[p] = self.rng.normal(0.0, math.sqrt(var_p))
 
@@ -311,21 +297,9 @@ class GibbsEngine:
         g = self.hyper.g_shrink
         rate = st.phi**2 / 2.0 + g * st.beta**2 / (2.0 * st.sigma2)
         st.theta = self.rng.gamma(1.5, 1.0 / rate)
+        widths = self.widths["phi", None].width
         for p in range(self.dims.l):
-            theta_p = st.theta[p]
-
-            def tgt(x):
-                return 2.0 * math.log(x) - x - theta_p * x * x / 2.0
-
-            st.phi[p] = slice_update(
-                tgt,
-                float(st.phi[p]),
-                float(self.widths["phi"][p]),
-                self.rng,
-                lower=0.0,
-                max_stepouts=self.settings.max_stepouts,
-                stats=self.stats["phi"],
-            )
+            st.phi[p] = self._slice_rate("phi", st.phi[p], st.theta[p], widths[p])
 
     # --------------------------------------------------------- random effects
 
@@ -346,24 +320,8 @@ class GibbsEngine:
         gxi_k = bs.xi @ gamma[k, :]
         c = blk["Zcols"][k] * gxi_k[blk["groups"]]
         old = float(bs.lam[k])
-        eta_minus = self._eta - c * old
-        x0 = old if old > 0.0 else 1e-12
-
-        def tgt(x):
-            return self._ll_sum(eta_minus + c * x) - 0.5 * x * x / slab_var
-
-        new = slice_update(
-            tgt,
-            x0,
-            float(self.widths["lam"][bi][k]),
-            self.rng,
-            lower=0.0,
-            max_stepouts=self.settings.max_stepouts,
-            stats=self.stats["lam"],
-        )
-        bs.lam[k] = new
-        self._eta = eta_minus + c * new
-        self._eta_block[bi] = self._eta_block[bi] + c * (new - old)
+        width = self.widths["lam", bi].width[k]
+        bs.lam[k] = self._slice_along("lam", c, old, slab_var, width, old if old > 0.0 else 1e-12, 0.0, bi)
 
     def _update_tau2(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
@@ -381,23 +339,8 @@ class GibbsEngine:
             return
         lam_u = bs.lam[u]
         c = blk["Zcols"][u] * (lam_u * bs.xi[blk["groups"], v])
-        old = bs.r[j]
-        eta_minus = self._eta - c * old
-
-        def tgt(x):
-            return self._ll_sum(eta_minus + c * x) - 0.5 * x * x
-
-        new = slice_update(
-            tgt,
-            float(old),
-            float(self.widths["r"][bi][j]),
-            self.rng,
-            max_stepouts=self.settings.max_stepouts,
-            stats=self.stats["r"],
-        )
-        bs.r[j] = new
-        self._eta = eta_minus + c * new
-        self._eta_block[bi] = self._eta_block[bi] + c * (new - old)
+        # r has a N(0, 1) prior
+        bs.r[j] = self._slice_along("r", c, bs.r[j], 1.0, self.widths["r", bi].width[j], bs.r[j], bi=bi)
 
     def _update_xi_col(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
@@ -419,14 +362,7 @@ class GibbsEngine:
             per_group = np.bincount(groups, weights=self._ll_terms(eta_try), minlength=n_groups)
             return per_group - 0.5 * xvec**2 / kappa_k
 
-        new = slice_update_vec(
-            tgt,
-            x0,
-            float(self.widths["xi"][bi][k]),
-            self.rng,
-            max_stepouts=self.settings.max_stepouts,
-            stats=self.stats["xi"],
-        )
+        new = slice_update_vec(tgt, x0, float(self.widths["xi", bi].width[k]), self.rng, stats=self.stats["xi"])
         bs.xi[:, k] = new
         delta = c * (new - x0)[groups]
         self._eta = self._eta + delta
@@ -441,29 +377,8 @@ class GibbsEngine:
         def tgt_kappa(x):
             return -0.5 * n_groups * math.log(x) - 0.5 * ssq / x - m_k**2 * x / 2.0
 
-        bs.kappa[k] = slice_update(
-            tgt_kappa,
-            float(bs.kappa[k]),
-            float(self.widths["kappa"][bi][k]),
-            self.rng,
-            lower=0.0,
-            max_stepouts=self.settings.max_stepouts,
-            stats=self.stats["kappa"],
-        )
-        kappa_k = bs.kappa[k]
-
-        def tgt_m(x):
-            return 2.0 * math.log(x) - x - kappa_k * x * x / 2.0
-
-        bs.m[k] = slice_update(
-            tgt_m,
-            float(bs.m[k]),
-            float(self.widths["m"][bi][k]),
-            self.rng,
-            lower=0.0,
-            max_stepouts=self.settings.max_stepouts,
-            stats=self.stats["m"],
-        )
+        bs.kappa[k] = self._slice("kappa", tgt_kappa, bs.kappa[k], self.widths["kappa", bi].width[k], 0.0)
+        bs.m[k] = self._slice_rate("m", bs.m[k], bs.kappa[k], self.widths["m", bi].width[k])
 
     # --------------------------------------------------------- family scales
 
@@ -481,15 +396,8 @@ class GibbsEngine:
             )
             return ll + (NB_DISPERSION_SHAPE - 1.0) * math.log(r) - NB_DISPERSION_RATE * r
 
-        self.state.dispersion = slice_update(
-            tgt,
-            float(self.state.dispersion),
-            float(self.widths["dispersion"]),
-            self.rng,
-            lower=0.0,
-            max_stepouts=self.settings.max_stepouts,
-            stats=self.stats["dispersion"],
-        )
+        width = self.widths["dispersion", None].width[0]
+        self.state.dispersion = self._slice("dispersion", tgt, self.state.dispersion, width, 0.0)
 
     def _update_sigma2(self) -> None:
         st = self.state
@@ -505,7 +413,6 @@ class GibbsEngine:
     def scan(self) -> None:
         """One full Gibbs sweep over every parameter."""
         with np.errstate(over="ignore", invalid="ignore"):
-            self.recompute_caches()
             select = self.mode != "no-selection"
             for p in range(self.dims.l):
                 if select:
@@ -528,6 +435,7 @@ class GibbsEngine:
                     self._update_kappa_m(bi, k)
             if self._update_scale is not None:
                 self._update_scale()
+            self.recompute_caches()
             self.scan_count += 1
             if self.adapting:
                 self._adapt_widths()
@@ -536,47 +444,20 @@ class GibbsEngine:
 
     # ------------------------------------------------------------- adaptation
 
-    def _adapt_widths(self) -> None:
+    def _draws(self) -> dict:
+        """Each slice-updated parameter group, keyed (kind, block), as (rows, size) draws."""
         st = self.state
-        self._track("beta", st.beta)
-        self._track("phi", st.phi)
+        groups = {("beta", None): st.beta, ("phi", None): st.phi}
         for bi, bs in enumerate(st.blocks):
-            self._track(f"lam{bi}", bs.lam, ("lam", bi))
-            if bs.r.size:
-                self._track(f"r{bi}", bs.r, ("r", bi))
-            self._track_batch(f"xi{bi}", bs.xi, ("xi", bi))
-            self._track(f"kappa{bi}", bs.kappa, ("kappa", bi))
-            self._track(f"m{bi}", bs.m, ("m", bi))
-        if st.dispersion is not None:
-            self._track("dispersion", np.asarray([st.dispersion]))
+            for kind in ("lam", "r", "xi", "kappa", "m"):
+                groups[kind, bi] = getattr(bs, kind)
+        if self._scale_field == "dispersion":
+            groups["dispersion", None] = st.dispersion
+        return {key: np.atleast_2d(draws) for key, draws in groups.items()}
 
-    def _welford_for(self, key, shape):
-        if key not in self._welford:
-            self._welford[key] = _Welford(shape)
-        return self._welford[key]
-
-    def _track(self, key, values, target=None):
-        w = self._welford_for(key, np.asarray(values).shape)
-        w.add(values)
-        self._apply_width(key, w, target)
-
-    def _track_batch(self, key, values, target=None):
-        w = self._welford_for(key, (np.asarray(values).shape[1],))
-        w.add_batch(values)
-        self._apply_width(key, w, target)
-
-    def _apply_width(self, key, w, target):
-        if w.count < _ADAPT_MIN_COUNT:
-            return
-        width = np.clip(2.5 * w.std(), _WIDTH_MIN, _WIDTH_MAX)
-        if target is None:
-            if key == "dispersion":
-                self.widths["dispersion"] = float(width[0])
-            else:
-                self.widths[key] = np.maximum(width, _WIDTH_MIN)
-        else:
-            name, bi = target
-            self.widths[name][bi] = np.maximum(width, _WIDTH_MIN)
+    def _adapt_widths(self) -> None:
+        for key, draws in self._draws().items():
+            self.widths[key].add(draws)
 
     # -------------------------------------------------------------- invariant
 

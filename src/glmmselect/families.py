@@ -71,7 +71,8 @@ _SCALES = {
     "negative_binomial": Scale(
         "dispersion",
         lambda x: float(gamma_logpdf(x, NB_DISPERSION_SHAPE, NB_DISPERSION_RATE)),
-        lambda rng: float(rng.gamma(NB_DISPERSION_SHAPE, 1.0 / NB_DISPERSION_RATE)),
+        # the tiny shape underflows to exactly 0 (about 0.06% of draws); floor as sample_invgamma does
+        lambda rng: float(max(rng.gamma(NB_DISPERSION_SHAPE, 1.0 / NB_DISPERSION_RATE), 1e-300)),
     ),
     # gaussian residual variance sigma2 ~ IG(0.01, 0.01)
     "gaussian": Scale(
@@ -99,6 +100,8 @@ class Family:
 
     ``dispersion`` is the NB overdispersion r_disp (> 0) or the gaussian
     residual variance sigma^2 (> 0); it must be absent for the other kinds.
+    A model's family leaves it unset: the scale is a sampled parameter, and
+    :meth:`at_scale` supplies it to :meth:`log_likelihood` and :meth:`sample`.
     """
 
     kind: str
@@ -114,13 +117,11 @@ class Family:
                 f"unsupported link {link!r} for family {self.kind!r}"
             )
         object.__setattr__(self, "link", link)
-        if self.scale is not None:
-            if self.dispersion is None or not self.dispersion > 0:
-                raise ConfigurationError(
-                    f"family {self.kind!r} requires a positive dispersion"
-                )
-        elif self.dispersion is not None:
-            raise ConfigurationError(f"family {self.kind!r} takes no dispersion")
+        if self.dispersion is not None:
+            if self.scale is None:
+                raise ConfigurationError(f"family {self.kind!r} takes no dispersion")
+            if not self.dispersion > 0:
+                raise ConfigurationError(f"family {self.kind!r} requires a positive dispersion")
 
     @property
     def scale(self) -> Scale | None:
@@ -137,6 +138,11 @@ class Family:
             return self
         value = getattr(source, self.scale.field)
         return replace(self, dispersion=float(value if index is None else value[index]))
+
+    def _dispersion(self) -> float:
+        if self.dispersion is None:
+            raise ConfigurationError(f"family {self.kind!r} needs its scale: call at_scale first")
+        return self.dispersion
 
     def mean(self, eta: np.ndarray) -> np.ndarray:
         """Inverse link applied to the linear predictor."""
@@ -158,7 +164,7 @@ class Family:
             if self.kind == "poisson":
                 return y * eta - np.exp(eta) - gammaln(y + 1.0)
             if self.kind == "negative_binomial":
-                r = self.dispersion
+                r = self._dispersion()
                 mu = np.exp(eta)
                 return (
                     gammaln(y + r)
@@ -171,7 +177,7 @@ class Family:
             if self.kind == "bernoulli":
                 # y*eta - log(1 + exp(eta)), stable for large |eta|
                 return y * eta - np.logaddexp(0.0, eta)
-            sigma2 = self.dispersion
+            sigma2 = self._dispersion()
             return -0.5 * (np.log(2.0 * np.pi * sigma2) + (y - eta) ** 2 / sigma2)
 
     def log_kernel(self, y: np.ndarray, eta: np.ndarray, scale_value: float | None) -> np.ndarray:
@@ -202,11 +208,11 @@ class Family:
         if self.kind == "poisson":
             return rng.poisson(mu).astype(float)
         if self.kind == "negative_binomial":
-            r = self.dispersion
+            r = self._dispersion()
             return rng.negative_binomial(r, r / (r + mu)).astype(float)
         if self.kind == "bernoulli":
             return (rng.random(mu.shape) < mu).astype(float)
-        return rng.normal(eta, np.sqrt(self.dispersion))
+        return rng.normal(eta, np.sqrt(self._dispersion()))
 
     def clipped_count(self, eta: np.ndarray, eta_cap: float = 30.0) -> int:
         if self.link != "log":

@@ -143,7 +143,12 @@ class Hyperparameters:
 
 @dataclass(frozen=True)
 class SamplerSettings:
-    """Chain layout and slice-sampler controls."""
+    """Chain layout: chain count, scan counts per phase, thinning and base seed.
+
+    Each chain runs ``adapt`` scans that tune its slice widths (see
+    :mod:`glmmselect.engine`), then ``burnin`` scans, then ``kept`` scans of
+    which every ``thin``-th is recorded.  Chain c is seeded ``seed + c``.
+    """
 
     chains: int = 3
     adapt: int = 1000
@@ -151,8 +156,6 @@ class SamplerSettings:
     kept: int = 3000
     thin: int = 1
     seed: int = 0
-    slice_widths: dict = field(default_factory=dict)
-    max_stepouts: int = 50
 
     def __post_init__(self):
         if self.chains < 1:

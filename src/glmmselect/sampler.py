@@ -20,7 +20,7 @@ from .engine import GibbsEngine
 from .errors import ConfigurationError, SamplerError
 from .families import scale_field
 from .ioutil import atomic_write_text, format_float
-from .model import Dataset, ModelDims, ModelSpec, SamplerSettings
+from .model import Dataset, ModelDims, ModelSpec
 
 __all__ = ["ChainTrace", "Trace", "run_chains", "save_trace", "load_trace"]
 
@@ -72,10 +72,9 @@ class ChainTrace:
 
 @dataclass
 class Trace:
-    """All chains plus an echo of how they were produced."""
+    """All chains, with the dimensions and family kind that lay out their columns."""
 
     chains: list
-    settings: SamplerSettings
     dims: ModelDims
     family_kind: str = "poisson"
 
@@ -152,10 +151,11 @@ def chain_columns(chain: ChainTrace, dims: ModelDims, family_kind: str) -> dict:
     }
 
 
-def _run_single_chain(spec: ModelSpec, data: Dataset, settings: SamplerSettings, chain: int) -> ChainTrace:
+def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
+    settings = spec.sampler
     seed = settings.seed + chain
     rng = np.random.default_rng(seed)
-    engine = GibbsEngine(spec, data, settings=settings, rng=rng)
+    engine = GibbsEngine(spec, data, rng=rng)
     dims = engine.dims
 
     engine.adapting = True
@@ -190,7 +190,6 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, settings: SamplerSettings,
 def run_chains(
     spec: ModelSpec,
     data: Dataset,
-    settings: SamplerSettings | None = None,
     workers: int = 1,
 ) -> Trace:
     """Run all chains and collect recorded draws.
@@ -198,23 +197,21 @@ def run_chains(
     Chains are independent; with ``workers > 1`` they run in separate
     processes.  Results are identical either way.
     """
-    if settings is None:
-        settings = spec.sampler
     dims = ModelDims.of(spec, data)
-    n_chains = settings.chains
+    n_chains = spec.sampler.chains
     try:
         if workers > 1 and n_chains > 1:
             with ProcessPoolExecutor(max_workers=min(workers, n_chains)) as pool:
                 futures = [
-                    pool.submit(_run_single_chain, spec, data, settings, c)
+                    pool.submit(_run_single_chain, spec, data, c)
                     for c in range(n_chains)
                 ]
                 chains = [f.result() for f in futures]
         else:
-            chains = [_run_single_chain(spec, data, settings, c) for c in range(n_chains)]
+            chains = [_run_single_chain(spec, data, c) for c in range(n_chains)]
     except SamplerError as exc:
         raise SamplerError(f"chain failed: {exc}") from exc
-    return Trace(chains=chains, settings=settings, dims=dims, family_kind=spec.family.kind)
+    return Trace(chains=chains, dims=dims, family_kind=spec.family.kind)
 
 
 def save_trace(trace: Trace, outdir: str) -> list:
@@ -258,4 +255,4 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
         ci += 1
     if not chains:
         raise ConfigurationError(f"no chain CSVs found under {outdir}")
-    return Trace(chains=chains, settings=spec.sampler, dims=dims, family_kind=spec.family.kind)
+    return Trace(chains=chains, dims=dims, family_kind=spec.family.kind)

@@ -85,9 +85,21 @@ class TestParseSpec:
         assert again == spec
 
     def test_nb_dispersion_default(self):
+        # the NB scale is sampled from its prior, so a spec neither sets nor echoes it
         doc = dict(MINIMAL, family={"kind": "negative_binomial"})
         spec = spec_from_dict(doc)
-        assert spec.family.dispersion == 1.0
+        assert spec.family.dispersion is None
+        assert "dispersion" not in spec_to_dict(spec)["family"]
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("sampler", "slice_widths", {"beta": 0.5}), ("sampler", "max_stepouts", 10), ("family", "dispersion", 1.0)],
+    )
+    def test_removed_settings_rejected(self, section, key, value):
+        base = {"kind": "negative_binomial"} if section == "family" else {}
+        doc = dict(MINIMAL, **{section: dict(base, **{key: value})})
+        with pytest.raises(SpecValidationError, match=key):
+            spec_from_dict(doc)
 
 
 class TestLoadDataset:

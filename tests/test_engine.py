@@ -29,10 +29,6 @@ from glmmselect.simulate import build_model_spec, full_scale_design, simulate_da
 KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
 
 
-def toy_family(kind):
-    return Family(kind=kind, dispersion=1.0 if kind in ("negative_binomial", "gaussian") else None)
-
-
 def toy_setup(seed=0, n=8, n_i=3, mode="ssvs-full", q=1, kind="poisson"):
     """Random intercept plus q - 1 random slopes on extra standard-normal columns."""
     rng = np.random.default_rng(seed)
@@ -46,7 +42,7 @@ def toy_setup(seed=0, n=8, n_i=3, mode="ssvs-full", q=1, kind="poisson"):
     Z = np.column_stack([X[:, :1], rng.standard_normal((n_obs, q - 1))])
     data = Dataset(y=y, X=X, blocks=(BlockData(Z=Z, groups=groups, n_groups=n),))
     spec = ModelSpec(
-        family=toy_family(kind),
+        family=Family(kind=kind),
         response="y",
         fixed_effects=("1", "x2"),
         random_blocks=(RandomBlock(group="g", columns=("1",) + tuple(f"z{k}" for k in range(2, q + 1))),),
@@ -264,7 +260,7 @@ class TestGibbsScan:
         X = np.column_stack([np.ones(40), rng.standard_normal(40)])
         data = Dataset(y=rng.normal(2.0, 1.0, 40), X=X)
         spec = ModelSpec(
-            family=Family(kind="gaussian", dispersion=1.0),
+            family=Family(kind="gaussian"),
             response="y",
             fixed_effects=("1", "x2"),
             sampler=SamplerSettings(seed=0),
@@ -282,7 +278,7 @@ class TestGibbsScan:
         X = np.column_stack([np.ones(40), rng.standard_normal(40)])
         data = Dataset(y=rng.poisson(2.0, 40).astype(float), X=X)
         spec = ModelSpec(
-            family=Family(kind="negative_binomial", dispersion=1.0),
+            family=Family(kind="negative_binomial"),
             response="y",
             fixed_effects=("1", "x2"),
             sampler=SamplerSettings(seed=0),
@@ -292,3 +288,32 @@ class TestGibbsScan:
         for _ in range(10):
             engine.scan()
             assert engine.state.dispersion > 0
+
+
+class TestSliceWidths:
+    def test_adapted_widths_are_clipped_running_sd(self):
+        spec, data = toy_setup(25, q=3, kind="negative_binomial")
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(26))
+        engine.adapting = True
+        first, second = {}, {}  # per group: per-scan means of the draws and of their squares
+        for scan in range(1, 26):
+            engine.scan()
+            st, bs = engine.state, engine.state.blocks[0]
+            scan_draws = {("beta", None): st.beta, ("phi", None): st.phi, ("dispersion", None): np.array([st.dispersion])}
+            scan_draws.update({(kind, 0): getattr(bs, kind) for kind in ("lam", "r", "kappa", "m")})
+            for key, x in scan_draws.items():
+                first.setdefault(key, []).append(x.copy())  # the state's arrays change in place
+                second.setdefault(key, []).append(x**2)
+            # xi is averaged over groups before it enters the running moments
+            first.setdefault(("xi", 0), []).append(bs.xi.mean(axis=0))
+            second.setdefault(("xi", 0), []).append((bs.xi**2).mean(axis=0))
+            assert set(engine.widths) == set(first)
+            for key, w in engine.widths.items():
+                if scan < 20:
+                    assert np.all(w.width == 1.0)
+                    continue
+                mean = np.mean(first[key], axis=0)
+                sd = np.sqrt(np.maximum(np.mean(second[key], axis=0) - mean**2, 0.0))
+                np.testing.assert_allclose(w.width, np.clip(2.5 * sd, 1e-4, 1e4), rtol=1e-12)
+        # adaptation moved every width away from its start
+        assert all(np.all(w.width != 1.0) for w in engine.widths.values())

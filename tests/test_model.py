@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,10 +27,10 @@ def loglik_one(family, y, eta):
     return family.log_likelihood(np.array([y]), np.array([eta]))[0]
 
 
-def toy_spec(kind="poisson", mode="ssvs-full", blocks=True, dispersion=None):
+def toy_spec(kind="poisson", mode="ssvs-full", blocks=True):
     rb = (RandomBlock(group="g", columns=("1",)),) if blocks else ()
     return ModelSpec(
-        family=Family(kind=kind, dispersion=dispersion),
+        family=Family(kind=kind),
         response="y",
         fixed_effects=("1", "x2"),
         random_blocks=rb,
@@ -58,9 +59,15 @@ class TestFamily:
             Family(kind="poisson", link="identity")
 
     def test_dispersion_required_for_nb(self):
+        # a model's family has no scale; the likelihood and sampling need it from at_scale
+        fam = Family(kind="negative_binomial")
         with pytest.raises(ConfigurationError):
-            Family(kind="negative_binomial")
-        Family(kind="negative_binomial", dispersion=1.0)
+            loglik_one(fam, 0.0, 0.0)
+        with pytest.raises(ConfigurationError):
+            fam.sample(np.random.default_rng(0), np.zeros(3))
+        with pytest.raises(ConfigurationError):
+            Family(kind="negative_binomial", dispersion=0.0)
+        assert loglik_one(fam.at_scale(SimpleNamespace(dispersion=1.0)), 0.0, 0.0) == pytest.approx(math.log(0.5))
 
     def test_dispersion_forbidden_for_poisson(self):
         with pytest.raises(ConfigurationError):

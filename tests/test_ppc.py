@@ -32,9 +32,8 @@ def fitted_setup(seed=0, kept=60, kind="poisson"):
         X=X,
         blocks=(BlockData(Z=X[:, :1], groups=groups, n_groups=n),),
     )
-    dispersion = 1.0 if kind in ("negative_binomial", "gaussian") else None
     spec = ModelSpec(
-        family=Family(kind=kind, dispersion=dispersion),
+        family=Family(kind=kind),
         response="y",
         fixed_effects=("1", "x2"),
         random_blocks=(RandomBlock(group="g", columns=("1",)),),

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, stats
 
 from glmmselect.errors import ConfigurationError
+from glmmselect.families import family_scale
 from glmmselect.model import Hyperparameters, ModelDims
 from glmmselect.priors import (
     free_r_mask,
@@ -206,6 +207,12 @@ class TestSamplers:
             assert np.all(st.blocks[0].lam > 0)
             assert np.all(st.blocks[0].tau2 > 0)
             assert np.all(st.blocks[0].kappa > 0)
+
+    def test_nb_dispersion_draws_positive(self):
+        # Gamma(0.01, rate 0.01) underflows to exactly 0 in about 0.06% of raw draws
+        draw = family_scale("negative_binomial").draw_prior
+        rng = np.random.default_rng(0)
+        assert all(draw(rng) > 0 for _ in range(20_000))
 
     def test_no_selection_mode_fixes_indicators(self):
         hyper = Hyperparameters()

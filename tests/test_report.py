@@ -35,7 +35,7 @@ def fabricate_trace(J_rows, I_rows, beta_rows=None, l=None, q=None):
         log_posterior=np.zeros(n),
     )
     dims = ModelDims(l=l, blocks=((q, 3),))
-    return Trace(chains=[chain], settings=None, dims=dims, family_kind="poisson")
+    return Trace(chains=[chain], dims=dims, family_kind="poisson")
 
 
 class TestLabelOf:

@@ -29,9 +29,8 @@ def small_problem(
     if kind == "bernoulli":
         y = np.minimum(y, 1.0)
     data = Dataset(y=y, X=X, blocks=blocks)
-    dispersion = 1.0 if kind in ("negative_binomial", "gaussian") else None
     spec = ModelSpec(
-        family=Family(kind=kind, dispersion=dispersion),
+        family=Family(kind=kind),
         response="y",
         fixed_effects=tuple(["1"] + [f"x{i}" for i in range(2, l + 1)]),
         random_blocks=rblocks,
