@@ -130,16 +130,17 @@ def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[n
     """:func:`project_constraints` without input checks, as (lam_eff, gamma).
 
     The caller passes float ``lam`` and ``include`` of length q, and ``r`` of length q(q-1)/2.
+    All three may carry the same leading draw axes; gamma is then (..., q, q).
     """
-    q = lam.shape[0]
+    q = lam.shape[-1]
     lam_eff = np.where(include, lam, 0.0)
-    gamma = np.eye(q)
+    gamma = np.zeros(lam_eff.shape + (q,))
     if np.count_nonzero(r):
-        gamma[tril_pairs(q)] = r
+        gamma[(..., *tril_pairs(q))] = r
         dead = lam_eff == 0.0
-        gamma[dead, :] = 0.0
-        gamma[:, dead] = 0.0
-        np.fill_diagonal(gamma, 1.0)
+        gamma[dead] = 0.0                          # rows k
+        np.swapaxes(gamma, -1, -2)[dead] = 0.0     # columns k
+    gamma.reshape(lam_eff.shape[:-1] + (q * q,))[..., :: q + 1] = 1.0   # the diagonal
     return lam_eff, gamma
 
 

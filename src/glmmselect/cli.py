@@ -23,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dataio import load_dataset, parse_spec, write_dataset_csv
+from .dataio import load_dataset, parse_spec, settings_from_doc, write_dataset_csv
 from .diagnostics import summarize_trace
-from .errors import GlmmSelectError
+from .errors import GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, write_csv
 from .model import Hyperparameters, SamplerSettings
 from .ppc import mean_sd_scatter, replicate_data, rootogram
@@ -88,8 +88,11 @@ def _load_design(path: str) -> tuple[SimDesign, dict]:
 
 
 def _design_spec(design: SimDesign, doc: dict, args) -> tuple:
-    hyper = Hyperparameters(**doc.get("hyperparameters", {}))
-    sampler = SamplerSettings(**doc.get("sampler", {}))
+    problems = []
+    hyper = settings_from_doc(doc, "hyperparameters", Hyperparameters, problems)
+    sampler = settings_from_doc(doc, "sampler", SamplerSettings, problems)
+    if problems:
+        raise SpecValidationError(problems)
     mode = getattr(args, "mode", None) or doc.get("mode", "ssvs-diagonal")
     if getattr(args, "seed", None) is not None:
         sampler = replace(sampler, seed=args.seed)

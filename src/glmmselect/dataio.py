@@ -9,10 +9,11 @@ dense indices in order of first appearance.
 import csv
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 
-from .errors import DataError, SpecValidationError
+from .errors import ConfigurationError, DataError, SpecValidationError
 from .families import CANONICAL_LINKS, Family
 from .ioutil import atomic_write_text
 from .model import (
@@ -25,7 +26,7 @@ from .model import (
     SamplerSettings,
 )
 
-__all__ = ["load_dataset", "parse_spec", "spec_from_dict", "spec_to_dict", "write_dataset_csv"]
+__all__ = ["load_dataset", "parse_spec", "settings_from_doc", "spec_from_dict", "spec_to_dict", "write_dataset_csv"]
 
 INTERCEPT_NAME = "1"
 
@@ -108,6 +109,28 @@ def load_dataset(path: str, spec: ModelSpec) -> Dataset:
     return data
 
 
+def settings_from_doc(doc: dict, section: str, cls: type, problems: list[str]):
+    """``cls`` built from the object ``doc[section]`` (absent: defaults), or None.
+
+    An unknown key or a rejected value is appended to ``problems``, named
+    with ``section``, and gives None.
+    """
+    values = doc.get(section, {})
+    if not isinstance(values, dict):
+        problems.append(f"{section} must be an object")
+        return None
+    names = {f.name for f in fields(cls)}
+    unknown = [key for key in values if key not in names]
+    if unknown:
+        problems.append(f"{section}: unknown key(s) {', '.join(map(repr, unknown))}")
+        return None
+    try:
+        return cls(**values)
+    except (ConfigurationError, TypeError, ValueError) as exc:
+        problems.append(f"{section}: {exc}")
+        return None
+
+
 def spec_from_dict(doc: dict) -> ModelSpec:
     """Validate a spec document, collecting every problem before raising."""
     problems = []
@@ -146,23 +169,8 @@ def spec_from_dict(doc: dict) -> ModelSpec:
             problems.append(f"random block {bi + 1}: duplicate columns")
         blocks.append((group, tuple(cols)))
 
-    hyper_doc = dict(doc.get("hyperparameters", {}))
-    hyper = None
-    try:
-        hyper = Hyperparameters(**hyper_doc)
-    except TypeError as exc:
-        problems.append(f"hyperparameters: {exc}")
-    except Exception as exc:
-        problems.append(str(exc))
-
-    sampler_doc = dict(doc.get("sampler", {}))
-    sampler = None
-    try:
-        sampler = SamplerSettings(**sampler_doc)
-    except TypeError as exc:
-        problems.append(f"sampler: {exc}")
-    except Exception as exc:
-        problems.append(str(exc))
+    hyper = settings_from_doc(doc, "hyperparameters", Hyperparameters, problems)
+    sampler = settings_from_doc(doc, "sampler", SamplerSettings, problems)
 
     mode = doc.get("mode", "ssvs-full")
     if mode not in MODES:

@@ -9,6 +9,17 @@ times prior odds, valid because excluded raw values keep their slab density
 as a pseudo-prior).  Excluded raw values are refreshed from the prior each
 scan to keep indicator flips mobile.
 
+Without a given state, a chain starts at a prior draw whose likelihood is
+finite.  The search draws candidates ``_START_BATCH`` at a time with
+``sample_prior(..., n=...)``, computes their predictors and log-likelihoods
+as (n, n_obs) arrays, and keeps the first finite one in draw order, so the
+start is exactly the prior conditioned on a finite likelihood.  Candidates
+are screened with what the mode fixes already set (r = 0 in ssvs-diagonal),
+as their chains would start.  A candidate with a NaN predictor counts as
+infeasible.  After ``_START_BUDGET`` candidates the search raises
+``SamplerError``.  On the paper's full-scale design about 1 in 500 prior
+draws is feasible in the ssvs modes, and none in ``no-selection``.
+
 Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
 group keyed ``(kind, block)`` (block None for the fixed effects and the
 dispersion).  Every width starts at 1.0.  While ``adapting`` is set, each scan
@@ -34,7 +45,8 @@ from scipy.special import expit, gammaln, logit
 
 from .errors import ConfigurationError, SamplerError
 from .families import NB_DISPERSION_RATE, NB_DISPERSION_SHAPE, SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE, scale_field
-from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, total_log_likelihood
+# total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
+from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, total_log_likelihood  # noqa: F401
 from .priors import (
     log_prior_state,
     sample_halfnormal,
@@ -57,6 +69,9 @@ _SLICE_KINDS = ("beta", "phi", "lam", "r", "xi", "kappa", "m", "dispersion")
 _WIDTH_MIN = 1e-4
 _WIDTH_MAX = 1e4
 _ADAPT_MIN_COUNT = 20
+# the start search screens prior draws in batches of _START_BATCH, at most _START_BUDGET of them
+_START_BATCH = 32
+_START_BUDGET = 20_000
 
 
 class _Width:
@@ -122,13 +137,7 @@ class GibbsEngine:
             state = self._draw_feasible_start()
         self.state = state.copy()
         self.state.check_dims(self.dims)
-        if self.mode == "no-selection":
-            self.state.J[:] = 1
-            for bs in self.state.blocks:
-                bs.include[:] = 1
-        if self.mode == "ssvs-diagonal":
-            for bs in self.state.blocks:
-                bs.r[:] = 0.0
+        self._fix_by_mode(self.state)
 
         self.widths = {key: _Width(draws.shape[1]) for key, draws in self._draws().items()}
         self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
@@ -139,19 +148,52 @@ class GibbsEngine:
 
     # ------------------------------------------------------------------ setup
 
+    def _fix_by_mode(self, state: ParameterState) -> None:
+        """Set what the mode fixes, in a state or a batch of them.
+
+        no-selection fixes every indicator at 1 and ssvs-diagonal every r at 0.
+        """
+        if self.mode == "no-selection":
+            state.J[:] = 1
+            for bs in state.blocks:
+                bs.include[:] = 1
+        if self.mode == "ssvs-diagonal":
+            for bs in state.blocks:
+                bs.r[:] = 0.0
+
     def _draw_feasible_start(self) -> ParameterState:
         """Prior draw conditioned on a finite likelihood (valid start point).
 
         Heavy-tailed prior draws can overflow a log link; any support point is
-        a legitimate chain start, so redraw until the likelihood is finite.
+        a legitimate chain start.  The first feasible candidate of the first
+        batch that has one is kept (see the module docstring).
         """
-        for _ in range(1000):
-            state = sample_prior(
-                self.hyper, self.dims, self.rng, family_kind=self.spec.family.kind, mode=self.mode
-            )
-            if self.n_obs == 0 or math.isfinite(total_log_likelihood(self.spec, state, self.data)):
-                return state
-        raise SamplerError("could not find a prior draw with finite likelihood")
+        kind = self.spec.family.kind
+        for _ in range(_START_BUDGET // _START_BATCH):
+            batch = sample_prior(self.hyper, self.dims, self.rng, family_kind=kind, mode=self.mode, n=_START_BATCH)
+            self._fix_by_mode(batch)  # screen each candidate as its chain would start
+            feasible = self._feasible(batch)
+            if feasible.any():
+                return batch.take(int(np.argmax(feasible)))
+        raise SamplerError(f"could not find a prior draw with finite likelihood in {_START_BUDGET} draws")
+
+    def _feasible(self, batch: ParameterState) -> np.ndarray:
+        """Per candidate of a batched prior draw: is its log-likelihood finite?
+
+        A candidate whose linear predictor has a NaN is not; with no
+        observations every candidate is.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            eta = batch.beta_eff() @ self.data.X.T
+            for blk, bs in zip(self._blocks, batch.blocks):
+                lam_eff, gamma = cholesky.mask_factors(bs.lam, bs.r, bs.include)
+                eta += block_predictor(blk["Z"], blk["groups"], bs.xi, lam_eff[..., None] * gamma)
+            if self._offset is not None:
+                eta += self._offset
+            nan = np.isnan(eta).any(axis=1)
+            eta[nan] = 0.0
+            ll = self.spec.family.at_scale(batch).log_likelihood(self.y, eta).sum(axis=1)
+        return ~nan & np.isfinite(ll)
 
     # ------------------------------------------------------ cached predictors
 

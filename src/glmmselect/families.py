@@ -63,7 +63,7 @@ class Scale:
 
     field: str
     log_prior: Callable[[float], float]
-    draw_prior: Callable[[np.random.Generator], float]
+    draw_prior: Callable[..., np.ndarray]  # (rng, size=None), as numpy samplers take
 
 
 _SCALES = {
@@ -72,13 +72,13 @@ _SCALES = {
         "dispersion",
         lambda x: float(gamma_logpdf(x, NB_DISPERSION_SHAPE, NB_DISPERSION_RATE)),
         # the tiny shape underflows to exactly 0 (about 0.06% of draws); floor as sample_invgamma does
-        lambda rng: float(max(rng.gamma(NB_DISPERSION_SHAPE, 1.0 / NB_DISPERSION_RATE), 1e-300)),
+        lambda rng, size=None: np.maximum(rng.gamma(NB_DISPERSION_SHAPE, 1.0 / NB_DISPERSION_RATE, size), 1e-300),
     ),
     # gaussian residual variance sigma2 ~ IG(0.01, 0.01)
     "gaussian": Scale(
         "sigma2",
         lambda x: float(invgamma_logpdf(x, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE)),
-        lambda rng: float(sample_invgamma(rng, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE)),
+        lambda rng, size=None: sample_invgamma(rng, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE, size),
     ),
 }
 
@@ -102,6 +102,8 @@ class Family:
     residual variance sigma^2 (> 0); it must be absent for the other kinds.
     A model's family leaves it unset: the scale is a sampled parameter, and
     :meth:`at_scale` supplies it to :meth:`log_likelihood` and :meth:`sample`.
+    For a batch of prior draws it is an (n, 1) column, one scale per
+    candidate, which broadcasts over (n, n_obs) predictor rows.
     """
 
     kind: str
@@ -120,7 +122,7 @@ class Family:
         if self.dispersion is not None:
             if self.scale is None:
                 raise ConfigurationError(f"family {self.kind!r} takes no dispersion")
-            if not self.dispersion > 0:
+            if not np.all(np.asarray(self.dispersion) > 0):
                 raise ConfigurationError(f"family {self.kind!r} requires a positive dispersion")
 
     @property
@@ -133,11 +135,15 @@ class Family:
         return self.kind != "gaussian"
 
     def at_scale(self, source, index=None) -> "Family":
-        """This family at the scale in ``source``: a ParameterState, or a ChainTrace and draw ``index``."""
+        """This family at the scale in ``source``: a ParameterState, or a ChainTrace and draw ``index``.
+
+        A batched state keeps its scale column as an array.
+        """
         if self.scale is None:
             return self
         value = getattr(source, self.scale.field)
-        return replace(self, dispersion=float(value if index is None else value[index]))
+        value = value if index is None else value[index]
+        return replace(self, dispersion=value if np.ndim(value) else float(value))
 
     def _dispersion(self) -> float:
         if self.dispersion is None:

@@ -9,7 +9,7 @@ where J are fixed-effect inclusion indicators and the effective factors come
 from :mod:`glmmselect.cholesky` given the random-effect indicators I.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -255,6 +255,10 @@ class BlockState:
             m=self.m.copy(),
         )
 
+    def take(self, i: int) -> "BlockState":
+        """Draw i of a batch (every array has a leading draw axis), as views."""
+        return BlockState(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
+
 
 @dataclass
 class ParameterState:
@@ -282,6 +286,22 @@ class ParameterState:
             sigma2=self.sigma2,
         )
 
+    def take(self, i: int) -> "ParameterState":
+        """Draw i of a batch from ``sample_prior(..., n=...)``, as views into it."""
+
+        def scale(value):  # an (n, 1) column in a batch; None or 1.0 where the kind has no such scale
+            return value if value is None or np.ndim(value) == 0 else float(value[i, 0])
+
+        return ParameterState(
+            beta=self.beta[i],
+            J=self.J[i],
+            theta=self.theta[i],
+            phi=self.phi[i],
+            blocks=[b.take(i) for b in self.blocks],
+            dispersion=scale(self.dispersion),
+            sigma2=scale(self.sigma2),
+        )
+
     def check_dims(self, dims: ModelDims) -> None:
         if self.beta.shape != (dims.l,):
             raise ConfigurationError("beta length does not match spec")
@@ -301,10 +321,11 @@ def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings:
     """One random block's term of eta: row j gets Z[j] . (loadings @ xi[groups[j]]).
 
     ``loadings`` is Lambda_eff Gamma_eff (q, q) and ``xi`` the (n_groups, q)
-    latent effects.
+    latent effects.  Both may carry the same leading draw axes, which the
+    result (..., n_obs) keeps.
     """
-    rho = xi @ loadings.T          # (n_groups, q) effect vectors
-    return np.einsum("ij,ij->i", Z, rho[groups])
+    rho = xi @ loadings.swapaxes(-1, -2)   # (..., n_groups, q) effect vectors
+    return np.einsum("ij,...ij->...i", Z, np.take(rho, groups, axis=-2))
 
 
 def linear_predictor_all(spec: ModelSpec, state: ParameterState, data: Dataset) -> np.ndarray:

@@ -184,35 +184,49 @@ def sample_prior(
     rng: np.random.Generator,
     family_kind: str = "poisson",
     mode: str = "ssvs-full",
+    n: int | None = None,
 ) -> ParameterState:
-    """Exact draw from the full joint prior (initialization and checks)."""
+    """Exact draw from the full joint prior (initialization and checks).
+
+    With ``n``, a batch of n independent draws: every array gains a leading
+    axis of length n, the family scale (if the kind has one) is an (n, 1)
+    column, and :meth:`ParameterState.take` picks one draw.  A batch uses
+    the generator in its own order, so it differs from n unbatched calls.
+    """
     pi = hyper.prior_inclusion
     scale, field = family_scale(family_kind), scale_field(family_kind)
+    lead = () if n is None else (n,)
+    scale_shape = None if n is None else (n, 1)
+
+    def draw_scale():
+        value = scale.draw_prior(rng, scale_shape)
+        return float(value) if n is None else value
+
     # sigma2 enters the beta prior, so it is drawn first; any other scale is drawn last
-    sigma2 = scale.draw_prior(rng) if field == "sigma2" else 1.0
-    phi = rng.gamma(1.0, 1.0, size=dims.l)
+    sigma2 = draw_scale() if field == "sigma2" else 1.0
+    phi = rng.gamma(1.0, 1.0, size=lead + (dims.l,))
     theta = rng.exponential(2.0 / phi**2)
     beta = rng.normal(0.0, np.sqrt(sigma2 / (hyper.g_shrink * theta)))
     if mode == "no-selection":
-        J = np.ones(dims.l, dtype=np.int8)
+        J = np.ones(lead + (dims.l,), dtype=np.int8)
     else:
-        J = (rng.random(dims.l) < pi).astype(np.int8)
+        J = (rng.random(lead + (dims.l,)) < pi).astype(np.int8)
     blocks = []
     for q, n_groups in dims.blocks:
         if mode == "no-selection":
-            include = np.ones(q, dtype=np.int8)
+            include = np.ones(lead + (q,), dtype=np.int8)
         else:
-            include = (rng.random(q) < pi).astype(np.int8)
-        tau2 = sample_invgamma(rng, hyper.nu / 2.0, hyper.v / 2.0, size=q)
+            include = (rng.random(lead + (q,)) < pi).astype(np.int8)
+        tau2 = sample_invgamma(rng, hyper.nu / 2.0, hyper.v / 2.0, size=lead + (q,))
         lam = sample_halfnormal(rng, tau2 * hyper.h**2)
-        r = rng.normal(0.0, 1.0, size=q * (q - 1) // 2)
-        m = rng.gamma(1.0, 1.0, size=q)
+        r = rng.normal(0.0, 1.0, size=lead + (q * (q - 1) // 2,))
+        m = rng.gamma(1.0, 1.0, size=lead + (q,))
         kappa = rng.exponential(2.0 / m**2)
-        xi = rng.normal(0.0, 1.0, size=(n_groups, q)) * np.sqrt(kappa)[None, :]
+        xi = rng.normal(0.0, 1.0, size=lead + (n_groups, q)) * np.sqrt(kappa)[..., None, :]
         blocks.append(
             BlockState(lam=lam, include=include, tau2=tau2, r=r, xi=xi, kappa=kappa, m=m)
         )
-    dispersion = scale.draw_prior(rng) if field == "dispersion" else None
+    dispersion = draw_scale() if field == "dispersion" else None
     return ParameterState(
         beta=beta, J=J, theta=theta, phi=phi, blocks=blocks, dispersion=dispersion, sigma2=sigma2
     )

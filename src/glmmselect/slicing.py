@@ -3,9 +3,13 @@
 Bounded supports are handled by treating the target as -inf outside
 (lower, upper): stepping out terminates there and out-of-range proposals
 shrink the interval, which preserves invariance without special cases.
+
+Stepping out has a budget of ``max_stepouts`` widths in all, split at random
+as Neal's procedure requires: J = floor(m V) steps to the left and m - 1 - J
+to the right, V uniform.  Separate caps per side would break invariance.
+An update whose interval reached the full m widths counts as a fallback.
 """
 
-import logging
 import math
 
 import numpy as np
@@ -13,8 +17,6 @@ import numpy as np
 from .errors import SamplerError
 
 __all__ = ["slice_update", "slice_update_vec", "SliceStats"]
-
-log = logging.getLogger(__name__)
 
 _MAX_SHRINK = 1000
 
@@ -43,8 +45,8 @@ def slice_update(
     """One slice-sampling transition for a scalar coordinate.
 
     Returns a new value inside (lower, upper); the target distribution is
-    invariant under the update.  If the step-out cap is exceeded the interval
-    stops growing and the shrinkage phase proceeds from there (logged).
+    invariant under the update.  When the step-out budget runs out the
+    interval stops growing and the shrinkage phase proceeds from there.
     """
     if not lower < x0 < upper:
         raise SamplerError(f"initial point {x0} outside ({lower}, {upper})")
@@ -63,27 +65,19 @@ def slice_update(
     left = x0 - u * width
     right = left + width
 
-    n_out = 0
-    while f(left) > level:
+    budget_left = math.floor(max_stepouts * rng.random())
+    budget_right = max_stepouts - 1 - budget_left
+    n_left = n_right = 0
+    while n_left < budget_left and f(left) > level:
         left -= width
-        n_out += 1
-        if n_out >= max_stepouts:
-            if stats is not None:
-                stats.fallbacks += 1
-            log.debug("slice step-out cap hit (left); shrink-only fallback")
-            break
-    n_out_r = 0
-    while f(right) > level:
+        n_left += 1
+    while n_right < budget_right and f(right) > level:
         right += width
-        n_out_r += 1
-        if n_out_r >= max_stepouts:
-            if stats is not None:
-                stats.fallbacks += 1
-            log.debug("slice step-out cap hit (right); shrink-only fallback")
-            break
+        n_right += 1
     if stats is not None:
-        stats.stepouts += n_out + n_out_r
+        stats.stepouts += n_left + n_right
         stats.updates += 1
+        stats.fallbacks += int(n_left + n_right == max_stepouts - 1)
 
     for _ in range(_MAX_SHRINK):
         x1 = left + rng.random() * (right - left)
@@ -131,31 +125,24 @@ def slice_update_vec(
     left = x0 - u * width
     right = left + width
 
-    total_out = 0
-    for side in ("left", "right"):
-        edge = left if side == "left" else right
-        active = f(edge) > level
-        steps = 0
+    def step_out(edge, step, budget):
+        """Move each lane's edge by ``step`` until it leaves the slice or its budget ends."""
+        taken = np.zeros(n, dtype=np.int64)
+        active = (budget > 0) & (f(edge) > level)
         while np.any(active):
-            if steps >= max_stepouts:
-                if stats is not None:
-                    stats.fallbacks += int(active.sum())
-                log.debug("vector slice step-out cap hit on %d lanes", int(active.sum()))
-                break
-            if side == "left":
-                edge = np.where(active, edge - width, edge)
-            else:
-                edge = np.where(active, edge + width, edge)
-            total_out += int(active.sum())
-            active = active & (f(edge) > level)
-            steps += 1
-        if side == "left":
-            left = edge
-        else:
-            right = edge
+            edge = np.where(active, edge + step, edge)
+            taken += active
+            active &= (taken < budget) & (f(edge) > level)
+        return edge, taken
+
+    budget_left = np.floor(max_stepouts * rng.random(n)).astype(np.int64)
+    left, out_left = step_out(left, -width, budget_left)
+    right, out_right = step_out(right, width, max_stepouts - 1 - budget_left)
     if stats is not None:
-        stats.stepouts += total_out
+        n_out = out_left + out_right
+        stats.stepouts += int(n_out.sum())
         stats.updates += n
+        stats.fallbacks += int(np.count_nonzero(n_out == max_stepouts - 1))
 
     x1 = x0.copy()
     pending = np.ones(n, dtype=bool)

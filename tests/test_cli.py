@@ -112,6 +112,20 @@ class TestPipeline:
         lines = open(os.path.join(out, "grid.csv")).read().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
 
+    @pytest.mark.parametrize("command", ["replicate", "grid"])
+    @pytest.mark.parametrize(
+        "section, key", [("sampler", "foo"), ("sampler", "max_stepouts"), ("hyperparameters", "foo")]
+    )
+    def test_unknown_design_setting_is_error_exit(self, tmp_path, capsys, command, section, key):
+        doc = dict(SMALL_DESIGN, **{section: dict(SMALL_DESIGN[section], **{key: 10})})
+        design = write(tmp_path, "bad_design.json", doc)
+        args = [command, "--design", design, "--out", str(tmp_path / "out"), "--replicates", "1"]
+        if command == "grid":
+            args += ["--grid", write(tmp_path, "grid.json", {"v": [1.0], "h": [1.0]})]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{section}: unknown key(s) '{key}'" in err
+
     def test_add_squares(self, workspace):
         tmp_path, design, spec, data = workspace
         doc = dict(SMALL_SPEC, fixed_effects=["x1", "x2", "x3", "x2_sq"])

@@ -1,8 +1,12 @@
+import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from glmmselect import engine as engine_module
 from glmmselect.engine import (
     GibbsEngine,
     gibbs_scan,
@@ -21,7 +25,7 @@ from glmmselect.model import (
     linear_predictor_all,
     total_log_likelihood,
 )
-from glmmselect.errors import SamplerError
+from glmmselect.errors import NumericError, SamplerError
 from glmmselect.families import Family
 from glmmselect.priors import log_prior_state, sample_prior
 from glmmselect.simulate import build_model_spec, full_scale_design, simulate_dataset
@@ -73,14 +77,21 @@ class TestIndicatorConditional:
             assert p == pytest.approx(oracle, abs=1e-12)
 
     def test_random_flip_delta_matches_full_recompute(self):
-        # after a few scans the cached block term has drifted by incremental updates
+        # the flips below move the cached block term by deltas; each check compares it with a recompute
         q = 4
         spec, data = toy_setup(21, q=q)
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(22))
+        # start at this generator's first prior draw, a moderate state: the absolute tolerances below
+        # need one, and a feasible start from the search can have a log-likelihood near -1e29
+        rng = np.random.default_rng(22)
+        start = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        engine = GibbsEngine(spec, data, rng=rng, state=start)
         for _ in range(3):
             engine.scan()
         bs = engine.state.blocks[0]
         assert np.count_nonzero(bs.r) == bs.r.size
+        # with effect 0 in, every flip of another k has a free r entry in Gamma
+        bs.include[0] = 1
+        engine.recompute_caches()
         free_r_seen = False
         for k in range(q):
             for _ in range(2):  # from the current value of include[k], then from its flip
@@ -288,6 +299,130 @@ class TestGibbsScan:
         for _ in range(10):
             engine.scan()
             assert engine.state.dispersion > 0
+
+
+def reference_verdict(spec, state, data) -> bool:
+    """Whether a state is a valid start, from the full likelihood; a NaN predictor is not."""
+    try:
+        with np.errstate(all="ignore"):
+            return math.isfinite(total_log_likelihood(spec, state, data))
+    except NumericError:
+        return False
+
+
+class TestFeasibleStart:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_batch_verdict_matches_full_likelihood(self, kind):
+        spec, data = toy_setup(27, q=2, kind=kind)
+        spec = replace(spec, hyper=Hyperparameters())  # heavy-tailed slab: many overflowing draws
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(28))
+        batch = sample_prior(spec.hyper, engine.dims, np.random.default_rng(29), family_kind=kind, n=32)
+        batch.beta[0] = 1e308  # overflows every family: eta reaches inf
+        batch.beta[1, 0] = np.nan  # NaN predictor: not a start, where total_log_likelihood raises
+        batch.beta[2] = 0.0  # finite for every family
+        batch.J[2] = 0
+        batch.blocks[0].include[2] = 0
+        with pytest.raises(NumericError):
+            total_log_likelihood(spec, batch.take(1), data)
+        verdict = engine._feasible(batch)
+        want = [reference_verdict(spec, batch.take(i), data) for i in range(32)]
+        assert verdict.tolist() == want
+        assert not want[0] and not want[1] and want[2]
+
+    def test_start_is_first_feasible_candidate(self):
+        spec, data = toy_setup(30, q=2)
+        spec = replace(spec, hyper=Hyperparameters())
+        dims = ModelDims.of(spec, data)
+        batch = sample_prior(spec.hyper, dims, np.random.default_rng(31), n=32)
+        first = [reference_verdict(spec, batch.take(i), data) for i in range(32)].index(True)
+        start = GibbsEngine(spec, data, rng=np.random.default_rng(31)).state
+        want = batch.take(first)
+        np.testing.assert_array_equal(start.beta, want.beta)
+        np.testing.assert_array_equal(start.blocks[0].xi, want.blocks[0].xi)
+        np.testing.assert_array_equal(start.blocks[0].include, want.blocks[0].include)
+
+    def test_diagonal_mode_screens_candidates_with_zero_r(self, monkeypatch):
+        # candidate 0 overflows only through its r entry, which ssvs-diagonal fixes at 0, so it is feasible
+        spec, data = toy_setup(40, q=2, mode="ssvs-diagonal")
+        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(41), n=32)
+        batch.beta[0] = 0.0
+        bs = batch.blocks[0]
+        bs.include[0], bs.lam[0], bs.xi[0], bs.r[0] = 1, 1.0, 1.0, 1e200
+        monkeypatch.setattr(engine_module, "sample_prior", lambda *args, **kwargs: batch)
+        start = GibbsEngine(spec, data, rng=np.random.default_rng(42)).state
+        np.testing.assert_array_equal(start.beta, 0.0)
+        np.testing.assert_array_equal(start.blocks[0].xi, 1.0)
+        assert np.all(start.blocks[0].r == 0.0)
+
+    def test_matches_sequential_rejection_sampler(self):
+        # about 0.29 of this model's prior draws are feasible, so the condition shapes the start:
+        # included effects with a huge slab value overflow, so inclusion is rarer than its prior 0.5
+        spec, data = toy_setup(32, q=2)
+        spec = replace(spec, hyper=Hyperparameters())
+        dims = ModelDims.of(spec, data)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(33))
+        rng = np.random.default_rng(34)
+        n = 3000
+
+        def sequential():
+            while True:
+                state = sample_prior(spec.hyper, dims, rng)
+                if reference_verdict(spec, state, data):
+                    return state
+
+        batched = [engine._draw_feasible_start() for _ in range(n)]
+        reference = [sequential() for _ in range(n)]
+
+        def marginals(states):
+            return {
+                "beta1": [s.beta[0] for s in states],
+                "log lam1": [math.log(s.blocks[0].lam[0]) for s in states],
+                "log kappa2": [math.log(s.blocks[0].kappa[1]) for s in states],
+                "xi11": [s.blocks[0].xi[0, 0] for s in states],
+            }
+
+        got, ref = marginals(batched), marginals(reference)
+        for name in got:
+            assert stats.ks_2samp(got[name], ref[name]).pvalue > 1e-3, name
+
+        def patterns(states):
+            codes = [int("".join(map(str, np.concatenate([s.J, s.blocks[0].include]))), 2) for s in states]
+            return np.bincount(codes, minlength=16)
+
+        table = np.array([patterns(batched), patterns(reference)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert stats.chi2_contingency(table).pvalue > 1e-3
+        include_rate = np.mean([s.blocks[0].include for s in reference])
+        assert include_rate < 0.45  # the condition matters here
+
+    def test_empty_dataset_takes_first_candidate(self):
+        spec, _ = toy_setup(35)
+        data0 = Dataset(
+            y=np.zeros(0),
+            X=np.zeros((0, 2)),
+            blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=1),),
+        )
+        dims = ModelDims.of(spec, data0)
+        want = sample_prior(spec.hyper, dims, np.random.default_rng(36), n=32).take(0)
+        start = GibbsEngine(spec, data0, rng=np.random.default_rng(36)).state
+        np.testing.assert_array_equal(start.beta, want.beta)
+        np.testing.assert_array_equal(start.blocks[0].lam, want.blocks[0].lam)
+
+    def test_infeasible_model_raises_after_budget(self, monkeypatch):
+        spec, data = toy_setup(37)
+        # exp(eta) overflows at every observation for any prior draw
+        data = replace(data, offset=np.full(data.n_obs, 1e300))
+        spec = replace(spec, offset="off")
+        draws = []
+
+        def counted(*args, n=None, **kwargs):
+            draws.append(n)
+            return sample_prior(*args, n=n, **kwargs)
+
+        monkeypatch.setattr(engine_module, "sample_prior", counted)
+        with pytest.raises(SamplerError, match="20000 draws"):
+            GibbsEngine(spec, data, rng=np.random.default_rng(38))
+        assert sum(draws) == 20_000
 
 
 class TestSliceWidths:

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,7 +7,7 @@ from scipy import integrate, stats
 
 from glmmselect.errors import ConfigurationError
 from glmmselect.families import family_scale
-from glmmselect.model import Hyperparameters, ModelDims
+from glmmselect.model import MODES, Hyperparameters, ModelDims
 from glmmselect.priors import (
     free_r_mask,
     halfnormal_logpdf,
@@ -21,6 +22,7 @@ from glmmselect.priors import (
 )
 
 LOG_2PI = math.log(2 * math.pi)
+KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
 
 
 class TestBetaPrior:
@@ -222,3 +224,32 @@ class TestSamplers:
             st = sample_prior(hyper, dims, rng, mode="no-selection")
             assert np.all(st.J == 1)
             assert np.all(st.blocks[0].include == 1)
+
+    def test_unbatched_prior_draw_unchanged(self):
+        # sha256 of unbatched draws made before the batch axis was added to sample_prior
+        digest = hashlib.sha256()
+        dims = ModelDims(l=3, blocks=((3, 5), (1, 4)))
+        for kind in KINDS:
+            for mode in MODES:
+                s = sample_prior(Hyperparameters(), dims, np.random.default_rng(123), family_kind=kind, mode=mode)
+                for a in (s.beta, s.J, s.theta, s.phi):
+                    digest.update(a.tobytes())
+                for b in s.blocks:
+                    for a in (b.lam, b.include, b.tau2, b.r, b.xi, b.kappa, b.m):
+                        digest.update(a.tobytes())
+                digest.update(repr((s.dispersion, s.sigma2)).encode())
+        assert digest.hexdigest() == "81a3a55d8253ae0ced57853e17671370a90093a9b15c8cbc0e33209f248a08b6"
+
+    def test_batch_draw_shapes(self):
+        dims = ModelDims(l=3, blocks=((3, 5),))
+        for kind in KINDS:
+            batch = sample_prior(Hyperparameters(), dims, np.random.default_rng(39), family_kind=kind, n=4)
+            assert batch.beta.shape == (4, 3) and batch.blocks[0].xi.shape == (4, 5, 3)
+            assert batch.blocks[0].r.shape == (4, 3)
+            scale = {"negative_binomial": batch.dispersion, "gaussian": batch.sigma2}.get(kind)
+            assert scale is None or scale.shape == (4, 1)
+            for i in range(4):
+                one = batch.take(i)
+                one.check_dims(dims)
+                assert isinstance(one.sigma2, float)
+                assert one.dispersion is None or isinstance(one.dispersion, float)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from glmmselect.errors import SamplerError
 from glmmselect.slicing import SliceStats, slice_update, slice_update_vec
@@ -9,6 +10,15 @@ from glmmselect.slicing import SliceStats, slice_update, slice_update_vec
 
 def std_normal(x):
     return -0.5 * x * x
+
+
+def assert_flat_histogram(x, n_bins=20):
+    """Draws on [0, 100] are uniform: all bins by a chi-square test, the two edge bins by 4 sd."""
+    counts = np.histogram(x, bins=n_bins, range=(0.0, 100.0))[0]
+    assert stats.chisquare(counts).pvalue > 1e-4, counts
+    p_edges = 2.0 / n_bins
+    sd = math.sqrt(p_edges * (1.0 - p_edges) / x.size)
+    assert abs((counts[0] + counts[-1]) / x.size - p_edges) < 4.0 * sd, counts
 
 
 class TestScalarSlice:
@@ -65,6 +75,20 @@ class TestScalarSlice:
             slice_update(lambda t: -0.5 * (t / 50.0) ** 2, 0.0, 0.01, rng, max_stepouts=3, stats=stats)
         assert stats.fallbacks > 0
 
+    def test_stepout_cap_keeps_flat_target_invariant(self):
+        # start 10,000 chains from the target, uniform on [0, 100], and take 10 updates each at
+        # width 1 and a 5-step budget: an invariant update keeps them iid uniform, so each bin
+        # count is binomial.  Separate per-side caps drained the edge bins to about 0.04 of the
+        # mass each (0.05 expected), 6.7 sd of the edge pair here.
+        rng = np.random.default_rng(13)
+        x = rng.uniform(0.0, 100.0, 10_000)
+        for i in range(x.size):
+            xi = x[i]
+            for _ in range(10):
+                xi = slice_update(lambda t: 0.0, xi, 1.0, rng, lower=0.0, upper=100.0, max_stepouts=5)
+            x[i] = xi
+        assert_flat_histogram(x)
+
     def test_skewed_target(self):
         # exponential(1) via slice; mean and variance both 1
         rng = np.random.default_rng(7)
@@ -109,6 +133,14 @@ class TestVectorSlice:
         for _ in range(300):
             x = slice_update_vec(lambda t: -t, x, 1.0, rng, lower=0.0)
             assert np.all(x > 0.0)
+
+    def test_stepout_cap_keeps_flat_target_invariant(self):
+        # as the scalar test, with 40,000 lanes: the edge pair's sd is 0.0015, the old deficit 0.02
+        rng = np.random.default_rng(14)
+        x = rng.uniform(0.0, 100.0, 40_000)
+        for _ in range(10):
+            x = slice_update_vec(np.zeros_like, x, 1.0, rng, lower=0.0, upper=100.0, max_stepouts=5)
+        assert_flat_histogram(x)
 
     def test_empty_input(self):
         rng = np.random.default_rng(11)
