@@ -10,11 +10,9 @@ __version__ = "0.1.0"
 
 from .cholesky import (
     CholeskyFactors,
-    EffectiveFactors,
     assemble_covariance,
     decompose_covariance,
     project_constraints,
-    random_effect_vector,
 )
 from .diagnostics import effective_sample_size, gelman_rubin
 from .engine import GibbsEngine, gibbs_scan, indicator_inclusion_probability, update_indicator

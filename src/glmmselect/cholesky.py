@@ -8,6 +8,8 @@ lower-triangular with subdiagonal entries packed row-major into ``r``:
 the membership constraint then zeroes row and column k of ``Gamma``
 (diagonal stays 1).  That masking is written only here, in
 :func:`mask_factors`; :func:`project_constraints` is its checked public form.
+Both return the masked factors as a plain ``(lam_eff, gamma)`` pair, and the
+map from latent xi to the effect vector is ``lam_eff[:, None] * gamma``.
 
 Identity rule: when no packed ``r`` entry is nonzero, the effective Gamma is
 the identity whatever the indicators, and is returned without masking.
@@ -23,7 +25,6 @@ from .errors import ConfigurationError, DecompositionError
 
 __all__ = [
     "CholeskyFactors",
-    "EffectiveFactors",
     "tril_pairs",
     "gamma_matrix",
     "pack_gamma",
@@ -31,7 +32,6 @@ __all__ = [
     "mask_factors",
     "assemble_covariance",
     "decompose_covariance",
-    "random_effect_vector",
 ]
 
 
@@ -91,39 +91,18 @@ class CholeskyFactors:
         return self.lam.shape[0]
 
 
-@dataclass(frozen=True)
-class EffectiveFactors:
-    """Indicator-masked, constraint-projected factors.
-
-    lam_eff : (q,) with excluded entries exactly zero.
-    gamma   : (q, q) unit lower-triangular with row/column k zeroed
-              (diagonal 1) wherever lam_eff[k] == 0.
-    """
-
-    lam_eff: np.ndarray
-    gamma: np.ndarray
-
-    @property
-    def q(self) -> int:
-        return self.lam_eff.shape[0]
-
-    def loadings(self) -> np.ndarray:
-        """Lambda_eff @ Gamma_eff, the map from latent xi to the effect vector."""
-        return self.lam_eff[:, None] * self.gamma
-
-
-def project_constraints(factors: CholeskyFactors, include: np.ndarray) -> EffectiveFactors:
+def project_constraints(factors: CholeskyFactors, include: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply inclusion indicators and the zero-row/column membership rule.
 
-    ``include`` is a 0/1 vector of length q.  lam_eff[k] = include[k]*lam[k];
-    whenever lam_eff[k] == 0 the whole row k and column k of Gamma are set to
-    exact zeros (diagonal kept at 1).  Raw values are not modified.
+    ``include`` is a 0/1 vector of length q.  Returns (lam_eff, gamma):
+    lam_eff[k] = include[k]*lam[k], and whenever lam_eff[k] == 0 the whole
+    row k and column k of the (q, q) Gamma are exact zeros (diagonal kept
+    at 1).  Raw values are not modified.
     """
     include = np.asarray(include)
     if include.shape != factors.lam.shape:
         raise ConfigurationError("indicator vector length does not match lam")
-    lam_eff, gamma = mask_factors(factors.lam, factors.r, include)
-    return EffectiveFactors(lam_eff=lam_eff, gamma=gamma)
+    return mask_factors(factors.lam, factors.r, include)
 
 
 def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,12 +123,12 @@ def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[n
     return lam_eff, gamma
 
 
-def assemble_covariance(eff: EffectiveFactors) -> np.ndarray:
+def assemble_covariance(lam_eff: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     """Omega = Lambda_eff Gamma_eff Gamma_eff' Lambda_eff', exactly symmetric."""
-    lg = eff.loadings()
+    lg = lam_eff[:, None] * gamma
     omega = lg @ lg.T
     # mirror the lower triangle so omega[u, v] and omega[v, u] are bitwise equal
-    iu = np.triu_indices(eff.q, k=1)
+    iu = np.triu_indices(lam_eff.shape[0], k=1)
     omega[iu] = omega.T[iu]
     return omega
 
@@ -197,10 +176,3 @@ def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> CholeskyFacto
         gamma[np.ix_(idx, idx)] = chol / np.diag(chol)[:, None]
     return CholeskyFactors(lam=lam, r=pack_gamma(gamma))
 
-
-def random_effect_vector(eff: EffectiveFactors, xi: np.ndarray) -> np.ndarray:
-    """Map latent standard-normal coordinates to the effect vector Lambda Gamma xi."""
-    xi = np.asarray(xi, dtype=float)
-    if xi.shape != (eff.q,):
-        raise ConfigurationError(f"xi has shape {xi.shape}, expected ({eff.q},)")
-    return eff.loadings() @ xi

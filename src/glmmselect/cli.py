@@ -23,9 +23,9 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dataio import load_dataset, parse_spec, settings_from_doc, write_dataset_csv
+from .dataio import load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
 from .diagnostics import summarize_trace
-from .errors import GlmmSelectError, SpecValidationError
+from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, write_csv
 from .model import Hyperparameters, SamplerSettings
 from .ppc import mean_sd_scatter, replicate_data, rootogram
@@ -63,28 +63,67 @@ def _default_workers() -> int:
     return 1
 
 
+# integer fields of a design document; "replicates" is read by the commands
+_DESIGN_INTS = ("n", "n_i", "l", "q", "n_active_fixed", "base_seed", "case", "replicates")
+
+
+def _design_int(path: str, key: str, value) -> int:
+    try:
+        number = int(value)
+    except (TypeError, ValueError):
+        number = None
+    if number is None or (isinstance(value, float) and number != value):
+        raise ConfigurationError(f"{path}: design field {key!r} must be an integer, got {value!r}")
+    return number
+
+
 def _load_design(path: str) -> tuple[SimDesign, dict]:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    scale = doc.get("scale", "full")
-    case = int(doc.get("case", 1))
-    base = full_scale_design(case=case) if scale == "full" else scaled_design(case=case)
-    overrides = {}
-    for key in ("n", "n_i", "l", "q", "n_active_fixed", "base_seed"):
+    doc = read_json(path)
+    for key in _DESIGN_INTS:
         if key in doc:
-            overrides[key] = int(doc[key])
+            doc[key] = _design_int(path, key, doc[key])
+    scale = doc.get("scale", "full")
+    if scale not in ("full", "scaled"):
+        raise ConfigurationError(f"{path}: design field 'scale' must be 'full' or 'scaled', got {scale!r}")
+    case = doc.get("case", 1)
+    base = full_scale_design(case=case) if scale == "full" else scaled_design(case=case)
+    overrides = {key: doc[key] for key in ("n", "n_i", "l", "q", "n_active_fixed", "base_seed") if key in doc}
+    q = overrides.get("q", base.q)
     if "active_random" in doc:
-        overrides["active_random"] = tuple(int(k) - 1 for k in doc["active_random"])
+        active = doc["active_random"]
+        if not isinstance(active, list):
+            raise ConfigurationError(f"{path}: design field 'active_random' must be a list of integers")
+        active = tuple(_design_int(path, "active_random", k) - 1 for k in active)
+        if not all(0 <= k < q for k in active):
+            raise ConfigurationError(f"{path}: design field 'active_random' must list effects 1..{q}")
+        overrides["active_random"] = active
     if "omega" in doc:
-        overrides["omega"] = np.asarray(doc["omega"], dtype=float)
+        try:
+            overrides["omega"] = np.asarray(doc["omega"], dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError(f"{path}: design field 'omega' must be a numeric matrix") from None
     elif "q" in overrides or "active_random" in overrides:
-        q = overrides.get("q", base.q)
-        active = overrides.get("active_random", base.active_random)
-        active = tuple(k for k in active if k < q)
+        # the base design's active effects beyond a smaller q are dropped
+        active = overrides.get("active_random", tuple(k for k in base.active_random if k < q))
         overrides["active_random"] = active
         overrides["omega"] = scaled_omega(q, active)
     design = replace(base, **overrides)
     return design, doc
+
+
+def _load_grid(path: str) -> list:
+    """The (v, h) pairs of a grid document, h outermost."""
+    doc = read_json(path)
+    values = {}
+    for key in ("v", "h"):
+        listed = doc.get(key)
+        try:
+            values[key] = [float(x) for x in listed] if isinstance(listed, list) else []
+        except (TypeError, ValueError):
+            values[key] = []
+        if not values[key]:
+            raise ConfigurationError(f"{path}: {key!r} must be a non-empty list of numbers")
+    return [(v, h) for h in values["h"] for v in values["v"]]
 
 
 def _design_spec(design: SimDesign, doc: dict, args) -> tuple:
@@ -97,8 +136,7 @@ def _design_spec(design: SimDesign, doc: dict, args) -> tuple:
     if getattr(args, "seed", None) is not None:
         sampler = replace(sampler, seed=args.seed)
         design = replace(design, base_seed=args.seed)
-    spec = build_model_spec(design, mode=mode, hyper=hyper, sampler=sampler)
-    return design, spec, mode
+    return design, build_model_spec(design, mode=mode, hyper=hyper, sampler=sampler)
 
 
 def _add_squares(data_path: str, cols: str, out_path: str) -> str:
@@ -167,7 +205,7 @@ def cmd_simulate(args) -> int:
         design = replace(design, base_seed=args.seed)
     spec = build_model_spec(design)
     os.makedirs(args.out, exist_ok=True)
-    n_rep = args.replicates or int(doc.get("replicates", 1))
+    n_rep = args.replicates or doc.get("replicates", 1)
     for rep in range(n_rep):
         data, truth = simulate_dataset(design, rep)
         write_dataset_csv(os.path.join(args.out, f"replicate_{rep + 1}.csv"), data, spec)
@@ -187,11 +225,11 @@ def cmd_simulate(args) -> int:
 
 def cmd_replicate(args) -> int:
     design, doc = _load_design(args.design)
-    design, spec, mode = _design_spec(design, doc, args)
-    n_rep = args.replicates or int(doc.get("replicates", 20))
-    result = run_replication(design, spec, n_rep, modes=(mode,), workers=args.workers)
+    design, spec = _design_spec(design, doc, args)
+    n_rep = args.replicates or doc.get("replicates", 20)
+    result = run_replication(design, spec, n_rep, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
-    counts = result.modal_label_counts(mode)
+    counts = result.modal_label_counts()
     total = sum(counts.values())
     rows = []
     for (fixed, random), cnt in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
@@ -203,11 +241,11 @@ def cmd_replicate(args) -> int:
         ["fixed_effects", "random_effects", "count", "percent"],
         rows,
     )
-    summ = result.summary(mode)
+    summ = result.summary()
     write_csv(
         os.path.join(args.out, "summary.csv"),
         ["mode", "percent_true_model", "percent_random_correct", "mean_rmse", "n_ok", "n_failed"],
-        [(mode, summ["percent"], summ["percent_random"], summ["rmse"], summ["n_ok"], summ["n_failed"])],
+        [(spec.mode, summ["percent"], summ["percent_random"], summ["rmse"], summ["n_ok"], summ["n_failed"])],
     )
     print(format_table(["fixed", "random", "count", "percent"], rows[:10]))
     return 0
@@ -215,12 +253,10 @@ def cmd_replicate(args) -> int:
 
 def cmd_grid(args) -> int:
     design, doc = _load_design(args.design)
-    design, spec, mode = _design_spec(design, doc, args)
-    with open(args.grid, encoding="utf-8") as fh:
-        grid_doc = json.load(fh)
-    pairs = [(float(v), float(h)) for h in grid_doc["h"] for v in grid_doc["v"]]
-    n_rep = args.replicates or int(doc.get("replicates", 20))
-    cells = run_grid(design, spec, pairs, n_rep, mode=mode, workers=args.workers)
+    design, spec = _design_spec(design, doc, args)
+    pairs = _load_grid(args.grid)
+    n_rep = args.replicates or doc.get("replicates", 20)
+    cells = run_grid(design, spec, pairs, n_rep, workers=args.workers)
     rows = grid_report(cells)
     os.makedirs(args.out, exist_ok=True)
     write_grid_report(rows, os.path.join(args.out, "grid.csv"), extra_cols=("n_ok", "n_failed"))

@@ -26,7 +26,7 @@ from .model import (
     SamplerSettings,
 )
 
-__all__ = ["load_dataset", "parse_spec", "settings_from_doc", "spec_from_dict", "spec_to_dict", "write_dataset_csv"]
+__all__ = ["load_dataset", "parse_spec", "read_json", "settings_from_doc", "spec_from_dict", "spec_to_dict", "write_dataset_csv"]
 
 INTERCEPT_NAME = "1"
 
@@ -192,15 +192,26 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     )
 
 
-def parse_spec(path: str) -> ModelSpec:
+def read_json(path: str) -> dict:
+    """The JSON object in ``path`` (a spec, design or grid document).
+
+    A file that cannot be read, invalid JSON, or a document that is not an
+    object raises :class:`DataError` naming the file.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise SpecValidationError([f"{path}: invalid JSON ({exc})"]) from exc
-    return spec_from_dict(doc)
+        raise DataError(f"{path}: invalid JSON ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    return doc
+
+
+def parse_spec(path: str) -> ModelSpec:
+    return spec_from_dict(read_json(path))
 
 
 def spec_to_dict(spec: ModelSpec) -> dict:

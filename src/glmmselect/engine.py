@@ -20,6 +20,11 @@ infeasible.  After ``_START_BUDGET`` candidates the search raises
 ``SamplerError``.  On the paper's full-scale design about 1 in 500 prior
 draws is feasible in the ssvs modes, and none in ``no-selection``.
 
+The family scale has one update per kind.  The NB overdispersion is
+slice-updated on the sum of ``Family.log_likelihood`` at the cached predictor
+plus its ``Scale.log_prior``, the same formulas ``log_posterior`` adds up.
+The gaussian sigma2 is drawn from its inverse-gamma full conditional.
+
 Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
 group keyed ``(kind, block)`` (block None for the fixed effects and the
 dispersion).  Every width starts at 1.0.  While ``adapting`` is set, each scan
@@ -39,14 +44,16 @@ per-evaluation code runs unguarded.
 
 import logging
 import math
+from dataclasses import replace
 
 import numpy as np
-from scipy.special import expit, gammaln, logit
+from scipy.special import expit, logit
 
 from .errors import ConfigurationError, SamplerError
-from .families import NB_DISPERSION_RATE, NB_DISPERSION_SHAPE, SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE, scale_field
+from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE, scale_field
+from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, linear_predictor
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
-from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, total_log_likelihood  # noqa: F401
+from .model import total_log_likelihood  # noqa: F401
 from .priors import (
     log_prior_state,
     sample_halfnormal,
@@ -184,12 +191,8 @@ class GibbsEngine:
         observations every candidate is.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            eta = batch.beta_eff() @ self.data.X.T
-            for blk, bs in zip(self._blocks, batch.blocks):
-                lam_eff, gamma = cholesky.mask_factors(bs.lam, bs.r, bs.include)
-                eta += block_predictor(blk["Z"], blk["groups"], bs.xi, lam_eff[..., None] * gamma)
-            if self._offset is not None:
-                eta += self._offset
+            blocks = [(bs.lam, bs.r, bs.include, bs.xi) for bs in batch.blocks]
+            eta = linear_predictor(self.data, batch.beta_eff(), blocks)
             nan = np.isnan(eta).any(axis=1)
             eta[nan] = 0.0
             ll = self.spec.family.at_scale(batch).log_likelihood(self.y, eta).sum(axis=1)
@@ -425,18 +428,11 @@ class GibbsEngine:
     # --------------------------------------------------------- family scales
 
     def _update_dispersion(self) -> None:
-        mu = np.exp(np.minimum(self._eta, 700.0))
-        y = self.y
-        n = self.n_obs
+        family = self.spec.family
 
         def tgt(r):
-            ll = (
-                float(np.sum(gammaln(y + r)))
-                - n * gammaln(r)
-                + n * r * math.log(r)
-                - float(np.sum((y + r) * np.log(r + mu)))
-            )
-            return ll + (NB_DISPERSION_SHAPE - 1.0) * math.log(r) - NB_DISPERSION_RATE * r
+            ll = float(np.sum(replace(family, dispersion=r).log_likelihood(self.y, self._eta)))
+            return ll + family.scale.log_prior(r)
 
         width = self.widths["dispersion", None].width[0]
         self.state.dispersion = self._slice("dispersion", tgt, self.state.dispersion, width, 0.0)

@@ -7,13 +7,15 @@ The linear predictor for observation j of subject i is
 
 where J are fixed-effect inclusion indicators and the effective factors come
 from :mod:`glmmselect.cholesky` given the random-effect indicators I.
+:func:`linear_predictor` is the one place that sum is written; the Gibbs
+engine keeps its own per-block cache of it, built from :func:`block_predictor`.
 """
 
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .cholesky import CholeskyFactors, project_constraints
+from .cholesky import mask_factors
 from .errors import ConfigurationError
 from .families import Family
 
@@ -238,12 +240,6 @@ class BlockState:
     kappa: np.ndarray   # (q,) latent-effect variances
     m: np.ndarray       # (q,) rate latents for kappa
 
-    def factors(self) -> CholeskyFactors:
-        return CholeskyFactors(lam=self.lam, r=self.r)
-
-    def effective(self):
-        return project_constraints(self.factors(), self.include)
-
     def copy(self) -> "BlockState":
         return BlockState(
             lam=self.lam.copy(),
@@ -328,22 +324,29 @@ def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings:
     return np.einsum("ij,...ij->...i", Z, np.take(rho, groups, axis=-2))
 
 
-def linear_predictor_all(spec: ModelSpec, state: ParameterState, data: Dataset) -> np.ndarray:
-    """Linear predictor for every observation, using effective values."""
-    state.check_dims(ModelDims.of(spec, data))
-    eta = data.X @ state.beta_eff()
-    for bdata, bstate in zip(data.blocks, state.blocks):
-        eta = eta + block_predictor(bdata.Z, bdata.groups, bstate.xi, bstate.effective().loadings())
+def linear_predictor(data: Dataset, beta_eff: np.ndarray, blocks) -> np.ndarray:
+    """X beta_eff + the term of each random block + offset, for every observation.
+
+    ``blocks`` holds one raw ``(lam, r, include, xi)`` per block of ``data``;
+    :func:`~glmmselect.cholesky.mask_factors` masks the factors.  Every
+    argument may carry the same leading draw axes, which the result
+    (..., n_obs) keeps.  A batch gives, row by row, the same bits as one draw
+    at a time.
+    """
+    eta = np.matmul(data.X, beta_eff[..., None])[..., 0]
+    for bdata, (lam, r, include, xi) in zip(data.blocks, blocks):
+        lam_eff, gamma = mask_factors(lam, r, include)
+        eta = eta + block_predictor(bdata.Z, bdata.groups, xi, lam_eff[..., None] * gamma)
     if data.offset is not None:
         eta = eta + data.offset
     return eta
 
 
-def linear_predictor(spec: ModelSpec, state: ParameterState, data: Dataset, obs: int) -> float:
-    """Linear predictor of a single observation."""
-    if not 0 <= obs < data.n_obs:
-        raise ConfigurationError(f"observation index {obs} out of range")
-    return float(linear_predictor_all(spec, state, data)[obs])
+def linear_predictor_all(spec: ModelSpec, state: ParameterState, data: Dataset) -> np.ndarray:
+    """Linear predictor of a state for every observation, using effective values."""
+    state.check_dims(ModelDims.of(spec, data))
+    blocks = [(bs.lam, bs.r, bs.include, bs.xi) for bs in state.blocks]
+    return linear_predictor(data, state.beta_eff(), blocks)
 
 
 def total_log_likelihood(spec: ModelSpec, state: ParameterState, data: Dataset) -> float:

@@ -11,9 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cholesky import CholeskyFactors, project_constraints
 from .errors import ConfigurationError
-from .model import Dataset, ModelSpec, block_predictor
+from .model import Dataset, ModelSpec, linear_predictor
 
 __all__ = ["PpcSummary", "replicate_data", "rootogram", "mean_sd_scatter"]
 
@@ -27,21 +26,16 @@ class PpcSummary:
     observed_pair: tuple
 
 
-def _draw_eta(spec: ModelSpec, data: Dataset, chain, i: int, rng, conditional: bool) -> np.ndarray:
-    beta_eff = chain.beta[i] * chain.J[i]
-    eta = data.X @ beta_eff
+def _draw_eta(data: Dataset, chain, i: int, rng, conditional: bool) -> np.ndarray:
+    blocks = []
     for bi, bdata in enumerate(data.blocks):
-        factors = CholeskyFactors(lam=chain.lam[bi][i], r=chain.r[bi][i])
-        eff = project_constraints(factors, chain.include[bi][i])
         if conditional:
             xi = chain.xi[bi][i]
         else:
             kappa = chain.kappa[bi][i]
             xi = rng.standard_normal((bdata.n_groups, bdata.q)) * np.sqrt(kappa)[None, :]
-        eta = eta + block_predictor(bdata.Z, bdata.groups, xi, eff.loadings())
-    if data.offset is not None:
-        eta = eta + data.offset
-    return eta
+        blocks.append((chain.lam[bi][i], chain.r[bi][i], chain.include[bi][i], xi))
+    return linear_predictor(data, chain.beta[i] * chain.J[i], blocks)
 
 
 def replicate_data(
@@ -71,7 +65,7 @@ def replicate_data(
         ci = int(np.searchsorted(bounds, flat, side="right") - 1)
         i = int(flat - bounds[ci])
         chain = trace.chains[ci]
-        eta = _draw_eta(spec, data, chain, i, rng, conditional)
+        eta = _draw_eta(data, chain, i, rng, conditional)
         out[row] = fam.at_scale(chain, i).sample(rng, eta)
     return out
 

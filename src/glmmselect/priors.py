@@ -6,9 +6,10 @@ Hierarchies (per coefficient / effect):
                    phi ~ Gamma(1, 1); inclusion J ~ Bernoulli(pi)
   random-effect    lam ~ pi * N+(0, tau2 h^2) + (1-pi) * delta_0 via indicator I;
   scales           tau2 ~ IG(nu/2, v/2)
-  correlations     r ~ N(mu_r, Sigma_r) restricted to the membership set: the
-                   coordinates killed by excluded effects carry an independent
-                   marginal-normal pseudo-prior on their raw values
+  correlations     every packed r coordinate ~ N(0, 1), iid; coordinates
+                   killed by excluded effects keep the same density as their
+                   pseudo-prior, so the prior does not depend on the
+                   indicators.  Sigma_r is fixed at I and is not a setting.
   latent effects   xi ~ N(0, kappa) with kappa ~ Exp(m^2/2), m ~ Gamma(1, 1)
   family scale     the prior of its family (NB overdispersion ~ Gamma(0.01,
                    rate 0.01), gaussian sigma2 ~ IG(0.01, 0.01)); see
@@ -22,7 +23,6 @@ import math
 
 import numpy as np
 
-from .cholesky import tril_pairs
 from .errors import ConfigurationError
 from .families import family_scale, gamma_logpdf, invgamma_logpdf, sample_invgamma, scale_field
 from .model import BlockState, Hyperparameters, ModelDims, ParameterState
@@ -34,7 +34,6 @@ __all__ = [
     "log_prior_xi",
     "log_prior_state",
     "sample_prior",
-    "free_r_mask",
     "halfnormal_logpdf",
     "invgamma_logpdf",
     "sample_invgamma",
@@ -97,49 +96,9 @@ def log_prior_lambda(lam, include, tau2, h, v, nu, prior_inclusion=0.5):
     return lp if np.ndim(lp) else float(lp)
 
 
-def free_r_mask(q: int, include: np.ndarray) -> np.ndarray:
-    """Packed-coordinate mask: True where both endpoint effects are included."""
-    include = np.asarray(include).astype(bool)
-    rows, cols = tril_pairs(q)
-    return include[rows] & include[cols]
-
-
-def log_prior_gamma_vec(r, include, mu=None, sigma=None):
-    """Prior for the packed correlation coordinates given inclusion indicators.
-
-    Free coordinates (both endpoints included) get the joint multivariate
-    normal over the free subvector; constrained coordinates get independent
-    marginal-normal pseudo-priors on their raw values.
-    """
-    r = np.asarray(r, dtype=float)
-    include = np.asarray(include)
-    q = include.shape[0]
-    d = q * (q - 1) // 2
-    if r.shape != (d,):
-        raise ConfigurationError(f"r has length {r.size}, expected {d}")
-    if mu is None:
-        mu = np.zeros(d)
-    if sigma is None:
-        sigma = np.eye(d)
-    mu = np.asarray(mu, dtype=float)
-    sigma = np.asarray(sigma, dtype=float)
-    if d == 0:
-        return 0.0
-    free = free_r_mask(q, include)
-    total = 0.0
-    if np.any(free):
-        sub = sigma[np.ix_(free, free)]
-        diff = r[free] - mu[free]
-        try:
-            chol = np.linalg.cholesky(sub)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError("Sigma_r is not positive definite") from exc
-        w = np.linalg.solve(chol, diff)
-        total += -0.5 * (free.sum() * _LOG_2PI) - np.log(np.diag(chol)).sum() - 0.5 * w @ w
-    if np.any(~free):
-        idx = ~free
-        total += float(np.sum(normal_logpdf(r[idx] - mu[idx], np.diag(sigma)[idx])))
-    return float(total)
+def log_prior_gamma_vec(r):
+    """Prior of the packed correlation coordinates: iid N(0, 1), whatever the indicators."""
+    return float(np.sum(normal_logpdf(r, 1.0)))
 
 
 def log_prior_xi(xi, kappa, m):
@@ -168,7 +127,7 @@ def log_prior_state(hyper: Hyperparameters, state: ParameterState, family_kind: 
         total += float(
             np.sum(log_prior_lambda(bs.lam, bs.include, bs.tau2, hyper.h, hyper.v, hyper.nu, pi))
         )
-        total += log_prior_gamma_vec(bs.r, bs.include)
+        total += log_prior_gamma_vec(bs.r)
         total += float(np.sum(normal_logpdf(bs.xi, bs.kappa[None, :])))
         total += float(np.sum(exponential_logpdf(bs.kappa, bs.m**2 / 2.0)))
         total += float(np.sum(gamma_logpdf(bs.m, 1.0, 1.0)))

@@ -233,8 +233,26 @@ def save_trace(trace: Trace, outdir: str) -> list:
     return paths
 
 
+def _value_problem(field: str, values: np.ndarray) -> str | None:
+    """What is wrong with one trace column read from a file, or None."""
+    if not np.all(np.isfinite(values)):
+        return "has non-finite values"
+    if field in ("J", "include") and not np.all((values == 0.0) | (values == 1.0)):
+        return "holds values other than 0/1"
+    if field == "lam" and np.any(values < 0.0):
+        return "has negative values"
+    if field in ("kappa", "dispersion", "sigma2") and np.any(values <= 0.0):
+        return "has non-positive values"
+    return None
+
+
 def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
-    """Rebuild a Trace from chain CSVs written by :func:`save_trace`."""
+    """Rebuild a Trace from chain CSVs written by :func:`save_trace`.
+
+    A missing column, or a value that no sampler state can hold (non-finite,
+    negative lam, non-positive kappa or family scale, an indicator other
+    than 0/1), raises ConfigurationError naming the file and column.
+    """
     dims = ModelDims.of(spec, data)
     chains = []
     ci = 1
@@ -249,8 +267,17 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
         position = {name: j for j, name in enumerate(header)}
         chain = ChainTrace.zeros(spec.sampler.seed + ci - 1, len(rows), dims, scale_field(spec.family.kind))
         for name, field, block, index in trace_schema(dims, spec.family.kind):
+            if name not in position:
+                raise ConfigurationError(f"{path}: missing column {name!r}")
             j = position[name]
-            _column(chain, field, block, index)[:] = [float(r[j]) for r in rows]
+            try:
+                values = np.array([float(r[j]) for r in rows])
+            except (IndexError, ValueError):
+                raise ConfigurationError(f"{path}: column {name!r} has a missing or non-numeric value") from None
+            problem = _value_problem(field, values)
+            if problem:
+                raise ConfigurationError(f"{path}: column {name!r} {problem}")
+            _column(chain, field, block, index)[:] = values
         chains.append(chain)
         ci += 1
     if not chains:

@@ -149,10 +149,10 @@ def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, SimTru
         groups = np.repeat(np.arange(design.n), design.n_i)
 
         factors = decompose_covariance(design.omega)
-        eff = project_constraints(factors, np.ones(design.q, dtype=np.int8))
+        lam_eff, gamma = project_constraints(factors, np.ones(design.q, dtype=np.int8))
         xi = rng.standard_normal((design.n, design.q))
 
-        eta = X @ beta + block_predictor(Z, groups, xi, eff.loadings())
+        eta = X @ beta + block_predictor(Z, groups, xi, lam_eff[:, None] * gamma)
         n_clamped = int(np.sum(eta > design.eta_clamp))
         if n_clamped:
             log.info("replicate %d: clamped %d linear predictors at %.1f", replicate, n_clamped, design.eta_clamp)
@@ -201,82 +201,76 @@ class ReplicationResult:
     """Per-replicate rows plus aggregates recomputable from them."""
 
     design: SimDesign
-    modes: tuple
     rows: list  # dicts: replicate, mode, ok, modal label bits, flags, rmse
 
-    def summary(self, mode: str) -> dict:
-        rows = [r for r in self.rows if r["mode"] == mode]
-        ok = [r for r in rows if r["ok"]]
+    def summary(self) -> dict:
+        ok = [r for r in self.rows if r["ok"]]
         n_ok = len(ok)
         if n_ok == 0:
-            return {"percent": float("nan"), "percent_random": float("nan"), "rmse": float("nan"), "n_ok": 0, "n_failed": len(rows)}
+            return {"percent": float("nan"), "percent_random": float("nan"), "rmse": float("nan"), "n_ok": 0, "n_failed": len(self.rows)}
         return {
             "percent": 100.0 * sum(r["true_model"] for r in ok) / n_ok,
             "percent_random": 100.0 * sum(r["random_correct"] for r in ok) / n_ok,
             "rmse": float(np.mean([r["rmse"] for r in ok])),
             "n_ok": n_ok,
-            "n_failed": len(rows) - n_ok,
+            "n_failed": len(self.rows) - n_ok,
         }
 
-    def modal_label_counts(self, mode: str) -> dict:
+    def modal_label_counts(self) -> dict:
         counts = {}
         for r in self.rows:
-            if r["mode"] == mode and r["ok"]:
+            if r["ok"]:
                 key = (r["modal_fixed"], r["modal_random"])
                 counts[key] = counts.get(key, 0) + 1
         return counts
 
 
-def _fit_one_replicate(design: SimDesign, spec: ModelSpec, modes, replicate: int) -> list:
+def _fit_one_replicate(design: SimDesign, spec: ModelSpec, replicate: int) -> list:
+    """Simulate, fit in ``spec.mode`` and score one replicate; its row, as a one-row list."""
     data, truth = simulate_dataset(design, replicate)
-    out = []
-    for mode in modes:
-        row = {"replicate": replicate, "mode": mode, "ok": False}
-        try:
-            trace = run_chains(spec.with_mode(mode), data)
-            rep = top_models(trace, k=1)
-            modal = rep.modal
-            rand_pattern = modal_random_pattern(trace, block=0)
-            fixed_ok = modal.fixed == tuple(truth.fixed_mask.tolist())
-            random_ok = rand_pattern == tuple(truth.random_mask.tolist())
-            row.update(
-                ok=True,
-                modal_fixed=modal.fixed,
-                modal_random=modal.random[0],
-                marginal_modal_random=rand_pattern,
-                true_model=bool(fixed_ok and modal.random[0] == tuple(truth.random_mask.tolist())),
-                random_correct=bool(random_ok),
-                rmse=fixed_effect_rmse(trace, truth.beta),
-            )
-        except GlmmSelectError as exc:  # a failed fit marks the replicate failed
-            log.warning("replicate %d mode %s failed: %s", replicate, mode, exc)
-            row["error"] = str(exc)
-        out.append(row)
-    return out
+    row = {"replicate": replicate, "mode": spec.mode, "ok": False}
+    try:
+        trace = run_chains(spec, data)
+        rep = top_models(trace, k=1)
+        modal = rep.modal
+        rand_pattern = modal_random_pattern(trace, block=0)
+        fixed_ok = modal.fixed == tuple(truth.fixed_mask.tolist())
+        random_ok = rand_pattern == tuple(truth.random_mask.tolist())
+        row.update(
+            ok=True,
+            modal_fixed=modal.fixed,
+            modal_random=modal.random[0],
+            marginal_modal_random=rand_pattern,
+            true_model=bool(fixed_ok and modal.random[0] == tuple(truth.random_mask.tolist())),
+            random_correct=bool(random_ok),
+            rmse=fixed_effect_rmse(trace, truth.beta),
+        )
+    except GlmmSelectError as exc:  # a failed fit marks the replicate failed
+        log.warning("replicate %d mode %s failed: %s", replicate, spec.mode, exc)
+        row["error"] = str(exc)
+    return [row]
 
 
 def run_replication(
     design: SimDesign,
     spec: ModelSpec,
     n_replicates: int,
-    modes=("ssvs-diagonal",),
     workers: int = 1,
 ) -> ReplicationResult:
-    """Simulate-fit-score over replicates; embarrassingly parallel."""
-    modes = tuple(modes)
+    """Simulate-fit-score over replicates in ``spec.mode``; embarrassingly parallel."""
     rows = []
     if workers > 1 and n_replicates > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_fit_one_replicate, design, spec, modes, rep)
+                pool.submit(_fit_one_replicate, design, spec, rep)
                 for rep in range(n_replicates)
             ]
             for f in futures:
                 rows.extend(f.result())
     else:
         for rep in range(n_replicates):
-            rows.extend(_fit_one_replicate(design, spec, modes, rep))
-    return ReplicationResult(design=design, modes=modes, rows=rows)
+            rows.extend(_fit_one_replicate(design, spec, rep))
+    return ReplicationResult(design=design, rows=rows)
 
 
 def run_grid(
@@ -284,10 +278,9 @@ def run_grid(
     spec: ModelSpec,
     grid,
     n_replicates: int,
-    mode: str = "ssvs-diagonal",
     workers: int = 1,
 ) -> dict:
-    """Replication study per (v, h) cell with shared replicate seeds.
+    """Replication study per (v, h) cell in ``spec.mode``, with shared replicate seeds.
 
     ``grid`` is an iterable of (v, h) pairs (v and nu vary together).
     Returns cells keyed (v, h) ready for :func:`glmmselect.report.grid_report`.
@@ -296,8 +289,7 @@ def run_grid(
     for v, h in grid:
         hyper = replace(spec.hyper, v=v, nu=v, h=h)
         cell_spec = replace(spec, hyper=hyper)
-        result = run_replication(design, cell_spec, n_replicates, modes=(mode,), workers=workers)
-        summ = result.summary(mode)
+        summ = run_replication(design, cell_spec, n_replicates, workers=workers).summary()
         cells[(v, h)] = {
             "percent": summ["percent"],
             "rmse": summ["rmse"],

@@ -126,6 +126,45 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{section}: unknown key(s) '{key}'" in err
 
+    @pytest.mark.parametrize(
+        "command, which, content, message",
+        [
+            ("grid", "grid", {"v": [1.0]}, "'h' must be a non-empty list of numbers"),
+            ("grid", "grid", {"v": [], "h": [1.0]}, "'v' must be a non-empty list of numbers"),
+            ("grid", "grid", {"v": ["a"], "h": [1.0]}, "'v' must be a non-empty list of numbers"),
+            ("grid", "grid", "{not json", "invalid JSON"),
+            ("grid", "grid", None, "cannot read"),
+            ("grid", "design", dict(SMALL_DESIGN, case="x"), "design field 'case' must be an integer"),
+            ("replicate", "design", "{not json", "invalid JSON"),
+            ("replicate", "design", None, "cannot read"),
+            ("replicate", "design", [SMALL_DESIGN], "expected a JSON object"),
+            ("replicate", "design", dict(SMALL_DESIGN, case="x"), "design field 'case' must be an integer"),
+            ("replicate", "design", dict(SMALL_DESIGN, replicates="two"), "design field 'replicates'"),
+            ("replicate", "design", dict(SMALL_DESIGN, active_random=["b"]), "design field 'active_random'"),
+            ("replicate", "design", dict(SMALL_DESIGN, active_random=[0]), "must list effects 1..2"),
+            ("simulate", "design", dict(SMALL_DESIGN, active_random=[1, 5]), "must list effects 1..2"),
+            ("replicate", "design", dict(SMALL_DESIGN, scale="small"), "design field 'scale' must be"),
+            ("simulate", "design", dict(SMALL_DESIGN, n=None), "design field 'n' must be an integer"),
+            ("simulate", "design", dict(SMALL_DESIGN, n=12.5), "design field 'n' must be an integer"),
+        ],
+    )
+    def test_bad_json_document_is_error_exit(self, tmp_path, capsys, command, which, content, message):
+        files = {"design": SMALL_DESIGN, "grid": {"v": [1.0], "h": [1.0]}}
+        paths = {}
+        for name, doc in files.items():
+            path = tmp_path / f"{name}.json"
+            if name == which:
+                doc = content
+            if doc is not None:
+                path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+            paths[name] = str(path)
+        args = [command, "--design", paths["design"], "--out", str(tmp_path / "out"), "--replicates", "1"]
+        if command == "grid":
+            args += ["--grid", paths["grid"]]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_add_squares(self, workspace):
         tmp_path, design, spec, data = workspace
         doc = dict(SMALL_SPEC, fixed_effects=["x1", "x2", "x3", "x2_sq"])

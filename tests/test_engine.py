@@ -7,6 +7,7 @@ import pytest
 from scipy import stats
 
 from glmmselect import engine as engine_module
+from glmmselect.cholesky import mask_factors
 from glmmselect.engine import (
     GibbsEngine,
     gibbs_scan,
@@ -102,7 +103,8 @@ class TestIndicatorConditional:
                 assert ll_on - ll_off == pytest.approx(want, abs=1e-9)
                 free_r_seen |= bs.include.sum() - bs.include[k] >= 1
                 set_to(not bs.include[k])
-                fresh = block_predictor(data.blocks[0].Z, data.blocks[0].groups, bs.xi, bs.effective().loadings())
+                lam_eff, gamma = mask_factors(bs.lam, bs.r, bs.include)
+                fresh = block_predictor(data.blocks[0].Z, data.blocks[0].groups, bs.xi, lam_eff[:, None] * gamma)
                 assert np.max(np.abs(engine._eta_block[0] - fresh)) < 1e-9
                 assert np.max(np.abs(engine._eta - linear_predictor_all(spec, engine.state, data))) < 1e-9
         # some flip of k happened while another effect was in, so Gamma had a free r entry
@@ -299,6 +301,35 @@ class TestGibbsScan:
         for _ in range(10):
             engine.scan()
             assert engine.state.dispersion > 0
+
+    def test_nb_dispersion_update_keeps_its_conditional(self):
+        # start each update at an exact draw of r_disp | y, eta (grid inverse
+        # CDF under scipy's NB pmf and the Gamma(0.01, rate 0.01) prior); an
+        # invariant update returns draws with the same distribution
+        rng = np.random.default_rng(19)
+        n = 60
+        eta = rng.normal(1.0, 0.3, n)
+        y = rng.negative_binomial(2.0, 2.0 / (2.0 + np.exp(eta))).astype(float)
+        data = Dataset(y=y, X=np.ones((n, 1)))
+        spec = ModelSpec(family=Family(kind="negative_binomial"), response="y", fixed_effects=("1",))
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(20))
+        engine._eta = eta
+
+        log_r = np.linspace(math.log(1e-2), math.log(1e3), 20001)
+        r = np.exp(log_r)[:, None]
+        log_post = stats.nbinom.logpmf(y, r, r / (r + np.exp(eta))).sum(axis=1)
+        log_post += stats.gamma.logpdf(r[:, 0], 0.01, scale=100.0) + log_r  # density of log r
+        dens = np.exp(log_post - log_post.max())
+        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
+        cdf /= cdf[-1]
+
+        starts = np.exp(np.interp(rng.random(2000), cdf, log_r))
+        draws = np.empty_like(starts)
+        for i, start in enumerate(starts):
+            engine.state.dispersion = float(start)
+            engine._update_dispersion()
+            draws[i] = engine.state.dispersion
+        assert stats.kstest(np.log(draws), lambda x: np.interp(x, log_r, cdf)).pvalue > 1e-3
 
 
 def reference_verdict(spec, state, data) -> bool:

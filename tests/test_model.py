@@ -144,7 +144,7 @@ class TestLinearPredictor:
         state.beta[:] = 0.0
         for bs in state.blocks:
             bs.xi[:] = 0.0
-        assert linear_predictor(spec, state, data, 0) == 0.0
+        assert linear_predictor_all(spec, state, data)[0] == 0.0
 
     def test_intercept_only(self):
         rng = np.random.default_rng(4)
@@ -155,7 +155,7 @@ class TestLinearPredictor:
         state.J[:] = [1, 0]
         for bs in state.blocks:
             bs.xi[:] = 0.0
-        assert linear_predictor(spec, state, data, 5) == pytest.approx(2.0)
+        assert linear_predictor_all(spec, state, data)[5] == pytest.approx(2.0)
 
     def test_single_random_intercept(self):
         rng = np.random.default_rng(5)
@@ -168,7 +168,7 @@ class TestLinearPredictor:
         bs.lam[:] = 0.3
         bs.xi[:] = 0.0
         bs.xi[data.blocks[0].groups[0], 0] = 2.0
-        assert linear_predictor(spec, state, data, 0) == pytest.approx(0.6)
+        assert linear_predictor_all(spec, state, data)[0] == pytest.approx(0.6)
 
     def test_masked_coefficient_is_inert(self):
         rng = np.random.default_rng(6)
@@ -207,13 +207,26 @@ class TestLinearPredictor:
         eta_without = linear_predictor_all(spec, state, base)
         np.testing.assert_allclose(eta_with - eta_without, off, atol=1e-12)
 
-    def test_obs_out_of_range(self):
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_batch_rows_match_single_draws(self, q):
+        # the start search screens a batch of prior draws; each row must be
+        # the bits of that draw's own predictor, offset included
         rng = np.random.default_rng(9)
-        spec = toy_spec()
-        data = toy_data(rng)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
-        with pytest.raises(ConfigurationError):
-            linear_predictor(spec, state, data, 99)
+        n_obs, n_groups = 24, 6
+        X = rng.standard_normal((n_obs, 4))
+        block = BlockData(Z=X[:, :q], groups=np.arange(n_obs) % n_groups, n_groups=n_groups)
+        data = Dataset(y=np.zeros(n_obs), X=X, blocks=(block,), offset=rng.standard_normal(n_obs))
+        spec = ModelSpec(
+            family=Family(kind="poisson"),
+            response="y",
+            fixed_effects=("a", "b", "c", "d"),
+            random_blocks=(RandomBlock(group="g", columns=tuple("abc"[:q])),),
+        )
+        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, n=16)
+        eta = linear_predictor(data, batch.beta_eff(), [(bs.lam, bs.r, bs.include, bs.xi) for bs in batch.blocks])
+        assert eta.shape == (16, n_obs)
+        for i in range(16):
+            np.testing.assert_array_equal(eta[i], linear_predictor_all(spec, batch.take(i), data))
 
 
 class TestTotalLogLikelihood:
@@ -228,7 +241,7 @@ class TestTotalLogLikelihood:
         spec = toy_spec(blocks=False)
         data = Dataset(y=np.array([2.0]), X=np.array([[1.0, 0.5]]))
         state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
-        eta = linear_predictor(spec, state, data, 0)
+        eta = linear_predictor_all(spec, state, data)[0]
         want = loglik_one(spec.family, 2.0, eta)
         assert total_log_likelihood(spec, state, data) == pytest.approx(want)
 

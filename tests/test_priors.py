@@ -9,12 +9,12 @@ from glmmselect.errors import ConfigurationError
 from glmmselect.families import family_scale
 from glmmselect.model import MODES, Hyperparameters, ModelDims
 from glmmselect.priors import (
-    free_r_mask,
     halfnormal_logpdf,
     invgamma_logpdf,
     log_prior_beta,
     log_prior_gamma_vec,
     log_prior_lambda,
+    log_prior_state,
     log_prior_xi,
     sample_halfnormal,
     sample_invgamma,
@@ -121,37 +121,35 @@ class TestLambdaPrior:
 
 
 class TestGammaVecPrior:
-    def test_free_mask(self):
-        mask = free_r_mask(3, np.array([1, 0, 1]))
-        # packed order (2,1), (3,1), (3,2)
-        assert list(mask) == [False, True, False]
-
     def test_all_free_standard_normal_at_zero(self):
         q = 4
         d = q * (q - 1) // 2
-        got = log_prior_gamma_vec(np.zeros(d), np.ones(q))
+        got = log_prior_gamma_vec(np.zeros(d))
         assert got == pytest.approx(-(d / 2) * LOG_2PI, abs=1e-12)
 
     def test_q2_excluded_has_no_free_coordinates(self):
-        # the single coordinate is constrained; only the pseudo-prior remains
-        got = log_prior_gamma_vec(np.array([0.0]), np.array([1, 0]))
-        assert got == pytest.approx(-0.5 * LOG_2PI, abs=1e-12)
+        # the single coordinate is constrained; its pseudo-prior is the same
+        # N(0, 1), so the joint prior does not see which effects are included
+        hyper = Hyperparameters()
+        state = sample_prior(hyper, ModelDims(l=1, blocks=((2, 3),)), np.random.default_rng(0))
+        state.blocks[0].r[:] = 0.8
+        values = []
+        for include in ([1, 1], [1, 0]):
+            state.blocks[0].include[:] = include
+            values.append(log_prior_state(hyper, state))
+        # prior_inclusion 0.5 gives both indicator values the same mass
+        assert values[0] == pytest.approx(values[1], abs=1e-12)
+        assert log_prior_gamma_vec(np.array([0.0])) == pytest.approx(-0.5 * LOG_2PI, abs=1e-12)
 
     def test_free_part_invariant_to_constrained_values(self):
         rng = np.random.default_rng(2)
-        inc = np.array([1, 0, 1])
         r1 = rng.standard_normal(3)
         r2 = r1.copy()
-        # only free coordinate is (3,1) at index 1; with Sigma=I the density is
-        # separable, so perturbing a constrained coordinate moves only its own term
+        # the density is separable, so perturbing one coordinate moves only its own term
         r2[0] += 0.7
-        diff = log_prior_gamma_vec(r2, inc) - log_prior_gamma_vec(r1, inc)
+        diff = log_prior_gamma_vec(r2) - log_prior_gamma_vec(r1)
         want = -0.5 * (r2[0] ** 2 - r1[0] ** 2)
         assert diff == pytest.approx(want, abs=1e-12)
-
-    def test_non_pd_sigma_rejected(self):
-        with pytest.raises(ConfigurationError):
-            log_prior_gamma_vec(np.zeros(1), np.ones(2), mu=np.zeros(1), sigma=np.array([[-1.0]]))
 
 
 class TestXiPrior:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glmmselect.cholesky import CholeskyFactors, assemble_covariance, project_constraints
+from glmmselect.errors import ConfigurationError
 from glmmselect.families import Family
 from glmmselect.model import (
     BlockData,
@@ -91,11 +92,10 @@ class TestRunChains:
         for chain in trace.chains:
             for i in range(chain.n_recorded):
                 for bi in range(len(trace.dims.blocks)):
-                    eff = project_constraints(
+                    omega = assemble_covariance(*project_constraints(
                         CholeskyFactors(lam=chain.lam[bi][i], r=chain.r[bi][i]),
                         chain.include[bi][i],
-                    )
-                    omega = assemble_covariance(eff)
+                    ))
                     for k in np.flatnonzero(chain.include[bi][i] == 0):
                         assert np.all(omega[k, :] == 0.0)
                         assert np.all(omega[:, k] == 0.0)
@@ -127,6 +127,32 @@ class TestTracePersistence:
             cols2 = chain_columns(c2, back.dims, kind)
             for name in names:
                 np.testing.assert_array_equal(cols1[name], cols2[name], err_msg=name)
+
+    @pytest.mark.parametrize(
+        "column, value, message",
+        [
+            ("lam1_1", "-0.5", "has negative values"),
+            ("kappa1_1", "0.0", "has non-positive values"),
+            ("J2", "0.5", "holds values other than 0/1"),
+            ("I1_1", "2", "holds values other than 0/1"),
+            ("beta1", "nan", "has non-finite values"),
+            ("xi1_g1_1", "inf", "has non-finite values"),
+            ("log_posterior", "-inf", "has non-finite values"),
+            ("beta2", "abc", "has a missing or non-numeric value"),
+        ],
+    )
+    def test_hand_edited_value_is_rejected(self, tmp_path, column, value, message):
+        spec, data = small_problem(seed=13, kept=6)
+        save_trace(run_chains(spec, data), str(tmp_path))
+        path = tmp_path / "chain_2.csv"
+        lines = path.read_text().splitlines()
+        header = lines[0].split(",")
+        cells = lines[3].split(",")
+        cells[header.index(column)] = value
+        lines[3] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ConfigurationError, match=f"chain_2.csv: column '{column}' {message}"):
+            load_trace(str(tmp_path), spec, data)
 
     def test_byte_identical_rewrites(self, tmp_path):
         spec, data = small_problem(seed=11, kept=12)

@@ -128,8 +128,7 @@ class TestReplication:
             hyper=Hyperparameters(v=1.0, nu=1.0),
             sampler=SamplerSettings(chains=1, adapt=60, burnin=60, kept=300, seed=0),
         )
-        result = run_replication(design, spec, 2, modes=("ssvs-diagonal",))
-        summ = result.summary("ssvs-diagonal")
+        summ = run_replication(design, spec, 2).summary()
         assert summ["n_ok"] == 2
         assert summ["percent"] == 100.0
         assert summ["percent_random"] == 100.0
@@ -147,7 +146,22 @@ class TestReplication:
         design, spec = self._failing_fit(monkeypatch, SamplerError("no feasible start"))
         result = run_replication(design, spec, 2)
         assert [(r["ok"], r["error"]) for r in result.rows] == [(False, "no feasible start")] * 2
-        assert result.summary("ssvs-diagonal")["n_failed"] == 2
+        assert result.summary()["n_failed"] == 2
+
+    @pytest.mark.parametrize("mode", ["ssvs-full", "no-selection"])
+    def test_fits_in_the_spec_mode(self, monkeypatch, mode):
+        fitted = []
+
+        def fail(spec, data):
+            fitted.append(spec.mode)
+            raise SamplerError("stop after recording the mode")
+
+        monkeypatch.setattr(simulate, "run_chains", fail)
+        design = scaled_design(n=10, n_i=4)
+        spec = build_model_spec(design, mode=mode, sampler=self._quick_settings())
+        result = run_replication(design, spec, 2)
+        assert fitted == [mode, mode]
+        assert [r["mode"] for r in result.rows] == [mode, mode]
 
     def test_programming_error_propagates(self, monkeypatch):
         design, spec = self._failing_fit(monkeypatch, RuntimeError("bug in the fit"))
@@ -181,7 +195,7 @@ class TestGrid:
             sampler=SamplerSettings(chains=1, adapt=10, burnin=10, kept=60, seed=0),
         )
         cells = run_grid(design, spec, [(1.0, 1.0)], 2)
-        direct = run_replication(design, spec, 2).summary("ssvs-diagonal")
+        direct = run_replication(design, spec, 2).summary()
         assert cells[(1.0, 1.0)]["percent"] == direct["percent"]
         assert cells[(1.0, 1.0)]["rmse"] == direct["rmse"]
 
