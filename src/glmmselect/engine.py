@@ -47,7 +47,6 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy.special import expit, logit
 
 from .errors import ConfigurationError, SamplerError
 from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE, scale_field
@@ -119,6 +118,8 @@ class GibbsEngine:
         data.validate_for(spec.family)
         self.assert_invariants = assert_invariants
         self.hyper = spec.hyper
+        pi = spec.hyper.prior_inclusion
+        self._prior_log_odds = math.log(pi) - math.log1p(-pi)
         self.mode = spec.mode
         self.adapting = False
         self._scale_field = scale_field(spec.family.kind)
@@ -268,10 +269,14 @@ class GibbsEngine:
     # ---------------------------------------------------------- fixed effects
 
     def _inclusion_prob(self, ll_on: float, ll_off: float) -> float:
+        """The logistic of the prior log-odds plus ll_on - ll_off; 0 or 1 at infinite differences."""
         if math.isinf(ll_on) and math.isinf(ll_off):
             raise SamplerError("both indicator branches have -inf likelihood")
-        pi = self.hyper.prior_inclusion
-        return float(expit(logit(pi) + ll_on - ll_off))
+        x = self._prior_log_odds + ll_on - ll_off
+        try:
+            return 1.0 / (1.0 + math.exp(-x))
+        except OverflowError:  # exp(-x) overflows below x = -709.78, where the probability is 0
+            return 0.0
 
     def _beta_prior_var(self, p: int) -> float:
         return self.state.sigma2 / (self.hyper.g_shrink * self.state.theta[p])

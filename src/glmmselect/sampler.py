@@ -7,7 +7,6 @@ indicators, factor values, latent effects, variances, log posterior).
 """
 
 import csv
-import io
 import logging
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -19,7 +18,7 @@ from .cholesky import tril_pairs
 from .engine import GibbsEngine
 from .errors import ConfigurationError, SamplerError
 from .families import scale_field
-from .ioutil import atomic_write_text, format_float
+from .ioutil import atomic_write_text
 from .model import Dataset, ModelDims, ModelSpec
 
 __all__ = ["ChainTrace", "Trace", "run_chains", "save_trace", "load_trace"]
@@ -215,20 +214,20 @@ def run_chains(
 
 
 def save_trace(trace: Trace, outdir: str) -> list:
-    """One CSV per chain: iteration, log_posterior, then every scalar column."""
+    """One CSV per chain: iteration, log_posterior, then every scalar column.
+
+    Values are written in their shortest round-trip form (``repr``), as
+    :func:`glmmselect.ioutil.format_float` does.
+    """
+    schema = trace_schema(trace.dims, trace.family_kind)
+    header = ",".join(["iteration"] + [entry[0] for entry in schema])
     paths = []
     for ci, chain in enumerate(trace.chains):
-        cols = chain_columns(chain, trace.dims, trace.family_kind)
-        names = list(cols.keys())
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["iteration"] + names)
-        n = chain.n_recorded
-        for i in range(n):
-            row = [i + 1] + [format_float(float(cols[name][i])) for name in names]
-            writer.writerow(row)
+        matrix = np.column_stack([_column(chain, *entry[1:]) for entry in schema]).astype(float)
+        lines = [header]
+        lines += [f"{i + 1},{','.join(map(repr, row))}" for i, row in enumerate(matrix.tolist())]
         path = os.path.join(outdir, f"chain_{ci + 1}.csv")
-        atomic_write_text(path, buf.getvalue())
+        atomic_write_text(path, "\n".join(lines) + "\n")
         paths.append(path)
     return paths
 

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -175,3 +177,31 @@ class TestPipeline:
         ]) == 0
         header = open(os.path.join(out, "data_with_squares.csv")).readline().strip().split(",")
         assert "x2_sq" in header
+
+
+# simulate, fit and ppc through the CLI entry point, then list every scipy module loaded
+_RUNTIME_SCRIPT = """
+import json, os, sys
+from glmmselect.cli import main
+design, spec, work = sys.argv[1:4]
+sim, fit = os.path.join(work, "sim"), os.path.join(work, "fit")
+data = os.path.join(sim, "replicate_1.csv")
+assert main(["simulate", "--design", design, "--out", sim, "--replicates", "1"]) == 0
+assert main(["fit", "--data", data, "--spec", spec, "--out", fit]) == 0
+assert main(["ppc", "--trace", fit, "--data", data, "--spec", spec, "--out", os.path.join(work, "ppc"), "--n-rep", "5"]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))))
+"""
+
+
+class TestRuntimeDependencies:
+    def test_commands_import_no_scipy(self, tmp_path):
+        design = write(tmp_path, "design.json", SMALL_DESIGN)
+        spec = write(tmp_path, "spec.json", SMALL_SPEC)
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", _RUNTIME_SCRIPT, design, spec, str(tmp_path)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout.splitlines()[-1]) == []

@@ -144,6 +144,30 @@ class TestIndicatorConditional:
         state.beta[1] = 0.0
         assert indicator_inclusion_probability(("fixed", 1), state, spec, data) == pytest.approx(0.5)
 
+    @pytest.mark.parametrize("diff, want", [(800.0, 1.0), (-800.0, 0.0), (math.inf, 1.0), (-math.inf, 0.0)])
+    def test_inclusion_probability_saturates_without_overflow(self, diff, want):
+        spec, data = toy_setup(6)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(2))
+        # ll_on - ll_off = diff, with the finite branch at a typical log-likelihood scale
+        ll_on, ll_off = (diff, 0.0) if math.isinf(diff) else (-100.0 + diff, -100.0)
+        assert engine._inclusion_prob(ll_on, ll_off) == want
+        if math.isinf(diff):
+            assert engine._inclusion_prob(ll_off, -ll_on) == want
+
+    def test_inclusion_probability_matches_logistic_of_log_odds(self):
+        spec, data = toy_setup(6)
+        spec = replace(spec, hyper=replace(spec.hyper, prior_inclusion=0.2))
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(2))
+        for diff in (-30.0, -1.0, 0.0, 0.7, 30.0):
+            odds = 0.2 / 0.8 * math.exp(diff)
+            assert engine._inclusion_prob(diff, 0.0) == pytest.approx(odds / (1.0 + odds), rel=1e-14)
+
+    def test_both_branches_minus_inf_raise(self):
+        spec, data = toy_setup(6)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(2))
+        with pytest.raises(SamplerError, match="both indicator branches"):
+            engine._inclusion_prob(-math.inf, -math.inf)
+
     def test_update_indicator_only_touches_target(self):
         spec, data = toy_setup(7)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(3))
