@@ -23,7 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dataio import load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
+from .dataio import _numeric_column, _read_csv_columns, load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
 from .diagnostics import summarize_trace
 from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, write_csv
@@ -51,16 +51,6 @@ from .simulate import (
 RHAT_WARN = 1.1
 
 log = logging.getLogger(__name__)
-
-
-def _default_workers() -> int:
-    env = os.environ.get("GLMMSELECT_WORKERS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
 
 
 # integer fields of a design document; "replicates" is read by the commands
@@ -140,24 +130,14 @@ def _design_spec(design: SimDesign, doc: dict, args) -> tuple:
 
 
 def _add_squares(data_path: str, cols: str, out_path: str) -> str:
-    import csv as _csv
-
-    with open(data_path, newline="", encoding="utf-8") as fh:
-        reader = _csv.reader(fh)
-        header = next(reader)
-        rows = list(reader)
+    header, columns = _read_csv_columns(data_path)
     targets = [c for c in cols.split(",") if c]
     for col in targets:
-        if col not in header:
+        if col not in columns:
             raise GlmmSelectError(f"--add-squares: column {col!r} not in {data_path}")
-    idx = {c: header.index(c) for c in targets}
-    new_header = header + [f"{c}_sq" for c in targets]
-    new_rows = []
-    for row in rows:
-        extra = [repr(float(row[idx[c]]) ** 2) for c in targets]
-        new_rows.append(row + extra)
-    text = ",".join(new_header) + "\n" + "\n".join(",".join(r) for r in new_rows) + "\n"
-    atomic_write_text(out_path, text)
+    squares = [_numeric_column(columns, col, data_path) ** 2 for col in targets]
+    cells = [columns[name] for name in header] + [sq.tolist() for sq in squares]
+    write_csv(out_path, header + [f"{c}_sq" for c in targets], zip(*cells))
     return out_path
 
 
@@ -315,7 +295,12 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, trace=False, design=False):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
-        p.add_argument("--workers", type=int, default=_default_workers())
+        p.add_argument(
+            "--workers",
+            type=int,
+            default=1,
+            help="processes for chains (fit) or replicates (replicate, grid); results are identical for any value",
+        )
 
     p = sub.add_parser("fit", help="fit a model to data")
     p.add_argument("--data", required=True)

@@ -44,7 +44,6 @@ per-evaluation code runs unguarded.
 
 import logging
 import math
-from dataclasses import replace
 
 import numpy as np
 
@@ -196,7 +195,8 @@ class GibbsEngine:
             eta = linear_predictor(self.data, batch.beta_eff(), blocks)
             nan = np.isnan(eta).any(axis=1)
             eta[nan] = 0.0
-            ll = self.spec.family.at_scale(batch).log_likelihood(self.y, eta).sum(axis=1)
+            family = self.spec.family
+            ll = family.log_likelihood(self.y, eta, family.scale_of(batch)).sum(axis=1)
         return ~nan & np.isfinite(ll)
 
     # ------------------------------------------------------ cached predictors
@@ -234,7 +234,8 @@ class GibbsEngine:
         """Full log-likelihood (constants included) at the cached predictor."""
         if self.n_obs == 0:
             return 0.0
-        return float(np.sum(self.spec.family.at_scale(self.state).log_likelihood(self.y, self._eta)))
+        family = self.spec.family
+        return float(np.sum(family.log_likelihood(self.y, self._eta, family.scale_of(self.state))))
 
     def log_posterior(self) -> float:
         return self.log_likelihood() + log_prior_state(self.hyper, self.state, self.spec.family.kind)
@@ -436,7 +437,7 @@ class GibbsEngine:
         family = self.spec.family
 
         def tgt(r):
-            ll = float(np.sum(replace(family, dispersion=r).log_likelihood(self.y, self._eta)))
+            ll = float(np.sum(family.log_likelihood(self.y, self._eta, r)))
             return ll + family.scale.log_prior(r)
 
         width = self.widths["dispersion", None].width[0]

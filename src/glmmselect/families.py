@@ -7,11 +7,12 @@ binomial uses the mean/overdispersion convention Var = mu + mu^2/r_disp.
 This module is the one home of what differs by kind.  A :class:`Family` owns
 its link and normalized log-density, the per-observation kernel the Gibbs
 engine sums, response sampling and validation, whether responses are counts,
-the family at a given state's scale, and its :class:`Scale`: the ParameterState
-field holding the family scale (``dispersion`` for the negative binomial,
-``sigma2`` for the gaussian, none otherwise), which also names its trace
-column and picks the engine's scale update, with the scale's prior
-log-density and prior draw.  The Gamma and inverse-gamma helpers those priors
+and its :class:`Scale`: the ParameterState field holding the family scale
+(``dispersion`` for the negative binomial, ``sigma2`` for the gaussian, none
+otherwise), which also names its trace column and picks the engine's scale
+update, with the scale's prior log-density and prior draw.  The scale's
+value is an argument of the likelihood and the sampler, never a field of
+the family.  The Gamma and inverse-gamma helpers those priors
 use live here so that :mod:`glmmselect.priors` shares them without a cycle.
 
 Log-gamma lives here as well, without SciPy, whose ``special`` module took
@@ -24,14 +25,14 @@ stops at ``_LGAMMA_TABLE`` entries; larger counts take Stirling's series.
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
-__all__ = ["Family", "Scale", "CANONICAL_LINKS", "family_scale", "scale_field"]
+__all__ = ["Family", "Scale", "CANONICAL_LINKS", "ETA_CAP", "family_scale", "scale_field"]
 
 CANONICAL_LINKS = {
     "poisson": "log",
@@ -44,6 +45,9 @@ NB_DISPERSION_SHAPE = 0.01
 NB_DISPERSION_RATE = 0.01
 SIGMA2_IG_SHAPE = 0.01
 SIGMA2_IG_SCALE = 0.01
+
+# responses of a log-link family are drawn at eta capped here, so exp(eta) stays a usable count mean
+ETA_CAP = 30.0
 
 # lgamma_counts tables log Gamma(y + r) for y below this bound and uses Stirling's series from it on
 _LGAMMA_TABLE = 256
@@ -182,17 +186,17 @@ def scale_field(kind: str) -> str | None:
 class Family:
     """Response distribution plus link.
 
-    ``dispersion`` is the NB overdispersion r_disp (> 0) or the gaussian
-    residual variance sigma^2 (> 0); it must be absent for the other kinds.
-    A model's family leaves it unset: the scale is a sampled parameter, and
-    :meth:`at_scale` supplies it to :meth:`log_likelihood` and :meth:`sample`.
-    For a batch of prior draws it is an (n, 1) column, one scale per
-    candidate, which broadcasts over (n, n_obs) predictor rows.
+    The family scale (the NB overdispersion r_disp or the gaussian residual
+    variance sigma^2) is a sampled parameter, not part of the family: the
+    likelihood and sampling methods take it as ``scale``, and
+    :meth:`scale_of` reads it from a state or a trace draw.  For a batch of
+    prior draws it is an (n, 1) column, one scale per candidate, which
+    broadcasts over (n, n_obs) predictor rows.  Kinds without a scale
+    ignore the argument.
     """
 
     kind: str
     link: str | None = None
-    dispersion: float | None = None
 
     def __post_init__(self):
         if self.kind not in CANONICAL_LINKS:
@@ -203,11 +207,6 @@ class Family:
                 f"unsupported link {link!r} for family {self.kind!r}"
             )
         object.__setattr__(self, "link", link)
-        if self.dispersion is not None:
-            if self.scale is None:
-                raise ConfigurationError(f"family {self.kind!r} takes no dispersion")
-            if not np.all(np.asarray(self.dispersion) > 0):
-                raise ConfigurationError(f"family {self.kind!r} requires a positive dispersion")
 
     @property
     def scale(self) -> Scale | None:
@@ -218,21 +217,23 @@ class Family:
         """Whether responses are nonnegative integer counts."""
         return self.kind != "gaussian"
 
-    def at_scale(self, source, index=None) -> "Family":
-        """This family at the scale in ``source``: a ParameterState, or a ChainTrace and draw ``index``.
+    def scale_of(self, source, index=None):
+        """The scale held by ``source``: a ParameterState (batched: a column), or a ChainTrace and draw ``index``.
 
-        A batched state keeps its scale column as an array.
+        None for kinds without a scale.
         """
         if self.scale is None:
-            return self
+            return None
         value = getattr(source, self.scale.field)
-        value = value if index is None else value[index]
-        return replace(self, dispersion=value if np.ndim(value) else float(value))
+        return value if index is None else value[index]
 
-    def _dispersion(self) -> float:
-        if self.dispersion is None:
-            raise ConfigurationError(f"family {self.kind!r} needs its scale: call at_scale first")
-        return self.dispersion
+    def _check_scale(self, scale) -> None:
+        if self.scale is None:
+            return
+        if scale is None:
+            raise ConfigurationError(f"family {self.kind!r} needs its scale")
+        if not np.all(np.asarray(scale) > 0):
+            raise ConfigurationError(f"family {self.kind!r} requires a positive scale")
 
     def mean(self, eta: np.ndarray) -> np.ndarray:
         """Inverse link applied to the linear predictor."""
@@ -245,74 +246,63 @@ class Family:
                 return 1.0 / (1.0 + np.exp(-eta))
         return eta
 
-    def log_likelihood(self, y: np.ndarray, eta: np.ndarray) -> np.ndarray:
-        """Elementwise log f(y | mu = g^-1(eta)); -inf at impossible boundaries.
-
-        The count kinds raise ConfigurationError for a negative or non-integer ``y``.
-        """
-        y = np.asarray(y, dtype=float)
-        eta = np.asarray(eta, dtype=float)
-        if np.any(np.isnan(eta)):
-            raise NumericError("linear predictor contains NaN")
-        with np.errstate(over="ignore", invalid="ignore"):
-            if self.kind == "poisson":
-                return y * eta - np.exp(eta) - lgamma_counts(y)
-            if self.kind == "negative_binomial":
-                r = self._dispersion()
-                mu = np.exp(eta)
-                counts = _count_index(y)
-                return (
-                    _lgamma_at(*counts, r)
-                    - _lgamma_each(r)
-                    - _lgamma_at(*counts)
-                    + r * np.log(r)
-                    + y * eta
-                    - (y + r) * np.log(r + mu)
-                )
-            if self.kind == "bernoulli":
-                # y*eta - log(1 + exp(eta)), stable for large |eta|
-                return y * eta - np.logaddexp(0.0, eta)
-            sigma2 = self._dispersion()
-            return -0.5 * (np.log(2.0 * np.pi * sigma2) + (y - eta) ** 2 / sigma2)
-
-    def log_kernel(self, y: np.ndarray, eta: np.ndarray, scale_value: float | None) -> np.ndarray:
+    def log_kernel(self, y: np.ndarray, eta: np.ndarray, scale=None) -> np.ndarray:
         """Per-observation log-likelihood up to eta-free terms, unchecked (sampler inner loop).
 
-        ``scale_value`` is the state's value of :attr:`scale`; kinds without one ignore it.
+        This is the one place each kind's eta-dependent terms are written.
         Overflow of ``exp`` gives -inf terms; callers set ``np.errstate`` to silence it.
         """
         if self.kind == "poisson":
             return y * eta - np.exp(eta)
         if self.kind == "negative_binomial":
-            return y * eta - (y + scale_value) * np.log(scale_value + np.exp(eta))
+            return y * eta - (y + scale) * np.log(scale + np.exp(eta))
         if self.kind == "bernoulli":
             return y * eta - np.logaddexp(0.0, eta)
-        return -0.5 * (y - eta) ** 2 / scale_value
+        return -0.5 * (y - eta) ** 2 / scale
 
-    def sample(self, rng: np.random.Generator, eta: np.ndarray, eta_cap: float = 30.0) -> np.ndarray:
-        """Draw responses at the given linear predictor.
+    def log_likelihood(self, y: np.ndarray, eta: np.ndarray, scale=None) -> np.ndarray:
+        """Elementwise log f(y | mu = g^-1(eta), scale): :meth:`log_kernel` plus its eta-free terms.
 
-        For log-link families eta is capped at ``eta_cap`` before
-        exponentiation so extreme draws cannot overflow the count sampler;
-        the number of capped entries is available via :func:`clipped_count`.
+        -inf at impossible boundaries.  Raises NumericError for a NaN
+        predictor and ConfigurationError for a missing or non-positive scale;
+        the count kinds raise ConfigurationError for a negative or non-integer ``y``.
         """
+        y = np.asarray(y, dtype=float)
+        eta = np.asarray(eta, dtype=float)
+        if np.any(np.isnan(eta)):
+            raise NumericError("linear predictor contains NaN")
+        self._check_scale(scale)
+        with np.errstate(over="ignore", invalid="ignore"):
+            kernel = self.log_kernel(y, eta, scale)
+            if self.kind == "poisson":
+                return kernel - lgamma_counts(y)
+            if self.kind == "negative_binomial":
+                counts = _count_index(y)
+                return kernel + (
+                    _lgamma_at(*counts, scale) - _lgamma_each(scale) - _lgamma_at(*counts) + scale * np.log(scale)
+                )
+            if self.kind == "gaussian":
+                return kernel - 0.5 * np.log(2.0 * np.pi * scale)
+            return kernel
+
+    def sample(self, rng: np.random.Generator, eta: np.ndarray, scale=None) -> np.ndarray:
+        """Draw responses at the given linear predictor and scale.
+
+        For log-link families eta is capped at ``ETA_CAP`` before
+        exponentiation so extreme draws cannot overflow the count sampler.
+        """
+        self._check_scale(scale)
         eta = np.asarray(eta, dtype=float)
         if self.link == "log":
-            eta = np.minimum(eta, eta_cap)
+            eta = np.minimum(eta, ETA_CAP)
         mu = self.mean(eta)
         if self.kind == "poisson":
             return rng.poisson(mu).astype(float)
         if self.kind == "negative_binomial":
-            r = self._dispersion()
-            return rng.negative_binomial(r, r / (r + mu)).astype(float)
+            return rng.negative_binomial(scale, scale / (scale + mu)).astype(float)
         if self.kind == "bernoulli":
             return (rng.random(mu.shape) < mu).astype(float)
-        return rng.normal(eta, np.sqrt(self._dispersion()))
-
-    def clipped_count(self, eta: np.ndarray, eta_cap: float = 30.0) -> int:
-        if self.link != "log":
-            return 0
-        return int(np.sum(np.asarray(eta) > eta_cap))
+        return rng.normal(eta, np.sqrt(scale))
 
     def validate_response(self, y: np.ndarray) -> None:
         y = np.asarray(y)

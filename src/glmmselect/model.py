@@ -354,4 +354,4 @@ def total_log_likelihood(spec: ModelSpec, state: ParameterState, data: Dataset) 
     if data.n_obs == 0:
         return 0.0
     eta = linear_predictor_all(spec, state, data)
-    return float(np.sum(spec.family.at_scale(state).log_likelihood(data.y, eta)))
+    return float(np.sum(spec.family.log_likelihood(data.y, eta, spec.family.scale_of(state))))

@@ -51,6 +51,8 @@ def replicate_data(
     Returns an (n_rep, n_obs) array; rows correspond to posterior draws
     sampled uniformly (with replacement) across chains.
     """
+    if n_rep < 0:
+        raise ConfigurationError(f"the number of replicates must be >= 0, got {n_rep}")
     if n_rep == 0:
         return np.zeros((0, data.n_obs))
     totals = [c.n_recorded for c in trace.chains]
@@ -66,7 +68,7 @@ def replicate_data(
         i = int(flat - bounds[ci])
         chain = trace.chains[ci]
         eta = _draw_eta(data, chain, i, rng, conditional)
-        out[row] = fam.at_scale(chain, i).sample(rng, eta)
+        out[row] = fam.sample(rng, eta, fam.scale_of(chain, i))
     return out
 
 

@@ -15,7 +15,8 @@ import numpy as np
 
 from .cholesky import decompose_covariance, project_constraints
 from .errors import ConfigurationError, GlmmSelectError
-from .model import BlockData, Dataset, Family, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor
+from .families import ETA_CAP, Family
+from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor
 from .report import fixed_effect_rmse, modal_random_pattern, top_models
 from .sampler import run_chains
 
@@ -77,7 +78,6 @@ class SimDesign:
     intercept_beta: float = 2.0
     uniform_half_width: float = 0.4
     base_seed: int = 0
-    eta_clamp: float = 30.0
 
     def __post_init__(self):
         if self.case not in (1, 2):
@@ -134,47 +134,38 @@ class SimTruth:
 
 def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, SimTruth]:
     """Generate one replicate; deterministic given (base_seed, replicate)."""
-    attempt = 0
-    while True:
-        rng = np.random.default_rng([design.base_seed, replicate, attempt])
-        beta = np.full(design.l, design.inactive_value)
-        beta[0] = design.intercept_beta
-        hw = design.uniform_half_width
-        beta[1 : design.n_active_fixed] = rng.uniform(-hw, hw, size=design.n_active_fixed - 1)
+    rng = np.random.default_rng([design.base_seed, replicate, 0])
+    beta = np.full(design.l, design.inactive_value)
+    beta[0] = design.intercept_beta
+    hw = design.uniform_half_width
+    beta[1 : design.n_active_fixed] = rng.uniform(-hw, hw, size=design.n_active_fixed - 1)
 
-        n_obs = design.n * design.n_i
-        X = rng.standard_normal((n_obs, design.l))
-        X[:, 0] = 1.0
-        Z = X[:, : design.q]
-        groups = np.repeat(np.arange(design.n), design.n_i)
+    n_obs = design.n * design.n_i
+    X = rng.standard_normal((n_obs, design.l))
+    X[:, 0] = 1.0
+    Z = X[:, : design.q]
+    groups = np.repeat(np.arange(design.n), design.n_i)
 
-        factors = decompose_covariance(design.omega)
-        lam_eff, gamma = project_constraints(factors, np.ones(design.q, dtype=np.int8))
-        xi = rng.standard_normal((design.n, design.q))
+    factors = decompose_covariance(design.omega)
+    lam_eff, gamma = project_constraints(factors, np.ones(design.q, dtype=np.int8))
+    xi = rng.standard_normal((design.n, design.q))
 
-        eta = X @ beta + block_predictor(Z, groups, xi, lam_eff[:, None] * gamma)
-        n_clamped = int(np.sum(eta > design.eta_clamp))
-        if n_clamped:
-            log.info("replicate %d: clamped %d linear predictors at %.1f", replicate, n_clamped, design.eta_clamp)
-        eta = np.minimum(eta, design.eta_clamp)
-        try:
-            y = rng.poisson(np.exp(eta)).astype(float)
-        except ValueError:
-            attempt += 1
-            log.warning("replicate %d: count sampling overflowed; regenerating (attempt %d)", replicate, attempt)
-            continue
-        data = Dataset(
-            y=y,
-            X=X,
-            blocks=(BlockData(Z=Z, groups=groups, n_groups=design.n),),
-        )
-        truth = SimTruth(
-            beta=beta,
-            fixed_mask=design.fixed_truth_mask(),
-            random_mask=design.random_truth_mask(),
-            omega=design.omega,
-        )
-        return data, truth
+    eta = X @ beta + block_predictor(Z, groups, xi, lam_eff[:, None] * gamma)
+    n_clamped = int(np.sum(eta > ETA_CAP))
+    if n_clamped:
+        log.info("replicate %d: clamped %d linear predictors at %.1f", replicate, n_clamped, ETA_CAP)
+    data = Dataset(
+        y=Family("poisson").sample(rng, eta),
+        X=X,
+        blocks=(BlockData(Z=Z, groups=groups, n_groups=design.n),),
+    )
+    truth = SimTruth(
+        beta=beta,
+        fixed_mask=design.fixed_truth_mask(),
+        random_mask=design.random_truth_mask(),
+        omega=design.omega,
+    )
+    return data, truth
 
 
 def build_model_spec(

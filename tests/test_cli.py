@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -82,7 +84,7 @@ class TestFit:
 
 
 class TestPipeline:
-    def test_ppc_and_report_from_saved_trace(self, workspace):
+    def test_ppc_and_report_from_saved_trace(self, workspace, capsys):
         tmp_path, design, spec, data = workspace
         fit_out = str(tmp_path / "fit2")
         assert main(["fit", "--data", data, "--spec", spec, "--out", fit_out]) == 0
@@ -93,6 +95,11 @@ class TestPipeline:
         ]) == 0
         assert os.path.exists(os.path.join(ppc_out, "rootogram.csv"))
         assert os.path.exists(os.path.join(ppc_out, "mean_sd.csv"))
+        err_out = str(tmp_path / "ppc_neg")
+        args = ["ppc", "--trace", fit_out, "--data", data, "--spec", spec, "--out", err_out, "--n-rep", "-2"]
+        capsys.readouterr()
+        assert main(args) == 1
+        assert capsys.readouterr().err == "error: the number of replicates must be >= 0, got -2\n"
         rep_out = str(tmp_path / "rep")
         assert main(["report", "--trace", fit_out, "--data", data, "--spec", spec, "--out", rep_out]) == 0
         assert os.path.exists(os.path.join(rep_out, "top_models.csv"))
@@ -177,6 +184,48 @@ class TestPipeline:
         ]) == 0
         header = open(os.path.join(out, "data_with_squares.csv")).readline().strip().split(",")
         assert "x2_sq" in header
+
+    def test_add_squares_keeps_quoted_cells(self, workspace):
+        tmp_path, design, spec, data = workspace
+        with open(data, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        noted = str(tmp_path / "noted.csv")
+        with open(noted, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [rows[0] + ["note"]] + [row + [f"visit {i}, subject {row[-1]}"] for i, row in enumerate(rows[1:])]
+            )
+        doc = dict(SMALL_SPEC, fixed_effects=["x1", "x2", "x3", "x2_sq"])
+        out = str(tmp_path / "sq")
+        assert main(["fit", "--data", noted, "--spec", write(tmp_path, "spec2.json", doc), "--out", out, "--add-squares", "x2"]) == 0
+        with open(os.path.join(out, "data_with_squares.csv"), newline="", encoding="utf-8") as fh:
+            text = fh.read()
+        got = list(csv.reader(io.StringIO(text)))
+        assert got[0] == rows[0] + ["note", "x2_sq"]
+        x2 = rows[0].index("x2")
+        for i, (row, new) in enumerate(zip(rows[1:], got[1:])):
+            assert new[:-1] == row + [f"visit {i}, subject {row[-1]}"]
+            assert float(new[-1]) == float(row[x2]) ** 2
+        assert '"visit 0, subject ' in text
+
+    def test_add_squares_missing_file_is_error_exit(self, tmp_path, capsys):
+        spec = write(tmp_path, "spec.json", SMALL_SPEC)
+        rc = main(["fit", "--data", str(tmp_path / "nope.csv"), "--spec", spec, "--out", str(tmp_path / "o"), "--add-squares", "x2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "cannot read" in err
+
+    def test_add_squares_non_numeric_cell_is_error_exit(self, workspace, capsys):
+        tmp_path, design, spec, data = workspace
+        lines = open(data, encoding="utf-8").read().splitlines()
+        header = lines[0].split(",")
+        cells = lines[1].split(",")
+        cells[header.index("x2")] = "abc"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join([lines[0], ",".join(cells)] + lines[2:]) + "\n", encoding="utf-8")
+        rc = main(["fit", "--data", str(bad), "--spec", spec, "--out", str(tmp_path / "o"), "--add-squares", "x2"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-numeric value 'abc' in column 'x2', row 2" in err
 
 
 # simulate, fit and ppc through the CLI entry point, then list every scipy module loaded

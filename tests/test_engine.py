@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import expit
 
 from glmmselect import engine as engine_module
 from glmmselect.cholesky import mask_factors
@@ -74,7 +75,7 @@ class TestIndicatorConditional:
                 s_off.blocks[0].include[which[2]] = 0
             ll_on = total_log_likelihood(spec, s_on, data)
             ll_off = total_log_likelihood(spec, s_off, data)
-            oracle = 1.0 / (1.0 + np.exp(-(ll_on - ll_off)))
+            oracle = expit(ll_on - ll_off)
             assert p == pytest.approx(oracle, abs=1e-12)
 
     def test_random_flip_delta_matches_full_recompute(self):

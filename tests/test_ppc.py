@@ -71,6 +71,11 @@ class TestReplicateData:
         reps = replicate_data(trace, spec, data, 0, np.random.default_rng(0))
         assert reps.shape == (0, data.n_obs)
 
+    def test_negative_n_rep_raises(self):
+        spec, data, trace = fitted_setup(2, kept=5)
+        with pytest.raises(ConfigurationError, match="replicates must be >= 0"):
+            replicate_data(trace, spec, data, -2, np.random.default_rng(0))
+
     def test_seeded_determinism(self):
         spec, data, trace = fitted_setup(3)
         r1 = replicate_data(trace, spec, data, 10, np.random.default_rng(5))
