@@ -8,14 +8,9 @@ coordinates, exact Bernoulli updates for indicators).
 
 __version__ = "0.1.0"
 
-from .cholesky import (
-    CholeskyFactors,
-    assemble_covariance,
-    decompose_covariance,
-    project_constraints,
-)
+from .cholesky import decompose_covariance
 from .diagnostics import effective_sample_size, gelman_rubin
-from .engine import GibbsEngine, gibbs_scan, indicator_inclusion_probability, update_indicator
+from .engine import GibbsEngine
 from .errors import (
     ConfigurationError,
     DataError,

@@ -7,32 +7,23 @@ lower-triangular with subdiagonal entries packed row-major into ``r``:
 (2,1), (3,1), (3,2), (4,1), ...  Setting ``lam[k] = 0`` removes effect k;
 the membership constraint then zeroes row and column k of ``Gamma``
 (diagonal stays 1).  That masking is written only here, in
-:func:`mask_factors`; :func:`project_constraints` is its checked public form.
-Both return the masked factors as a plain ``(lam_eff, gamma)`` pair, and the
-map from latent xi to the effect vector is ``lam_eff[:, None] * gamma``.
+:func:`mask_factors`, which returns the masked factors as a plain
+``(lam_eff, gamma)`` pair; the map from latent xi to the effect vector is
+``lam_eff[:, None] * gamma``.  :func:`decompose_covariance` goes the other
+way, from a covariance to a ``(lam, gamma)`` pair of the same form.
 
 Identity rule: when no packed ``r`` entry is nonzero, the effective Gamma is
 the identity whatever the indicators, and is returned without masking.
 ``ssvs-diagonal`` keeps ``r`` at zero and q = 1 has no ``r``.
 """
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import ConfigurationError, DecompositionError
+from .errors import DecompositionError
 
-__all__ = [
-    "CholeskyFactors",
-    "tril_pairs",
-    "gamma_matrix",
-    "pack_gamma",
-    "project_constraints",
-    "mask_factors",
-    "assemble_covariance",
-    "decompose_covariance",
-]
+__all__ = ["tril_pairs", "mask_factors", "decompose_covariance"]
 
 
 @lru_cache(maxsize=64)
@@ -44,72 +35,15 @@ def tril_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
-def gamma_matrix(q: int, r: np.ndarray) -> np.ndarray:
-    """Expand packed subdiagonal values into the full unit lower-triangular matrix."""
-    r = np.asarray(r, dtype=float)
-    if r.shape != (q * (q - 1) // 2,):
-        raise ConfigurationError(
-            f"packed subdiagonal has length {r.size}, expected {q * (q - 1) // 2} for q={q}"
-        )
-    g = np.eye(q)
-    rows, cols = tril_pairs(q)
-    g[rows, cols] = r
-    return g
-
-
-def pack_gamma(gamma: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`gamma_matrix`: extract packed subdiagonal values."""
-    q = gamma.shape[0]
-    rows, cols = tril_pairs(q)
-    return np.asarray(gamma[rows, cols], dtype=float)
-
-
-@dataclass(frozen=True)
-class CholeskyFactors:
-    """Raw factor values before any indicator masking.
-
-    lam : (q,) nonnegative diagonal of Lambda.
-    r   : (q*(q-1)/2,) packed subdiagonal of Gamma, row-major.
-    """
-
-    lam: np.ndarray
-    r: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "lam", np.asarray(self.lam, dtype=float))
-        object.__setattr__(self, "r", np.asarray(self.r, dtype=float))
-        q = self.lam.shape[0]
-        if self.r.shape != (q * (q - 1) // 2,):
-            raise ConfigurationError(
-                f"r has length {self.r.size}, expected {q * (q - 1) // 2} for q={q}"
-            )
-        if np.any(self.lam < 0):
-            raise ConfigurationError("lam entries must be nonnegative")
-
-    @property
-    def q(self) -> int:
-        return self.lam.shape[0]
-
-
-def project_constraints(factors: CholeskyFactors, include: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Apply inclusion indicators and the zero-row/column membership rule.
 
-    ``include`` is a 0/1 vector of length q.  Returns (lam_eff, gamma):
-    lam_eff[k] = include[k]*lam[k], and whenever lam_eff[k] == 0 the whole
-    row k and column k of the (q, q) Gamma are exact zeros (diagonal kept
-    at 1).  Raw values are not modified.
-    """
-    include = np.asarray(include)
-    if include.shape != factors.lam.shape:
-        raise ConfigurationError("indicator vector length does not match lam")
-    return mask_factors(factors.lam, factors.r, include)
-
-
-def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`project_constraints` without input checks, as (lam_eff, gamma).
-
-    The caller passes float ``lam`` and ``include`` of length q, and ``r`` of length q(q-1)/2.
-    All three may carry the same leading draw axes; gamma is then (..., q, q).
+    lam_eff[k] = lam[k] where include[k], else 0, and wherever lam_eff[k] == 0
+    row k and column k of the unit lower-triangular (q, q) gamma are exact
+    zeros (diagonal kept at 1).  Raw values are not modified.  The caller
+    passes float ``lam`` and ``include`` of length q, and ``r`` of length
+    q(q-1)/2, unchecked.  All three may carry the same leading draw axes;
+    gamma is then (..., q, q).
     """
     q = lam.shape[-1]
     lam_eff = np.where(include, lam, 0.0)
@@ -123,22 +57,14 @@ def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[n
     return lam_eff, gamma
 
 
-def assemble_covariance(lam_eff: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    """Omega = Lambda_eff Gamma_eff Gamma_eff' Lambda_eff', exactly symmetric."""
-    lg = lam_eff[:, None] * gamma
-    omega = lg @ lg.T
-    # mirror the lower triangle so omega[u, v] and omega[v, u] are bitwise equal
-    iu = np.triu_indices(lam_eff.shape[0], k=1)
-    omega[iu] = omega.T[iu]
-    return omega
+def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Recover ``(lam, gamma)`` from a symmetric PSD matrix.
 
-
-def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> CholeskyFactors:
-    """Recover factors from a symmetric PSD matrix.
-
-    Diagonal entries <= tol are treated as removed effects (lam[k] = 0 and the
-    corresponding r entries zero); the remaining principal submatrix must be
-    positive definite.  Sign convention lam >= 0.
+    omega = LG @ LG.T for the loadings LG = lam[:, None] * gamma, with gamma
+    unit lower-triangular.  Diagonal entries <= tol are treated as removed
+    effects (lam[k] = 0 and row and column k of gamma zero off the diagonal);
+    the remaining principal submatrix must be positive definite.  Sign
+    convention lam >= 0.
     """
     omega = np.asarray(omega, dtype=float)
     q = omega.shape[0]
@@ -174,5 +100,5 @@ def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> CholeskyFacto
                 raise DecompositionError("active submatrix is not PSD within tol") from exc
         lam[idx] = np.diag(chol)
         gamma[np.ix_(idx, idx)] = chol / np.diag(chol)[:, None]
-    return CholeskyFactors(lam=lam, r=pack_gamma(gamma))
+    return lam, gamma
 

@@ -116,6 +116,17 @@ def _load_grid(path: str) -> list:
     return [(v, h) for h in values["h"] for v in values["v"]]
 
 
+def _replicate_count(args, doc: dict, default: int) -> int:
+    """``--replicates``, else the design's "replicates", else ``default``; fewer than 1 is an error."""
+    if args.replicates is not None:
+        n_rep, source = args.replicates, "--replicates"
+    else:
+        n_rep, source = doc.get("replicates", default), f"{args.design}: design field 'replicates'"
+    if n_rep < 1:
+        raise ConfigurationError(f"{source} must be at least 1, got {n_rep}")
+    return n_rep
+
+
 def _design_spec(design: SimDesign, doc: dict, args) -> tuple:
     problems = []
     hyper = settings_from_doc(doc, "hyperparameters", Hyperparameters, problems)
@@ -157,7 +168,7 @@ def cmd_fit(args) -> int:
     if args.seed is not None:
         spec = replace(spec, sampler=replace(spec.sampler, seed=args.seed))
     if args.mode:
-        spec = spec.with_mode(args.mode)
+        spec = replace(spec, mode=args.mode)
     data_path = args.data
     if args.add_squares:
         data_path = _add_squares(args.data, args.add_squares, os.path.join(args.out, "data_with_squares.csv"))
@@ -183,9 +194,9 @@ def cmd_simulate(args) -> int:
     design, doc = _load_design(args.design)
     if args.seed is not None:
         design = replace(design, base_seed=args.seed)
+    n_rep = _replicate_count(args, doc, 1)
     spec = build_model_spec(design)
     os.makedirs(args.out, exist_ok=True)
-    n_rep = args.replicates or doc.get("replicates", 1)
     for rep in range(n_rep):
         data, truth = simulate_dataset(design, rep)
         write_dataset_csv(os.path.join(args.out, f"replicate_{rep + 1}.csv"), data, spec)
@@ -206,7 +217,7 @@ def cmd_simulate(args) -> int:
 def cmd_replicate(args) -> int:
     design, doc = _load_design(args.design)
     design, spec = _design_spec(design, doc, args)
-    n_rep = args.replicates or doc.get("replicates", 20)
+    n_rep = _replicate_count(args, doc, 20)
     result = run_replication(design, spec, n_rep, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
     counts = result.modal_label_counts()
@@ -235,7 +246,7 @@ def cmd_grid(args) -> int:
     design, doc = _load_design(args.design)
     design, spec = _design_spec(design, doc, args)
     pairs = _load_grid(args.grid)
-    n_rep = args.replicates or doc.get("replicates", 20)
+    n_rep = _replicate_count(args, doc, 20)
     cells = run_grid(design, spec, pairs, n_rep, workers=args.workers)
     rows = grid_report(cells)
     os.makedirs(args.out, exist_ok=True)
@@ -292,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, trace=False, design=False):
+    def common(p):
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, default=None, help="override the base seed")
         p.add_argument(

@@ -32,14 +32,15 @@ adds the group's draws as a (rows, size) batch, averaged over rows (the groups
 of xi; a single row elsewhere), and from the 20th scan on each width is 2.5
 running standard deviations, clipped to [1e-4, 1e4].
 
-The linear predictor is cached and adjusted incrementally; a full recompute
-at the end of every scan bounds float drift, and ``log_posterior`` reads the
-cache it leaves.  Code that edits ``state`` directly must call
-``recompute_caches`` before the next scan or ``log_posterior``.  An indicator
-flip adjusts the cached block term by a delta: the on and off loadings
-Lambda_eff Gamma_eff differ only in row k and column k.  ``scan`` owns the
-``np.errstate`` guard for overflow in the likelihood loop, so the
-per-evaluation code runs unguarded.
+The engine reads its data from ``self.data`` and caches one quantity, the
+full linear predictor ``_eta`` of the current state.  Each update that moves
+a term of eta moves the cache by that term's change; an indicator flip moves
+it by a delta, since the on and off loadings Lambda_eff Gamma_eff differ only
+in row k and column k.  A full recompute at the end of every scan bounds
+float drift, and ``log_posterior`` reads the cache it leaves.  Code that
+edits ``state`` directly must call ``recompute_caches`` before the next
+update or ``log_posterior``.  ``scan`` owns the ``np.errstate`` guard for
+overflow in the likelihood loop, so the per-evaluation code runs unguarded.
 """
 
 import logging
@@ -47,7 +48,7 @@ import math
 
 import numpy as np
 
-from .errors import ConfigurationError, SamplerError
+from .errors import SamplerError
 from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE, scale_field
 from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, linear_predictor
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
@@ -61,12 +62,7 @@ from .priors import (
 from .slicing import SliceStats, slice_update, slice_update_vec
 from . import cholesky
 
-__all__ = [
-    "GibbsEngine",
-    "gibbs_scan",
-    "update_indicator",
-    "indicator_inclusion_probability",
-]
+__all__ = ["GibbsEngine"]
 
 log = logging.getLogger(__name__)
 
@@ -100,7 +96,7 @@ class _Width:
 
 
 class GibbsEngine:
-    """Holds data precomputations, the current state, and cached predictors."""
+    """Holds the data, the current state and its cached linear predictor."""
 
     def __init__(
         self,
@@ -108,14 +104,12 @@ class GibbsEngine:
         data: Dataset,
         rng: np.random.Generator | None = None,
         state: ParameterState | None = None,
-        assert_invariants: bool = True,
     ):
         self.spec = spec
         self.data = data
         self.rng = rng if rng is not None else np.random.default_rng(spec.sampler.seed)
         self.dims = ModelDims.of(spec, data)
         data.validate_for(spec.family)
-        self.assert_invariants = assert_invariants
         self.hyper = spec.hyper
         pi = spec.hyper.prior_inclusion
         self._prior_log_odds = math.log(pi) - math.log1p(-pi)
@@ -123,22 +117,6 @@ class GibbsEngine:
         self.adapting = False
         self._scale_field = scale_field(spec.family.kind)
         self._update_scale = {"dispersion": self._update_dispersion, "sigma2": self._update_sigma2}.get(self._scale_field)
-
-        self.y = data.y
-        self.n_obs = data.n_obs
-        self._Xcols = [np.ascontiguousarray(data.X[:, p]) for p in range(data.l)]
-        self._offset = data.offset if data.offset is not None else None
-        self._blocks = []
-        for bdata in data.blocks:
-            self._blocks.append(
-                {
-                    "Z": np.ascontiguousarray(bdata.Z),
-                    "Zcols": [np.ascontiguousarray(bdata.Z[:, k]) for k in range(bdata.q)],
-                    "groups": bdata.groups,
-                    "n_groups": bdata.n_groups,
-                    "q": bdata.q,
-                }
-            )
 
         if state is None:
             state = self._draw_feasible_start()
@@ -149,8 +127,6 @@ class GibbsEngine:
         self.widths = {key: _Width(draws.shape[1]) for key, draws in self._draws().items()}
         self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
         self.scan_count = 0
-        self._eta = np.zeros(self.n_obs)
-        self._eta_block = [np.zeros(self.n_obs) for _ in self._blocks]
         self.recompute_caches()
 
     # ------------------------------------------------------------------ setup
@@ -196,10 +172,10 @@ class GibbsEngine:
             nan = np.isnan(eta).any(axis=1)
             eta[nan] = 0.0
             family = self.spec.family
-            ll = family.log_likelihood(self.y, eta, family.scale_of(batch)).sum(axis=1)
+            ll = family.log_likelihood(self.data.y, eta, family.scale_of(batch)).sum(axis=1)
         return ~nan & np.isfinite(ll)
 
-    # ------------------------------------------------------ cached predictors
+    # ------------------------------------------------------- cached predictor
 
     def _gamma_eff(self, bi: int):
         """lam_eff and effective Gamma of block bi under the current state."""
@@ -207,17 +183,15 @@ class GibbsEngine:
         return cholesky.mask_factors(bs.lam, bs.r, bs.include)
 
     def _block_eta(self, bi: int, lam_eff, gamma) -> np.ndarray:
-        blk = self._blocks[bi]
-        return block_predictor(blk["Z"], blk["groups"], self.state.blocks[bi].xi, lam_eff[:, None] * gamma)
+        bdata = self.data.blocks[bi]
+        return block_predictor(bdata.Z, bdata.groups, self.state.blocks[bi].xi, lam_eff[:, None] * gamma)
 
     def recompute_caches(self) -> None:
         eta = self.data.X @ self.state.beta_eff()
-        for bi in range(len(self._blocks)):
-            lam_eff, gamma = self._gamma_eff(bi)
-            self._eta_block[bi] = self._block_eta(bi, lam_eff, gamma)
-            eta = eta + self._eta_block[bi]
-        if self._offset is not None:
-            eta = eta + self._offset
+        for bi in range(len(self.data.blocks)):
+            eta = eta + self._block_eta(bi, *self._gamma_eff(bi))
+        if self.data.offset is not None:
+            eta = eta + self.data.offset
         self._eta = eta
 
     # ------------------------------------------------------------- likelihood
@@ -225,17 +199,17 @@ class GibbsEngine:
     def _ll_terms(self, eta: np.ndarray) -> np.ndarray:
         """Per-observation log-likelihood up to eta-independent constants."""
         field = self._scale_field
-        return self.spec.family.log_kernel(self.y, eta, getattr(self.state, field) if field else None)
+        return self.spec.family.log_kernel(self.data.y, eta, getattr(self.state, field) if field else None)
 
     def _ll_sum(self, eta: np.ndarray) -> float:
         return float(self._ll_terms(eta).sum())
 
     def log_likelihood(self) -> float:
         """Full log-likelihood (constants included) at the cached predictor."""
-        if self.n_obs == 0:
+        if self.data.n_obs == 0:
             return 0.0
         family = self.spec.family
-        return float(np.sum(family.log_likelihood(self.y, self._eta, family.scale_of(self.state))))
+        return float(np.sum(family.log_likelihood(self.data.y, self._eta, family.scale_of(self.state))))
 
     def log_posterior(self) -> float:
         return self.log_likelihood() + log_prior_state(self.hyper, self.state, self.spec.family.kind)
@@ -246,11 +220,11 @@ class GibbsEngine:
         """One slice update of a scalar coordinate; ``kind`` names its stats."""
         return slice_update(target, float(x0), float(width), self.rng, lower=lower, stats=self.stats[kind])
 
-    def _slice_along(self, kind: str, c, old, var, width, x0, lower: float = -math.inf, bi=None) -> float:
+    def _slice_along(self, kind: str, c, old, var, width, x0, lower: float = -math.inf) -> float:
         """Slice update of a coordinate whose term in eta is ``c * x``, under a N(0, var) prior.
 
         ``old`` is the value the cached eta holds and ``x0`` the start point.
-        Moves the cached eta, and block ``bi``'s term if given, to the new value.
+        Moves the cached eta to the new value.
         """
         eta_minus = self._eta - c * old
 
@@ -259,8 +233,6 @@ class GibbsEngine:
 
         new = self._slice(kind, tgt, x0, width, lower)
         self._eta = eta_minus + c * new
-        if bi is not None:
-            self._eta_block[bi] = self._eta_block[bi] + c * (new - old)
         return new
 
     def _slice_rate(self, kind: str, x0, t, width) -> float:
@@ -279,67 +251,27 @@ class GibbsEngine:
         except OverflowError:  # exp(-x) overflows below x = -709.78, where the probability is 0
             return 0.0
 
+    def _draw_indicator(self, eta_on: np.ndarray, eta_off: np.ndarray) -> bool:
+        """Draw an indicator from its full conditional given eta with it on and off; the cache keeps the drawn eta."""
+        on = self.rng.random() < self._inclusion_prob(self._ll_sum(eta_on), self._ll_sum(eta_off))
+        self._eta = eta_on if on else eta_off
+        return on
+
     def _beta_prior_var(self, p: int) -> float:
         return self.state.sigma2 / (self.hyper.g_shrink * self.state.theta[p])
 
-    def _indicator_pair(self, which):
-        """Log-likelihoods with one indicator on and off, and a setter for it.
-
-        ``which`` is ("fixed", p) or ("random", block_index, k).  Returns
-        (ll_on, ll_off, set_to); ``set_to(on)`` stores the indicator value and
-        the cached predictors of that branch.
-        """
-        st = self.state
-        if which[0] == "fixed":
-            p = which[1]
-            delta = self._Xcols[p] * st.beta[p]
-            eta_off = self._eta - delta if st.J[p] else self._eta
-            eta_on = eta_off + delta
-
-            def set_to(on):
-                st.J[p] = on
-                self._eta = eta_on if on else eta_off
-
-        elif which[0] == "random":
-            bi, k = which[1], which[2]
-            bs = st.blocks[bi]
-            blk = self._blocks[bi]
-            groups = blk["groups"]
-            saved = bool(bs.include[k])
-            bs.include[k] = 1
-            lam_eff, gamma = self._gamma_eff(bi)
-            bs.include[k] = saved
-            # off zeroes row and column k of the loadings (the exclusion
-            # invariant), so on - off is row k and column k of the on loadings
-            row = lam_eff[k] * gamma[k, :]
-            col = lam_eff * gamma[:, k]
-            col[k] = 0.0
-            delta = blk["Zcols"][k] * (bs.xi @ row)[groups]
-            if col.any():
-                delta += (blk["Z"] @ col) * bs.xi[groups, k]
-            eta_on = self._eta if saved else self._eta + delta
-            eta_off = self._eta - delta if saved else self._eta
-
-            def set_to(on):
-                if bool(on) != saved:
-                    self._eta_block[bi] = self._eta_block[bi] + delta if on else self._eta_block[bi] - delta
-                bs.include[k] = on
-                self._eta = eta_on if on else eta_off
-
-        else:
-            raise ConfigurationError(f"unknown indicator selector {which!r}")
-        return self._ll_sum(eta_on), self._ll_sum(eta_off), set_to
-
     def _update_J(self, p: int) -> None:
-        ll_on, ll_off, set_to = self._indicator_pair(("fixed", p))
-        set_to(self.rng.random() < self._inclusion_prob(ll_on, ll_off))
+        st = self.state
+        delta = self.data.X[:, p] * st.beta[p]
+        eta_off = self._eta - delta if st.J[p] else self._eta
+        st.J[p] = self._draw_indicator(eta_off + delta, eta_off)
 
     def _update_beta(self, p: int) -> None:
         st = self.state
         var_p = self._beta_prior_var(p)
         if st.J[p]:
             width = self.widths["beta", None].width[p]
-            st.beta[p] = self._slice_along("beta", self._Xcols[p], st.beta[p], var_p, width, st.beta[p])
+            st.beta[p] = self._slice_along("beta", self.data.X[:, p], st.beta[p], var_p, width, st.beta[p])
         else:
             st.beta[p] = self.rng.normal(0.0, math.sqrt(var_p))
 
@@ -355,24 +287,38 @@ class GibbsEngine:
     # --------------------------------------------------------- random effects
 
     def _update_I(self, bi: int, k: int) -> None:
-        ll_on, ll_off, set_to = self._indicator_pair(("random", bi, k))
+        bs = self.state.blocks[bi]
+        bdata = self.data.blocks[bi]
+        was_on = bool(bs.include[k])
+        bs.include[k] = 1
+        lam_eff, gamma = self._gamma_eff(bi)
+        bs.include[k] = was_on
+        # off zeroes row and column k of the loadings (the exclusion
+        # invariant), so on - off is row k and column k of the on loadings
+        row = lam_eff[k] * gamma[k, :]
+        col = lam_eff * gamma[:, k]
+        col[k] = 0.0
+        delta = bdata.Z[:, k] * (bs.xi @ row)[bdata.groups]
+        if col.any():
+            delta += (bdata.Z @ col) * bs.xi[bdata.groups, k]
+        eta_off = self._eta - delta if was_on else self._eta
         # raw lam/r/xi densities cancel between branches (same slab pseudo-priors
         # and Sigma_r = I), so the odds reduce to prior odds times the LR
-        set_to(self.rng.random() < self._inclusion_prob(ll_on, ll_off))
+        bs.include[k] = self._draw_indicator(self._eta if was_on else self._eta + delta, eta_off)
 
     def _update_lambda(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
-        blk = self._blocks[bi]
+        bdata = self.data.blocks[bi]
         slab_var = bs.tau2[k] * self.hyper.h**2
         if not bs.include[k]:
             bs.lam[k] = sample_halfnormal(self.rng, slab_var)
             return
         _, gamma = self._gamma_eff(bi)
         gxi_k = bs.xi @ gamma[k, :]
-        c = blk["Zcols"][k] * gxi_k[blk["groups"]]
+        c = bdata.Z[:, k] * gxi_k[bdata.groups]
         old = float(bs.lam[k])
         width = self.widths["lam", bi].width[k]
-        bs.lam[k] = self._slice_along("lam", c, old, slab_var, width, old if old > 0.0 else 1e-12, 0.0, bi)
+        bs.lam[k] = self._slice_along("lam", c, old, slab_var, width, old if old > 0.0 else 1e-12, 0.0)
 
     def _update_tau2(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
@@ -382,29 +328,28 @@ class GibbsEngine:
 
     def _update_r(self, bi: int, j: int) -> None:
         bs = self.state.blocks[bi]
-        blk = self._blocks[bi]
-        rows, cols = cholesky.tril_pairs(blk["q"])
+        bdata = self.data.blocks[bi]
+        rows, cols = cholesky.tril_pairs(bdata.q)
         u, v = int(rows[j]), int(cols[j])
         if not (bs.include[u] and bs.include[v]):
             bs.r[j] = self.rng.normal(0.0, 1.0)
             return
         lam_u = bs.lam[u]
-        c = blk["Zcols"][u] * (lam_u * bs.xi[blk["groups"], v])
+        c = bdata.Z[:, u] * (lam_u * bs.xi[bdata.groups, v])
         # r has a N(0, 1) prior
-        bs.r[j] = self._slice_along("r", c, bs.r[j], 1.0, self.widths["r", bi].width[j], bs.r[j], bi=bi)
+        bs.r[j] = self._slice_along("r", c, bs.r[j], 1.0, self.widths["r", bi].width[j], bs.r[j])
 
     def _update_xi_col(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
-        blk = self._blocks[bi]
-        n_groups = blk["n_groups"]
+        bdata = self.data.blocks[bi]
+        n_groups, groups = bdata.n_groups, bdata.groups
         kappa_k = bs.kappa[k]
         if not bs.include[k]:
             bs.xi[:, k] = self.rng.normal(0.0, math.sqrt(kappa_k), size=n_groups)
             return
         lam_eff, gamma = self._gamma_eff(bi)
         col = lam_eff * gamma[:, k]
-        c = blk["Z"] @ col
-        groups = blk["groups"]
+        c = bdata.Z @ col
         x0 = bs.xi[:, k].copy()
         eta_minus = self._eta - c * x0[groups]
 
@@ -415,9 +360,7 @@ class GibbsEngine:
 
         new = slice_update_vec(tgt, x0, float(self.widths["xi", bi].width[k]), self.rng, stats=self.stats["xi"])
         bs.xi[:, k] = new
-        delta = c * (new - x0)[groups]
-        self._eta = self._eta + delta
-        self._eta_block[bi] = self._eta_block[bi] + delta
+        self._eta = self._eta + c * (new - x0)[groups]
 
     def _update_kappa_m(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
@@ -437,7 +380,7 @@ class GibbsEngine:
         family = self.spec.family
 
         def tgt(r):
-            ll = float(np.sum(family.log_likelihood(self.y, self._eta, r)))
+            ll = float(np.sum(family.log_likelihood(self.data.y, self._eta, r)))
             return ll + family.scale.log_prior(r)
 
         width = self.widths["dispersion", None].width[0]
@@ -445,10 +388,10 @@ class GibbsEngine:
 
     def _update_sigma2(self) -> None:
         st = self.state
-        resid = self.y - self._eta
+        resid = self.data.y - self._eta
         ssr = float(resid @ resid)
         quad = float(np.sum(self.hyper.g_shrink * st.theta * st.beta**2))
-        shape = SIGMA2_IG_SHAPE + 0.5 * (self.n_obs + self.dims.l)
+        shape = SIGMA2_IG_SHAPE + 0.5 * (self.data.n_obs + self.dims.l)
         scale = SIGMA2_IG_SCALE + 0.5 * ssr + 0.5 * quad
         st.sigma2 = float(sample_invgamma(self.rng, shape, scale))
 
@@ -463,8 +406,8 @@ class GibbsEngine:
                     self._update_J(p)
                 self._update_beta(p)
             self._update_theta_phi()
-            for bi in range(len(self._blocks)):
-                q = self._blocks[bi]["q"]
+            for bi, bdata in enumerate(self.data.blocks):
+                q = bdata.q
                 for k in range(q):
                     if select:
                         self._update_I(bi, k)
@@ -483,8 +426,7 @@ class GibbsEngine:
             self.scan_count += 1
             if self.adapting:
                 self._adapt_widths()
-            if self.assert_invariants:
-                self.check_exclusion_invariant()
+            self.check_exclusion_invariant()
 
     # ------------------------------------------------------------- adaptation
 
@@ -527,41 +469,3 @@ class GibbsEngine:
                     raise SamplerError(f"exclusion invariant violated in Omega (block {bi}, k {k})")
                 raise SamplerError(f"excluded effect {k} contributes to eta (block {bi})")
 
-
-# ------------------------------------------------------------ functional API
-
-
-def gibbs_scan(
-    state: ParameterState, spec: ModelSpec, data: Dataset, rng: np.random.Generator
-) -> ParameterState:
-    """One full sweep starting from ``state``; returns the new state."""
-    engine = GibbsEngine(spec, data, rng=rng, state=state, assert_invariants=False)
-    engine.scan()
-    return engine.state
-
-
-def indicator_inclusion_probability(which, state: ParameterState, spec: ModelSpec, data: Dataset) -> float:
-    """Exact full-conditional inclusion probability of one indicator.
-
-    ``which`` is ("fixed", p) or ("random", block_index, k).
-    """
-    engine = GibbsEngine(
-        spec, data, rng=np.random.default_rng(0), state=state, assert_invariants=False
-    )
-    with np.errstate(over="ignore", invalid="ignore"):
-        ll_on, ll_off, _ = engine._indicator_pair(which)
-    return engine._inclusion_prob(ll_on, ll_off)
-
-
-def update_indicator(
-    which, state: ParameterState, spec: ModelSpec, data: Dataset, rng: np.random.Generator
-) -> ParameterState:
-    """Draw one indicator from its exact full conditional; returns a new state."""
-    new_state = state.copy()
-    p_inc = indicator_inclusion_probability(which, new_state, spec, data)
-    value = 1 if rng.random() < p_inc else 0
-    if which[0] == "fixed":
-        new_state.J[which[1]] = value
-    else:
-        new_state.blocks[which[1]].include[which[2]] = value
-    return new_state

@@ -8,10 +8,10 @@ The linear predictor for observation j of subject i is
 where J are fixed-effect inclusion indicators and the effective factors come
 from :mod:`glmmselect.cholesky` given the random-effect indicators I.
 :func:`linear_predictor` is the one place that sum is written; the Gibbs
-engine keeps its own per-block cache of it, built from :func:`block_predictor`.
+engine caches the whole sum and rebuilds it from :func:`block_predictor`.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,7 +48,7 @@ class BlockData:
     n_groups: int
 
     def __post_init__(self):
-        object.__setattr__(self, "Z", np.asarray(self.Z, dtype=float))
+        object.__setattr__(self, "Z", np.ascontiguousarray(self.Z, dtype=float))
         object.__setattr__(self, "groups", np.asarray(self.groups, dtype=np.int64))
         if self.Z.ndim != 2:
             raise ConfigurationError("Z must be 2-dimensional")
@@ -200,9 +200,6 @@ class ModelSpec:
     @property
     def l(self) -> int:
         return len(self.fixed_effects)
-
-    def with_mode(self, mode: str) -> "ModelSpec":
-        return replace(self, mode=mode)
 
 
 @dataclass(frozen=True)

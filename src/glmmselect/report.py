@@ -53,7 +53,6 @@ class SelectionReport:
     inclusion_random: list   # per block arrays
     modal: ModelLabel
     total_draws: int
-    rmse: float | None = None
 
 
 def label_of(state) -> ModelLabel:
@@ -79,7 +78,7 @@ def labels_of_trace(trace) -> list:
     return labels
 
 
-def top_models(trace, k: int | None = None, truth: np.ndarray | None = None) -> SelectionReport:
+def top_models(trace, k: int | None = None) -> SelectionReport:
     """Frequency table of inclusion patterns, ties broken by label order."""
     labels = labels_of_trace(trace)
     if not labels:
@@ -91,14 +90,12 @@ def top_models(trace, k: int | None = None, truth: np.ndarray | None = None) -> 
     if k is not None:
         entries = entries[:k]
     incl = inclusion_probabilities(trace)
-    rmse = fixed_effect_rmse(trace, truth) if truth is not None else None
     return SelectionReport(
         entries=entries,
         inclusion_fixed=incl["fixed"],
         inclusion_random=incl["random"],
         modal=ranked[0][0],
         total_draws=total,
-        rmse=rmse,
     )
 
 
@@ -151,23 +148,13 @@ def grid_report(cells) -> list:
     """Rows (v, h, percent, rmse, ...) per case in hyperparameter-table layout.
 
     ``cells`` maps (v, h) -> summary dict with keys 'percent', 'rmse' and
-    optionally 'n_ok'/'n_failed'.  Missing cells are emitted with a 'missing'
-    status rather than dropped.  Rows are ordered by (h, v).
+    optionally 'n_ok'/'n_failed'.  Rows are ordered by (h, v).
     """
     keys = sorted(cells.keys(), key=lambda vh: (vh[1], vh[0]))
-    rows = []
-    for v, h in keys:
-        cell = cells[(v, h)]
-        if cell is None:
-            rows.append({"v": v, "h": h, "status": "missing", "percent": float("nan"), "rmse": float("nan")})
-            continue
-        row = {"v": v, "h": h, "status": "ok"}
-        row.update(cell)
-        rows.append(row)
-    return rows
+    return [{"v": v, "h": h, "status": "ok", **cells[(v, h)]} for v, h in keys]
 
 
-def format_table(header, rows, widths=None) -> str:
+def format_table(header, rows) -> str:
     """Aligned fixed-width text table."""
     cells = [[str(h) for h in header]] + [[str(c) for c in row] for row in rows]
     ncol = len(header)

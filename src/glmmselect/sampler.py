@@ -9,6 +9,7 @@ indicators, factor values, latent effects, variances, log posterior).
 import csv
 import logging
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -217,7 +218,9 @@ def save_trace(trace: Trace, outdir: str) -> list:
     """One CSV per chain: iteration, log_posterior, then every scalar column.
 
     Values are written in their shortest round-trip form (``repr``), as
-    :func:`glmmselect.ioutil.format_float` does.
+    :func:`glmmselect.ioutil.format_float` does.  Chain files of an earlier,
+    longer trace in ``outdir`` are removed, so :func:`load_trace` reads this
+    trace alone.
     """
     schema = trace_schema(trace.dims, trace.family_kind)
     header = ",".join(["iteration"] + [entry[0] for entry in schema])
@@ -229,6 +232,10 @@ def save_trace(trace: Trace, outdir: str) -> list:
         path = os.path.join(outdir, f"chain_{ci + 1}.csv")
         atomic_write_text(path, "\n".join(lines) + "\n")
         paths.append(path)
+    for name in os.listdir(outdir):
+        match = re.fullmatch(r"chain_(\d+)\.csv", name)
+        if match and int(match.group(1)) > len(trace.chains):
+            os.remove(os.path.join(outdir, name))
     return paths
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .cholesky import decompose_covariance, project_constraints
+from .cholesky import decompose_covariance
 from .errors import ConfigurationError, GlmmSelectError
 from .families import ETA_CAP, Family
 from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor
@@ -146,11 +146,10 @@ def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, SimTru
     Z = X[:, : design.q]
     groups = np.repeat(np.arange(design.n), design.n_i)
 
-    factors = decompose_covariance(design.omega)
-    lam_eff, gamma = project_constraints(factors, np.ones(design.q, dtype=np.int8))
+    lam, gamma = decompose_covariance(design.omega)
     xi = rng.standard_normal((design.n, design.q))
 
-    eta = X @ beta + block_predictor(Z, groups, xi, lam_eff[:, None] * gamma)
+    eta = X @ beta + block_predictor(Z, groups, xi, lam[:, None] * gamma)
     n_clamped = int(np.sum(eta > ETA_CAP))
     if n_clamped:
         log.info("replicate %d: clamped %d linear predictors at %.1f", replicate, n_clamped, ETA_CAP)

@@ -158,6 +158,31 @@ class TestPipeline:
         ],
     )
     def test_bad_json_document_is_error_exit(self, tmp_path, capsys, command, which, content, message):
+        self._expect_error(tmp_path, capsys, command, which, content, message, "1")
+
+    @pytest.mark.parametrize("command", ["simulate", "replicate", "grid"])
+    @pytest.mark.parametrize(
+        "flag, in_design, message",
+        [
+            ("-2", None, "error: --replicates must be at least 1, got -2"),
+            ("0", None, "error: --replicates must be at least 1, got 0"),
+            (None, -1, "design field 'replicates' must be at least 1, got -1"),
+            (None, 0, "design field 'replicates' must be at least 1, got 0"),
+        ],
+    )
+    def test_replicate_count_below_one_is_error_exit(self, tmp_path, capsys, command, flag, in_design, message):
+        design = dict(SMALL_DESIGN, replicates=in_design) if in_design is not None else SMALL_DESIGN
+        out = self._expect_error(tmp_path, capsys, command, "design", design, message, flag)
+        assert out == ""
+        assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def _expect_error(tmp_path, capsys, command, which, content, message, replicates):
+        """Run ``command`` on a design and a grid file, ``which`` of them holding ``content``.
+
+        Expects an error exit with ``message`` on stderr and returns stdout.
+        ``replicates`` is the ``--replicates`` value, or None to leave it out.
+        """
         files = {"design": SMALL_DESIGN, "grid": {"v": [1.0], "h": [1.0]}}
         paths = {}
         for name, doc in files.items():
@@ -167,12 +192,15 @@ class TestPipeline:
             if doc is not None:
                 path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
             paths[name] = str(path)
-        args = [command, "--design", paths["design"], "--out", str(tmp_path / "out"), "--replicates", "1"]
+        args = [command, "--design", paths["design"], "--out", str(tmp_path / "out")]
+        if replicates is not None:
+            args += ["--replicates", replicates]
         if command == "grid":
             args += ["--grid", paths["grid"]]
         assert main(args) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error:") and message in err
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and message in captured.err
+        return captured.out
 
     def test_add_squares(self, workspace):
         tmp_path, design, spec, data = workspace

@@ -8,13 +8,7 @@ from scipy import stats
 from scipy.special import expit
 
 from glmmselect import engine as engine_module
-from glmmselect.cholesky import mask_factors
-from glmmselect.engine import (
-    GibbsEngine,
-    gibbs_scan,
-    indicator_inclusion_probability,
-    update_indicator,
-)
+from glmmselect.engine import GibbsEngine
 from glmmselect.model import (
     BlockData,
     Dataset,
@@ -23,7 +17,6 @@ from glmmselect.model import (
     ModelSpec,
     RandomBlock,
     SamplerSettings,
-    block_predictor,
     linear_predictor_all,
     total_log_likelihood,
 )
@@ -59,27 +52,63 @@ def toy_setup(seed=0, n=8, n_i=3, mode="ssvs-full", q=1, kind="poisson"):
     return spec, data
 
 
+def with_offset(spec, data, seed):
+    """The same model with a N(0, 0.3^2) offset added to the predictor."""
+    offset = np.random.default_rng(seed).normal(0.0, 0.3, data.n_obs)
+    return replace(spec, offset="off"), replace(data, offset=offset)
+
+
+def update_indicator(engine, which, force=None):
+    """Run the engine's update of one indicator; returns (probability, ll_on, ll_off) it drew with.
+
+    ``which`` is ("fixed", p) or ("random", k) in block 0.  ``force`` True or
+    False makes the draw come out on or off.  The update runs under the
+    error-state guard that ``scan`` puts around every update.
+    """
+    seen = []
+
+    def spy(ll_on, ll_off):
+        seen.append((GibbsEngine._inclusion_prob(engine, ll_on, ll_off), ll_on, ll_off))
+        return seen[-1][0] if force is None else float(force)  # u < 1.0 always holds, u < 0.0 never
+
+    engine._inclusion_prob = spy
+    with np.errstate(over="ignore", invalid="ignore"):
+        if which[0] == "fixed":
+            engine._update_J(which[1])
+        else:
+            engine._update_I(0, which[1])
+    del engine._inclusion_prob
+    assert len(seen) == 1
+    return seen[0]
+
+
+def inclusion_probability(spec, data, state, which):
+    """Full-conditional inclusion probability of one indicator, as a fresh engine on ``state`` draws it."""
+    engine = GibbsEngine(spec, data, rng=np.random.default_rng(0), state=state)
+    return update_indicator(engine, which)[0]
+
+
 class TestIndicatorConditional:
     @pytest.mark.parametrize("q", [1, 3])
     def test_matches_two_branch_likelihood_oracle(self, q):
         spec, data = toy_setup(3, q=q)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(1))
         state = engine.state
-        for which in [("fixed", 0), ("fixed", 1)] + [("random", 0, k) for k in range(q)]:
-            p = indicator_inclusion_probability(which, state, spec, data)
+        for which in [("fixed", 0), ("fixed", 1)] + [("random", k) for k in range(q)]:
+            p = inclusion_probability(spec, data, state, which)
             s_on, s_off = state.copy(), state.copy()
             if which[0] == "fixed":
                 s_on.J[which[1]], s_off.J[which[1]] = 1, 0
             else:
-                s_on.blocks[0].include[which[2]] = 1
-                s_off.blocks[0].include[which[2]] = 0
+                s_on.blocks[0].include[which[1]] = 1
+                s_off.blocks[0].include[which[1]] = 0
             ll_on = total_log_likelihood(spec, s_on, data)
             ll_off = total_log_likelihood(spec, s_off, data)
             oracle = expit(ll_on - ll_off)
             assert p == pytest.approx(oracle, abs=1e-12)
 
     def test_random_flip_delta_matches_full_recompute(self):
-        # the flips below move the cached block term by deltas; each check compares it with a recompute
+        # the flips below move the cached predictor by deltas; each check compares it with a recompute
         q = 4
         spec, data = toy_setup(21, q=q)
         # start at this generator's first prior draw, a moderate state: the absolute tolerances below
@@ -97,16 +126,14 @@ class TestIndicatorConditional:
         free_r_seen = False
         for k in range(q):
             for _ in range(2):  # from the current value of include[k], then from its flip
-                ll_on, ll_off, set_to = engine._indicator_pair(("random", 0, k))
                 s_on, s_off = engine.state.copy(), engine.state.copy()
                 s_on.blocks[0].include[k], s_off.blocks[0].include[k] = 1, 0
                 want = total_log_likelihood(spec, s_on, data) - total_log_likelihood(spec, s_off, data)
-                assert ll_on - ll_off == pytest.approx(want, abs=1e-9)
                 free_r_seen |= bs.include.sum() - bs.include[k] >= 1
-                set_to(not bs.include[k])
-                lam_eff, gamma = mask_factors(bs.lam, bs.r, bs.include)
-                fresh = block_predictor(data.blocks[0].Z, data.blocks[0].groups, bs.xi, lam_eff[:, None] * gamma)
-                assert np.max(np.abs(engine._eta_block[0] - fresh)) < 1e-9
+                flipped = not bs.include[k]
+                _, ll_on, ll_off = update_indicator(engine, ("random", k), force=flipped)
+                assert ll_on - ll_off == pytest.approx(want, abs=1e-9)
+                assert bs.include[k] == flipped
                 assert np.max(np.abs(engine._eta - linear_predictor_all(spec, engine.state, data))) < 1e-9
         # some flip of k happened while another effect was in, so Gamma had a free r entry
         assert free_r_seen
@@ -122,7 +149,7 @@ class TestIndicatorConditional:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # the on branch puts eta near +-1e4, so exp overflows and ll_on is -inf
-            assert indicator_inclusion_probability(("random", 0, k), state, spec, data) == 0.0
+            assert inclusion_probability(spec, data, state, ("random", k)) == 0.0
             engine = GibbsEngine(spec, data, rng=np.random.default_rng(4), state=state)
             for _ in range(3):
                 engine.scan()
@@ -135,15 +162,15 @@ class TestIndicatorConditional:
             blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=1),),
         )
         state = sample_prior(spec.hyper, ModelDims.of(spec, data0), np.random.default_rng(5))
-        assert indicator_inclusion_probability(("fixed", 0), state, spec, data0) == 0.5
-        assert indicator_inclusion_probability(("random", 0, 0), state, spec, data0) == 0.5
+        assert inclusion_probability(spec, data0, state, ("fixed", 0)) == 0.5
+        assert inclusion_probability(spec, data0, state, ("random", 0)) == 0.5
 
     def test_zero_coefficient_is_coin_flip(self):
         spec, data = toy_setup(6)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(2))
         state = engine.state
         state.beta[1] = 0.0
-        assert indicator_inclusion_probability(("fixed", 1), state, spec, data) == pytest.approx(0.5)
+        assert inclusion_probability(spec, data, state, ("fixed", 1)) == pytest.approx(0.5)
 
     @pytest.mark.parametrize("diff, want", [(800.0, 1.0), (-800.0, 0.0), (math.inf, 1.0), (-math.inf, 0.0)])
     def test_inclusion_probability_saturates_without_overflow(self, diff, want):
@@ -172,11 +199,16 @@ class TestIndicatorConditional:
     def test_update_indicator_only_touches_target(self):
         spec, data = toy_setup(7)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(3))
-        state = engine.state
-        new = update_indicator(("fixed", 1), state, spec, data, np.random.default_rng(11))
-        np.testing.assert_array_equal(new.beta, state.beta)
-        assert new.J[0] == state.J[0]
-        np.testing.assert_array_equal(new.blocks[0].include, state.blocks[0].include)
+        for force in (False, True, True, False):
+            before = engine.state.copy()
+            update_indicator(engine, ("fixed", 1), force=force)
+            new = engine.state
+            assert new.J[1] == force
+            np.testing.assert_array_equal(new.beta, before.beta)
+            assert new.J[0] == before.J[0]
+            np.testing.assert_array_equal(new.blocks[0].include, before.blocks[0].include)
+            np.testing.assert_array_equal(new.blocks[0].xi, before.blocks[0].xi)
+            assert np.max(np.abs(engine._eta - linear_predictor_all(spec, new, data))) < 1e-12
 
 
 class TestGibbsScan:
@@ -200,26 +232,50 @@ class TestGibbsScan:
         np.testing.assert_array_equal(e1.state.J, e2.state.J)
 
     def test_functional_scan_does_not_mutate_input(self):
-        spec, data = toy_setup(10)
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(6))
-        state = engine.state
-        before = state.beta.copy()
-        gibbs_scan(state, spec, data, np.random.default_rng(7))
-        np.testing.assert_array_equal(state.beta, before)
+        # a state passed in is copied: scanning from it leaves the caller's arrays as they were
+        spec, data = toy_setup(10, q=2)
+        state = GibbsEngine(spec, data, rng=np.random.default_rng(6)).state
+        before = state.copy()
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(7), state=state)
+        for _ in range(3):
+            engine.scan()
+        assert not np.array_equal(engine.state.beta, before.beta)
+        for name in ("beta", "J", "theta", "phi"):
+            np.testing.assert_array_equal(getattr(state, name), getattr(before, name), err_msg=name)
+        for name in ("lam", "include", "tau2", "r", "xi", "kappa", "m"):
+            np.testing.assert_array_equal(getattr(state.blocks[0], name), getattr(before.blocks[0], name), err_msg=name)
 
     @pytest.mark.parametrize("q, seed", [(1, 8), (3, 14)])
     def test_cached_predictor_matches_full_recompute(self, q, seed):
-        spec, data = toy_setup(11, q=q)
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(seed))
-        free_r_seen = q == 1
-        for _ in range(25):
-            engine.scan()
-            cached = engine._eta.copy()
-            fresh = linear_predictor_all(spec, engine.state, data)
-            assert np.max(np.abs(cached - fresh)) < 1e-9
-            free_r_seen |= engine.state.blocks[0].include.sum() >= 2
-        # with q = 3 the masked Gamma must have had a free r entry at some scan
-        assert free_r_seen
+        # the cache is checked after every single update, before the recompute that ends each scan
+        updates = ("_update_J", "_update_beta", "_update_theta_phi", "_update_I", "_update_lambda",
+                   "_update_tau2", "_update_r", "_update_xi_col", "_update_kappa_m", "_update_scale")
+        for kind in ("poisson", "negative_binomial"):
+            spec, data = with_offset(*toy_setup(11, q=q, kind=kind), seed=seed)
+            engine = GibbsEngine(spec, data, rng=np.random.default_rng(seed))
+            present = [name for name in updates if getattr(engine, name) is not None]  # poisson has no scale
+            calls, moved = dict.fromkeys(present, 0), dict.fromkeys(present, 0)
+
+            def checked(name, update):
+                def run(*idx):
+                    before = engine._eta.copy()
+                    update(*idx)
+                    fresh = linear_predictor_all(spec, engine.state, data)
+                    assert np.max(np.abs(engine._eta - fresh)) < 1e-9, (kind, name, idx)
+                    calls[name] += 1
+                    moved[name] += not np.array_equal(engine._eta, before)
+                return run
+
+            for name in present:
+                setattr(engine, name, checked(name, getattr(engine, name)))
+            for _ in range(25):
+                engine.scan()
+            assert all(calls[name] for name in present if name != "_update_r" or q > 1), calls  # q = 1 has no r
+            # every update with a term in eta moved the cache, so each check above compared new values
+            want_moved = ["_update_J", "_update_beta", "_update_I", "_update_lambda", "_update_xi_col"]
+            if q > 1:
+                want_moved.append("_update_r")
+            assert all(moved[name] for name in want_moved), moved
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_log_posterior_is_likelihood_plus_prior(self, kind):
@@ -243,7 +299,7 @@ class TestGibbsScan:
     @staticmethod
     def _leaky_engine(monkeypatch, leak):
         spec, data = toy_setup(23, q=3)
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(24), assert_invariants=False)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(24))
         bs = engine.state.blocks[0]
         bs.include[:] = (1, 1, 0)
         lam_eff = np.array([0.7, 1.3, 0.0])

@@ -182,11 +182,6 @@ class TestGridReport:
         assert len(rows) == 9
         assert [(r["v"], r["h"]) for r in rows[:3]] == [(0.01, 0.1), (1.0, 0.1), (5.0, 0.1)]
 
-    def test_missing_cell_flagged(self):
-        rows = grid_report({(1.0, 0.1): None})
-        assert rows[0]["status"] == "missing"
-        assert np.isnan(rows[0]["percent"])
-
     def test_format_table_alignment(self):
         text = format_table(["a", "bb"], [(1, 2), (30, 4)])
         lines = text.splitlines()

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from glmmselect.cholesky import CholeskyFactors, assemble_covariance, project_constraints
+from glmmselect.cholesky import mask_factors
 from glmmselect.errors import ConfigurationError
 from glmmselect.families import Family
 from glmmselect.model import (
@@ -92,10 +94,9 @@ class TestRunChains:
         for chain in trace.chains:
             for i in range(chain.n_recorded):
                 for bi in range(len(trace.dims.blocks)):
-                    omega = assemble_covariance(*project_constraints(
-                        CholeskyFactors(lam=chain.lam[bi][i], r=chain.r[bi][i]),
-                        chain.include[bi][i],
-                    ))
+                    lam_eff, gamma = mask_factors(chain.lam[bi][i], chain.r[bi][i], chain.include[bi][i])
+                    lg = lam_eff[:, None] * gamma
+                    omega = lg @ lg.T
                     for k in np.flatnonzero(chain.include[bi][i] == 0):
                         assert np.all(omega[k, :] == 0.0)
                         assert np.all(omega[:, k] == 0.0)
@@ -162,6 +163,19 @@ class TestTracePersistence:
         save_trace(trace, str(tmp_path))
         second = [open(p, "rb").read() for p in paths]
         assert first == second
+
+    def test_fewer_chains_replace_an_earlier_trace(self, tmp_path):
+        spec, data = small_problem(seed=14, kept=6, chains=3)
+        save_trace(run_chains(spec, data), str(tmp_path))
+        (tmp_path / "chain_5.csv").write_text("left by another run\n")  # past a gap in the numbering
+        (tmp_path / "notes.csv").write_text("kept\n")
+        spec1 = replace(spec, sampler=replace(spec.sampler, chains=1))
+        trace = run_chains(spec1, data)
+        save_trace(trace, str(tmp_path))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["chain_1.csv", "notes.csv"]
+        back = load_trace(str(tmp_path), spec1, data)
+        assert back.n_chains == 1
+        np.testing.assert_array_equal(back.chains[0].beta, trace.chains[0].beta)
 
     def test_scalar_matrix_lookup(self):
         spec, data = small_problem(seed=12, kept=10)
