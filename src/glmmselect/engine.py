@@ -1,13 +1,35 @@
 """Metropolis-within-Gibbs engine.
 
-One scan sweeps, in a fixed order: fixed-effect indicators and coefficients,
-their shrinkage latents, then per random-effect block the inclusion
-indicators, scales, correlations, latent effects and their hierarchy, and
-finally the family dispersion.  Continuous coordinates use slice updates;
-indicators use their exact Bernoulli full conditionals (the likelihood ratio
+One scan sweeps, in this order:
+
+1. per fixed effect p, its indicator J_p and (if included) coefficient beta_p;
+2. the shrinkage latents theta and phi of all p at once;
+3. per random-effect block: per effect k its indicator I_k and (if
+   included) scale lam_k; then the slab variances tau2 of the block; the
+   correlations r (not in ssvs-diagonal); per included k the column
+   xi[:, k] of latent effects; then kappa and m of the block;
+4. the family scale, if the kind has one.
+
+Indicators use their exact Bernoulli full conditionals (the likelihood ratio
 times prior odds, valid because excluded raw values keep their slab density
-as a pseudo-prior).  Excluded raw values are refreshed from the prior each
-scan to keep indicator flips mobile.
+as a pseudo-prior).  Included beta, lam, r and xi, whose conditionals involve
+the likelihood, take slice updates.  The latents above them are exact draws
+from their full conditionals (see :mod:`glmmselect.priors`): theta from a
+Gamma, phi and m from the modified half-normal, tau2 from an inverse-gamma,
+kappa from the generalized inverse Gaussian.  An excluded effect leaves the
+likelihood alone, so the full conditional of its whole hierarchy is its
+prior: the latent updates draw (phi, theta, beta), (tau2, lam) and (m,
+kappa, xi) of each excluded effect jointly from the prior, and r entries
+without both effects in from N(0, 1).  These draws are independent from scan
+to scan, so the pseudo-prior values that an indicator flip would switch in
+do not drift into the heavy tails of the prior for long stretches.
+
+Likelihood targets are line targets.  The family kernel is w y eta - A(y,
+eta, scale) (:meth:`Family.log_kernel`), and every update moves eta along a
+line eta_0 + c x, so up to a constant the log-likelihood there is x w (y . c)
+- sum A(y, eta_0 + c x).  Each slice update, indicator draw and xi column
+update computes w (y . c) once (per group for xi) and evaluates only A,
+through ``_ll_terms``, at each point.
 
 Without a given state, a chain starts at a prior draw whose likelihood is
 finite.  The search draws candidates ``_START_BATCH`` at a time with
@@ -29,8 +51,11 @@ Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
 group keyed ``(kind, block)`` (block None for the fixed effects and the
 dispersion).  Every width starts at 1.0.  While ``adapting`` is set, each scan
 adds the group's draws as a (rows, size) batch, averaged over rows (the groups
-of xi; a single row elsewhere), and from the 20th scan on each width is 2.5
-running standard deviations, clipped to [1e-4, 1e4].
+of xi; a single row elsewhere), of the coordinates that take slice updates
+(included ones; see ``_draws``), and from its 20th such draw on each width is
+2.5 running standard deviations, clipped to [1e-4, 1e4].  Pseudo-prior draws
+of excluded coordinates do not count: they follow the heavy-tailed prior and
+would widen the slices of included ones.
 
 The engine reads its data from ``self.data`` and caches one quantity, the
 full linear predictor ``_eta`` of the current state.  Each update that moves
@@ -55,9 +80,12 @@ from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predicto
 from .model import total_log_likelihood  # noqa: F401
 from .priors import (
     log_prior_state,
+    sample_gig,
     sample_halfnormal,
     sample_invgamma,
+    sample_modified_halfnormal,
     sample_prior,
+    sample_rate_pair,
 )
 from .slicing import SliceStats, slice_update, slice_update_vec
 from . import cholesky
@@ -66,6 +94,7 @@ __all__ = ["GibbsEngine"]
 
 log = logging.getLogger(__name__)
 
+# phi, kappa and m are drawn exactly; their counters stay 0 but remain, for reports that list every kind
 _SLICE_KINDS = ("beta", "phi", "lam", "r", "xi", "kappa", "m", "dispersion")
 _WIDTH_MIN = 1e-4
 _WIDTH_MAX = 1e4
@@ -80,19 +109,24 @@ class _Width:
 
     def __init__(self, size: int):
         self.width = np.ones(size)
-        self.count = 0
+        self.count = np.zeros(size)
         self.total = np.zeros(size)
         self.total_sq = np.zeros(size)
 
-    def add(self, draws: np.ndarray) -> None:
-        """Add one scan's (rows, size) draws; from the 20th scan, width = 2.5 sd."""
-        self.count += 1
-        self.total += draws.mean(axis=0)
-        self.total_sq += (draws**2).mean(axis=0)
-        if self.count >= _ADAPT_MIN_COUNT:
-            mean = self.total / self.count
-            sd = np.sqrt(np.maximum(self.total_sq / self.count - mean**2, 0.0))
-            self.width = np.clip(2.5 * sd, _WIDTH_MIN, _WIDTH_MAX)
+    def add(self, draws: np.ndarray, live: np.ndarray) -> None:
+        """Add one scan's (rows, size) draws of the coordinates that ``live`` marks.
+
+        A coordinate's width is 2.5 running standard deviations of its live
+        draws once it has 20 of them.
+        """
+        self.count += live
+        self.total += np.where(live, draws.mean(axis=0), 0.0)
+        self.total_sq += np.where(live, (draws**2).mean(axis=0), 0.0)
+        ready = self.count >= _ADAPT_MIN_COUNT
+        if ready.any():
+            mean = self.total[ready] / self.count[ready]
+            sd = np.sqrt(np.maximum(self.total_sq[ready] / self.count[ready] - mean**2, 0.0))
+            self.width[ready] = np.clip(2.5 * sd, _WIDTH_MIN, _WIDTH_MAX)
 
 
 class GibbsEngine:
@@ -116,6 +150,7 @@ class GibbsEngine:
         self.mode = spec.mode
         self.adapting = False
         self._scale_field = scale_field(spec.family.kind)
+        self._wy = spec.family.kernel_w * data.y  # w y: the slope of the kernel's linear term is _wy . c
         self._update_scale = {"dispersion": self._update_dispersion, "sigma2": self._update_sigma2}.get(self._scale_field)
 
         if state is None:
@@ -124,7 +159,7 @@ class GibbsEngine:
         self.state.check_dims(self.dims)
         self._fix_by_mode(self.state)
 
-        self.widths = {key: _Width(draws.shape[1]) for key, draws in self._draws().items()}
+        self.widths = {key: _Width(draws.shape[1]) for key, (draws, _) in self._draws().items()}
         self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
         self.scan_count = 0
         self.recompute_caches()
@@ -197,12 +232,33 @@ class GibbsEngine:
     # ------------------------------------------------------------- likelihood
 
     def _ll_terms(self, eta: np.ndarray) -> np.ndarray:
-        """Per-observation log-likelihood up to eta-independent constants."""
+        """Per-observation A(y, eta, scale) of the family kernel w y eta - A."""
         field = self._scale_field
-        return self.spec.family.log_kernel(self.data.y, eta, getattr(self.state, field) if field else None)
+        return self.spec.family.kernel_a(self.data.y, eta, getattr(self.state, field) if field else None)
 
-    def _ll_sum(self, eta: np.ndarray) -> float:
-        return float(self._ll_terms(eta).sum())
+    def _line(self, eta0: np.ndarray, c: np.ndarray):
+        """The log-likelihood along eta0 + c x up to a constant: x -> x w (y . c) - sum A(y, eta0 + c x)."""
+        slope = float(self._wy @ c)
+
+        def ll(x):
+            return x * slope - self._ll_terms(eta0 + c * x).sum()
+
+        return ll
+
+    def _group_lines(self, bi: int, eta0: np.ndarray, c: np.ndarray):
+        """Per group g of block bi, the log-likelihood of its rows along eta0 + c x_g, up to a constant.
+
+        The returned function maps a vector x of one value per group to the
+        vector of x_g w (y . c)_g - sum_{rows of g} A.
+        """
+        bdata = self.data.blocks[bi]
+        groups, n_groups = bdata.groups, bdata.n_groups
+        slope = np.bincount(groups, weights=self._wy * c, minlength=n_groups)
+
+        def ll(x):
+            return x * slope - np.bincount(groups, weights=self._ll_terms(eta0 + c * x[groups]), minlength=n_groups)
+
+        return ll
 
     def log_likelihood(self) -> float:
         """Full log-likelihood (constants included) at the cached predictor."""
@@ -227,17 +283,10 @@ class GibbsEngine:
         Moves the cached eta to the new value.
         """
         eta_minus = self._eta - c * old
-
-        def tgt(x):
-            return self._ll_sum(eta_minus + c * x) - 0.5 * x * x / var
-
-        new = self._slice(kind, tgt, x0, width, lower)
+        line = self._line(eta_minus, c)
+        new = self._slice(kind, lambda x: line(x) - 0.5 * x * x / var, x0, width, lower)
         self._eta = eta_minus + c * new
         return new
-
-    def _slice_rate(self, kind: str, x0, t, width) -> float:
-        """Slice update of a rate latent (phi, m): target 2 log x - x - t x^2 / 2 on x > 0."""
-        return self._slice(kind, lambda x: 2.0 * math.log(x) - x - t * x * x / 2.0, x0, width, 0.0)
 
     # ---------------------------------------------------------- fixed effects
 
@@ -251,38 +300,51 @@ class GibbsEngine:
         except OverflowError:  # exp(-x) overflows below x = -709.78, where the probability is 0
             return 0.0
 
-    def _draw_indicator(self, eta_on: np.ndarray, eta_off: np.ndarray) -> bool:
-        """Draw an indicator from its full conditional given eta with it on and off; the cache keeps the drawn eta."""
-        on = self.rng.random() < self._inclusion_prob(self._ll_sum(eta_on), self._ll_sum(eta_off))
+    def _draw_indicator(self, eta_off: np.ndarray, delta: np.ndarray) -> bool:
+        """Draw an indicator whose term in eta is ``delta`` from its full conditional; the cache keeps the drawn eta.
+
+        ``eta_off`` is eta with the indicator off.  On the line eta_off + delta x,
+        x = 1 is on and x = 0 is off.
+        """
+        eta_on = eta_off + delta
+        ll_on = float(self._wy @ delta) - self._ll_terms(eta_on).sum()
+        on = self.rng.random() < self._inclusion_prob(ll_on, -self._ll_terms(eta_off).sum())
         self._eta = eta_on if on else eta_off
         return on
-
-    def _beta_prior_var(self, p: int) -> float:
-        return self.state.sigma2 / (self.hyper.g_shrink * self.state.theta[p])
 
     def _update_J(self, p: int) -> None:
         st = self.state
         delta = self.data.X[:, p] * st.beta[p]
         eta_off = self._eta - delta if st.J[p] else self._eta
-        st.J[p] = self._draw_indicator(eta_off + delta, eta_off)
+        st.J[p] = self._draw_indicator(eta_off, delta)
 
     def _update_beta(self, p: int) -> None:
+        """Slice update of an included beta_p; an excluded one is redrawn in ``_update_theta_phi``."""
         st = self.state
-        var_p = self._beta_prior_var(p)
         if st.J[p]:
+            var = st.sigma2 / (self.hyper.g_shrink * st.theta[p])
             width = self.widths["beta", None].width[p]
-            st.beta[p] = self._slice_along("beta", self.data.X[:, p], st.beta[p], var_p, width, st.beta[p])
-        else:
-            st.beta[p] = self.rng.normal(0.0, math.sqrt(var_p))
+            st.beta[p] = self._slice_along("beta", self.data.X[:, p], st.beta[p], var, width, st.beta[p])
 
     def _update_theta_phi(self) -> None:
+        """The shrinkage latents of every fixed effect, by exact draws.
+
+        Included p: theta_p | beta_p, phi_p ~ Gamma(3/2, rate phi_p^2/2 +
+        g beta_p^2/(2 sigma2)), then phi_p | theta_p.  An excluded p leaves
+        the likelihood alone, so (phi_p, theta_p, beta_p) is drawn from its
+        prior, its full conditional.
+        """
         st = self.state
         g = self.hyper.g_shrink
-        rate = st.phi**2 / 2.0 + g * st.beta**2 / (2.0 * st.sigma2)
-        st.theta = self.rng.gamma(1.5, 1.0 / rate)
-        widths = self.widths["phi", None].width
-        for p in range(self.dims.l):
-            st.phi[p] = self._slice_rate("phi", st.phi[p], st.theta[p], widths[p])
+        on = st.J == 1
+        if on.any():
+            rate = st.phi[on] ** 2 / 2.0 + g * st.beta[on] ** 2 / (2.0 * st.sigma2)
+            st.theta[on] = self.rng.standard_gamma(1.5, rate.shape) / rate
+            st.phi[on] = sample_modified_halfnormal(self.rng, st.theta[on])
+        off = ~on
+        if off.any():
+            st.phi[off], st.theta[off] = sample_rate_pair(self.rng, np.count_nonzero(off))
+            st.beta[off] = self.rng.standard_normal(st.theta[off].size) * np.sqrt(st.sigma2 / (g * st.theta[off]))
 
     # --------------------------------------------------------- random effects
 
@@ -304,15 +366,15 @@ class GibbsEngine:
         eta_off = self._eta - delta if was_on else self._eta
         # raw lam/r/xi densities cancel between branches (same slab pseudo-priors
         # and Sigma_r = I), so the odds reduce to prior odds times the LR
-        bs.include[k] = self._draw_indicator(self._eta if was_on else self._eta + delta, eta_off)
+        bs.include[k] = self._draw_indicator(eta_off, delta)
 
     def _update_lambda(self, bi: int, k: int) -> None:
+        """Slice update of an included lam_k; an excluded one is redrawn in ``_update_tau2``."""
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
-        slab_var = bs.tau2[k] * self.hyper.h**2
         if not bs.include[k]:
-            bs.lam[k] = sample_halfnormal(self.rng, slab_var)
             return
+        slab_var = bs.tau2[k] * self.hyper.h**2
         _, gamma = self._gamma_eff(bi)
         gxi_k = bs.xi @ gamma[k, :]
         c = bdata.Z[:, k] * gxi_k[bdata.groups]
@@ -320,59 +382,80 @@ class GibbsEngine:
         width = self.widths["lam", bi].width[k]
         bs.lam[k] = self._slice_along("lam", c, old, slab_var, width, old if old > 0.0 else 1e-12, 0.0)
 
-    def _update_tau2(self, bi: int, k: int) -> None:
-        bs = self.state.blocks[bi]
-        shape = self.hyper.nu / 2.0 + 0.5
-        scale = self.hyper.v / 2.0 + bs.lam[k] ** 2 / (2.0 * self.hyper.h**2)
-        bs.tau2[k] = sample_invgamma(self.rng, shape, scale)
+    def _update_tau2(self, bi: int) -> None:
+        """The slab variances of block bi, by exact draws.
 
-    def _update_r(self, bi: int, j: int) -> None:
+        Included k: tau2_k | lam_k ~ IG(nu/2 + 1/2, v/2 + lam_k^2 / (2 h^2)).
+        An excluded k leaves the likelihood alone, so (tau2_k, lam_k) is drawn
+        from its prior.
+        """
+        bs = self.state.blocks[bi]
+        hyper = self.hyper
+        h2 = hyper.h**2
+        on = bs.include == 1
+        if on.any():
+            bs.tau2[on] = sample_invgamma(self.rng, hyper.nu / 2.0 + 0.5, hyper.v / 2.0 + bs.lam[on] ** 2 / (2.0 * h2))
+        off = ~on
+        if off.any():
+            bs.tau2[off] = sample_invgamma(self.rng, hyper.nu / 2.0, hyper.v / 2.0, size=np.count_nonzero(off))
+            bs.lam[off] = sample_halfnormal(self.rng, bs.tau2[off] * h2)
+
+    def _update_r(self, bi: int) -> None:
+        """The packed correlations r of block bi, each under its N(0, 1) prior.
+
+        An entry whose two effects are not both in leaves eta alone, so all
+        such entries are drawn at once from that prior; each other entry
+        takes a slice update.
+        """
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
         rows, cols = cholesky.tril_pairs(bdata.q)
-        u, v = int(rows[j]), int(cols[j])
-        if not (bs.include[u] and bs.include[v]):
-            bs.r[j] = self.rng.normal(0.0, 1.0)
-            return
-        lam_u = bs.lam[u]
-        c = bdata.Z[:, u] * (lam_u * bs.xi[bdata.groups, v])
-        # r has a N(0, 1) prior
-        bs.r[j] = self._slice_along("r", c, bs.r[j], 1.0, self.widths["r", bi].width[j], bs.r[j])
+        free = (bs.include[rows] & bs.include[cols]).astype(bool)
+        bs.r[~free] = self.rng.normal(0.0, 1.0, size=free.size - np.count_nonzero(free))
+        widths = self.widths["r", bi].width
+        for j in np.flatnonzero(free):
+            u, v = rows[j], cols[j]
+            c = bdata.Z[:, u] * (bs.lam[u] * bs.xi[bdata.groups, v])
+            bs.r[j] = self._slice_along("r", c, bs.r[j], 1.0, widths[j], bs.r[j])
 
     def _update_xi_col(self, bi: int, k: int) -> None:
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
-        n_groups, groups = bdata.n_groups, bdata.groups
-        kappa_k = bs.kappa[k]
+        groups = bdata.groups
         if not bs.include[k]:
-            bs.xi[:, k] = self.rng.normal(0.0, math.sqrt(kappa_k), size=n_groups)
             return
+        half_precision = 0.5 / bs.kappa[k]
         lam_eff, gamma = self._gamma_eff(bi)
         col = lam_eff * gamma[:, k]
         c = bdata.Z @ col
         x0 = bs.xi[:, k].copy()
-        eta_minus = self._eta - c * x0[groups]
+        lines = self._group_lines(bi, self._eta - c * x0[groups], c)
 
         def tgt(xvec):
-            eta_try = eta_minus + c * xvec[groups]
-            per_group = np.bincount(groups, weights=self._ll_terms(eta_try), minlength=n_groups)
-            return per_group - 0.5 * xvec**2 / kappa_k
+            return lines(xvec) - half_precision * xvec * xvec
 
         new = slice_update_vec(tgt, x0, float(self.widths["xi", bi].width[k]), self.rng, stats=self.stats["xi"])
         bs.xi[:, k] = new
         self._eta = self._eta + c * (new - x0)[groups]
 
-    def _update_kappa_m(self, bi: int, k: int) -> None:
+    def _update_kappa_m(self, bi: int) -> None:
+        """The latent-effect variances of block bi, by exact draws.
+
+        Included k: kappa_k | xi_k, m_k ~ GIG(1 - n_groups/2, sum_g xi_gk^2,
+        m_k^2), then m_k | kappa_k.  An excluded k leaves the likelihood
+        alone, so (m_k, kappa_k, xi[:, k]) is drawn from its prior.
+        """
         bs = self.state.blocks[bi]
         n_groups = bs.xi.shape[0]
-        ssq = float(np.sum(bs.xi[:, k] ** 2))
-        m_k = bs.m[k]
-
-        def tgt_kappa(x):
-            return -0.5 * n_groups * math.log(x) - 0.5 * ssq / x - m_k**2 * x / 2.0
-
-        bs.kappa[k] = self._slice("kappa", tgt_kappa, bs.kappa[k], self.widths["kappa", bi].width[k], 0.0)
-        bs.m[k] = self._slice_rate("m", bs.m[k], bs.kappa[k], self.widths["m", bi].width[k])
+        on = bs.include == 1
+        if on.any():
+            xi_on = bs.xi[:, on]
+            bs.kappa[on] = sample_gig(self.rng, 1.0 - 0.5 * n_groups, np.einsum("gk,gk->k", xi_on, xi_on), bs.m[on] ** 2)
+            bs.m[on] = sample_modified_halfnormal(self.rng, bs.kappa[on])
+        off = ~on
+        if off.any():
+            bs.m[off], bs.kappa[off] = sample_rate_pair(self.rng, np.count_nonzero(off))
+            bs.xi[:, off] = self.rng.normal(0.0, 1.0, size=(n_groups, bs.kappa[off].size)) * np.sqrt(bs.kappa[off])
 
     # --------------------------------------------------------- family scales
 
@@ -412,14 +495,12 @@ class GibbsEngine:
                     if select:
                         self._update_I(bi, k)
                     self._update_lambda(bi, k)
-                    self._update_tau2(bi, k)
-                if self.mode != "ssvs-diagonal":
-                    for j in range(q * (q - 1) // 2):
-                        self._update_r(bi, j)
+                self._update_tau2(bi)
+                if self.mode != "ssvs-diagonal" and q > 1:
+                    self._update_r(bi)
                 for k in range(q):
                     self._update_xi_col(bi, k)
-                for k in range(q):
-                    self._update_kappa_m(bi, k)
+                self._update_kappa_m(bi)
             if self._update_scale is not None:
                 self._update_scale()
             self.recompute_caches()
@@ -431,19 +512,28 @@ class GibbsEngine:
     # ------------------------------------------------------------- adaptation
 
     def _draws(self) -> dict:
-        """Each slice-updated parameter group, keyed (kind, block), as (rows, size) draws."""
+        """Each slice-updated parameter group, keyed (kind, block): its (rows, size) draws and live mask.
+
+        A coordinate is live while it takes slice updates: an included beta,
+        lam or xi column, an r entry whose two effects are in, the NB
+        dispersion.  The others are pseudo-prior draws, whose spread says
+        nothing about the slice scale.
+        """
         st = self.state
-        groups = {("beta", None): st.beta, ("phi", None): st.phi}
+        groups = {("beta", None): (st.beta, st.J == 1)}
         for bi, bs in enumerate(st.blocks):
-            for kind in ("lam", "r", "xi", "kappa", "m"):
-                groups[kind, bi] = getattr(bs, kind)
+            included = bs.include == 1
+            rows, cols = cholesky.tril_pairs(included.size)
+            groups["lam", bi] = (bs.lam, included)
+            groups["r", bi] = (bs.r, included[rows] & included[cols])
+            groups["xi", bi] = (bs.xi, included)
         if self._scale_field == "dispersion":
-            groups["dispersion", None] = st.dispersion
-        return {key: np.atleast_2d(draws) for key, draws in groups.items()}
+            groups["dispersion", None] = (st.dispersion, True)
+        return {key: (np.atleast_2d(draws), live) for key, (draws, live) in groups.items()}
 
     def _adapt_widths(self) -> None:
-        for key, draws in self._draws().items():
-            self.widths[key].add(draws)
+        for key, (draws, live) in self._draws().items():
+            self.widths[key].add(draws, live)
 
     # -------------------------------------------------------------- invariant
 

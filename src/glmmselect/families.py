@@ -5,12 +5,14 @@ negative_binomial/log, bernoulli/logit, gaussian/identity.  The negative
 binomial uses the mean/overdispersion convention Var = mu + mu^2/r_disp.
 
 This module is the one home of what differs by kind.  A :class:`Family` owns
-its link and normalized log-density, the per-observation kernel the Gibbs
-engine sums, response sampling and validation, whether responses are counts,
-and its :class:`Scale`: the ParameterState field holding the family scale
-(``dispersion`` for the negative binomial, ``sigma2`` for the gaussian, none
-otherwise), which also names its trace column and picks the engine's scale
-update, with the scale's prior log-density and prior draw.  The scale's
+its link and normalized log-density; the per-observation kernel w y eta -
+A(y, eta, scale), with w = 1 for the count kinds and w = 0 for the gaussian,
+whose A is its residual term; response sampling and validation; whether
+responses are counts; and its :class:`Scale`: the ParameterState field
+holding the family scale (``dispersion`` for the negative binomial,
+``sigma2`` for the gaussian, none otherwise), which also names its trace
+column and picks the engine's scale update, with the scale's prior
+log-density and prior draw.  The scale's
 value is an argument of the likelihood and the sampler, never a field of
 the family.  The Gamma and inverse-gamma helpers those priors
 use live here so that :mod:`glmmselect.priors` shares them without a cycle.
@@ -138,7 +140,11 @@ def lgamma_counts(y, r=None) -> np.ndarray:
 
 
 def sample_invgamma(rng, shape, scale, size=None):
-    g = rng.gamma(shape, 1.0 / scale, size=size)
+    """IG(shape, scale) draws; an array ``scale`` without ``size`` gives one draw per entry."""
+    if size is None and np.ndim(scale):
+        size = np.shape(scale)
+    # numpy's gamma(shape, s) is s * standard_gamma(shape); an array s takes its slow broadcasting path
+    g = rng.standard_gamma(shape, size=size) * (1.0 / scale)
     # tiny shapes (e.g. nu = 0.01) underflow to exactly 0; cap at the float
     # boundary so downstream draws stay finite
     g = np.maximum(g, 1e-300)
@@ -246,19 +252,36 @@ class Family:
                 return 1.0 / (1.0 + np.exp(-eta))
         return eta
 
-    def log_kernel(self, y: np.ndarray, eta: np.ndarray, scale=None) -> np.ndarray:
-        """Per-observation log-likelihood up to eta-free terms, unchecked (sampler inner loop).
+    @property
+    def kernel_w(self) -> float:
+        """The weight w of the term w y eta in :meth:`log_kernel`: 1, or 0 for the gaussian."""
+        return 0.0 if self.kind == "gaussian" else 1.0
 
-        This is the one place each kind's eta-dependent terms are written.
-        Overflow of ``exp`` gives -inf terms; callers set ``np.errstate`` to silence it.
+    def kernel_a(self, y: np.ndarray, eta: np.ndarray, scale=None) -> np.ndarray:
+        """Per-observation A(y, eta, scale), the part of :meth:`log_kernel` not linear in eta, unchecked.
+
+        This is the one place each kind's eta-dependent formula is written.
+        The gaussian keeps its residual form (y - eta)^2 / (2 sigma^2), with
+        w = 0, which does not cancel at large y.  Overflow of ``exp`` gives
+        +inf; callers set ``np.errstate`` to silence it.
         """
         if self.kind == "poisson":
-            return y * eta - np.exp(eta)
+            return np.exp(eta)
         if self.kind == "negative_binomial":
-            return y * eta - (y + scale) * np.log(scale + np.exp(eta))
+            return (y + scale) * np.log(scale + np.exp(eta))
         if self.kind == "bernoulli":
-            return y * eta - np.logaddexp(0.0, eta)
-        return -0.5 * (y - eta) ** 2 / scale
+            return np.logaddexp(0.0, eta)
+        return 0.5 * (y - eta) ** 2 / scale
+
+    def log_kernel(self, y: np.ndarray, eta: np.ndarray, scale=None) -> np.ndarray:
+        """Per-observation log-likelihood up to eta-free terms, w y eta - A(y, eta, scale), unchecked.
+
+        Along a line eta = eta_0 + c x the first term is x w (y . c) plus a
+        constant, so the Gibbs engine evaluates only :meth:`kernel_a` there.
+        Overflow of ``exp`` gives -inf terms; callers set ``np.errstate`` to silence it.
+        """
+        a = self.kernel_a(y, eta, scale)
+        return y * eta - a if self.kernel_w else -a
 
     def log_likelihood(self, y: np.ndarray, eta: np.ndarray, scale=None) -> np.ndarray:
         """Elementwise log f(y | mu = g^-1(eta), scale): :meth:`log_kernel` plus its eta-free terms.

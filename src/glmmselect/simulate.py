@@ -87,6 +87,10 @@ class SimDesign:
             raise ConfigurationError("omega shape must be (q, q)")
         object.__setattr__(self, "omega", omega)
         object.__setattr__(self, "active_random", tuple(self.active_random))
+        if not all(0 <= k < self.q for k in self.active_random):
+            raise ConfigurationError(
+                f"active_random {self.active_random} must index effects 0..{self.q - 1} (0-based)"
+            )
         if not 1 <= self.n_active_fixed <= self.l:
             raise ConfigurationError("n_active_fixed must be in [1, l]")
 

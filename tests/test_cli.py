@@ -155,6 +155,8 @@ class TestPipeline:
             ("replicate", "design", dict(SMALL_DESIGN, scale="small"), "design field 'scale' must be"),
             ("simulate", "design", dict(SMALL_DESIGN, n=None), "design field 'n' must be an integer"),
             ("simulate", "design", dict(SMALL_DESIGN, n=12.5), "design field 'n' must be an integer"),
+            # the scaled design's active effects (0, 2) do not fit q = 2, and the document sets none
+            ("simulate", "design", {"scale": "scaled", "q": 2, "omega": [[1, 0], [0, 1]]}, "active_random (0, 2)"),
         ],
     )
     def test_bad_json_document_is_error_exit(self, tmp_path, capsys, command, which, content, message):

@@ -132,7 +132,8 @@ class TestIndicatorConditional:
                 free_r_seen |= bs.include.sum() - bs.include[k] >= 1
                 flipped = not bs.include[k]
                 _, ll_on, ll_off = update_indicator(engine, ("random", k), force=flipped)
-                assert ll_on - ll_off == pytest.approx(want, abs=1e-9)
+                # relative too: a flip of a large excluded slab value can move the log-likelihood by 1e12
+                assert ll_on - ll_off == pytest.approx(want, rel=1e-12, abs=1e-9)
                 assert bs.include[k] == flipped
                 assert np.max(np.abs(engine._eta - linear_predictor_all(spec, engine.state, data))) < 1e-9
         # some flip of k happened while another effect was in, so Gamma had a free r entry
@@ -156,11 +157,7 @@ class TestIndicatorConditional:
 
     def test_empty_dataset_reproduces_prior(self):
         spec, _ = toy_setup(4)
-        data0 = Dataset(
-            y=np.zeros(0),
-            X=np.zeros((0, 2)),
-            blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=1),),
-        )
+        data0 = empty_data()
         state = sample_prior(spec.hyper, ModelDims.of(spec, data0), np.random.default_rng(5))
         assert inclusion_probability(spec, data0, state, ("fixed", 0)) == 0.5
         assert inclusion_probability(spec, data0, state, ("random", 0)) == 0.5
@@ -211,6 +208,118 @@ class TestIndicatorConditional:
             assert np.max(np.abs(engine._eta - linear_predictor_all(spec, new, data))) < 1e-12
 
 
+def empty_data() -> Dataset:
+    """No observations, one group: the posterior is the prior."""
+    return Dataset(
+        y=np.zeros(0),
+        X=np.zeros((0, 2)),
+        blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=1),),
+    )
+
+
+class TestLineTargets:
+    """The engine's likelihood targets x w (y . c) - sum A(y, eta0 + c x) against the full family kernel."""
+
+    @staticmethod
+    def engine_for(kind):
+        spec, data = toy_setup(50, n=6, n_i=4, q=2, kind=kind)
+        if kind == "gaussian":
+            # responses near 1e6: the residual form must not cancel there
+            data = replace(data, y=1e6 + np.random.default_rng(51).normal(0.0, 1.0, data.n_obs))
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(52))
+        # a moderate scale: prior draws of the NB dispersion can be 1e-300, where the kernel is 0 up to rounding
+        if kind == "negative_binomial":
+            engine.state.dispersion = 2.5
+        if kind == "gaussian":
+            engine.state.sigma2 = 1.5
+        rng = np.random.default_rng(53)
+        eta0 = rng.normal(0.0, 1.0, data.n_obs) + (1e6 if kind == "gaussian" else 0.0)
+        c = rng.normal(0.0, 1.0, data.n_obs)
+        if kind != "gaussian":
+            # rows whose eta reaches 708 at x = 3: exp(eta) is near the float limit but finite
+            eta0[:2], c[:2] = 705.0, 1.0
+        return engine, eta0, c
+
+    @staticmethod
+    def kernel(engine, eta):
+        """The family kernel at eta, and the size of its terms, |w y eta| + |A|, that bounds its rounding."""
+        family, y = engine.spec.family, engine.data.y
+        scale = family.scale_of(engine.state)
+        size = np.abs(family.kernel_w * y * eta) + np.abs(family.kernel_a(y, eta, scale))
+        return family.log_kernel(y, eta, scale), size
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_line_differs_from_kernel_sum_by_a_constant(self, kind):
+        engine, eta0, c = self.engine_for(kind)
+        line = engine._line(eta0, c)
+        gaps, scales = [], []
+        for x in (-1.0, 0.0, 0.5, 2.0, 3.0):
+            terms, size = self.kernel(engine, eta0 + c * x)
+            assert np.all(np.isfinite(terms))
+            gaps.append(line(x) - terms.sum())
+            scales.append(size.sum())
+        assert np.ptp(gaps) <= 1e-9 * max(scales), gaps
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_group_lines_match_bincount_of_kernel(self, kind):
+        engine, eta0, c = self.engine_for(kind)
+        bdata = engine.data.blocks[0]
+        lines = engine._group_lines(0, eta0, c)
+        rng = np.random.default_rng(54)
+        gaps, scales = [], []
+        for _ in range(4):
+            x = rng.uniform(-1.0, 3.0, bdata.n_groups)
+            terms, size = self.kernel(engine, eta0 + c * x[bdata.groups])
+            per_group = np.bincount(bdata.groups, weights=terms, minlength=bdata.n_groups)
+            gaps.append(lines(x) - per_group)
+            scales.append(np.bincount(bdata.groups, weights=size, minlength=bdata.n_groups))
+        assert np.all(np.ptp(gaps, axis=0) <= 1e-9 * np.max(scales, axis=0)), gaps
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_indicator_odds_are_the_kernel_difference(self, kind):
+        engine, _, _ = self.engine_for(kind)
+        engine.state.beta[1] = 0.7
+        for which in [("fixed", 1), ("random", 0), ("random", 1)]:
+            s_on, s_off = engine.state.copy(), engine.state.copy()
+            if which[0] == "fixed":
+                s_on.J[1], s_off.J[1] = 1, 0
+            else:
+                s_on.blocks[0].include[which[1]], s_off.blocks[0].include[which[1]] = 1, 0
+            on, size_on = self.kernel(engine, linear_predictor_all(engine.spec, s_on, engine.data))
+            off, size_off = self.kernel(engine, linear_predictor_all(engine.spec, s_off, engine.data))
+            _, ll_on, ll_off = update_indicator(engine, which)
+            scale = size_on.sum() + size_off.sum()
+            assert abs((ll_on - ll_off) - (on.sum() - off.sum())) <= 1e-9 * scale, which
+
+
+class TestEmptyData:
+    def test_chain_reproduces_the_prior(self):
+        # with no observations an invariant scan keeps the prior; the one group puts kappa | xi, m at
+        # GIG(p = 0.5), whose small-omega draws take the three-piece branch
+        spec, _ = toy_setup(4)
+        data0 = empty_data()
+        engine = GibbsEngine(spec, data0, rng=np.random.default_rng(1))
+        n_scans, thin = 6000, 10
+        chain = np.empty((n_scans, 5))
+        for i in range(n_scans):
+            engine.scan()
+            st, bs = engine.state, engine.state.blocks[0]
+            chain[i] = st.theta[0], st.phi[0], bs.tau2[0], bs.kappa[0], bs.m[0]
+        prior = sample_prior(spec.hyper, engine.dims, np.random.default_rng(2), n=20_000)
+        pb = prior.blocks[0]
+        reference = [prior.theta[:, 0], prior.phi[:, 0], pb.tau2[:, 0], pb.kappa[:, 0], pb.m[:, 0]]
+        # thinned to 600 draws: the autocorrelations of these chains are near 0 by lag 20
+        for name, draws, ref in zip(("theta", "phi", "tau2", "kappa", "m"), chain[::thin].T, reference):
+            assert stats.ks_2samp(draws, ref).pvalue > 1e-3, name
+        # the 95% quantile of log kappa: the share of scans below the prior's, with its
+        # Monte Carlo error from 20 batch means
+        below = np.log(chain[:, 3]) <= np.quantile(np.log(reference[3]), 0.95)
+        batch_means = below.reshape(20, -1).mean(axis=1)
+        mc_error = batch_means.std(ddof=1) / math.sqrt(batch_means.size)
+        assert abs(below.mean() - 0.95) < 4.0 * mc_error
+        assert engine.stats["kappa"].updates == engine.stats["m"].updates == engine.stats["phi"].updates == 0
+
+
 class TestGibbsScan:
     def test_no_selection_mode_keeps_indicators(self):
         spec, data = toy_setup(8, mode="no-selection")
@@ -253,6 +362,10 @@ class TestGibbsScan:
         for kind in ("poisson", "negative_binomial"):
             spec, data = with_offset(*toy_setup(11, q=q, kind=kind), seed=seed)
             engine = GibbsEngine(spec, data, rng=np.random.default_rng(seed))
+            # every effect starts included, so the r updates, which move eta only while both of their
+            # effects are in, have included pairs to move
+            engine.state.blocks[0].include[:] = 1
+            engine.recompute_caches()
             present = [name for name in updates if getattr(engine, name) is not None]  # poisson has no scale
             calls, moved = dict.fromkeys(present, 0), dict.fromkeys(present, 0)
 
@@ -538,29 +651,58 @@ class TestFeasibleStart:
 
 
 class TestSliceWidths:
-    def test_adapted_widths_are_clipped_running_sd(self):
+    def test_adapted_widths_are_clipped_running_sd_of_live_draws(self):
+        # a coordinate's draws count while it takes slice updates: an included beta, lam or xi column,
+        # an r entry with both effects in, the NB dispersion; pseudo-prior draws of the others do not
         spec, data = toy_setup(25, q=3, kind="negative_binomial")
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(26))
+        # every effect starts included, so that every group has live draws from the first scan
+        engine.state.J[:] = 1
+        engine.state.blocks[0].include[:] = 1
+        engine.recompute_caches()
         engine.adapting = True
-        first, second = {}, {}  # per group: per-scan means of the draws and of their squares
-        for scan in range(1, 26):
+        sums = {}  # per group: live-draw counts, and sums of the draws and of their squares
+        rows, cols = np.tril_indices(3, k=-1)
+        for _ in range(40):
             engine.scan()
             st, bs = engine.state, engine.state.blocks[0]
-            scan_draws = {("beta", None): st.beta, ("phi", None): st.phi, ("dispersion", None): np.array([st.dispersion])}
-            scan_draws.update({(kind, 0): getattr(bs, kind) for kind in ("lam", "r", "kappa", "m")})
-            for key, x in scan_draws.items():
-                first.setdefault(key, []).append(x.copy())  # the state's arrays change in place
-                second.setdefault(key, []).append(x**2)
-            # xi is averaged over groups before it enters the running moments
-            first.setdefault(("xi", 0), []).append(bs.xi.mean(axis=0))
-            second.setdefault(("xi", 0), []).append((bs.xi**2).mean(axis=0))
-            assert set(engine.widths) == set(first)
+            included = bs.include == 1
+            scan_draws = {
+                ("beta", None): (st.beta, st.beta**2, st.J == 1),
+                ("dispersion", None): (np.array([st.dispersion]), np.array([st.dispersion**2]), True),
+                ("lam", 0): (bs.lam, bs.lam**2, included),
+                ("r", 0): (bs.r, bs.r**2, included[rows] & included[cols]),
+                # xi is averaged over groups before it enters the running moments
+                ("xi", 0): (bs.xi.mean(axis=0), (bs.xi**2).mean(axis=0), included),
+            }
+            assert set(engine.widths) == set(scan_draws)
+            for key, (x, x2, live) in scan_draws.items():
+                count, total, total_sq = sums.setdefault(key, [0, 0.0, 0.0])
+                sums[key] = [count + live, total + np.where(live, x, 0.0), total_sq + np.where(live, x2, 0.0)]
             for key, w in engine.widths.items():
-                if scan < 20:
-                    assert np.all(w.width == 1.0)
-                    continue
-                mean = np.mean(first[key], axis=0)
-                sd = np.sqrt(np.maximum(np.mean(second[key], axis=0) - mean**2, 0.0))
-                np.testing.assert_allclose(w.width, np.clip(2.5 * sd, 1e-4, 1e4), rtol=1e-12)
-        # adaptation moved every width away from its start
-        assert all(np.all(w.width != 1.0) for w in engine.widths.values())
+                count, total, total_sq = (np.broadcast_to(v, w.width.shape) for v in sums[key])
+                ready = count >= 20
+                np.testing.assert_array_equal(w.width[~ready], 1.0)
+                mean = total[ready] / count[ready]
+                sd = np.sqrt(np.maximum(total_sq[ready] / count[ready] - mean**2, 0.0))
+                np.testing.assert_allclose(w.width[ready], np.clip(2.5 * sd, 1e-4, 1e4), rtol=1e-12)
+        # the dispersion is live in every scan; other coordinates were excluded in some scans, whose draws did not count
+        assert engine.widths["dispersion", None].width[0] != 1.0
+        assert any(np.any(np.broadcast_to(sums[key][0], w.width.shape) < 40) for key, w in engine.widths.items())
+
+    def test_width_record_ignores_draws_that_are_not_live(self):
+        width = engine_module._Width(3)
+        rng = np.random.default_rng(27)
+        live_draws = [[], [], []]
+        for scan in range(30):
+            draws = rng.normal([0.0, 5.0, -2.0], [0.1, 2.0, 30.0], size=(4, 3))
+            live = np.array([True, scan % 2 == 0, scan < 10])  # 30, 15 and 10 live scans
+            width.add(draws, live)
+            for k in np.flatnonzero(live):
+                live_draws[k].append((draws[:, k].mean(), (draws[:, k] ** 2).mean()))
+        first, second = np.array(live_draws[0]).T
+        want = 2.5 * np.sqrt(second.mean() - first.mean() ** 2)
+        np.testing.assert_allclose(width.width[0], want, rtol=1e-12)
+        # fewer than 20 live draws: the start width stays
+        np.testing.assert_array_equal(width.width[1:], 1.0)
+        np.testing.assert_array_equal(width.count, [30, 15, 10])

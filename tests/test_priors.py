@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from glmmselect.errors import ConfigurationError
+from glmmselect import priors
+from glmmselect.errors import ConfigurationError, SamplerError
 from glmmselect.families import family_scale
 from glmmselect.model import MODES, Hyperparameters, ModelDims
 from glmmselect.priors import (
@@ -16,8 +17,10 @@ from glmmselect.priors import (
     log_prior_lambda,
     log_prior_state,
     log_prior_xi,
+    sample_gig,
     sample_halfnormal,
     sample_invgamma,
+    sample_modified_halfnormal,
     sample_prior,
 )
 
@@ -251,3 +254,83 @@ class TestSamplers:
                 one.check_dims(dims)
                 assert isinstance(one.sigma2, float)
                 assert one.dispersion is None or isinstance(one.dispersion, float)
+
+
+def log_cdf_table(logpdf):
+    """(grid of u = log x, CDF of log x there) for a density on x > 0 given by ``logpdf``.
+
+    A coarse pass over log x in [-80, 80] finds where the density of log x is
+    within e^-45 of its peak; the trapezoid rule on 40,001 points there gives
+    the CDF.
+    """
+
+    def log_density(u):
+        with np.errstate(all="ignore"):
+            out = logpdf(np.exp(u)) + u
+        return np.where(np.isfinite(out), out, -np.inf)
+
+    coarse = np.linspace(-80.0, 80.0, 4001)
+    dens = log_density(coarse)
+    bulk = coarse[dens > dens.max() - 45.0]
+    u = np.linspace(bulk[0] - 0.1, bulk[-1] + 0.1, 40001)
+    dens = log_density(u)
+    f = np.exp(dens - dens.max())
+    cdf = np.concatenate([[0.0], np.cumsum((f[1:] + f[:-1]) / 2.0)])
+    return u, cdf / cdf[-1]
+
+
+def ks_pvalue(draws, logpdf) -> float:
+    u, cdf = log_cdf_table(logpdf)
+    return stats.kstest(np.log(draws), lambda x: np.interp(x, u, cdf)).pvalue
+
+
+class TestExactConditionals:
+    """The exact samplers of the hierarchy's full conditionals, each against an independent CDF."""
+
+    @pytest.mark.parametrize("p", [-29.0, -2.0, -0.5, 0.0, 0.5, 30.0])
+    def test_gig_matches_scipy(self, p):
+        # omega = sqrt(chi psi) spans all three regions of the sampler; chi / psi = 1e-8 .. 1e8
+        rng = np.random.default_rng(int(100 + 2 * p))
+        for omega in (1e-4, 1e-2, 1.0, 1e2):
+            for ratio in (1e-8, 1.0, 1e8):
+                chi, psi = omega * math.sqrt(ratio), omega / math.sqrt(ratio)
+                draws = sample_gig(rng, p, np.full(1500, chi), psi)
+                oracle = stats.geninvgauss(p, omega, scale=math.sqrt(ratio))
+                assert ks_pvalue(draws, oracle.logpdf) > 1e-3, (omega, ratio)
+
+    @pytest.mark.parametrize("t", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+    def test_modified_halfnormal_matches_numerical_cdf(self, t):
+        draws = sample_modified_halfnormal(np.random.default_rng(7), np.full(4000, t))
+        assert np.all(draws > 0)
+        assert ks_pvalue(draws, lambda x: 2.0 * np.log(x) - x - t * x * x / 2.0) > 1e-3
+
+    def test_parameters_broadcast(self):
+        rng = np.random.default_rng(8)
+        assert sample_gig(rng, -2.0, np.ones((2, 3)), np.ones(3)).shape == (2, 3)
+        assert sample_gig(rng, np.array([0.5, -29.0]), 1.0, 2.0).shape == (2,)
+        assert sample_modified_halfnormal(rng, np.ones((2, 3))).shape == (2, 3)
+        assert sample_gig(rng, 0.5, np.ones(0), 1.0).shape == (0,)
+
+    @pytest.mark.parametrize(
+        "p, chi, psi",
+        [(math.nan, 1.0, 1.0), (math.inf, 1.0, 1.0), (0.5, 0.0, 1.0), (0.5, -1.0, 1.0), (0.5, 1.0, 0.0),
+         (0.5, math.inf, 1.0), (0.5, 1.0, math.nan), (-29.0, np.array([1.0, 0.0]), 1.0)],
+    )
+    def test_gig_rejects_bad_parameters(self, p, chi, psi):
+        with pytest.raises(SamplerError):
+            sample_gig(np.random.default_rng(9), p, chi, psi)
+
+    @pytest.mark.parametrize("t", [0.0, -1.0, math.inf, math.nan])
+    def test_modified_halfnormal_rejects_bad_parameters(self, t):
+        with pytest.raises(SamplerError):
+            sample_modified_halfnormal(np.random.default_rng(10), np.array([1.0, t]))
+
+    def test_rejection_gives_up_after_a_bounded_number_of_rounds(self):
+        calls = []
+
+        def never(u, v):
+            calls.append(1)
+
+        with pytest.raises(SamplerError, match="pending"):
+            priors._rejection(np.random.default_rng(11), [never, never], 2)
+        assert len(calls) == 2 * priors._MAX_ROUNDS
