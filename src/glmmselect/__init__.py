@@ -48,7 +48,6 @@ from .report import (
     fixed_effect_rmse,
     grid_report,
     inclusion_probabilities,
-    label_of,
     top_models,
 )
 from .sampler import Trace, load_trace, run_chains, save_trace

@@ -152,15 +152,22 @@ def _add_squares(data_path: str, cols: str, out_path: str) -> str:
     return out_path
 
 
-def _write_diagnostics(trace, outdir: str) -> float:
+def _write_reports(trace, outdir: str) -> str:
+    """Write the diagnostics and selection report of a trace; return its top-10 table.
+
+    Warns on stderr when the largest finite split R-hat exceeds RHAT_WARN.
+    """
     rows = summarize_trace(trace)
-    write_csv(
-        os.path.join(outdir, "diagnostics.csv"),
-        ["parameter", "mean", "sd", "rhat", "ess"],
-        rows,
+    write_csv(os.path.join(outdir, "diagnostics.csv"), ["parameter", "mean", "sd", "rhat", "ess"], rows)
+    report = top_models(trace)
+    write_selection_report(report, outdir)
+    worst = max((r[3] for r in rows if np.isfinite(r[3])), default=0.0)
+    if worst > RHAT_WARN:
+        print(f"warning: max split R-hat {worst:.3f} exceeds {RHAT_WARN}; inspect diagnostics.csv", file=sys.stderr)
+    return format_table(
+        ["model", "count", "percent"],
+        [(lab.describe(), cnt, f"{pct:.2f}") for lab, cnt, pct in report.entries[:10]],
     )
-    finite = [r[3] for r in rows if np.isfinite(r[3])]
-    return max(finite) if finite else float("nan")
 
 
 def cmd_fit(args) -> int:
@@ -176,17 +183,8 @@ def cmd_fit(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     trace = run_chains(spec, data, workers=args.workers)
     save_trace(trace, args.out)
-    worst = _write_diagnostics(trace, args.out)
-    report = top_models(trace)
-    write_selection_report(report, args.out)
-    table = format_table(
-        ["model", "count", "percent"],
-        [(lab.describe(), cnt, f"{pct:.2f}") for lab, cnt, pct in report.entries[:10]],
-    )
-    atomic_write_text(os.path.join(args.out, "summary.txt"), table)
+    atomic_write_text(os.path.join(args.out, "summary.txt"), _write_reports(trace, args.out))
     print(f"wrote trace and reports to {args.out}")
-    if np.isfinite(worst) and worst > RHAT_WARN:
-        print(f"warning: max split R-hat {worst:.3f} exceeds {RHAT_WARN}; inspect diagnostics.csv", file=sys.stderr)
     return 0
 
 
@@ -283,15 +281,7 @@ def cmd_report(args) -> int:
     data = load_dataset(args.data, spec)
     trace = load_trace(args.trace, spec, data)
     os.makedirs(args.out, exist_ok=True)
-    report = top_models(trace)
-    write_selection_report(report, args.out)
-    worst = _write_diagnostics(trace, args.out)
-    print(format_table(
-        ["model", "count", "percent"],
-        [(lab.describe(), cnt, f"{pct:.2f}") for lab, cnt, pct in report.entries[:10]],
-    ))
-    if np.isfinite(worst) and worst > RHAT_WARN:
-        print(f"warning: max split R-hat {worst:.3f} exceeds {RHAT_WARN}", file=sys.stderr)
+    print(_write_reports(trace, args.out))
     return 0
 
 

@@ -18,7 +18,6 @@ from .ioutil import write_csv
 __all__ = [
     "ModelLabel",
     "SelectionReport",
-    "label_of",
     "labels_of_trace",
     "top_models",
     "inclusion_probabilities",
@@ -55,27 +54,17 @@ class SelectionReport:
     total_draws: int
 
 
-def label_of(state) -> ModelLabel:
-    """Extract the inclusion pattern of one parameter state."""
-    return ModelLabel(
-        fixed=tuple(int(v) for v in state.J),
-        random=tuple(tuple(int(v) for v in bs.include) for bs in state.blocks),
-    )
-
-
 def labels_of_trace(trace) -> list:
     """Label of every kept draw, pooled across chains in chain order."""
-    labels = []
-    for chain in trace.chains:
-        n = chain.n_recorded
-        for i in range(n):
-            labels.append(
-                ModelLabel(
-                    fixed=tuple(int(v) for v in chain.J[i]),
-                    random=tuple(tuple(int(v) for v in inc[i]) for inc in chain.include),
-                )
-            )
-    return labels
+    bits = np.concatenate([np.hstack([chain.J, *chain.include]) for chain in trace.chains]).astype(int)
+    edges = np.cumsum([trace.dims.l] + [q for q, _ in trace.dims.blocks])[:-1]
+    parts = [map(tuple, part.tolist()) for part in np.split(bits, edges, axis=1)]
+    return [ModelLabel(fixed, tuple(random)) for fixed, *random in zip(*parts)]
+
+
+def _ranked(counts: Counter) -> list:
+    """(pattern, count) pairs by count descending, then pattern ascending."""
+    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
 def top_models(trace, k: int | None = None) -> SelectionReport:
@@ -83,8 +72,7 @@ def top_models(trace, k: int | None = None) -> SelectionReport:
     labels = labels_of_trace(trace)
     if not labels:
         raise ConfigurationError("empty trace")
-    counts = Counter(labels)
-    ranked = sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+    ranked = _ranked(Counter(labels))
     total = len(labels)
     entries = [(lab, cnt, 100.0 * cnt / total) for lab, cnt in ranked]
     if k is not None:
@@ -116,18 +104,10 @@ def modal_random_pattern(trace, block: int | None = None) -> tuple:
     Returns the concatenated per-block pattern, or one block's pattern when
     ``block`` is given.
     """
-    counts = Counter()
-    for chain in trace.chains:
-        n = chain.n_recorded
-        for i in range(n):
-            if block is None:
-                pat = tuple(tuple(int(v) for v in inc[i]) for inc in chain.include)
-            else:
-                pat = tuple(int(v) for v in chain.include[block][i])
-            counts[pat] += 1
+    counts = Counter(lab.random if block is None else lab.random[block] for lab in labels_of_trace(trace))
     if not counts:
         raise ConfigurationError("empty trace")
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))[0][0]
+    return _ranked(counts)[0][0]
 
 
 def fixed_effect_rmse(trace, truth) -> float:

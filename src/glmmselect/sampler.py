@@ -2,8 +2,15 @@
 
 Chains are initialized from the prior with sub-seeds ``base_seed + chain``;
 adaptation scans tune slice widths and are then frozen before burn-in.
-Recorded draws keep everything downstream consumers need (coefficients,
-indicators, factor values, latent effects, variances, log posterior).
+
+Each chain's recorded draws are one ``(K, n_columns)`` float matrix, one row
+per kept draw.  :func:`trace_layout` is the one description of its columns:
+log_posterior, beta, J, then per random block lam, I, r, kappa and xi
+(group-major, effect-minor), then the family scale if the kind has one.
+Recording concatenates the state's raveled fields in that order,
+:class:`ChainTrace` reads each field as a view into the matrix, and a chain
+CSV is the matrix under a header of the column names, with an iteration
+column in front.
 """
 
 import csv
@@ -12,6 +19,8 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
+from operator import itemgetter
 
 import numpy as np
 
@@ -22,49 +31,70 @@ from .families import scale_field
 from .ioutil import atomic_write_text
 from .model import Dataset, ModelDims, ModelSpec
 
-__all__ = ["ChainTrace", "Trace", "run_chains", "save_trace", "load_trace"]
+__all__ = ["ChainTrace", "Trace", "trace_layout", "run_chains", "save_trace", "load_trace"]
 
 log = logging.getLogger(__name__)
 
 
-@dataclass
+def trace_layout(dims: ModelDims, family_kind: str) -> list:
+    """Every trace field in column order, as (field, block, shape, column names).
+
+    ``block`` is the random-block position (None for per-chain fields) and
+    ``shape`` the shape of one draw; its raveled values fill the named columns.
+    """
+    layout = [
+        ("log_posterior", None, (), ["log_posterior"]),
+        ("beta", None, (dims.l,), [f"beta{p + 1}" for p in range(dims.l)]),
+        ("J", None, (dims.l,), [f"J{p + 1}" for p in range(dims.l)]),
+    ]
+    for bi, (q, n_groups) in enumerate(dims.blocks):
+        tag = bi + 1
+        pairs = list(zip(*tril_pairs(q)))
+        layout += [
+            ("lam", bi, (q,), [f"lam{tag}_{k + 1}" for k in range(q)]),
+            ("include", bi, (q,), [f"I{tag}_{k + 1}" for k in range(q)]),
+            ("r", bi, (len(pairs),), [f"r{tag}_{u + 1}_{v + 1}" for u, v in pairs]),
+            ("kappa", bi, (q,), [f"kappa{tag}_{k + 1}" for k in range(q)]),
+            ("xi", bi, (n_groups, q), [f"xi{tag}_g{i + 1}_{k + 1}" for i in range(n_groups) for k in range(q)]),
+        ]
+    field = scale_field(family_kind)
+    if field is not None:
+        layout.append((field, None, (), [field]))
+    return layout
+
+
 class ChainTrace:
-    """Recorded draws of one chain (arrays indexed by recorded iteration)."""
+    """Recorded draws of one chain: the matrix ``values`` and a view into it per field.
 
-    seed: int
-    beta: np.ndarray                  # (K, l) raw values
-    J: np.ndarray                     # (K, l) 0/1
-    lam: list                         # per block: (K, q)
-    include: list                     # per block: (K, q) 0/1
-    r: list                           # per block: (K, q(q-1)/2)
-    xi: list                          # per block: (K, n_groups, q)
-    kappa: list                       # per block: (K, q)
-    log_posterior: np.ndarray         # (K,)
-    dispersion: np.ndarray | None = None
-    sigma2: np.ndarray | None = None
-    stepout_fallbacks: int = 0
+    ``beta``, ``J`` and ``log_posterior`` (and ``dispersion`` or ``sigma2``
+    where the family has that scale; None where it has not) are arrays with a
+    leading draw axis; ``lam``, ``include``, ``r``, ``kappa`` and ``xi`` are
+    lists of them, one per random block.  Indicators are held as 0.0/1.0.
+    """
 
-    @staticmethod
-    def zeros(seed: int, n: int, dims: ModelDims, scale: str | None) -> "ChainTrace":
-        """A chain of ``n`` zero draws, with the family scale's array if any."""
-        chain = ChainTrace(
-            seed=seed,
-            beta=np.zeros((n, dims.l)),
-            J=np.zeros((n, dims.l), dtype=np.int8),
-            lam=[np.zeros((n, q)) for q, _ in dims.blocks],
-            include=[np.zeros((n, q), dtype=np.int8) for q, _ in dims.blocks],
-            r=[np.zeros((n, q * (q - 1) // 2)) for q, _ in dims.blocks],
-            xi=[np.zeros((n, n_g, q)) for q, n_g in dims.blocks],
-            kappa=[np.zeros((n, q)) for q, _ in dims.blocks],
-            log_posterior=np.zeros(n),
-        )
-        if scale is not None:
-            setattr(chain, scale, np.zeros(n))
-        return chain
+    def __init__(self, seed: int, values: np.ndarray, layout: list, stepout_fallbacks: int = 0):
+        self.seed = seed
+        self.values = values
+        self.layout = layout
+        self.stepout_fallbacks = stepout_fallbacks
+        self.dispersion = self.sigma2 = None
+        self.lam, self.include, self.r, self.kappa, self.xi = [], [], [], [], []
+        start = 0
+        for field, block, shape, names in layout:
+            view = values[:, start : start + len(names)].reshape((len(values),) + shape)
+            start += len(names)
+            if block is None:
+                setattr(self, field, view)
+            else:
+                getattr(self, field).append(view)
+
+    def __reduce__(self):
+        # the views are rebuilt on unpickling, so a chain crosses processes as one matrix
+        return ChainTrace, (self.seed, self.values, self.layout, self.stepout_fallbacks)
 
     @property
     def n_recorded(self) -> int:
-        return self.beta.shape[0]
+        return self.values.shape[0]
 
     def beta_eff(self) -> np.ndarray:
         return self.beta * self.J
@@ -94,61 +124,20 @@ class Trace:
             return np.concatenate([getattr(c, name) for c in self.chains], axis=0)
         return np.concatenate([getattr(c, name)[block] for c in self.chains], axis=0)
 
+    @cached_property
+    def _columns(self) -> dict:
+        """Column name -> position in each chain's ``values``."""
+        layout = self.chains[0].layout
+        return {name: j for j, name in enumerate(name for *_, names in layout for name in names)}
+
     def scalar_matrix(self, name: str) -> np.ndarray:
         """(chains, K) matrix of one named scalar column (diagnostics input)."""
-        for entry in trace_schema(self.dims, self.family_kind):
-            if entry[0] == name:
-                return np.stack([_column(c, *entry[1:]) for c in self.chains], axis=0)
-        raise ConfigurationError(f"unknown trace column {name!r}")
+        if name not in self._columns:
+            raise ConfigurationError(f"unknown trace column {name!r}")
+        return np.stack([c.values[:, self._columns[name]] for c in self.chains], axis=0)
 
     def column_names(self) -> list:
-        return [entry[0] for entry in trace_schema(self.dims, self.family_kind)]
-
-
-def trace_schema(dims: ModelDims, family_kind: str) -> list:
-    """Every scalar trace column in CSV order, as (name, field, block, index).
-
-    ``field`` is a ChainTrace attribute, ``block`` the random-block position
-    in its per-block list (None for per-chain arrays), and ``index`` the
-    position inside one recorded draw.
-    """
-    schema = [("log_posterior", "log_posterior", None, ())]
-    schema += [(f"beta{p + 1}", "beta", None, (p,)) for p in range(dims.l)]
-    schema += [(f"J{p + 1}", "J", None, (p,)) for p in range(dims.l)]
-    for bi, (q, n_groups) in enumerate(dims.blocks):
-        tag = bi + 1
-        schema += [(f"lam{tag}_{k + 1}", "lam", bi, (k,)) for k in range(q)]
-        schema += [(f"I{tag}_{k + 1}", "include", bi, (k,)) for k in range(q)]
-        schema += [
-            (f"r{tag}_{u + 1}_{v + 1}", "r", bi, (j,))
-            for j, (u, v) in enumerate(zip(*tril_pairs(q)))
-        ]
-        schema += [(f"kappa{tag}_{k + 1}", "kappa", bi, (k,)) for k in range(q)]
-        schema += [
-            (f"xi{tag}_g{i + 1}_{k + 1}", "xi", bi, (i, k))
-            for i in range(n_groups)
-            for k in range(q)
-        ]
-    field = scale_field(family_kind)
-    if field is not None:
-        schema.append((field, field, None, ()))
-    return schema
-
-
-def _column(chain: ChainTrace, field: str, block, index: tuple) -> np.ndarray:
-    """View of one trace column inside the chain's arrays (writable)."""
-    arr = getattr(chain, field)
-    if block is not None:
-        arr = arr[block]
-    return arr[(slice(None),) + index]
-
-
-def chain_columns(chain: ChainTrace, dims: ModelDims, family_kind: str) -> dict:
-    """Flatten one chain into named scalar columns, in stable order."""
-    return {
-        name: _column(chain, field, block, index)
-        for name, field, block, index in trace_schema(dims, family_kind)
-    }
+        return list(self._columns)
 
 
 def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
@@ -156,7 +145,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
     seed = settings.seed + chain
     rng = np.random.default_rng(seed)
     engine = GibbsEngine(spec, data, rng=rng)
-    dims = engine.dims
+    layout = trace_layout(engine.dims, spec.family.kind)
 
     engine.adapting = True
     for _ in range(settings.adapt):
@@ -165,26 +154,22 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
     for _ in range(settings.burnin):
         engine.scan()
 
-    scale = scale_field(spec.family.kind)
-    rec = ChainTrace.zeros(seed, settings.kept // settings.thin, dims, scale)
+    def draw(field, block):
+        if field == "log_posterior":
+            return engine.log_posterior()
+        return getattr(engine.state if block is None else engine.state.blocks[block], field)
+
+    values = np.zeros((settings.kept // settings.thin, sum(len(names) for *_, names in layout)))
     idx = 0
     for it in range(settings.kept):
         engine.scan()
         if (it + 1) % settings.thin == 0:
-            st = engine.state
-            rec.beta[idx] = st.beta
-            rec.J[idx] = st.J
-            for bi, bs in enumerate(st.blocks):
-                for name in ("lam", "include", "r", "xi", "kappa"):
-                    getattr(rec, name)[bi][idx] = getattr(bs, name)
-            rec.log_posterior[idx] = engine.log_posterior()
-            if scale is not None:
-                getattr(rec, scale)[idx] = getattr(st, scale)
+            values[idx] = np.concatenate([np.ravel(draw(field, block)) for field, block, _, _ in layout])
             idx += 1
-    rec.stepout_fallbacks = sum(s.fallbacks for s in engine.stats.values())
-    if rec.stepout_fallbacks:
-        log.info("chain %d: %d slice step-out fallbacks", chain, rec.stepout_fallbacks)
-    return rec
+    fallbacks = sum(s.fallbacks for s in engine.stats.values())
+    if fallbacks:
+        log.info("chain %d: %d slice step-out fallbacks", chain, fallbacks)
+    return ChainTrace(seed, values, layout, fallbacks)
 
 
 def run_chains(
@@ -215,20 +200,18 @@ def run_chains(
 
 
 def save_trace(trace: Trace, outdir: str) -> list:
-    """One CSV per chain: iteration, log_posterior, then every scalar column.
+    """One CSV per chain: iteration, then every column of the chain's ``values``.
 
     Values are written in their shortest round-trip form (``repr``), as
     :func:`glmmselect.ioutil.format_float` does.  Chain files of an earlier,
     longer trace in ``outdir`` are removed, so :func:`load_trace` reads this
     trace alone.
     """
-    schema = trace_schema(trace.dims, trace.family_kind)
-    header = ",".join(["iteration"] + [entry[0] for entry in schema])
+    header = ",".join(["iteration"] + trace.column_names())
     paths = []
     for ci, chain in enumerate(trace.chains):
-        matrix = np.column_stack([_column(chain, *entry[1:]) for entry in schema]).astype(float)
         lines = [header]
-        lines += [f"{i + 1},{','.join(map(repr, row))}" for i, row in enumerate(matrix.tolist())]
+        lines += [f"{i + 1},{','.join(map(repr, row))}" for i, row in enumerate(chain.values.tolist())]
         path = os.path.join(outdir, f"chain_{ci + 1}.csv")
         atomic_write_text(path, "\n".join(lines) + "\n")
         paths.append(path)
@@ -239,8 +222,22 @@ def save_trace(trace: Trace, outdir: str) -> list:
     return paths
 
 
+def _parse_columns(path: str, rows: list, columns: list, names: list) -> np.ndarray:
+    """Cells ``columns`` of every row as a (rows, columns) float matrix; a bad cell names its column."""
+    take = itemgetter(*columns)
+    try:
+        return np.array([take(row) for row in rows], dtype=float).reshape(len(rows), len(columns))
+    except (IndexError, ValueError):
+        for name, j in zip(names, columns):
+            try:
+                [float(row[j]) for row in rows]
+            except (IndexError, ValueError):
+                raise ConfigurationError(f"{path}: column {name!r} has a missing or non-numeric value") from None
+        raise
+
+
 def _value_problem(field: str, values: np.ndarray) -> str | None:
-    """What is wrong with one trace column read from a file, or None."""
+    """What is wrong with trace values of one field read from a file, or None."""
     if not np.all(np.isfinite(values)):
         return "has non-finite values"
     if field in ("J", "include") and not np.all((values == 0.0) | (values == 1.0)):
@@ -255,11 +252,15 @@ def _value_problem(field: str, values: np.ndarray) -> str | None:
 def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
     """Rebuild a Trace from chain CSVs written by :func:`save_trace`.
 
-    A missing column, or a value that no sampler state can hold (non-finite,
-    negative lam, non-positive kappa or family scale, an indicator other
-    than 0/1), raises ConfigurationError naming the file and column.
+    Columns are found by header name, so their order does not matter and
+    other columns are ignored.  A missing column, or a value that no sampler
+    state can hold (non-finite, negative lam, non-positive kappa or family
+    scale, an indicator other than 0/1), raises ConfigurationError naming
+    the file and column.
     """
     dims = ModelDims.of(spec, data)
+    layout = trace_layout(dims, spec.family.kind)
+    names = [name for *_, field_names in layout for name in field_names]
     chains = []
     ci = 1
     while True:
@@ -271,20 +272,16 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
             header = next(reader)
             rows = [row for row in reader]
         position = {name: j for j, name in enumerate(header)}
-        chain = ChainTrace.zeros(spec.sampler.seed + ci - 1, len(rows), dims, scale_field(spec.family.kind))
-        for name, field, block, index in trace_schema(dims, spec.family.kind):
+        for name in names:
             if name not in position:
                 raise ConfigurationError(f"{path}: missing column {name!r}")
-            j = position[name]
-            try:
-                values = np.array([float(r[j]) for r in rows])
-            except (IndexError, ValueError):
-                raise ConfigurationError(f"{path}: column {name!r} has a missing or non-numeric value") from None
-            problem = _value_problem(field, values)
+        values = _parse_columns(path, rows, [position[name] for name in names], names)
+        fields = [field for field, _, _, field_names in layout for name in field_names]
+        for field, name, column in zip(fields, names, values.T):
+            problem = _value_problem(field, column)
             if problem:
                 raise ConfigurationError(f"{path}: column {name!r} {problem}")
-            _column(chain, field, block, index)[:] = values
-        chains.append(chain)
+        chains.append(ChainTrace(spec.sampler.seed + ci - 1, values, layout))
         ci += 1
     if not chains:
         raise ConfigurationError(f"no chain CSVs found under {outdir}")

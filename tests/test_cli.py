@@ -1,13 +1,14 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
 
 import pytest
 
-from glmmselect.cli import main
+from glmmselect.cli import RHAT_WARN, main
 
 
 def write(tmp_path, name, obj):
@@ -41,6 +42,16 @@ SMALL_SPEC = {
     "sampler": {"chains": 2, "adapt": 10, "burnin": 10, "kept": 30, "seed": 1},
     "mode": "ssvs-diagonal",
 }
+
+
+def rhat_warning(outdir):
+    """The stderr line a command gives for the R-hat column of its diagnostics.csv."""
+    with open(os.path.join(outdir, "diagnostics.csv"), newline="", encoding="utf-8") as fh:
+        rhats = [float(row["rhat"]) for row in csv.DictReader(fh)]
+    worst = max((r for r in rhats if math.isfinite(r)), default=0.0)
+    if worst <= RHAT_WARN:
+        return ""
+    return f"warning: max split R-hat {worst:.3f} exceeds {RHAT_WARN}; inspect diagnostics.csv\n"
 
 
 @pytest.fixture
@@ -103,6 +114,32 @@ class TestPipeline:
         rep_out = str(tmp_path / "rep")
         assert main(["report", "--trace", fit_out, "--data", data, "--spec", spec, "--out", rep_out]) == 0
         assert os.path.exists(os.path.join(rep_out, "top_models.csv"))
+
+    def test_rhat_warning_and_summary_table(self, workspace, capsys):
+        tmp_path, design, spec, data = workspace
+        fit_out = str(tmp_path / "fit")
+        capsys.readouterr()
+        assert main(["fit", "--data", data, "--spec", spec, "--out", fit_out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == rhat_warning(fit_out)
+        assert captured.err.startswith("warning: max split R-hat ")
+        # move chain 2's beta1 far from chain 1's: its split R-hat is the largest
+        path = os.path.join(fit_out, "chain_2.csv")
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        j = rows[0].index("beta1")
+        for row in rows[1:]:
+            row[j] = repr(float(row[j]) + 100.0)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        rep_out = str(tmp_path / "rep")
+        assert main(["report", "--trace", fit_out, "--data", data, "--spec", spec, "--out", rep_out]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == rhat_warning(rep_out)
+        assert float(captured.err.split()[4]) > 10.0
+        # the indicators are untouched, so report prints the table fit wrote
+        with open(os.path.join(fit_out, "summary.txt"), encoding="utf-8") as fh:
+            assert captured.out == fh.read() + "\n"
 
     def test_replicate_command(self, workspace):
         tmp_path, design, spec, data = workspace

@@ -9,11 +9,11 @@ from glmmselect.report import (
     format_table,
     grid_report,
     inclusion_probabilities,
-    label_of,
+    labels_of_trace,
     modal_random_pattern,
     top_models,
 )
-from glmmselect.sampler import ChainTrace, Trace
+from glmmselect.sampler import ChainTrace, Trace, trace_layout
 
 
 def fabricate_trace(J_rows, I_rows, beta_rows=None, l=None, q=None):
@@ -23,36 +23,49 @@ def fabricate_trace(J_rows, I_rows, beta_rows=None, l=None, q=None):
     n, l = J.shape
     q = I.shape[1]
     beta = np.asarray(beta_rows, dtype=float) if beta_rows is not None else np.ones((n, l))
-    chain = ChainTrace(
-        seed=0,
-        beta=beta,
-        J=J,
-        lam=[np.abs(beta[:, :q]) * 0 + 0.5],
-        include=[I],
-        r=[np.zeros((n, q * (q - 1) // 2))],
-        xi=[np.zeros((n, 3, q))],
-        kappa=[np.ones((n, q))],
-        log_posterior=np.zeros(n),
-    )
     dims = ModelDims(l=l, blocks=((q, 3),))
-    return Trace(chains=[chain], dims=dims, family_kind="poisson")
+    layout = trace_layout(dims, "poisson")
+    fields = {
+        "log_posterior": np.zeros(n),
+        "beta": beta,
+        "J": J,
+        "lam": np.full((n, q), 0.5),
+        "include": I,
+        "r": np.zeros((n, q * (q - 1) // 2)),
+        "kappa": np.ones((n, q)),
+        "xi": np.zeros((n, 3 * q)),
+    }
+    values = np.hstack([fields[field].reshape(n, len(names)) for field, _, _, names in layout]).astype(float)
+    return Trace(chains=[ChainTrace(0, values, layout)], dims=dims, family_kind="poisson")
 
 
 class TestLabelOf:
-    def test_patterns(self):
-        class FakeBlock:
-            include = np.array([1, 0, 1])
-
-        class FakeState:
-            J = np.array([1, 1, 0])
-            blocks = [FakeBlock()]
-
-        lab = label_of(FakeState())
-        assert lab == ModelLabel(fixed=(1, 1, 0), random=((1, 0, 1),))
-
     def test_describe(self):
         lab = ModelLabel(fixed=(1, 0), random=((0, 1),))
         assert lab.describe() == "fixed[1] random[2]"
+
+    def test_labels_match_per_draw_reading(self):
+        # two chains and two blocks, against a draw-by-draw reading of the indicator views
+        rng = np.random.default_rng(3)
+        dims = ModelDims(l=3, blocks=((2, 3), (3, 2)))
+        layout = trace_layout(dims, "poisson")
+        chains = []
+        for seed, n in enumerate((7, 5)):
+            chain = ChainTrace(seed, rng.random((n, sum(len(names) for *_, names in layout))), layout)
+            for bits in [chain.J, *chain.include]:
+                bits[:] = rng.integers(0, 2, bits.shape)  # writes into chain.values
+            chains.append(chain)
+        trace = Trace(chains=chains, dims=dims)
+        expected = [
+            ModelLabel(tuple(int(v) for v in c.J[i]), tuple(tuple(int(v) for v in inc[i]) for inc in c.include))
+            for c in chains
+            for i in range(c.n_recorded)
+        ]
+        assert labels_of_trace(trace) == expected
+        for block in (None, 1):
+            patterns = [lab.random if block is None else lab.random[block] for lab in expected]
+            modal = max(sorted(set(patterns)), key=patterns.count)  # most frequent, then smallest
+            assert modal_random_pattern(trace, block=block) == modal
 
 
 class TestTopModels:

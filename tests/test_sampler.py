@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from glmmselect.model import (
     RandomBlock,
     SamplerSettings,
 )
-from glmmselect.sampler import chain_columns, load_trace, run_chains, save_trace
+from glmmselect.sampler import load_trace, run_chains, save_trace
 
 
 def small_problem(
@@ -124,10 +125,38 @@ class TestTracePersistence:
             np.testing.assert_array_equal(c1.J, c2.J)
             np.testing.assert_allclose(c1.xi[0], c2.xi[0], rtol=0, atol=0)
             np.testing.assert_allclose(c1.log_posterior, c2.log_posterior, rtol=0, atol=0)
-            cols1 = chain_columns(c1, trace.dims, kind)
-            cols2 = chain_columns(c2, back.dims, kind)
-            for name in names:
-                np.testing.assert_array_equal(cols1[name], cols2[name], err_msg=name)
+            np.testing.assert_array_equal(c1.values, c2.values)
+
+    @pytest.mark.parametrize("kind", ["poisson", "negative_binomial", "gaussian", "bernoulli"])
+    def test_empty_trace_roundtrip(self, tmp_path, kind):
+        spec, data = small_problem(seed=10, kept=0, kind=kind)
+        trace = run_chains(spec, data)
+        paths = save_trace(trace, str(tmp_path))
+        assert all(len(Path(p).read_text().splitlines()) == 1 for p in paths)  # header only
+        back = load_trace(str(tmp_path), spec, data)
+        assert back.n_recorded == 0
+        scale = {"negative_binomial": "dispersion", "gaussian": "sigma2"}.get(kind)
+        for c1, c2 in zip(trace.chains, back.chains):
+            assert c2.values.shape == c1.values.shape == (0, len(trace.column_names()))
+            for name in ("beta", "J", "log_posterior") + ((scale,) if scale else ()):
+                assert getattr(c2, name).shape == getattr(c1, name).shape, name
+            for name in {"dispersion", "sigma2"} - {scale}:
+                assert getattr(c1, name) is None and getattr(c2, name) is None, name
+            for name in ("lam", "include", "r", "kappa", "xi"):
+                assert [a.shape for a in getattr(c2, name)] == [a.shape for a in getattr(c1, name)], name
+        assert back.chains[0].xi[0].shape == (0, 6, 1)
+
+    def test_columns_are_found_by_name(self, tmp_path):
+        spec, data = small_problem(seed=15, kept=5, kind="negative_binomial")
+        trace = run_chains(spec, data)
+        save_trace(trace, str(tmp_path))
+        for path in tmp_path.glob("chain_*.csv"):
+            rows = [line.split(",") for line in path.read_text().splitlines()]
+            rows = [row[::-1] + [extra] for row, extra in zip(rows, ["note"] + ["text"] * len(rows))]
+            path.write_text("\n".join(",".join(row) for row in rows) + "\n")
+        back = load_trace(str(tmp_path), spec, data)
+        for c1, c2 in zip(trace.chains, back.chains):
+            np.testing.assert_array_equal(c1.values, c2.values)
 
     @pytest.mark.parametrize(
         "column, value, message",
