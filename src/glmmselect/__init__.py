@@ -3,7 +3,8 @@
 Spike-and-slab indicators on fixed effects and on the diagonal of a
 modified-Cholesky factorization of the random-effect covariance, fit with a
 purpose-built Metropolis-within-Gibbs sampler (slice updates for continuous
-coordinates, exact Bernoulli updates for indicators).
+coordinates, Laplace-proposal Metropolis-Hastings steps for the latent
+random effects, exact Bernoulli updates for indicators).
 """
 
 __version__ = "0.1.0"

@@ -6,10 +6,12 @@ diagonal matrix with nonnegative entries ``lam`` and ``Gamma`` is unit
 lower-triangular with subdiagonal entries packed row-major into ``r``:
 (2,1), (3,1), (3,2), (4,1), ...  Setting ``lam[k] = 0`` removes effect k;
 the membership constraint then zeroes row and column k of ``Gamma``
-(diagonal stays 1).  That masking is written only here, in
-:func:`mask_factors`, which returns the masked factors as a plain
-``(lam_eff, gamma)`` pair; the map from latent xi to the effect vector is
-``lam_eff[:, None] * gamma``.  :func:`decompose_covariance` goes the other
+(diagonal stays 1).  That masking is written only here: :func:`mask_factors`
+returns the masked factors as a plain ``(lam_eff, gamma)`` pair, and the map
+from latent xi to the effect vector is the loadings ``lam_eff[:, None] *
+gamma``; :func:`effect_loadings` gives row k and column k of those loadings
+with effect k included, the terms an indicator flip of k adds or removes,
+without building the (q, q) matrices.  :func:`decompose_covariance` goes the other
 way, from a covariance to a ``(lam, gamma)`` pair of the same form.
 
 Identity rule: when no packed ``r`` entry is nonzero, the effective Gamma is
@@ -23,7 +25,7 @@ import numpy as np
 
 from .errors import DecompositionError
 
-__all__ = ["tril_pairs", "mask_factors", "decompose_covariance"]
+__all__ = ["tril_pairs", "mask_factors", "effect_loadings", "decompose_covariance"]
 
 
 @lru_cache(maxsize=64)
@@ -55,6 +57,37 @@ def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[n
         np.swapaxes(gamma, -1, -2)[dead] = 0.0     # columns k
     gamma.reshape(lam_eff.shape[:-1] + (q * q,))[..., :: q + 1] = 1.0   # the diagonal
     return lam_eff, gamma
+
+
+def effect_loadings(lam: np.ndarray, r: np.ndarray, include: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row k and column k of the loadings ``lam_eff[:, None] * gamma`` with include[k] set to 1.
+
+    The entries equal those of :func:`mask_factors` bit for bit, without the
+    (q, q) matrices: row k holds lam[k] r_(k, j) for j < k, column k holds
+    lam[j] r_(j, k) for j > k, each where effect j has lam_eff[j] != 0, and
+    both hold lam[k] at k.  With lam[k] = 0, or every r zero (the identity
+    rule), there are no r terms.
+    """
+    q = lam.shape[-1]
+    row, col = np.zeros(q), np.zeros(q)
+    lam_k = lam[k]
+    if lam_k != 0.0 and np.count_nonzero(r):
+        dead = (lam == 0.0) | (include == 0)  # lam_eff == 0, k aside
+        start = k * (k - 1) // 2  # packed (k, 0), ..., (k, k - 1)
+        row[:k] = lam_k * r[start : start + k]
+        col[k + 1 :] = lam[k + 1 :] * r[_below_index(q, k)]
+        row[dead] = col[dead] = 0.0
+    row[k] = col[k] = lam_k
+    return row, col
+
+
+@lru_cache(maxsize=256)
+def _below_index(q: int, k: int) -> np.ndarray:
+    """Packed positions of the entries (j, k), j = k + 1, ..., q - 1 (cached, read-only)."""
+    j = np.arange(k + 1, q)
+    index = j * (j - 1) // 2 + k
+    index.flags.writeable = False
+    return index
 
 
 def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:

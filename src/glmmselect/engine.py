@@ -13,7 +13,8 @@ One scan sweeps, in this order:
 Indicators use their exact Bernoulli full conditionals (the likelihood ratio
 times prior odds, valid because excluded raw values keep their slab density
 as a pseudo-prior).  Included beta, lam, r and xi, whose conditionals involve
-the likelihood, take slice updates.  The latents above them are exact draws
+the likelihood, take slice updates (beta, lam, r) or a Metropolis-Hastings
+step (xi, below).  The latents above them are exact draws
 from their full conditionals (see :mod:`glmmselect.priors`): theta from a
 Gamma, phi and m from the modified half-normal, tau2 from an inverse-gamma,
 kappa from the generalized inverse Gaussian.  An excluded effect leaves the
@@ -24,12 +25,24 @@ without both effects in from N(0, 1).  These draws are independent from scan
 to scan, so the pseudo-prior values that an indicator flip would switch in
 do not drift into the heavy tails of the prior for long stretches.
 
+An included xi column takes one Metropolis-Hastings step for all its groups
+at once.  Each group's xi_gk has its own target along its rows, and is
+proposed from that target's Laplace approximation N(m_g, 1/H_g), found by
+damped Newton steps from 0 with the kernel derivatives of
+:meth:`Family.kernel_a_derivatives` (``_group_laplace``), then accepted or
+kept group by group.  The proposal does not depend on the current value.
+The step draws n_groups standard normals, then n_groups uniforms, whatever
+the outcome; a group whose m_g, H_g or proposed target is not finite keeps
+its value.  For the gaussian family the approximation is exact, and every
+proposal is accepted.  ``xi_accepted`` and ``xi_proposed`` count the groups.
+
 Likelihood targets are line targets.  The family kernel is w y eta - A(y,
 eta, scale) (:meth:`Family.log_kernel`), and every update moves eta along a
 line eta_0 + c x, so up to a constant the log-likelihood there is x w (y . c)
 - sum A(y, eta_0 + c x).  Each slice update, indicator draw and xi column
 update computes w (y . c) once (per group for xi) and evaluates only A,
-through ``_ll_terms``, at each point.
+through ``_ll_terms``, at each point; the xi step's Newton steps use A' and
+A'' instead.
 
 Without a given state, a chain starts at a prior draw whose likelihood is
 finite.  The search draws candidates ``_START_BATCH`` at a time with
@@ -50,9 +63,8 @@ The gaussian sigma2 is drawn from its inverse-gamma full conditional.
 Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
 group keyed ``(kind, block)`` (block None for the fixed effects and the
 dispersion).  Every width starts at 1.0.  While ``adapting`` is set, each scan
-adds the group's draws as a (rows, size) batch, averaged over rows (the groups
-of xi; a single row elsewhere), of the coordinates that take slice updates
-(included ones; see ``_draws``), and from its 20th such draw on each width is
+adds the group's draws of the coordinates that take slice updates (included
+ones; see ``_draws``), and from its 20th such draw on each width is
 2.5 running standard deviations, clipped to [1e-4, 1e4].  Pseudo-prior draws
 of excluded coordinates do not count: they follow the heavy-tailed prior and
 would widen the slices of included ones.
@@ -61,11 +73,13 @@ The engine reads its data from ``self.data`` and caches one quantity, the
 full linear predictor ``_eta`` of the current state.  Each update that moves
 a term of eta moves the cache by that term's change; an indicator flip moves
 it by a delta, since the on and off loadings Lambda_eff Gamma_eff differ only
-in row k and column k.  A full recompute at the end of every scan bounds
-float drift, and ``log_posterior`` reads the cache it leaves.  Code that
-edits ``state`` directly must call ``recompute_caches`` before the next
-update or ``log_posterior``.  ``scan`` owns the ``np.errstate`` guard for
-overflow in the likelihood loop, so the per-evaluation code runs unguarded.
+in row k and column k (:func:`cholesky.effect_loadings`).  A full recompute
+at the end of every scan bounds float drift, and ``log_posterior`` reads the
+cache it leaves.  Code that edits ``state`` directly must call
+``recompute_caches`` before the next update or ``log_posterior``.  ``scan``
+owns the ``np.errstate`` guard for overflow and invalid operations in the
+likelihood loop, so the per-evaluation code runs unguarded; the xi step adds
+a guard for division by zero.
 """
 
 import logging
@@ -87,18 +101,24 @@ from .priors import (
     sample_prior,
     sample_rate_pair,
 )
-from .slicing import SliceStats, slice_update, slice_update_vec
+from .slicing import SliceStats, slice_update
+# slice_update_vec is unused here but stays importable: bench/child.py wraps engine.slice_update_vec
+from .slicing import slice_update_vec  # noqa: F401
 from . import cholesky
 
 __all__ = ["GibbsEngine"]
 
 log = logging.getLogger(__name__)
 
-# phi, kappa and m are drawn exactly; their counters stay 0 but remain, for reports that list every kind
+# phi, xi, kappa and m take no slice updates; their counters stay 0 but remain, for reports that list every kind
 _SLICE_KINDS = ("beta", "phi", "lam", "r", "xi", "kappa", "m", "dispersion")
 _WIDTH_MIN = 1e-4
 _WIDTH_MAX = 1e4
 _ADAPT_MIN_COUNT = 20
+# the mode search of the xi proposal, GibbsEngine._group_laplace
+_NEWTON_MAX_STEPS = 30
+_NEWTON_MAX_ETA_STEP = 2.0
+_NEWTON_TOL = 0.1
 # the start search screens prior draws in batches of _START_BATCH, at most _START_BUDGET of them
 _START_BATCH = 32
 _START_BUDGET = 20_000
@@ -114,14 +134,14 @@ class _Width:
         self.total_sq = np.zeros(size)
 
     def add(self, draws: np.ndarray, live: np.ndarray) -> None:
-        """Add one scan's (rows, size) draws of the coordinates that ``live`` marks.
+        """Add one scan's draws, one per coordinate, of the coordinates that ``live`` marks.
 
         A coordinate's width is 2.5 running standard deviations of its live
         draws once it has 20 of them.
         """
         self.count += live
-        self.total += np.where(live, draws.mean(axis=0), 0.0)
-        self.total_sq += np.where(live, (draws**2).mean(axis=0), 0.0)
+        self.total += np.where(live, draws, 0.0)
+        self.total_sq += np.where(live, draws**2, 0.0)
         ready = self.count >= _ADAPT_MIN_COUNT
         if ready.any():
             mean = self.total[ready] / self.count[ready]
@@ -159,8 +179,9 @@ class GibbsEngine:
         self.state.check_dims(self.dims)
         self._fix_by_mode(self.state)
 
-        self.widths = {key: _Width(draws.shape[1]) for key, (draws, _) in self._draws().items()}
+        self.widths = {key: _Width(draws.size) for key, (draws, _) in self._draws().items()}
         self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
+        self.xi_accepted = self.xi_proposed = 0  # groups, over every xi column update
         self.scan_count = 0
         self.recompute_caches()
 
@@ -249,7 +270,8 @@ class GibbsEngine:
         """Per group g of block bi, the log-likelihood of its rows along eta0 + c x_g, up to a constant.
 
         The returned function maps a vector x of one value per group to the
-        vector of x_g w (y . c)_g - sum_{rows of g} A.
+        vector of x_g w (y . c)_g - sum_{rows of g} A; its ``slope`` holds the
+        vector w (y . c).
         """
         bdata = self.data.blocks[bi]
         groups, n_groups = bdata.groups, bdata.n_groups
@@ -258,6 +280,7 @@ class GibbsEngine:
         def ll(x):
             return x * slope - np.bincount(groups, weights=self._ll_terms(eta0 + c * x[groups]), minlength=n_groups)
 
+        ll.slope = slope
         return ll
 
     def log_likelihood(self) -> float:
@@ -348,22 +371,25 @@ class GibbsEngine:
 
     # --------------------------------------------------------- random effects
 
-    def _update_I(self, bi: int, k: int) -> None:
+    def _flip_delta(self, bi: int, k: int) -> np.ndarray:
+        """The term of eta that including effect k of block bi adds, at the current raw values.
+
+        Off zeroes row and column k of the loadings (the exclusion
+        invariant), so on - off is row k and column k of the on loadings.
+        """
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
-        was_on = bool(bs.include[k])
-        bs.include[k] = 1
-        lam_eff, gamma = self._gamma_eff(bi)
-        bs.include[k] = was_on
-        # off zeroes row and column k of the loadings (the exclusion
-        # invariant), so on - off is row k and column k of the on loadings
-        row = lam_eff[k] * gamma[k, :]
-        col = lam_eff * gamma[:, k]
-        col[k] = 0.0
+        row, col = cholesky.effect_loadings(bs.lam, bs.r, bs.include, k)
+        col[k] = 0.0  # row k holds the diagonal loading
         delta = bdata.Z[:, k] * (bs.xi @ row)[bdata.groups]
         if col.any():
             delta += (bdata.Z @ col) * bs.xi[bdata.groups, k]
-        eta_off = self._eta - delta if was_on else self._eta
+        return delta
+
+    def _update_I(self, bi: int, k: int) -> None:
+        bs = self.state.blocks[bi]
+        delta = self._flip_delta(bi, k)
+        eta_off = self._eta - delta if bs.include[k] else self._eta
         # raw lam/r/xi densities cancel between branches (same slab pseudo-priors
         # and Sigma_r = I), so the odds reduce to prior odds times the LR
         bs.include[k] = self._draw_indicator(eta_off, delta)
@@ -418,23 +444,71 @@ class GibbsEngine:
             c = bdata.Z[:, u] * (bs.lam[u] * bs.xi[bdata.groups, v])
             bs.r[j] = self._slice_along("r", c, bs.r[j], 1.0, widths[j], bs.r[j])
 
+    def _group_laplace(self, bi: int, eta0: np.ndarray, c: np.ndarray, slope: np.ndarray, precision: float):
+        """Per group g of block bi, the mode m_g of its line target t_g and H_g = -t_g''(m_g).
+
+        t_g(x) = x slope_g - sum_{rows of g} A(eta0 + c x) - precision x^2 / 2
+        is concave, so Newton steps from 0 find m_g.  Each step moves a
+        group's eta by at most ``_NEWTON_MAX_ETA_STEP``, since A may grow like
+        exp(eta) and a full step up can overshoot by far.  The search stops
+        after the step in which every group's step was below ``_NEWTON_TOL``
+        of its 1/sqrt(H), or after ``_NEWTON_MAX_STEPS`` steps.  A group whose
+        c is all zero has no cap; the caller guards that division by zero.
+        """
+        groups, n_groups = self.data.blocks[bi].groups, self.data.blocks[bi].n_groups
+        family, field = self.spec.family, self._scale_field
+        scale = getattr(self.state, field) if field else None
+        c2 = c * c
+
+        def derivatives(x):
+            a1, a2 = family.kernel_a_derivatives(self.data.y, eta0 + c * x[groups], scale)
+            grad = slope - np.bincount(groups, weights=c * a1, minlength=n_groups) - precision * x
+            return grad, np.bincount(groups, weights=c2 * a2, minlength=n_groups) + precision
+
+        reach = np.zeros(n_groups)
+        np.maximum.at(reach, groups, np.abs(c))
+        cap = _NEWTON_MAX_ETA_STEP / reach  # the step of x that moves the group's eta by the cap
+        m = np.zeros(n_groups)
+        for _ in range(_NEWTON_MAX_STEPS):
+            grad, h = derivatives(m)
+            step = np.minimum(np.maximum(grad / h, -cap), cap)
+            m += step
+            if not np.any(step * step * h > _NEWTON_TOL**2):  # NaN lanes are out of the count
+                break
+        return m, derivatives(m)[1]
+
     def _update_xi_col(self, bi: int, k: int) -> None:
+        """One Metropolis-Hastings step for every group's xi_gk of an included column k at once.
+
+        Group g's xi_gk enters only its own rows, along eta0 + c xi_gk with c
+        = Z (column k of the loadings), so the groups are independent
+        targets.  Each is proposed from ``_group_laplace`` and accepted with
+        log ratio t_g(x') - t_g(x) + log q(x) - log q(x').
+        """
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
-        groups = bdata.groups
+        groups, n_groups = bdata.groups, bdata.n_groups
         if not bs.include[k]:
             return
-        half_precision = 0.5 / bs.kappa[k]
-        lam_eff, gamma = self._gamma_eff(bi)
-        col = lam_eff * gamma[:, k]
-        c = bdata.Z @ col
+        precision = 1.0 / bs.kappa[k]
+        c = bdata.Z @ cholesky.effect_loadings(bs.lam, bs.r, bs.include, k)[1]
         x0 = bs.xi[:, k].copy()
-        lines = self._group_lines(bi, self._eta - c * x0[groups], c)
-
-        def tgt(xvec):
-            return lines(xvec) - half_precision * xvec * xvec
-
-        new = slice_update_vec(tgt, x0, float(self.widths["xi", bi].width[k]), self.rng, stats=self.stats["xi"])
+        eta0 = self._eta - c * x0[groups]
+        line = self._group_lines(bi, eta0, c)
+        with np.errstate(divide="ignore"):
+            m, h = self._group_laplace(bi, eta0, c, line.slope, precision)
+            z = self.rng.standard_normal(n_groups)
+            prop = m + z / np.sqrt(h)
+            log_u = np.log(self.rng.random(n_groups))
+            t_prop = line(prop) - 0.5 * precision * prop * prop
+            t_old = line(x0) - 0.5 * precision * x0 * x0
+            # log q(x0) - log q(prop), without the 0.5 log h that cancels
+            log_ratio = t_prop - t_old - 0.5 * (h * (x0 - m) ** 2 - z * z)
+            ok = np.isfinite(m) & np.isfinite(h) & np.isfinite(t_prop)
+            accept = ok & (log_u < log_ratio)
+        self.xi_proposed += n_groups
+        self.xi_accepted += int(np.count_nonzero(accept))
+        new = np.where(accept, prop, x0)
         bs.xi[:, k] = new
         self._eta = self._eta + c * (new - x0)[groups]
 
@@ -512,12 +586,12 @@ class GibbsEngine:
     # ------------------------------------------------------------- adaptation
 
     def _draws(self) -> dict:
-        """Each slice-updated parameter group, keyed (kind, block): its (rows, size) draws and live mask.
+        """Each slice-updated parameter group, keyed (kind, block): its 1-D draws and live mask.
 
-        A coordinate is live while it takes slice updates: an included beta,
-        lam or xi column, an r entry whose two effects are in, the NB
-        dispersion.  The others are pseudo-prior draws, whose spread says
-        nothing about the slice scale.
+        A coordinate is live while it takes slice updates: an included beta
+        or lam, an r entry whose two effects are in, the NB dispersion.  The
+        others are pseudo-prior draws, whose spread says nothing about the
+        slice scale.
         """
         st = self.state
         groups = {("beta", None): (st.beta, st.J == 1)}
@@ -526,10 +600,9 @@ class GibbsEngine:
             rows, cols = cholesky.tril_pairs(included.size)
             groups["lam", bi] = (bs.lam, included)
             groups["r", bi] = (bs.r, included[rows] & included[cols])
-            groups["xi", bi] = (bs.xi, included)
         if self._scale_field == "dispersion":
-            groups["dispersion", None] = (st.dispersion, True)
-        return {key: (np.atleast_2d(draws), live) for key, (draws, live) in groups.items()}
+            groups["dispersion", None] = (np.array([st.dispersion]), True)
+        return groups
 
     def _adapt_widths(self) -> None:
         for key, (draws, live) in self._draws().items():

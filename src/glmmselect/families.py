@@ -273,6 +273,28 @@ class Family:
             return np.logaddexp(0.0, eta)
         return 0.5 * (y - eta) ** 2 / scale
 
+    def kernel_a_derivatives(self, y: np.ndarray, eta: np.ndarray, scale=None) -> tuple:
+        """The first and second derivatives of :meth:`kernel_a` in eta, per observation, unchecked.
+
+        A'' >= 0 for every kind, so each line target of the engine is
+        log-concave.  The logistic terms of the bernoulli and the negative
+        binomial, p = 1 / (1 + exp(-z)) and p (1 - p) with z = eta (minus log
+        r for the NB), are computed from exp(-|z|), which cannot overflow.
+        The poisson's exp overflows to +inf as in :meth:`kernel_a`.
+        """
+        if self.kind == "poisson":
+            mu = np.exp(eta)
+            return mu, mu
+        if self.kind == "gaussian":
+            return (eta - y) / scale, np.broadcast_to(1.0 / scale, np.shape(eta))
+        z = eta - np.log(scale) if self.kind == "negative_binomial" else eta
+        e = np.exp(-np.abs(z))
+        d = 1.0 / (1.0 + e)
+        p, slope = np.where(z >= 0.0, d, e * d), e * d * d
+        if self.kind == "negative_binomial":
+            return (y + scale) * p, (y + scale) * slope
+        return p, slope
+
     def log_kernel(self, y: np.ndarray, eta: np.ndarray, scale=None) -> np.ndarray:
         """Per-observation log-likelihood up to eta-free terms, w y eta - A(y, eta, scale), unchecked.
 

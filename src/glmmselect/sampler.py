@@ -167,8 +167,8 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
             values[idx] = np.concatenate([np.ravel(draw(field, block)) for field, block, _, _ in layout])
             idx += 1
     fallbacks = sum(s.fallbacks for s in engine.stats.values())
-    if fallbacks:
-        log.info("chain %d: %d slice step-out fallbacks", chain, fallbacks)
+    xi_rate = engine.xi_accepted / engine.xi_proposed if engine.xi_proposed else float("nan")
+    log.info("chain %d: %d slice step-out fallbacks, xi acceptance %.3f", chain, fallbacks, xi_rate)
     return ChainTrace(seed, values, layout, fallbacks)
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from glmmselect.cholesky import decompose_covariance, mask_factors, tril_pairs
+from glmmselect.cholesky import decompose_covariance, effect_loadings, mask_factors, tril_pairs
 from glmmselect.errors import DecompositionError
 from glmmselect.model import block_predictor
 
@@ -84,6 +84,26 @@ class TestProjectConstraints:
             lam2, gamma2 = mask_factors(lam1, packed(gamma1), np.ones(q))
             assert np.array_equal(gamma2, gamma1)
             assert np.array_equal(lam2, lam1)
+
+
+class TestEffectLoadings:
+    def test_row_and_column_k_equal_the_masked_loadings_bit_for_bit(self):
+        rng = np.random.default_rng(3)
+        for trial in range(200):
+            q = int(rng.integers(1, 6))
+            lam = rng.uniform(0.0, 2.0, q) * (rng.random(q) < 0.8)  # some lam exactly 0
+            r = rng.standard_normal(q * (q - 1) // 2) * (rng.random(q * (q - 1) // 2) < 0.6)
+            if trial % 5 == 0:
+                r[:] = -0.0  # the identity rule: no r terms, not even signed zeros
+            include = rng.integers(0, 2, q)
+            for k in range(q):
+                on = include.copy()
+                on[k] = 1
+                lam_eff, gamma = mask_factors(lam, r, on)
+                loadings = lam_eff[:, None] * gamma
+                row, col = effect_loadings(lam, r, include, k)
+                assert row.tobytes() == loadings[k].tobytes(), (trial, k)
+                assert col.tobytes() == loadings[:, k].tobytes(), (trial, k)
 
 
 class TestAssemble:

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy import stats
+from scipy import optimize, stats
 from scipy.special import expit
 
 from glmmselect import engine as engine_module
@@ -20,6 +20,7 @@ from glmmselect.model import (
     linear_predictor_all,
     total_log_likelihood,
 )
+from glmmselect.cholesky import mask_factors
 from glmmselect.errors import NumericError, SamplerError
 from glmmselect.families import Family
 from glmmselect.priors import log_prior_state, sample_prior
@@ -138,6 +139,35 @@ class TestIndicatorConditional:
                 assert np.max(np.abs(engine._eta - linear_predictor_all(spec, engine.state, data))) < 1e-9
         # some flip of k happened while another effect was in, so Gamma had a free r entry
         assert free_r_seen
+
+    @pytest.mark.parametrize("mode", ["ssvs-full", "ssvs-diagonal"])
+    def test_flip_delta_is_bit_identical_to_the_masked_factors(self, mode):
+        # the delta built from row k and column k alone against the one from the full masked (q, q) factors
+        q = 4
+        spec, data = toy_setup(30, q=q, mode=mode)
+        rng = np.random.default_rng(31)
+        engine = GibbsEngine(spec, data, rng=rng)
+        bs, bdata = engine.state.blocks[0], engine.data.blocks[0]
+        for trial in range(40):
+            bs.include[:] = rng.integers(0, 2, q)
+            bs.lam[:] = rng.gamma(1.0, 1.0, q)
+            bs.xi[:] = rng.normal(0.0, 1.0, bs.xi.shape)
+            if mode == "ssvs-full":
+                bs.r[:] = rng.normal(0.0, 1.0, bs.r.size) * (rng.random(bs.r.size) < 0.7)
+            if trial % 4 == 0:  # an included effect with lam exactly 0
+                j = rng.integers(q)
+                bs.include[j], bs.lam[j] = 1, 0.0
+            for k in range(q):
+                include = bs.include.copy()
+                include[k] = 1
+                lam_eff, gamma = mask_factors(bs.lam, bs.r, include)
+                row = lam_eff[k] * gamma[k, :]
+                col = lam_eff * gamma[:, k]
+                col[k] = 0.0
+                want = bdata.Z[:, k] * (bs.xi @ row)[bdata.groups]
+                if col.any():
+                    want += (bdata.Z @ col) * bs.xi[bdata.groups, k]
+                assert engine._flip_delta(0, k).tobytes() == want.tobytes(), (trial, k)
 
     def test_overflowing_branch_raises_no_warning(self):
         design = full_scale_design()
@@ -290,6 +320,128 @@ class TestLineTargets:
             _, ll_on, ll_off = update_indicator(engine, which)
             scale = size_on.sum() + size_off.sum()
             assert abs((ll_on - ll_off) - (on.sum() - off.sum())) <= 1e-9 * scale, which
+
+
+def moderate_state(engine, kind):
+    """Set a fixed moderate state, with every effect in, on the engine of a two-effect toy block."""
+    st, bs = engine.state, engine.state.blocks[0]
+    st.J[:] = 1
+    st.beta[:] = (0.3, -0.2)
+    bs.include[:] = 1
+    bs.lam[:] = (0.8, 0.5)
+    bs.r[:] = 0.6
+    bs.kappa[:] = (1.3, 0.7)
+    bs.xi[:] = np.random.default_rng(60).normal(0.0, 1.0, bs.xi.shape)
+    if kind == "negative_binomial":
+        st.dispersion = 2.0
+    if kind == "gaussian":
+        st.sigma2 = 0.5
+    engine.recompute_caches()
+
+
+def column_line(engine, k=0):
+    """eta with column k of block 0's xi at 0, and the coefficient c of xi_gk in eta, from full predictors."""
+    at = []
+    for value in (0.0, 1.0):
+        state = engine.state.copy()
+        state.blocks[0].xi[:, k] = value
+        at.append(linear_predictor_all(engine.spec, state, engine.data))
+    return at[0], at[1] - at[0]
+
+
+class TestXiKernel:
+    """The xi column step against the quadrature CDF of each group's full conditional."""
+
+    @staticmethod
+    def conditional_cdfs(engine, k=0):
+        """Per group g, the CDF of xi_gk given everything else, by quadrature on a fine grid.
+
+        The log-density is the family log-likelihood of g's rows, from the full predictor, plus the
+        N(0, kappa_k) prior.
+        """
+        spec, data, state = engine.spec, engine.data, engine.state
+        bs, bdata = state.blocks[0], data.blocks[0]
+        family, scale = spec.family, spec.family.scale_of(state)
+        base, c = column_line(engine, k)
+        grid = np.linspace(-12.0, 12.0, 24001)
+        cdfs = []
+        for g in range(bdata.n_groups):
+            rows = bdata.groups == g
+            eta = base[rows] + c[rows] * grid[:, None]
+            logd = family.log_likelihood(data.y[rows], eta, scale).sum(axis=1) - 0.5 * grid**2 / bs.kappa[k]
+            dens = np.exp(logd - logd.max())
+            cum = np.concatenate([[0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(grid))])
+            cdfs.append(lambda x, cum=cum / cum[-1]: np.interp(x, grid, cum))
+        return cdfs
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_draws_follow_each_groups_full_conditional(self, kind):
+        spec, data = toy_setup(61, n=3, n_i=4, q=2, kind=kind)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(62))
+        moderate_state(engine, kind)
+        cdfs = self.conditional_cdfs(engine)
+        draws = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(4000):
+                engine._update_xi_col(0, 0)
+                if i % 5 == 4:
+                    draws.append(engine.state.blocks[0].xi[:, 0].copy())
+        draws = np.array(draws)
+        for g, cdf in enumerate(cdfs):
+            assert stats.kstest(draws[:, g], cdf).pvalue > 1e-3, g
+        # the cached predictor moved with the accepted draws
+        assert np.max(np.abs(engine._eta - linear_predictor_all(spec, engine.state, data))) < 1e-9
+        assert engine.xi_proposed == 4000 * 3
+        assert engine.xi_accepted > 0.5 * engine.xi_proposed
+        if kind == "gaussian":  # the Laplace approximation is the conditional itself
+            assert engine.xi_accepted == engine.xi_proposed
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shift", [0.0, -25.0])
+    def test_proposal_centre_is_each_groups_mode(self, kind, shift):
+        # eta0 shifted by -25 puts the modes 3 to 35 eta units (the gaussian's the most) from the search's start at 0
+        spec, data = toy_setup(65, n=3, n_i=4, q=2, kind=kind)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(66))
+        moderate_state(engine, kind)
+        bs, bdata = engine.state.blocks[0], data.blocks[0]
+        eta0, c = column_line(engine)
+        eta0 = eta0 + shift
+        precision = 1.0 / bs.kappa[0]
+        family, scale = spec.family, spec.family.scale_of(engine.state)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                line = engine._group_lines(0, eta0, c)
+                m, h = engine._group_laplace(0, eta0, c, line.slope, precision)
+        for g in range(bdata.n_groups):
+            rows = bdata.groups == g
+
+            def minus_t(x):
+                ll = family.log_likelihood(data.y[rows], eta0[rows] + c[rows] * x, scale).sum()
+                return 0.5 * precision * x * x - ll
+
+            mode = optimize.minimize_scalar(minus_t, bracket=(-1.0, 1.0), tol=1e-12).x
+            step = 1e-4
+            curvature = (minus_t(mode + step) - 2.0 * minus_t(mode) + minus_t(mode - step)) / step**2
+            assert abs(m[g] - mode) * math.sqrt(curvature) < 0.02, (g, m[g], mode)
+            assert h[g] == pytest.approx(curvature, rel=1e-3), g
+
+    def test_non_finite_lanes_keep_their_value(self):
+        # at lam = 1e300 the squared loadings overflow, so every group's curvature is inf and its
+        # Newton steps NaN; the step keeps each value and lets no warning escape the guard of scan
+        spec, data = toy_setup(63, n=3, n_i=4, q=2)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(64))
+        moderate_state(engine, "poisson")
+        bs = engine.state.blocks[0]
+        bs.lam[0] = 1e300
+        engine.recompute_caches()
+        before = bs.xi[:, 0].copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(over="ignore", invalid="ignore"):
+                engine._update_xi_col(0, 0)
+        np.testing.assert_array_equal(bs.xi[:, 0], before)
+        assert engine.xi_accepted == 0 and engine.xi_proposed == 3
 
 
 class TestEmptyData:
@@ -652,8 +804,8 @@ class TestFeasibleStart:
 
 class TestSliceWidths:
     def test_adapted_widths_are_clipped_running_sd_of_live_draws(self):
-        # a coordinate's draws count while it takes slice updates: an included beta, lam or xi column,
-        # an r entry with both effects in, the NB dispersion; pseudo-prior draws of the others do not
+        # a coordinate's draws count while it takes slice updates: an included beta or lam, an r entry
+        # with both effects in, the NB dispersion; pseudo-prior draws of the others do not
         spec, data = toy_setup(25, q=3, kind="negative_binomial")
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(26))
         # every effect starts included, so that every group has live draws from the first scan
@@ -672,8 +824,6 @@ class TestSliceWidths:
                 ("dispersion", None): (np.array([st.dispersion]), np.array([st.dispersion**2]), True),
                 ("lam", 0): (bs.lam, bs.lam**2, included),
                 ("r", 0): (bs.r, bs.r**2, included[rows] & included[cols]),
-                # xi is averaged over groups before it enters the running moments
-                ("xi", 0): (bs.xi.mean(axis=0), (bs.xi**2).mean(axis=0), included),
             }
             assert set(engine.widths) == set(scan_draws)
             for key, (x, x2, live) in scan_draws.items():
@@ -695,11 +845,11 @@ class TestSliceWidths:
         rng = np.random.default_rng(27)
         live_draws = [[], [], []]
         for scan in range(30):
-            draws = rng.normal([0.0, 5.0, -2.0], [0.1, 2.0, 30.0], size=(4, 3))
+            draws = rng.normal([0.0, 5.0, -2.0], [0.1, 2.0, 30.0])
             live = np.array([True, scan % 2 == 0, scan < 10])  # 30, 15 and 10 live scans
             width.add(draws, live)
             for k in np.flatnonzero(live):
-                live_draws[k].append((draws[:, k].mean(), (draws[:, k] ** 2).mean()))
+                live_draws[k].append((draws[k], draws[k] ** 2))
         first, second = np.array(live_draws[0]).T
         want = 2.5 * np.sqrt(second.mean() - first.mean() ** 2)
         np.testing.assert_allclose(width.width[0], want, rtol=1e-12)

@@ -1,6 +1,7 @@
 """The scipy-free special functions of glmmselect.families, against scipy.special."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -147,6 +148,36 @@ class TestSingleFormula:
                 fam.log_likelihood(y, eta, bad)
             with pytest.raises(ConfigurationError, match="scale"):
                 fam.sample(np.random.default_rng(0), eta, bad)
+
+    @pytest.mark.parametrize(
+        "kind, scale",
+        [("poisson", None), ("bernoulli", None), ("gaussian", 1.7), ("negative_binomial", 0.5),
+         ("negative_binomial", 50.0)],
+    )
+    def test_kernel_derivatives_match_central_differences(self, kind, scale):
+        # A' against central differences of kernel_a, and A'' against those of A', over eta in [-30, 30];
+        # each difference may be off by its rounding, about eps max|f| / step, besides a relative 1e-6
+        fam = Family(kind)
+        eta = np.linspace(-30.0, 30.0, 241)
+        y = responses(kind, np.random.default_rng(7), eta.size)
+        step = 1e-5
+
+        def a(e):
+            return fam.kernel_a(y, e, scale)
+
+        def a_prime(e):
+            return fam.kernel_a_derivatives(y, e, scale)[0]
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            a1, a2 = fam.kernel_a_derivatives(y, eta, scale)
+            for f, d in ((a, a1), (a_prime, a2)):
+                up, down = f(eta + step), f(eta - step)
+                rounding = 10.0 * np.finfo(float).eps * np.maximum(np.abs(up), np.abs(down)) / step
+                error = np.abs((up - down) / (2.0 * step) - d)
+                np.testing.assert_array_less(error, 1e-6 * np.abs(d) + rounding + 1e-300)
+        assert a1.shape == a2.shape == eta.shape
+        assert np.all(a2 >= 0.0)
 
     def test_scale_of_state_batch_and_trace_draw(self):
         dims = ModelDims(l=2, blocks=((1, 3),))

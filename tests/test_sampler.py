@@ -1,3 +1,5 @@
+import logging
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +21,7 @@ from glmmselect.sampler import load_trace, run_chains, save_trace
 
 
 def small_problem(
-    seed=0, kept=30, chains=2, thin=1, adapt=5, burnin=5, l=2, with_block=True, kind="poisson"
+    seed=0, kept=30, chains=2, thin=1, adapt=5, burnin=5, l=2, with_block=True, kind="poisson", mode="ssvs-full"
 ):
     rng = np.random.default_rng(seed)
     n, n_i = 6, 3
@@ -42,6 +44,7 @@ def small_problem(
         sampler=SamplerSettings(
             chains=chains, adapt=adapt, burnin=burnin, kept=kept, thin=thin, seed=seed
         ),
+        mode=mode,
     )
     return spec, data
 
@@ -58,6 +61,14 @@ class TestRunChains:
         spec, data = small_problem(kept=10, thin=3, chains=1)
         trace = run_chains(spec, data)
         assert trace.chains[0].n_recorded == 3
+
+    def test_chain_log_line_reports_xi_acceptance(self, caplog):
+        spec, data = small_problem(kept=10, chains=1, mode="no-selection")
+        with caplog.at_level(logging.INFO, logger="glmmselect.sampler"):
+            run_chains(spec, data)
+        match = re.search(r"chain 0: (\d+) slice step-out fallbacks, xi acceptance ([0-9.]+)", caplog.text)
+        assert match, caplog.text
+        assert 0.0 < float(match.group(2)) <= 1.0  # the one random effect is in, so xi took steps
 
     def test_kept_zero_gives_empty_trace(self):
         spec, data = small_problem(kept=0, chains=1)
