@@ -36,13 +36,7 @@ from .model import (
     total_log_likelihood,
 )
 from .ppc import mean_sd_scatter, replicate_data, rootogram
-from .priors import (
-    log_prior_beta,
-    log_prior_gamma_vec,
-    log_prior_lambda,
-    log_prior_xi,
-    sample_prior,
-)
+from .priors import sample_prior
 from .report import (
     ModelLabel,
     SelectionReport,

@@ -105,7 +105,7 @@ def load_dataset(path: str, spec: ModelSpec) -> Dataset:
         offset = _numeric_column(columns, spec.offset, path)
 
     data = Dataset(y=y, X=X, blocks=tuple(blocks), offset=offset)
-    data.validate_for(spec.family)
+    spec.family.validate_response(data.y)
     return data
 
 

@@ -20,10 +20,12 @@ Gamma, phi and m from the modified half-normal, tau2 from an inverse-gamma,
 kappa from the generalized inverse Gaussian.  An excluded effect leaves the
 likelihood alone, so the full conditional of its whole hierarchy is its
 prior: the latent updates draw (phi, theta, beta), (tau2, lam) and (m,
-kappa, xi) of each excluded effect jointly from the prior, and r entries
-without both effects in from N(0, 1).  These draws are independent from scan
-to scan, so the pseudo-prior values that an indicator flip would switch in
-do not drift into the heavy tails of the prior for long stretches.
+kappa, xi) of each excluded effect jointly from the prior, with the stage
+functions ``draw_shrinkage``, ``draw_slab`` and ``draw_latent`` of
+:mod:`glmmselect.priors`, and r entries without both effects in with its
+``draw_correlations``.  These draws are independent from scan to scan, so
+the pseudo-prior values that an indicator flip would switch in do not drift
+into the heavy tails of the prior for long stretches.
 
 An included xi column takes one Metropolis-Hastings step for all its groups
 at once.  Each group's xi_gk has its own target along its rows, and is
@@ -46,12 +48,13 @@ A'' instead.
 
 Without a given state, a chain starts at a prior draw whose likelihood is
 finite.  The search draws candidates ``_START_BATCH`` at a time with
-``sample_prior(..., n=...)``, computes their predictors and log-likelihoods
-as (n, n_obs) arrays, and keeps the first finite one in draw order, so the
-start is exactly the prior conditioned on a finite likelihood.  Candidates
-are screened with what the mode fixes already set (r = 0 in ssvs-diagonal),
-as their chains would start.  A candidate with a NaN predictor counts as
-infeasible.  After ``_START_BUDGET`` candidates the search raises
+``sample_prior(..., n=...)``, computes their predictors as (n, n_obs) arrays
+and their log-likelihood kernels (``_feasible``), and keeps the first finite
+one in draw order, so the start is exactly the prior conditioned on a
+finite likelihood.  Candidates are screened with what the mode fixes
+already set (r = 0 in ssvs-diagonal), as their chains would start.  A
+candidate with a NaN predictor counts as infeasible.  After
+``_START_BUDGET`` candidates the search raises
 ``SamplerError``.  On the paper's full-scale design about 1 in 500 prior
 draws is feasible in the ssvs modes, and none in ``no-selection``.
 
@@ -93,13 +96,15 @@ from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predicto
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
 from .model import total_log_likelihood  # noqa: F401
 from .priors import (
+    draw_correlations,
+    draw_latent,
+    draw_shrinkage,
+    draw_slab,
     log_prior_state,
     sample_gig,
-    sample_halfnormal,
     sample_invgamma,
     sample_modified_halfnormal,
     sample_prior,
-    sample_rate_pair,
 )
 from .slicing import SliceStats, slice_update
 # slice_update_vec is unused here but stays importable: bench/child.py wraps engine.slice_update_vec
@@ -163,7 +168,7 @@ class GibbsEngine:
         self.data = data
         self.rng = rng if rng is not None else np.random.default_rng(spec.sampler.seed)
         self.dims = ModelDims.of(spec, data)
-        data.validate_for(spec.family)
+        spec.family.validate_response(data.y)
         self.hyper = spec.hyper
         pi = spec.hyper.prior_inclusion
         self._prior_log_odds = math.log(pi) - math.log1p(-pi)
@@ -219,17 +224,18 @@ class GibbsEngine:
     def _feasible(self, batch: ParameterState) -> np.ndarray:
         """Per candidate of a batched prior draw: is its log-likelihood finite?
 
-        A candidate whose linear predictor has a NaN is not; with no
+        The screen sums the family kernel eta . w y - sum A(y, eta, scale),
+        as every likelihood target of the engine does; the normalizing terms
+        it leaves out are finite at every valid y and prior-drawn scale.  A
+        candidate whose linear predictor has a NaN is not feasible; with no
         observations every candidate is.
         """
         with np.errstate(over="ignore", invalid="ignore"):
             blocks = [(bs.lam, bs.r, bs.include, bs.xi) for bs in batch.blocks]
             eta = linear_predictor(self.data, batch.beta_eff(), blocks)
-            nan = np.isnan(eta).any(axis=1)
-            eta[nan] = 0.0
             family = self.spec.family
-            ll = family.log_likelihood(self.data.y, eta, family.scale_of(batch)).sum(axis=1)
-        return ~nan & np.isfinite(ll)
+            ll = eta @ self._wy - family.kernel_a(self.data.y, eta, family.scale_of(batch)).sum(axis=1)
+        return np.isfinite(ll)
 
     # ------------------------------------------------------- cached predictor
 
@@ -355,7 +361,7 @@ class GibbsEngine:
         Included p: theta_p | beta_p, phi_p ~ Gamma(3/2, rate phi_p^2/2 +
         g beta_p^2/(2 sigma2)), then phi_p | theta_p.  An excluded p leaves
         the likelihood alone, so (phi_p, theta_p, beta_p) is drawn from its
-        prior, its full conditional.
+        prior, its full conditional, by ``draw_shrinkage``.
         """
         st = self.state
         g = self.hyper.g_shrink
@@ -366,8 +372,7 @@ class GibbsEngine:
             st.phi[on] = sample_modified_halfnormal(self.rng, st.theta[on])
         off = ~on
         if off.any():
-            st.phi[off], st.theta[off] = sample_rate_pair(self.rng, np.count_nonzero(off))
-            st.beta[off] = self.rng.standard_normal(st.theta[off].size) * np.sqrt(st.sigma2 / (g * st.theta[off]))
+            st.phi[off], st.theta[off], st.beta[off] = draw_shrinkage(self.rng, (np.count_nonzero(off),), st.sigma2, g)
 
     # --------------------------------------------------------- random effects
 
@@ -413,7 +418,7 @@ class GibbsEngine:
 
         Included k: tau2_k | lam_k ~ IG(nu/2 + 1/2, v/2 + lam_k^2 / (2 h^2)).
         An excluded k leaves the likelihood alone, so (tau2_k, lam_k) is drawn
-        from its prior.
+        from its prior by ``draw_slab``.
         """
         bs = self.state.blocks[bi]
         hyper = self.hyper
@@ -423,8 +428,7 @@ class GibbsEngine:
             bs.tau2[on] = sample_invgamma(self.rng, hyper.nu / 2.0 + 0.5, hyper.v / 2.0 + bs.lam[on] ** 2 / (2.0 * h2))
         off = ~on
         if off.any():
-            bs.tau2[off] = sample_invgamma(self.rng, hyper.nu / 2.0, hyper.v / 2.0, size=np.count_nonzero(off))
-            bs.lam[off] = sample_halfnormal(self.rng, bs.tau2[off] * h2)
+            bs.tau2[off], bs.lam[off] = draw_slab(self.rng, (np.count_nonzero(off),), hyper)
 
     def _update_r(self, bi: int) -> None:
         """The packed correlations r of block bi, each under its N(0, 1) prior.
@@ -437,7 +441,7 @@ class GibbsEngine:
         bdata = self.data.blocks[bi]
         rows, cols = cholesky.tril_pairs(bdata.q)
         free = (bs.include[rows] & bs.include[cols]).astype(bool)
-        bs.r[~free] = self.rng.normal(0.0, 1.0, size=free.size - np.count_nonzero(free))
+        bs.r[~free] = draw_correlations(self.rng, free.size - np.count_nonzero(free))
         widths = self.widths["r", bi].width
         for j in np.flatnonzero(free):
             u, v = rows[j], cols[j]
@@ -517,7 +521,7 @@ class GibbsEngine:
 
         Included k: kappa_k | xi_k, m_k ~ GIG(1 - n_groups/2, sum_g xi_gk^2,
         m_k^2), then m_k | kappa_k.  An excluded k leaves the likelihood
-        alone, so (m_k, kappa_k, xi[:, k]) is drawn from its prior.
+        alone, so (m_k, kappa_k, xi[:, k]) is drawn from its prior by ``draw_latent``.
         """
         bs = self.state.blocks[bi]
         n_groups = bs.xi.shape[0]
@@ -528,8 +532,7 @@ class GibbsEngine:
             bs.m[on] = sample_modified_halfnormal(self.rng, bs.kappa[on])
         off = ~on
         if off.any():
-            bs.m[off], bs.kappa[off] = sample_rate_pair(self.rng, np.count_nonzero(off))
-            bs.xi[:, off] = self.rng.normal(0.0, 1.0, size=(n_groups, bs.kappa[off].size)) * np.sqrt(bs.kappa[off])
+            bs.m[off], bs.kappa[off], bs.xi[:, off] = draw_latent(self.rng, (np.count_nonzero(off),), n_groups)
 
     # --------------------------------------------------------- family scales
 

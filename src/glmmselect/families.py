@@ -67,21 +67,14 @@ def gamma_logpdf(x, shape: float, rate: float):
     return shape * np.log(rate) - math.lgamma(shape) + (shape - 1.0) * np.log(x) - rate * x
 
 
-def _lgamma_each(r):
-    """``math.lgamma`` of a scalar, or of every entry of an array."""
-    if np.ndim(r) == 0:
-        return math.lgamma(r)
-    return np.array([math.lgamma(v) for v in np.ravel(r)]).reshape(np.shape(r))
-
-
-def _lgamma_table(r, top: int) -> np.ndarray:
-    """log Gamma(r + k) for k = 0..max(top, 2) - 1 along the last axis; ``r`` as in :func:`lgamma_counts`."""
-    table = np.empty(np.shape(r)[:-1] + (max(top, 2),))
-    table[..., :1] = _lgamma_each(r)
-    table[..., 1:2] = _lgamma_each(r + 1.0)
-    np.log(np.arange(1.0, top - 1) + r, out=table[..., 2:])
-    tail = table[..., 1:]
-    np.add.accumulate(tail, axis=-1, out=tail)
+def _lgamma_table(r: float, top: int) -> np.ndarray:
+    """log Gamma(r + k) for k = 0..max(top, 2) - 1."""
+    table = np.empty(max(top, 2))
+    table[0] = math.lgamma(r)
+    table[1] = math.lgamma(r + 1.0)
+    np.log(np.arange(1.0, top - 1) + r, out=table[2:])
+    tail = table[1:]
+    np.add.accumulate(tail, out=tail)
     return table
 
 
@@ -120,17 +113,16 @@ def _lgamma_at(k: np.ndarray, top: int, r=None) -> np.ndarray:
     if top > _LGAMMA_TABLE:
         out = _lgamma_at(np.minimum(k, _LGAMMA_TABLE - 1), _LGAMMA_TABLE, r)
         big = k >= _LGAMMA_TABLE
-        out[..., big] = _stirling_lgamma(k[big] + np.atleast_1d(1.0 if r is None else r))
+        out[big] = _stirling_lgamma(k[big] + (1.0 if r is None else r))
         return out
     table = _LOG_FACTORIAL if r is None else _lgamma_table(r, top)
-    return table.take(k, axis=-1)
+    return table[k]
 
 
 def lgamma_counts(y, r=None) -> np.ndarray:
-    """log Gamma(y + r) for nonnegative integer counts ``y`` and a shift r > 0.
+    """log Gamma(y + r) for nonnegative integer counts ``y`` and a scalar shift r > 0.
 
-    ``r`` is a scalar, or an (n, 1) column whose rows broadcast over a
-    one-dimensional ``y``; None, the default, stands for r = 1.  Counts
+    None, the default, stands for r = 1.  Counts
     below ``_LGAMMA_TABLE`` index the table log Gamma(r), log Gamma(r + 1) +
     cumsum_{1 <= j < k} log(r + j) over k = 0..max(y); larger counts take
     Stirling's series, so the table never grows past the bound.  A negative
@@ -197,8 +189,9 @@ class Family:
     likelihood and sampling methods take it as ``scale``, and
     :meth:`scale_of` reads it from a state or a trace draw.  For a batch of
     prior draws it is an (n, 1) column, one scale per candidate, which
-    broadcasts over (n, n_obs) predictor rows.  Kinds without a scale
-    ignore the argument.
+    broadcasts over (n, n_obs) predictor rows in :meth:`kernel_a`;
+    :meth:`log_likelihood` of the negative binomial takes one scale.  Kinds
+    without a scale ignore the argument.
     """
 
     kind: str
@@ -324,7 +317,7 @@ class Family:
             if self.kind == "negative_binomial":
                 counts = _count_index(y)
                 return kernel + (
-                    _lgamma_at(*counts, scale) - _lgamma_each(scale) - _lgamma_at(*counts) + scale * np.log(scale)
+                    _lgamma_at(*counts, scale) - math.lgamma(scale) - _lgamma_at(*counts) + scale * np.log(scale)
                 )
             if self.kind == "gaussian":
                 return kernel - 0.5 * np.log(2.0 * np.pi * scale)

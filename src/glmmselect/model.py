@@ -102,9 +102,6 @@ class Dataset:
     def l(self) -> int:
         return self.X.shape[1]
 
-    def validate_for(self, family: Family) -> None:
-        family.validate_response(self.y)
-
 
 @dataclass(frozen=True)
 class RandomBlock:
@@ -296,18 +293,20 @@ class ParameterState:
         )
 
     def check_dims(self, dims: ModelDims) -> None:
-        if self.beta.shape != (dims.l,):
-            raise ConfigurationError("beta length does not match spec")
-        for arr in (self.J, self.theta, self.phi):
-            if arr.shape != (dims.l,):
-                raise ConfigurationError("fixed-effect latents do not match spec")
+        """Raise ConfigurationError unless every array of the state has the shape ``dims`` gives it."""
+
+        def check(name, value, shape):
+            if np.shape(value) != shape:
+                raise ConfigurationError(f"{name} has shape {np.shape(value)}, the model needs {shape}")
+
+        for name in ("beta", "J", "theta", "phi"):
+            check(name, getattr(self, name), (dims.l,))
         if len(self.blocks) != len(dims.blocks):
             raise ConfigurationError("state has wrong number of random blocks")
-        for bs, (q, n_groups) in zip(self.blocks, dims.blocks):
-            if bs.lam.shape != (q,) or bs.include.shape != (q,):
-                raise ConfigurationError("block state has wrong q")
-            if bs.xi.shape != (n_groups, q):
-                raise ConfigurationError("xi has wrong shape")
+        for bi, (bs, (q, n_groups)) in enumerate(zip(self.blocks, dims.blocks)):
+            shapes = {"r": (q * (q - 1) // 2,), "xi": (n_groups, q)}
+            for f in fields(bs):
+                check(f"block {bi} {f.name}", getattr(bs, f.name), shapes.get(f.name, (q,)))
 
 
 def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings: np.ndarray) -> np.ndarray:

@@ -1,19 +1,26 @@
-"""Log-density evaluators and direct samplers for every prior in the model.
+"""The prior of the model, stated once: one draw function per stage, one density for the whole.
 
-Hierarchies (per coefficient / effect):
+Hierarchies (per coefficient / effect), each with the function that draws it:
 
   fixed effects    beta ~ N(0, sigma2/(g*theta)), theta ~ Exp(phi^2/2),
-                   phi ~ Gamma(1, 1); inclusion J ~ Bernoulli(pi)
+                   phi ~ Gamma(1, 1): :func:`draw_shrinkage`; inclusion
+                   J ~ Bernoulli(pi)
   random-effect    lam ~ pi * N+(0, tau2 h^2) + (1-pi) * delta_0 via indicator I;
-  scales           tau2 ~ IG(nu/2, v/2)
-  correlations     every packed r coordinate ~ N(0, 1), iid; coordinates
-                   killed by excluded effects keep the same density as their
-                   pseudo-prior, so the prior does not depend on the
+  scales           tau2 ~ IG(nu/2, v/2): :func:`draw_slab`
+  correlations     every packed r coordinate ~ N(0, 1), iid: :func:`draw_correlations`;
+                   coordinates killed by excluded effects keep the same density
+                   as their pseudo-prior, so the prior does not depend on the
                    indicators.  Sigma_r is fixed at I and is not a setting.
-  latent effects   xi ~ N(0, kappa) with kappa ~ Exp(m^2/2), m ~ Gamma(1, 1)
+  latent effects   xi ~ N(0, kappa) with kappa ~ Exp(m^2/2), m ~ Gamma(1, 1):
+                   :func:`draw_latent`
   family scale     the prior of its family (NB overdispersion ~ Gamma(0.01,
                    rate 0.01), gaussian sigma2 ~ IG(0.01, 0.01)); see
                    :mod:`glmmselect.families`
+
+:func:`sample_prior` draws a whole state (or a batch of them) from these
+stage functions, and the Gibbs engine redraws each excluded effect's
+hierarchy with the same ones.  :func:`log_prior_state` is the one prior
+density: the joint log prior of a state, every stage included.
 
 Excluded coefficients keep evolving under the same slab density (pseudo-prior
 scheme), so indicator flips stay reversible with exact Bernoulli conditionals.
@@ -47,30 +54,22 @@ from .families import family_scale, gamma_logpdf, invgamma_logpdf, sample_invgam
 from .model import BlockState, Hyperparameters, ModelDims, ParameterState
 
 __all__ = [
-    "log_prior_beta",
-    "log_prior_lambda",
-    "log_prior_gamma_vec",
-    "log_prior_xi",
+    "draw_shrinkage",
+    "draw_slab",
+    "draw_correlations",
+    "draw_latent",
     "log_prior_state",
     "sample_prior",
     "halfnormal_logpdf",
     "invgamma_logpdf",
     "sample_invgamma",
-    "sample_halfnormal",
     "sample_modified_halfnormal",
     "sample_gig",
-    "sample_rate_pair",
 ]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 # a rejection sampler that has not accepted every draw after this many rounds raises SamplerError
 _MAX_ROUNDS = 200
-
-
-def _require_positive(**values):
-    for name, val in values.items():
-        if not np.all(np.asarray(val) > 0):
-            raise ConfigurationError(f"{name} must be positive")
 
 
 def normal_logpdf(x, var):
@@ -86,14 +85,6 @@ def halfnormal_logpdf(x, var):
 
 def exponential_logpdf(x, rate):
     return np.log(rate) - rate * np.asarray(x, dtype=float)
-
-
-def sample_halfnormal(rng, var, size=None):
-    """N+(0, var) draws; an array ``var`` without ``size`` gives one draw per entry."""
-    if size is None and np.ndim(var):
-        size = np.shape(var)
-    # numpy's normal(0, s) is s * standard_normal(); an array s takes its slow broadcasting path
-    return np.abs(rng.standard_normal(size) * np.sqrt(var))
 
 
 def _rejection(rng, proposals: list, n_uniforms: int) -> np.ndarray:
@@ -277,60 +268,57 @@ def sample_gig(rng, p, chi, psi) -> np.ndarray:
     return np.array([alpha / y_i if flip else alpha * y_i for y_i, (flip, alpha) in zip(y, scales)]).reshape(shape)
 
 
-def sample_rate_pair(rng, size=None):
+def _rate_pair(rng, shape):
     """(r, v) from the prior r ~ Gamma(1, 1), v | r ~ Exp(rate r^2 / 2): that of (phi, theta) and of (m, kappa)."""
-    r = rng.gamma(1.0, 1.0, size=size)
-    return r, rng.standard_exponential(size) * (2.0 / r**2)  # numpy's exponential(s), without its slow path
+    r = rng.gamma(1.0, 1.0, size=shape)
+    return r, rng.standard_exponential(shape) * (2.0 / r**2)  # numpy's exponential(s), without its slow path
 
 
-def log_prior_beta(beta, theta, phi, sigma2=1.0, g_shrink=1.0):
-    """Three-stage shrinkage prior for one fixed effect (raw value)."""
-    _require_positive(theta=theta, phi=phi, sigma2=sigma2, g_shrink=g_shrink)
-    var = sigma2 / (g_shrink * np.asarray(theta, dtype=float))
-    lp = normal_logpdf(beta, var)
-    lp = lp + exponential_logpdf(theta, np.asarray(phi) ** 2 / 2.0)
-    lp = lp + gamma_logpdf(phi, 1.0, 1.0)
-    return lp if np.ndim(lp) else float(lp)
+def draw_shrinkage(rng, shape, sigma2, g):
+    """(phi, theta, beta) of fixed effects from their prior, each of ``shape``.
 
-
-def log_prior_lambda(lam, include, tau2, h, v, nu, prior_inclusion=0.5):
-    """Spike-and-slab prior for one random-effect scale (raw value + indicator).
-
-    The raw lam always carries the slab density (pseudo-prior when excluded);
-    the indicator contributes log(pi) or log(1-pi).  The slab variance tau2
-    carries its IG(nu/2, v/2) density.
+    ``sigma2`` broadcasts against ``shape`` (an (n, 1) column in a batch).
     """
-    lam = np.asarray(lam, dtype=float)
-    if np.any(lam < 0):
-        raise ConfigurationError("lam must be nonnegative")
-    _require_positive(tau2=tau2, h=h, v=v, nu=nu)
-    include = np.asarray(include)
-    mass = np.where(include.astype(bool), math.log(prior_inclusion), math.log1p(-prior_inclusion))
-    lp = mass + halfnormal_logpdf(lam, np.asarray(tau2) * h * h)
-    lp = lp + invgamma_logpdf(tau2, nu / 2.0, v / 2.0)
-    return lp if np.ndim(lp) else float(lp)
+    phi, theta = _rate_pair(rng, shape)
+    # numpy's normal(0, s) is s * standard_normal(); an array s takes its slow broadcasting path
+    return phi, theta, rng.standard_normal(shape) * np.sqrt(sigma2 / (g * theta))
 
 
-def log_prior_gamma_vec(r):
-    """Prior of the packed correlation coordinates: iid N(0, 1), whatever the indicators."""
-    return float(np.sum(normal_logpdf(r, 1.0)))
+def draw_slab(rng, shape, hyper: Hyperparameters):
+    """(tau2, lam) of random-effect scales from their prior, each of ``shape``: lam | tau2 ~ N+(0, tau2 h^2)."""
+    tau2 = sample_invgamma(rng, hyper.nu / 2.0, hyper.v / 2.0, size=shape)
+    return tau2, np.abs(rng.standard_normal(shape) * np.sqrt(tau2 * hyper.h**2))
 
 
-def log_prior_xi(xi, kappa, m):
-    """Stagewise latent-effect prior; kappa is a variance."""
-    _require_positive(kappa=kappa, m=m)
-    lp = normal_logpdf(xi, kappa)
-    lp = lp + exponential_logpdf(kappa, np.asarray(m) ** 2 / 2.0)
-    lp = lp + gamma_logpdf(m, 1.0, 1.0)
-    return lp if np.ndim(lp) else float(lp)
+def draw_correlations(rng, shape):
+    """Packed correlation coordinates r of ``shape`` from their iid N(0, 1) prior."""
+    return rng.normal(0.0, 1.0, size=shape)
+
+
+def draw_latent(rng, shape, n_groups: int):
+    """(m, kappa, xi) of latent effects from their prior.
+
+    m and kappa have ``shape``, xi has ``shape[:-1] + (n_groups, shape[-1])``.
+    """
+    m, kappa = _rate_pair(rng, shape)
+    xi = rng.normal(0.0, 1.0, size=shape[:-1] + (n_groups, shape[-1])) * np.sqrt(kappa)[..., None, :]
+    return m, kappa, xi
 
 
 def log_prior_state(hyper: Hyperparameters, state: ParameterState, family_kind: str = "poisson") -> float:
-    """Joint log prior of a full state, pseudo-priors included."""
+    """Joint log prior of a full state, pseudo-priors included: the model's one prior density.
+
+    Raises ConfigurationError for a negative lam, or a non-positive tau2,
+    h, v or nu.
+    """
     pi = hyper.prior_inclusion
+
+    def mass(indicators):
+        return np.where(indicators.astype(bool), math.log(pi), math.log1p(-pi))
+
     total = 0.0
     # fixed effects: indicator mass + shrinkage hierarchy on raw values
-    total += float(np.sum(np.where(state.J.astype(bool), math.log(pi), math.log1p(-pi))))
+    total += float(np.sum(mass(state.J)))
     total += float(
         np.sum(
             normal_logpdf(state.beta, state.sigma2 / (hyper.g_shrink * state.theta))
@@ -339,10 +327,15 @@ def log_prior_state(hyper: Hyperparameters, state: ParameterState, family_kind: 
         )
     )
     for bs in state.blocks:
-        total += float(
-            np.sum(log_prior_lambda(bs.lam, bs.include, bs.tau2, hyper.h, hyper.v, hyper.nu, pi))
-        )
-        total += log_prior_gamma_vec(bs.r)
+        if np.any(bs.lam < 0):
+            raise ConfigurationError("lam must be nonnegative")
+        for name, value in (("tau2", bs.tau2), ("h", hyper.h), ("v", hyper.v), ("nu", hyper.nu)):
+            if not np.all(np.asarray(value) > 0):
+                raise ConfigurationError(f"{name} must be positive")
+        # raw lam carries its slab density whether or not the effect is in (pseudo-prior)
+        slab = halfnormal_logpdf(bs.lam, bs.tau2 * hyper.h * hyper.h)
+        total += float(np.sum(mass(bs.include) + slab + invgamma_logpdf(bs.tau2, hyper.nu / 2.0, hyper.v / 2.0)))
+        total += float(np.sum(normal_logpdf(bs.r, 1.0)))
         total += float(np.sum(normal_logpdf(bs.xi, bs.kappa[None, :])))
         total += float(np.sum(exponential_logpdf(bs.kappa, bs.m**2 / 2.0)))
         total += float(np.sum(gamma_logpdf(bs.m, 1.0, 1.0)))
@@ -360,7 +353,7 @@ def sample_prior(
     mode: str = "ssvs-full",
     n: int | None = None,
 ) -> ParameterState:
-    """Exact draw from the full joint prior (initialization and checks).
+    """Exact draw from the full joint prior (initialization and checks), one stage at a time.
 
     With ``n``, a batch of n independent draws: every array gains a leading
     axis of length n, the family scale (if the kind has one) is an (n, 1)
@@ -370,34 +363,27 @@ def sample_prior(
     pi = hyper.prior_inclusion
     scale, field = family_scale(family_kind), scale_field(family_kind)
     lead = () if n is None else (n,)
-    scale_shape = None if n is None else (n, 1)
 
     def draw_scale():
-        value = scale.draw_prior(rng, scale_shape)
+        value = scale.draw_prior(rng, None if n is None else (n, 1))
         return float(value) if n is None else value
+
+    def indicators(shape):
+        if mode == "no-selection":
+            return np.ones(shape, dtype=np.int8)
+        return (rng.random(shape) < pi).astype(np.int8)
 
     # sigma2 enters the beta prior, so it is drawn first; any other scale is drawn last
     sigma2 = draw_scale() if field == "sigma2" else 1.0
-    phi, theta = sample_rate_pair(rng, lead + (dims.l,))
-    beta = rng.normal(0.0, np.sqrt(sigma2 / (hyper.g_shrink * theta)))
-    if mode == "no-selection":
-        J = np.ones(lead + (dims.l,), dtype=np.int8)
-    else:
-        J = (rng.random(lead + (dims.l,)) < pi).astype(np.int8)
+    phi, theta, beta = draw_shrinkage(rng, lead + (dims.l,), sigma2, hyper.g_shrink)
+    J = indicators(lead + (dims.l,))
     blocks = []
     for q, n_groups in dims.blocks:
-        if mode == "no-selection":
-            include = np.ones(lead + (q,), dtype=np.int8)
-        else:
-            include = (rng.random(lead + (q,)) < pi).astype(np.int8)
-        tau2 = sample_invgamma(rng, hyper.nu / 2.0, hyper.v / 2.0, size=lead + (q,))
-        lam = sample_halfnormal(rng, tau2 * hyper.h**2)
-        r = rng.normal(0.0, 1.0, size=lead + (q * (q - 1) // 2,))
-        m, kappa = sample_rate_pair(rng, lead + (q,))
-        xi = rng.normal(0.0, 1.0, size=lead + (n_groups, q)) * np.sqrt(kappa)[..., None, :]
-        blocks.append(
-            BlockState(lam=lam, include=include, tau2=tau2, r=r, xi=xi, kappa=kappa, m=m)
-        )
+        include = indicators(lead + (q,))
+        tau2, lam = draw_slab(rng, lead + (q,), hyper)
+        r = draw_correlations(rng, lead + (q * (q - 1) // 2,))
+        m, kappa, xi = draw_latent(rng, lead + (q,), n_groups)
+        blocks.append(BlockState(lam=lam, include=include, tau2=tau2, r=r, xi=xi, kappa=kappa, m=m))
     dispersion = draw_scale() if field == "dispersion" else None
     return ParameterState(
         beta=beta, J=J, theta=theta, phi=phi, blocks=blocks, dispersion=dispersion, sigma2=sigma2

@@ -21,7 +21,7 @@ from glmmselect.model import (
     total_log_likelihood,
 )
 from glmmselect.cholesky import mask_factors
-from glmmselect.errors import NumericError, SamplerError
+from glmmselect.errors import ConfigurationError, NumericError, SamplerError
 from glmmselect.families import Family
 from glmmselect.priors import log_prior_state, sample_prior
 from glmmselect.simulate import build_model_spec, full_scale_design, simulate_dataset
@@ -470,6 +470,32 @@ class TestEmptyData:
         mc_error = batch_means.std(ddof=1) / math.sqrt(batch_means.size)
         assert abs(below.mean() - 0.95) < 4.0 * mc_error
         assert engine.stats["kappa"].updates == engine.stats["m"].updates == engine.stats["phi"].updates == 0
+
+
+# per field of a state, an array of the wrong shape for toy_setup(n=12, n_i=4, q=3)
+WRONG_SHAPES = {
+    "beta": np.zeros(3),
+    "J": np.ones(1, dtype=np.int8),
+    "theta": np.ones(5),
+    "phi": np.ones(0),
+    "lam": np.ones(2),
+    "include": np.ones(4, dtype=np.int8),
+    "tau2": np.ones(5),
+    "r": np.array([0.3]),
+    "xi": np.zeros((11, 3)),
+    "kappa": np.ones(1),
+    "m": np.ones(7),
+}
+
+
+class TestGivenState:
+    @pytest.mark.parametrize("field", WRONG_SHAPES)
+    def test_wrong_shape_is_rejected(self, field):
+        spec, data = toy_setup(11, n=12, n_i=4, q=3)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(12))
+        setattr(state if hasattr(state, field) else state.blocks[0], field, WRONG_SHAPES[field])
+        with pytest.raises(ConfigurationError, match=rf"\b{field} has shape"):
+            GibbsEngine(spec, data, rng=np.random.default_rng(13), state=state)
 
 
 class TestGibbsScan:

@@ -1,5 +1,7 @@
 import hashlib
 import math
+from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,15 +12,14 @@ from glmmselect.errors import ConfigurationError, SamplerError
 from glmmselect.families import family_scale
 from glmmselect.model import MODES, Hyperparameters, ModelDims
 from glmmselect.priors import (
+    draw_correlations,
+    draw_latent,
+    draw_shrinkage,
+    draw_slab,
     halfnormal_logpdf,
     invgamma_logpdf,
-    log_prior_beta,
-    log_prior_gamma_vec,
-    log_prior_lambda,
     log_prior_state,
-    log_prior_xi,
     sample_gig,
-    sample_halfnormal,
     sample_invgamma,
     sample_modified_halfnormal,
     sample_prior,
@@ -26,51 +27,6 @@ from glmmselect.priors import (
 
 LOG_2PI = math.log(2 * math.pi)
 KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
-
-
-class TestBetaPrior:
-    def test_reference_value(self):
-        # beta=0, theta=1, phi=sqrt(2): N term -log(2pi)/2, exp term -1, gamma term -sqrt(2)
-        got = log_prior_beta(0.0, 1.0, math.sqrt(2.0), sigma2=1.0, g_shrink=1.0)
-        want = -0.5 * LOG_2PI - 1.0 - math.sqrt(2.0)
-        assert got == pytest.approx(want, abs=1e-12)
-        assert want == pytest.approx(-3.33315, abs=5e-6)
-
-    def test_sign_symmetry(self):
-        rng = np.random.default_rng(0)
-        for _ in range(25):
-            b, th, ph = rng.uniform(0.1, 3.0, 3)
-            assert log_prior_beta(b, th, ph) == pytest.approx(log_prior_beta(-b, th, ph))
-
-    def test_beta_stage_variance(self):
-        rng = np.random.default_rng(1)
-        theta, g, s2 = 2.0, 4.0, 1.5
-        draws = rng.normal(0, math.sqrt(s2 / (g * theta)), 200_000)
-        assert np.var(draws) == pytest.approx(s2 / (g * theta), rel=0.02)
-
-    def test_doubling_g_halves_variance(self):
-        # the normal stage log-density shifts by the variance ratio
-        b, th, ph = 0.7, 1.3, 0.9
-        lp1 = log_prior_beta(b, th, ph, g_shrink=1.0)
-        lp2 = log_prior_beta(b, th, ph, g_shrink=2.0)
-        var1, var2 = 1.0 / (1.0 * th), 1.0 / (2.0 * th)
-        want = (-0.5 * math.log(var2) - b * b / (2 * var2)) - (
-            -0.5 * math.log(var1) - b * b / (2 * var1)
-        )
-        assert lp2 - lp1 == pytest.approx(want, abs=1e-12)
-
-    def test_normal_stage_integrates_to_one(self):
-        # integrating the joint over beta leaves exactly the theta/phi stages
-        th, ph = 1.7, 1.1
-        val, _ = integrate.quad(lambda b: math.exp(log_prior_beta(b, th, ph)), -60, 60)
-        stage_const = math.exp(math.log(ph**2 / 2) - th * ph**2 / 2 - ph)
-        assert val == pytest.approx(stage_const, rel=1e-6)
-
-    def test_rejects_nonpositive_latents(self):
-        with pytest.raises(ConfigurationError):
-            log_prior_beta(0.0, -1.0, 1.0)
-        with pytest.raises(ConfigurationError):
-            log_prior_beta(0.0, 1.0, 0.0)
 
 
 class TestLambdaPrior:
@@ -105,15 +61,6 @@ class TestLambdaPrior:
         lp2 = halfnormal_logpdf(2 * x, 4.0)
         assert lp2 == pytest.approx(lp1 - math.log(2.0), abs=1e-12)
 
-    def test_indicator_branches(self):
-        on = log_prior_lambda(0.4, 1, 1.0, h=1.0, v=1.0, nu=1.0, prior_inclusion=0.3)
-        off = log_prior_lambda(0.4, 0, 1.0, h=1.0, v=1.0, nu=1.0, prior_inclusion=0.3)
-        assert on - off == pytest.approx(math.log(0.3) - math.log(0.7), abs=1e-12)
-
-    def test_negative_lam_rejected(self):
-        with pytest.raises(ConfigurationError):
-            log_prior_lambda(-0.1, 1, 1.0, 1.0, 1.0, 1.0)
-
     def test_halfnormal_integrates_to_one(self):
         val, _ = integrate.quad(lambda x: math.exp(halfnormal_logpdf(x, 2.3)), 0, 50)
         assert val == pytest.approx(1.0, rel=1e-8)
@@ -123,14 +70,84 @@ class TestLambdaPrior:
         assert val == pytest.approx(1.0, rel=1e-6)
 
 
-class TestGammaVecPrior:
-    def test_all_free_standard_normal_at_zero(self):
-        q = 4
-        d = q * (q - 1) // 2
-        got = log_prior_gamma_vec(np.zeros(d))
-        assert got == pytest.approx(-(d / 2) * LOG_2PI, abs=1e-12)
+DIMS = ModelDims(l=3, blocks=((3, 5), (1, 4)))
 
-    def test_q2_excluded_has_no_free_coordinates(self):
+
+def random_state(kind, mode, seed):
+    """Random hyperparameters and a prior draw of a two-block model under them, with what ``mode`` fixes set."""
+    rng = np.random.default_rng(seed)
+    h, v, nu, g = rng.uniform(0.5, 2.0, 4)
+    hyper = Hyperparameters(h=h, v=v, nu=nu, g_shrink=g, prior_inclusion=rng.uniform(0.2, 0.8))
+    state = sample_prior(hyper, DIMS, rng, family_kind=kind, mode=mode)
+    if mode == "ssvs-diagonal":
+        for bs in state.blocks:
+            bs.r[:] = 0.0
+    return hyper, state
+
+
+def scipy_log_prior(hyper, state, kind):
+    """The joint log prior of a state from scipy.stats log-densities and the indicator masses."""
+    pi = hyper.prior_inclusion
+
+    def mass(indicators):
+        return np.sum(np.where(indicators == 1, math.log(pi), math.log(1.0 - pi)))
+
+    total = mass(state.J)
+    total += np.sum(stats.norm.logpdf(state.beta, scale=np.sqrt(state.sigma2 / (hyper.g_shrink * state.theta))))
+    total += np.sum(stats.expon.logpdf(state.theta, scale=2.0 / state.phi**2))
+    total += np.sum(stats.gamma.logpdf(state.phi, 1.0))
+    for bs in state.blocks:
+        total += mass(bs.include)
+        total += np.sum(stats.halfnorm.logpdf(bs.lam, scale=hyper.h * np.sqrt(bs.tau2)))
+        total += np.sum(stats.invgamma.logpdf(bs.tau2, hyper.nu / 2.0, scale=hyper.v / 2.0))
+        total += np.sum(stats.norm.logpdf(bs.r))
+        total += np.sum(stats.norm.logpdf(bs.xi, scale=np.sqrt(bs.kappa)))
+        total += np.sum(stats.expon.logpdf(bs.kappa, scale=2.0 / bs.m**2))
+        total += np.sum(stats.gamma.logpdf(bs.m, 1.0))
+    if kind == "negative_binomial":  # Gamma(0.01, rate 0.01)
+        total += stats.gamma.logpdf(state.dispersion, 0.01, scale=100.0)
+    if kind == "gaussian":  # IG(0.01, 0.01)
+        total += stats.invgamma.logpdf(state.sigma2, 0.01, scale=0.01)
+    return total
+
+
+class TestLogPriorState:
+    @pytest.mark.parametrize("mode", MODES)
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_scipy(self, kind, mode):
+        for seed in range(20):
+            hyper, state = random_state(kind, mode, seed)
+            want = scipy_log_prior(hyper, state, kind)
+            assert log_prior_state(hyper, state, kind) == pytest.approx(want, rel=1e-10, abs=1e-8), seed
+
+    def test_beta_sign_symmetry(self):
+        hyper, state = random_state("poisson", "ssvs-full", 0)
+        before = log_prior_state(hyper, state)
+        state.beta[1] = -state.beta[1]
+        assert log_prior_state(hyper, state) == before
+
+    def test_doubling_g_halves_the_beta_variance(self):
+        # only the normal stage of beta moves, by the ratio of its variances
+        hyper, state = random_state("poisson", "ssvs-full", 1)
+        doubled = replace(hyper, g_shrink=2.0 * hyper.g_shrink)
+        var1 = state.sigma2 / (hyper.g_shrink * state.theta)
+        var2 = var1 / 2.0
+        b2 = state.beta**2
+        want = np.sum((-0.5 * np.log(var2) - b2 / (2 * var2)) - (-0.5 * np.log(var1) - b2 / (2 * var1)))
+        assert log_prior_state(doubled, state) - log_prior_state(hyper, state) == pytest.approx(want, abs=1e-9)
+
+    @pytest.mark.parametrize("which", ["fixed", "random"])
+    def test_indicator_branches_differ_by_prior_odds(self, which):
+        hyper, state = random_state("poisson", "ssvs-full", 2)
+        indicators = state.J if which == "fixed" else state.blocks[0].include
+        values = []
+        for on in (1, 0):
+            indicators[1] = on
+            values.append(log_prior_state(hyper, state))
+        pi = hyper.prior_inclusion
+        assert values[0] - values[1] == pytest.approx(math.log(pi) - math.log(1.0 - pi), abs=1e-12)
+
+    def test_q2_excluded_correlation_keeps_its_density(self):
         # the single coordinate is constrained; its pseudo-prior is the same
         # N(0, 1), so the joint prior does not see which effects are included
         hyper = Hyperparameters()
@@ -142,33 +159,66 @@ class TestGammaVecPrior:
             values.append(log_prior_state(hyper, state))
         # prior_inclusion 0.5 gives both indicator values the same mass
         assert values[0] == pytest.approx(values[1], abs=1e-12)
-        assert log_prior_gamma_vec(np.array([0.0])) == pytest.approx(-0.5 * LOG_2PI, abs=1e-12)
 
-    def test_free_part_invariant_to_constrained_values(self):
-        rng = np.random.default_rng(2)
-        r1 = rng.standard_normal(3)
-        r2 = r1.copy()
-        # the density is separable, so perturbing one coordinate moves only its own term
-        r2[0] += 0.7
-        diff = log_prior_gamma_vec(r2) - log_prior_gamma_vec(r1)
-        want = -0.5 * (r2[0] ** 2 - r1[0] ** 2)
-        assert diff == pytest.approx(want, abs=1e-12)
+    def test_correlations_are_separable(self):
+        # perturbing one coordinate moves only its own N(0, 1) term
+        hyper, state = random_state("poisson", "ssvs-full", 3)
+        r = state.blocks[0].r
+        before, r0 = log_prior_state(hyper, state), r[0]
+        r[0] += 0.7
+        assert log_prior_state(hyper, state) - before == pytest.approx(-0.5 * (r[0] ** 2 - r0**2), abs=1e-12)
+
+    def test_xi_sign_symmetry(self):
+        hyper, state = random_state("poisson", "ssvs-full", 4)
+        before = log_prior_state(hyper, state)
+        state.blocks[0].xi[:, 1] *= -1.0
+        assert log_prior_state(hyper, state) == before
+
+    @pytest.mark.parametrize("field, value", [("lam", -0.1), ("tau2", 0.0), ("h", 0.0), ("v", -1.0), ("nu", 0.0)])
+    def test_rejects_out_of_support_values(self, field, value):
+        hyper, state = random_state("poisson", "ssvs-full", 5)
+        if field in ("lam", "tau2"):
+            getattr(state.blocks[0], field)[0] = value
+        else:  # Hyperparameters rejects these itself; log_prior_state checks them as well
+            hyper = SimpleNamespace(**{**vars(hyper), field: value})
+        with pytest.raises(ConfigurationError, match=f"^{field} must be"):
+            log_prior_state(hyper, state)
 
 
-class TestXiPrior:
-    def test_reference_value(self):
-        got = log_prior_xi(0.0, 1.0, 1.0)
-        want = -0.5 * LOG_2PI + math.log(0.5) - 0.5 - 1.0
-        assert got == pytest.approx(want, abs=1e-12)
+class TestStageDraws:
+    @pytest.mark.parametrize("lead", [(), (4,)])
+    def test_shapes(self, lead):
+        rng = np.random.default_rng(12)
+        shape = lead + (3,)
+        sigma2 = np.full(lead + (1,), 2.0) if lead else 2.0  # a batch holds a column of scales
+        for draw in draw_shrinkage(rng, shape, sigma2, 1.5) + draw_slab(rng, shape, Hyperparameters()):
+            assert draw.shape == shape
+        assert draw_correlations(rng, lead + (6,)).shape == lead + (6,)
+        m, kappa, xi = draw_latent(rng, shape, 5)
+        assert m.shape == kappa.shape == shape
+        assert xi.shape == lead + (5, 3)
 
-    def test_exponential_mean(self):
-        rng = np.random.default_rng(3)
-        m = 1.7
-        draws = rng.exponential(2.0 / m**2, 300_000)
-        assert draws.mean() == pytest.approx(2.0 / m**2, rel=0.02)
-
-    def test_sign_symmetry(self):
-        assert log_prior_xi(1.3, 0.8, 1.1) == pytest.approx(log_prior_xi(-1.3, 0.8, 1.1))
+    def test_stages_match_scipy(self):
+        # each stage given the one above it, standardized, against its scipy law
+        rng = np.random.default_rng(13)
+        n, sigma2, g = 20_000, 2.5, 1.5
+        hyper = Hyperparameters(h=1.7, v=1.2, nu=3.0)
+        phi, theta, beta = draw_shrinkage(rng, (n,), sigma2, g)
+        tau2, lam = draw_slab(rng, (n,), hyper)
+        m, kappa, xi = draw_latent(rng, (n,), 2)
+        checks = {
+            "phi": (phi, stats.gamma(1.0).cdf),
+            "theta | phi": (theta * phi**2 / 2.0, stats.expon.cdf),
+            "beta | theta": (beta * np.sqrt(g * theta / sigma2), stats.norm.cdf),
+            "tau2": (tau2, stats.invgamma(hyper.nu / 2.0, scale=hyper.v / 2.0).cdf),
+            "lam | tau2": (lam / (hyper.h * np.sqrt(tau2)), stats.halfnorm.cdf),
+            "r": (draw_correlations(rng, n), stats.norm.cdf),
+            "m": (m, stats.gamma(1.0).cdf),
+            "kappa | m": (kappa * m**2 / 2.0, stats.expon.cdf),
+            "xi | kappa": ((xi / np.sqrt(kappa)).ravel(), stats.norm.cdf),
+        }
+        for name, (draws, cdf) in checks.items():
+            assert stats.kstest(draws, cdf).pvalue > 1e-3, name
 
 
 class TestSamplers:
@@ -179,12 +229,6 @@ class TestSamplers:
         want = b / (a - 1)
         se = draws.std() / math.sqrt(draws.size)
         assert abs(draws.mean() - want) < 3 * se
-
-    def test_halfnormal_gof(self):
-        rng = np.random.default_rng(5)
-        draws = sample_halfnormal(rng, 2.0, size=100_000)
-        stat = stats.kstest(draws, lambda x: stats.halfnorm.cdf(x, scale=math.sqrt(2.0)))
-        assert stat.pvalue > 0.05
 
     def test_prior_draw_deterministic(self):
         hyper = Hyperparameters()
