@@ -23,11 +23,11 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .dataio import _numeric_column, _read_csv_columns, load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
+from .dataio import load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
 from .diagnostics import summarize_trace
 from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
-from .ioutil import atomic_write_text, write_csv
-from .model import Hyperparameters, SamplerSettings
+from .ioutil import atomic_write_text, parse_floats, read_csv, write_csv
+from .model import MODES, Hyperparameters, SamplerSettings
 from .ppc import mean_sd_scatter, replicate_data, rootogram
 from .report import (
     format_table,
@@ -92,6 +92,8 @@ def _load_design(path: str) -> tuple[SimDesign, dict]:
             overrides["omega"] = np.asarray(doc["omega"], dtype=float)
         except (TypeError, ValueError):
             raise ConfigurationError(f"{path}: design field 'omega' must be a numeric matrix") from None
+        # the effects with variance in omega are the truth; a listed active_random must agree
+        overrides.setdefault("active_random", None)
     elif "q" in overrides or "active_random" in overrides:
         # the base design's active effects beyond a smaller q are dropped
         active = overrides.get("active_random", tuple(k for k in base.active_random if k < q))
@@ -141,14 +143,10 @@ def _design_spec(design: SimDesign, doc: dict, args) -> tuple:
 
 
 def _add_squares(data_path: str, cols: str, out_path: str) -> str:
-    header, columns = _read_csv_columns(data_path)
+    header, rows = read_csv(data_path)
     targets = [c for c in cols.split(",") if c]
-    for col in targets:
-        if col not in columns:
-            raise GlmmSelectError(f"--add-squares: column {col!r} not in {data_path}")
-    squares = [_numeric_column(columns, col, data_path) ** 2 for col in targets]
-    cells = [columns[name] for name in header] + [sq.tolist() for sq in squares]
-    write_csv(out_path, header + [f"{c}_sq" for c in targets], zip(*cells))
+    squares = parse_floats(data_path, header, rows, targets) ** 2
+    write_csv(out_path, header + [f"{c}_sq" for c in targets], (row + sq for row, sq in zip(rows, squares.tolist())))
     return out_path
 
 
@@ -248,7 +246,7 @@ def cmd_grid(args) -> int:
     cells = run_grid(design, spec, pairs, n_rep, workers=args.workers)
     rows = grid_report(cells)
     os.makedirs(args.out, exist_ok=True)
-    write_grid_report(rows, os.path.join(args.out, "grid.csv"), extra_cols=("n_ok", "n_failed"))
+    write_grid_report(rows, os.path.join(args.out, "grid.csv"))
     print(format_table(["v", "h", "percent", "rmse"], [(r["v"], r["h"], r["percent"], r["rmse"]) for r in rows]))
     return 0
 
@@ -306,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a model to data")
     p.add_argument("--data", required=True)
     p.add_argument("--spec", required=True)
-    p.add_argument("--mode", choices=["ssvs-full", "ssvs-diagonal", "no-selection"], default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--add-squares", default=None, metavar="COLS", help="comma-separated columns to square into <col>_sq")
     common(p)
     p.set_defaults(func=cmd_fit)
@@ -319,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("replicate", help="replication study for one design")
     p.add_argument("--design", required=True)
-    p.add_argument("--mode", choices=["ssvs-full", "ssvs-diagonal", "no-selection"], default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--replicates", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_replicate)
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("grid", help="hyperparameter grid study")
     p.add_argument("--design", required=True)
     p.add_argument("--grid", required=True, help="JSON with 'v' and 'h' lists")
-    p.add_argument("--mode", choices=["ssvs-full", "ssvs-diagonal", "no-selection"], default=None)
+    p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--replicates", type=int, default=None)
     common(p)
     p.set_defaults(func=cmd_grid)

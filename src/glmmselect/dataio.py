@@ -6,16 +6,14 @@ the file.  Grouping columns may hold arbitrary labels; they are mapped to
 dense indices in order of first appearance.
 """
 
-import csv
 import json
-import math
-from dataclasses import fields
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from .errors import ConfigurationError, DataError, SpecValidationError
 from .families import CANONICAL_LINKS, Family
-from .ioutil import atomic_write_text
+from .ioutil import parse_floats, read_csv, write_csv
 from .model import (
     BlockData,
     Dataset,
@@ -31,80 +29,36 @@ __all__ = ["load_dataset", "parse_spec", "read_json", "settings_from_doc", "spec
 INTERCEPT_NAME = "1"
 
 
-def _read_csv_columns(path: str) -> tuple[list, dict]:
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            try:
-                header = next(reader)
-            except StopIteration:
-                raise DataError(f"{path}: file is empty") from None
-            rows = list(reader)
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    ncol = len(header)
-    for i, row in enumerate(rows):
-        if len(row) != ncol:
-            raise DataError(f"{path}: row {i + 2} has {len(row)} cells, header has {ncol}")
-    columns = {name: [row[j] for row in rows] for j, name in enumerate(header)}
-    return header, columns
-
-
-def _numeric_column(columns: dict, name: str, path: str) -> np.ndarray:
-    raw = columns[name]
-    out = np.empty(len(raw))
-    for i, cell in enumerate(raw):
-        try:
-            out[i] = float(cell)
-        except ValueError:
-            raise DataError(
-                f"{path}: non-numeric value {cell!r} in column {name!r}, row {i + 2}"
-            ) from None
-        if math.isnan(out[i]):
-            raise DataError(f"{path}: NaN in column {name!r}, row {i + 2}")
-    return out
-
-
 def load_dataset(path: str, spec: ModelSpec) -> Dataset:
     """Materialize the columns named by the spec into a typed Dataset."""
-    _, columns = _read_csv_columns(path)
-    n = len(next(iter(columns.values())))
+    header, rows = read_csv(path)
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    n = len(rows)
+    design = [name for name in (*spec.fixed_effects, *(c for rb in spec.random_blocks for c in rb.columns)) if name != INTERCEPT_NAME]
+    names = list(dict.fromkeys([spec.response, *design, *([spec.offset] if spec.offset is not None else [])]))
+    values = parse_floats(path, header, rows, names)
+    if np.isnan(values).any():
+        i, j = np.argwhere(np.isnan(values))[0]
+        raise DataError(f"{path}: NaN in column {names[j]!r}, row {i + 2}")
+    columns = dict(zip(names, np.ascontiguousarray(values.T)))
 
-    def design_column(name: str) -> np.ndarray:
-        if name == INTERCEPT_NAME:
-            return np.ones(n)
-        if name not in columns:
-            raise DataError(f"{path}: missing column {name!r}")
-        return _numeric_column(columns, name, path)
-
-    if spec.response not in columns:
-        raise DataError(f"{path}: missing response column {spec.response!r}")
-    y = _numeric_column(columns, spec.response, path)
-    X = np.column_stack([design_column(name) for name in spec.fixed_effects])
+    def design_matrix(cols) -> np.ndarray:
+        return np.column_stack([np.ones(n) if name == INTERCEPT_NAME else columns[name] for name in cols])
 
     blocks = []
     for rb in spec.random_blocks:
-        if rb.group not in columns:
+        if rb.group not in header:
             raise DataError(f"{path}: missing grouping column {rb.group!r}")
-        labels = columns[rb.group]
+        j = header.index(rb.group)
         index = {}
         groups = np.empty(n, dtype=np.int64)
-        for i, lab in enumerate(labels):
-            if lab not in index:
-                index[lab] = len(index)
-            groups[i] = index[lab]
-        Z = np.column_stack([design_column(name) for name in rb.columns])
-        blocks.append(BlockData(Z=Z, groups=groups, n_groups=len(index)))
+        for i, row in enumerate(rows):
+            groups[i] = index.setdefault(row[j], len(index))
+        blocks.append(BlockData(Z=design_matrix(rb.columns), groups=groups, n_groups=len(index)))
 
-    offset = None
-    if spec.offset is not None:
-        if spec.offset not in columns:
-            raise DataError(f"{path}: missing offset column {spec.offset!r}")
-        offset = _numeric_column(columns, spec.offset, path)
-
-    data = Dataset(y=y, X=X, blocks=tuple(blocks), offset=offset)
+    X = design_matrix(spec.fixed_effects)
+    data = Dataset(y=columns[spec.response], X=X, blocks=tuple(blocks), offset=columns.get(spec.offset))
     spec.family.validate_response(data.y)
     return data
 
@@ -223,21 +177,8 @@ def spec_to_dict(spec: ModelSpec) -> dict:
             {"group": rb.group, "columns": list(rb.columns)} for rb in spec.random_blocks
         ],
         "offset": spec.offset,
-        "hyperparameters": {
-            "h": spec.hyper.h,
-            "v": spec.hyper.v,
-            "nu": spec.hyper.nu,
-            "g_shrink": spec.hyper.g_shrink,
-            "prior_inclusion": spec.hyper.prior_inclusion,
-        },
-        "sampler": {
-            "chains": spec.sampler.chains,
-            "adapt": spec.sampler.adapt,
-            "burnin": spec.sampler.burnin,
-            "kept": spec.sampler.kept,
-            "thin": spec.sampler.thin,
-            "seed": spec.sampler.seed,
-        },
+        "hyperparameters": asdict(spec.hyper),
+        "sampler": asdict(spec.sampler),
         "mode": spec.mode,
     }
 
@@ -260,7 +201,4 @@ def write_dataset_csv(path: str, data: Dataset, spec: ModelSpec) -> None:
     if data.offset is not None and spec.offset:
         header.append(spec.offset)
         cols.append(data.offset)
-    lines = [",".join(header)]
-    for i in range(data.n_obs):
-        lines.append(",".join(repr(float(c[i])) if isinstance(c[i], (float, np.floating)) else str(c[i]) for c in cols))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    write_csv(path, header, zip(*(c.tolist() for c in cols)))

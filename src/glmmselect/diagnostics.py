@@ -102,12 +102,10 @@ def trace_ess(trace, name: str) -> float:
     return effective_sample_size(trace.scalar_matrix(name))
 
 
-def summarize_trace(trace, names=None) -> list:
-    """Per-parameter rows: (name, mean, sd, R-hat, ESS)."""
-    if names is None:
-        names = [n for n in trace.column_names() if not n.startswith("xi")]
+def summarize_trace(trace) -> list:
+    """Per-parameter rows: (name, mean, sd, R-hat, ESS) for every trace column but the xi ones."""
     rows = []
-    for name in names:
+    for name in (n for n in trace.column_names() if not n.startswith("xi")):
         x = trace.scalar_matrix(name)
         pooled = x.reshape(-1)
         try:

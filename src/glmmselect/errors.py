@@ -22,7 +22,7 @@ class SamplerError(GlmmSelectError):
 
 
 class DataError(GlmmSelectError):
-    """Malformed input data (CSV parse problems, bad columns)."""
+    """Malformed input data (CSV parse problems, bad columns); every table reader raises it."""
 
 
 class SpecValidationError(ConfigurationError):

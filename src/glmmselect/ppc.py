@@ -19,9 +19,8 @@ __all__ = ["PpcSummary", "replicate_data", "rootogram", "mean_sd_scatter"]
 
 @dataclass
 class PpcSummary:
-    """Rootogram bins and replicate (mean, sd) pairs."""
+    """Replicate (mean, sd) pairs and the observed pair."""
 
-    bins: list            # dicts: count, observed, expected, sqrt_observed, sqrt_expected
     pairs: np.ndarray     # (n_rep, 2) replicate means and sds
     observed_pair: tuple
 
@@ -128,4 +127,4 @@ def mean_sd_scatter(replicated: np.ndarray, observed: np.ndarray | None = None) 
         if observed.size < 2:
             raise ConfigurationError("observed set needs at least 2 observations")
         obs_pair = (float(observed.mean()), float(observed.std(ddof=1)))
-    return PpcSummary(bins=[], pairs=pairs, observed_pair=obs_pair)
+    return PpcSummary(pairs=pairs, observed_pair=obs_pair)

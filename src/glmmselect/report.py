@@ -147,12 +147,9 @@ def format_table(header, rows) -> str:
     return "\n".join(lines) + "\n"
 
 
-def write_selection_report(report: SelectionReport, outdir: str, k: int | None = 20) -> None:
-    entries = report.entries if k is None else report.entries[:k]
-    rows = [
-        (lab.describe(), cnt, round(pct, 4))
-        for lab, cnt, pct in entries
-    ]
+def write_selection_report(report: SelectionReport, outdir: str) -> None:
+    """top_models.csv (the 20 most frequent models) and inclusion.csv in ``outdir``."""
+    rows = [(lab.describe(), cnt, round(pct, 4)) for lab, cnt, pct in report.entries[:20]]
     write_csv(f"{outdir}/top_models.csv", ["model", "count", "percent"], rows)
     incl_rows = [(f"beta{p + 1}", float(v)) for p, v in enumerate(report.inclusion_fixed)]
     for bi, arr in enumerate(report.inclusion_random):
@@ -160,9 +157,6 @@ def write_selection_report(report: SelectionReport, outdir: str, k: int | None =
     write_csv(f"{outdir}/inclusion.csv", ["effect", "probability"], incl_rows)
 
 
-def write_grid_report(rows, path: str, extra_cols=()) -> None:
-    header = ["v", "h", "status", "percent", "rmse", *extra_cols]
-    out_rows = []
-    for row in rows:
-        out_rows.append([row.get(c, "") for c in header])
-    write_csv(path, header, out_rows)
+def write_grid_report(rows, path: str) -> None:
+    header = ["v", "h", "status", "percent", "rmse", "n_ok", "n_failed"]
+    write_csv(path, header, [[row.get(c, "") for c in header] for row in rows])

@@ -13,14 +13,12 @@ CSV is the matrix under a header of the column names, with an iteration
 column in front.
 """
 
-import csv
 import logging
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
 
 import numpy as np
 
@@ -28,7 +26,7 @@ from .cholesky import tril_pairs
 from .engine import GibbsEngine
 from .errors import ConfigurationError, SamplerError
 from .families import scale_field
-from .ioutil import atomic_write_text
+from .ioutil import parse_floats, read_csv, write_csv
 from .model import Dataset, ModelDims, ModelSpec
 
 __all__ = ["ChainTrace", "Trace", "trace_layout", "run_chains", "save_trace", "load_trace"]
@@ -72,11 +70,10 @@ class ChainTrace:
     lists of them, one per random block.  Indicators are held as 0.0/1.0.
     """
 
-    def __init__(self, seed: int, values: np.ndarray, layout: list, stepout_fallbacks: int = 0):
+    def __init__(self, seed: int, values: np.ndarray, layout: list):
         self.seed = seed
         self.values = values
         self.layout = layout
-        self.stepout_fallbacks = stepout_fallbacks
         self.dispersion = self.sigma2 = None
         self.lam, self.include, self.r, self.kappa, self.xi = [], [], [], [], []
         start = 0
@@ -90,7 +87,7 @@ class ChainTrace:
 
     def __reduce__(self):
         # the views are rebuilt on unpickling, so a chain crosses processes as one matrix
-        return ChainTrace, (self.seed, self.values, self.layout, self.stepout_fallbacks)
+        return ChainTrace, (self.seed, self.values, self.layout)
 
     @property
     def n_recorded(self) -> int:
@@ -169,7 +166,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
     fallbacks = sum(s.fallbacks for s in engine.stats.values())
     xi_rate = engine.xi_accepted / engine.xi_proposed if engine.xi_proposed else float("nan")
     log.info("chain %d: %d slice step-out fallbacks, xi acceptance %.3f", chain, fallbacks, xi_rate)
-    return ChainTrace(seed, values, layout, fallbacks)
+    return ChainTrace(seed, values, layout)
 
 
 def run_chains(
@@ -202,38 +199,22 @@ def run_chains(
 def save_trace(trace: Trace, outdir: str) -> list:
     """One CSV per chain: iteration, then every column of the chain's ``values``.
 
-    Values are written in their shortest round-trip form (``repr``), as
-    :func:`glmmselect.ioutil.format_float` does.  Chain files of an earlier,
-    longer trace in ``outdir`` are removed, so :func:`load_trace` reads this
-    trace alone.
+    Values are written in their shortest round-trip form by
+    :func:`glmmselect.ioutil.write_csv`.  Chain files of an earlier, longer
+    trace in ``outdir`` are removed, so :func:`load_trace` reads this trace
+    alone.
     """
-    header = ",".join(["iteration"] + trace.column_names())
+    header = ["iteration"] + trace.column_names()
     paths = []
     for ci, chain in enumerate(trace.chains):
-        lines = [header]
-        lines += [f"{i + 1},{','.join(map(repr, row))}" for i, row in enumerate(chain.values.tolist())]
         path = os.path.join(outdir, f"chain_{ci + 1}.csv")
-        atomic_write_text(path, "\n".join(lines) + "\n")
+        write_csv(path, header, ([i + 1, *row] for i, row in enumerate(chain.values.tolist())))
         paths.append(path)
     for name in os.listdir(outdir):
         match = re.fullmatch(r"chain_(\d+)\.csv", name)
         if match and int(match.group(1)) > len(trace.chains):
             os.remove(os.path.join(outdir, name))
     return paths
-
-
-def _parse_columns(path: str, rows: list, columns: list, names: list) -> np.ndarray:
-    """Cells ``columns`` of every row as a (rows, columns) float matrix; a bad cell names its column."""
-    take = itemgetter(*columns)
-    try:
-        return np.array([take(row) for row in rows], dtype=float).reshape(len(rows), len(columns))
-    except (IndexError, ValueError):
-        for name, j in zip(names, columns):
-            try:
-                [float(row[j]) for row in rows]
-            except (IndexError, ValueError):
-                raise ConfigurationError(f"{path}: column {name!r} has a missing or non-numeric value") from None
-        raise
 
 
 def _value_problem(field: str, values: np.ndarray) -> str | None:
@@ -253,10 +234,11 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
     """Rebuild a Trace from chain CSVs written by :func:`save_trace`.
 
     Columns are found by header name, so their order does not matter and
-    other columns are ignored.  A missing column, or a value that no sampler
-    state can hold (non-finite, negative lam, non-positive kappa or family
-    scale, an indicator other than 0/1), raises ConfigurationError naming
-    the file and column.
+    other columns are ignored.  A file that :func:`glmmselect.ioutil.read_csv`
+    rejects, a missing column or a cell that is not a number raises
+    DataError; a value that no sampler state can hold (non-finite, negative
+    lam, non-positive kappa or family scale, an indicator other than 0/1)
+    raises ConfigurationError naming the file and column.
     """
     dims = ModelDims.of(spec, data)
     layout = trace_layout(dims, spec.family.kind)
@@ -267,15 +249,7 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
         path = os.path.join(outdir, f"chain_{ci}.csv")
         if not os.path.exists(path):
             break
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            rows = [row for row in reader]
-        position = {name: j for j, name in enumerate(header)}
-        for name in names:
-            if name not in position:
-                raise ConfigurationError(f"{path}: missing column {name!r}")
-        values = _parse_columns(path, rows, [position[name] for name in names], names)
+        values = parse_floats(path, *read_csv(path), names)
         fields = [field for field, _, _, field_names in layout for name in field_names]
         for field, name, column in zip(fields, names, values.T):
             problem = _value_problem(field, column)

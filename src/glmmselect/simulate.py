@@ -65,14 +65,19 @@ def scaled_omega(q: int, active: tuple) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimDesign:
-    """Generator settings for one simulation scenario."""
+    """Generator settings for one simulation scenario.
+
+    ``active_random`` is the truth: the effects (0-based) that
+    :func:`~glmmselect.cholesky.decompose_covariance` keeps from ``omega``.
+    None takes them from omega; a tuple that lists other effects is rejected.
+    """
 
     n: int = 60
     n_i: int = 10
     l: int = 10
     q: int = 10
     n_active_fixed: int = 6
-    active_random: tuple = (0, 2, 5)
+    active_random: tuple | None = None
     omega: np.ndarray = field(default_factory=section3_omega)
     case: int = 1
     intercept_beta: float = 2.0
@@ -86,11 +91,12 @@ class SimDesign:
         if omega.shape != (self.q, self.q):
             raise ConfigurationError("omega shape must be (q, q)")
         object.__setattr__(self, "omega", omega)
-        object.__setattr__(self, "active_random", tuple(self.active_random))
-        if not all(0 <= k < self.q for k in self.active_random):
+        active = tuple(np.flatnonzero(decompose_covariance(omega)[0]).tolist())
+        if self.active_random is not None and set(self.active_random) != set(active):
             raise ConfigurationError(
-                f"active_random {self.active_random} must index effects 0..{self.q - 1} (0-based)"
+                f"active_random {tuple(self.active_random)} disagrees with omega, whose diagonal gives effects {active} variance (0-based)"
             )
+        object.__setattr__(self, "active_random", active)
         if not 1 <= self.n_active_fixed <= self.l:
             raise ConfigurationError("n_active_fixed must be in [1, l]")
 
@@ -121,7 +127,6 @@ def scaled_design(case: int = 1, base_seed: int = 0, n: int = 60, n_i: int = 10)
         l=6,
         q=6,
         n_active_fixed=4,
-        active_random=(0, 2),
         omega=scaled_omega(6, (0, 2)),
         case=case,
         base_seed=base_seed,

@@ -33,6 +33,9 @@ SMALL_DESIGN = {
     "mode": "ssvs-diagonal",
 }
 
+# a 6 x 6 covariance in which only effect 5 has variance
+OMEGA_5 = [[0.1 if j == k == 4 else 0.0 for k in range(6)] for j in range(6)]
+
 SMALL_SPEC = {
     "family": {"kind": "poisson"},
     "response": "y",
@@ -115,6 +118,17 @@ class TestPipeline:
         assert main(["report", "--trace", fit_out, "--data", data, "--spec", spec, "--out", rep_out]) == 0
         assert os.path.exists(os.path.join(rep_out, "top_models.csv"))
 
+    @pytest.mark.parametrize("command", ["report", "ppc"])
+    def test_empty_chain_csv_is_error_exit(self, workspace, capsys, command):
+        tmp_path, design, spec, data = workspace
+        fit_out = str(tmp_path / "fit")
+        assert main(["fit", "--data", data, "--spec", spec, "--out", fit_out]) == 0
+        open(os.path.join(fit_out, "chain_2.csv"), "w").close()
+        capsys.readouterr()
+        assert main([command, "--trace", fit_out, "--data", data, "--spec", spec, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "chain_2.csv: file is empty" in err
+
     def test_rhat_warning_and_summary_table(self, workspace, capsys):
         tmp_path, design, spec, data = workspace
         fit_out = str(tmp_path / "fit")
@@ -192,12 +206,25 @@ class TestPipeline:
             ("replicate", "design", dict(SMALL_DESIGN, scale="small"), "design field 'scale' must be"),
             ("simulate", "design", dict(SMALL_DESIGN, n=None), "design field 'n' must be an integer"),
             ("simulate", "design", dict(SMALL_DESIGN, n=12.5), "design field 'n' must be an integer"),
-            # the scaled design's active effects (0, 2) do not fit q = 2, and the document sets none
-            ("simulate", "design", {"scale": "scaled", "q": 2, "omega": [[1, 0], [0, 1]]}, "active_random (0, 2)"),
+            ("simulate", "design", {"scale": "scaled", "active_random": [1], "omega": OMEGA_5}, "disagrees with omega"),
         ],
     )
     def test_bad_json_document_is_error_exit(self, tmp_path, capsys, command, which, content, message):
         self._expect_error(tmp_path, capsys, command, which, content, message, "1")
+
+    @pytest.mark.parametrize(
+        "design, random_mask",
+        [
+            # the truth is the effects omega gives variance, not the base design's (0, 2)
+            ({"scale": "scaled", "omega": OMEGA_5}, [0, 0, 0, 0, 1, 0]),
+            ({"scale": "scaled", "q": 2, "omega": [[1, 0], [0, 1]]}, [1, 1]),
+            ({"scale": "scaled", "active_random": [5], "omega": OMEGA_5}, [0, 0, 0, 0, 1, 0]),
+        ],
+    )
+    def test_omega_sets_the_random_truth(self, tmp_path, design, random_mask):
+        out = tmp_path / "sim"
+        assert main(["simulate", "--design", write(tmp_path, "design.json", design), "--out", str(out)]) == 0
+        assert json.loads((out / "replicate_1_truth.json").read_text())["random_mask"] == random_mask
 
     @pytest.mark.parametrize("command", ["simulate", "replicate", "grid"])
     @pytest.mark.parametrize(
@@ -292,7 +319,7 @@ class TestPipeline:
         rc = main(["fit", "--data", str(bad), "--spec", spec, "--out", str(tmp_path / "o"), "--add-squares", "x2"])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "non-numeric value 'abc' in column 'x2', row 2" in err
+        assert err.startswith("error:") and "column 'x2' has a missing or non-numeric value 'abc' in row 2" in err
 
 
 # simulate, fit and ppc through the CLI entry point, then list every scipy module loaded

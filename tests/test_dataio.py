@@ -134,7 +134,7 @@ class TestLoadDataset:
     def test_non_numeric_cell_located(self, tmp_path):
         csv = "y,x,site\n1,oops,a\n"
         spec = spec_from_dict(MINIMAL)
-        with pytest.raises(DataError, match="row 2"):
+        with pytest.raises(DataError, match="d.csv: column 'x' has a missing or non-numeric value 'oops' in row 2"):
             load_dataset(write(tmp_path, "d.csv", csv), spec)
 
     def test_empty_file(self, tmp_path):
@@ -164,6 +164,7 @@ class TestLoadDataset:
         path = str(tmp_path / "sim.csv")
         write_dataset_csv(path, data, spec)
         back = load_dataset(path, spec)
-        np.testing.assert_allclose(back.y, data.y)
-        np.testing.assert_allclose(back.X, data.X)
+        np.testing.assert_array_equal(back.y, data.y)
+        np.testing.assert_array_equal(back.X, data.X)
+        np.testing.assert_array_equal(back.blocks[0].Z, data.blocks[0].Z)
         np.testing.assert_array_equal(back.blocks[0].groups, data.blocks[0].groups)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from glmmselect.cholesky import mask_factors
-from glmmselect.errors import ConfigurationError
+from glmmselect.errors import ConfigurationError, DataError
 from glmmselect.families import Family
 from glmmselect.model import (
     BlockData,
@@ -192,7 +192,21 @@ class TestTracePersistence:
         cells[header.index(column)] = value
         lines[3] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ConfigurationError, match=f"chain_2.csv: column '{column}' {message}"):
+        # a cell that is not a number is a CSV parse problem; a number no state can hold is not
+        error = DataError if value == "abc" else ConfigurationError
+        with pytest.raises(error, match=f"chain_2.csv: column '{column}' {message}"):
+            load_trace(str(tmp_path), spec, data)
+
+    def test_missing_cell_is_located(self, tmp_path):
+        spec, data = small_problem(seed=13, kept=6)
+        save_trace(run_chains(spec, data), str(tmp_path))
+        path = tmp_path / "chain_1.csv"
+        lines = path.read_text().splitlines()
+        cells = lines[2].split(",")
+        cells[lines[0].split(",").index("J1")] = ""
+        lines[2] = ",".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataError, match="chain_1.csv: column 'J1' has a missing or non-numeric value '' in row 3"):
             load_trace(str(tmp_path), spec, data)
 
     def test_byte_identical_rewrites(self, tmp_path):
