@@ -30,6 +30,7 @@ from .ioutil import atomic_write_text, parse_floats, read_csv, write_csv
 from .model import MODES, Hyperparameters, SamplerSettings
 from .ppc import mean_sd_scatter, replicate_data, rootogram
 from .report import (
+    effect_list,
     format_table,
     grid_report,
     top_models,
@@ -220,9 +221,7 @@ def cmd_replicate(args) -> int:
     total = sum(counts.values())
     rows = []
     for (fixed, random), cnt in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        fixed_desc = ",".join(str(p + 1) for p, b in enumerate(fixed) if b) or "-"
-        rand_desc = ",".join(str(k + 1) for k, b in enumerate(random) if b) or "-"
-        rows.append((fixed_desc, rand_desc, cnt, round(100.0 * cnt / total, 2)))
+        rows.append((effect_list(fixed), effect_list(random), cnt, round(100.0 * cnt / total, 2)))
     write_csv(
         os.path.join(args.out, "modal_models.csv"),
         ["fixed_effects", "random_effects", "count", "percent"],

@@ -85,6 +85,14 @@ def settings_from_doc(doc: dict, section: str, cls: type, problems: list[str]):
         return None
 
 
+def _column_names(value, what: str, problems: list[str]) -> tuple | None:
+    """``value`` as a tuple of column names, or None after appending a problem if it is not a list of strings."""
+    if not isinstance(value, list) or not all(isinstance(name, str) for name in value):
+        problems.append(f"{what} must be a list of column names, got {value!r}")
+        return None
+    return tuple(value)
+
+
 def spec_from_dict(doc: dict) -> ModelSpec:
     """Validate a spec document, collecting every problem before raising."""
     problems = []
@@ -92,36 +100,54 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     fam_doc = doc.get("family", {})
     if isinstance(fam_doc, str):
         fam_doc = {"kind": fam_doc}
-    kind = fam_doc.get("kind")
-    if kind not in CANONICAL_LINKS:
-        problems.append(f"unknown family kind {kind!r}")
-    link = fam_doc.get("link")
-    if kind in CANONICAL_LINKS and link is not None and link != CANONICAL_LINKS[kind]:
-        problems.append(f"unsupported link {link!r} for family {kind!r}")
-    if "dispersion" in fam_doc:
-        problems.append("family.dispersion is not a setting: the family scale is sampled from its prior")
+    if not isinstance(fam_doc, dict):
+        problems.append(f"family must be an object or a kind name, got {fam_doc!r}")
+    else:
+        kind, link = fam_doc.get("kind"), fam_doc.get("link")
+        if not isinstance(kind, str) or kind not in CANONICAL_LINKS:
+            problems.append(f"unknown family kind {kind!r}")
+        elif link is not None and link != CANONICAL_LINKS[kind]:
+            problems.append(f"unsupported link {link!r} for family {kind!r}")
+        if "dispersion" in fam_doc:
+            problems.append("family.dispersion is not a setting: the family scale is sampled from its prior")
 
     response = doc.get("response")
     if not response:
         problems.append("missing response column name")
+    elif not isinstance(response, str):
+        problems.append(f"response must be a column name, got {response!r}")
 
-    fixed = doc.get("fixed_effects", [])
-    if not fixed:
+    fixed = _column_names(doc.get("fixed_effects", []), "fixed_effects", problems)
+    if fixed == ():
         problems.append("fixed_effects must list at least one column")
-    if len(set(fixed)) != len(fixed):
+    if fixed and len(set(fixed)) != len(fixed):
         problems.append("duplicate fixed-effect columns")
 
+    block_docs = doc.get("random_blocks", [])
+    if not isinstance(block_docs, list):
+        problems.append(f"random_blocks must be a list of objects, got {block_docs!r}")
+        block_docs = []
     blocks = []
-    for bi, bdoc in enumerate(doc.get("random_blocks", [])):
+    for bi, bdoc in enumerate(block_docs):
+        where = f"random block {bi + 1}"
+        if not isinstance(bdoc, dict):
+            problems.append(f"{where} must be an object, got {bdoc!r}")
+            continue
         group = bdoc.get("group")
-        cols = bdoc.get("columns", [])
+        cols = _column_names(bdoc.get("columns", []), f"{where}: columns", problems)
         if not group:
-            problems.append(f"random block {bi + 1}: missing grouping column")
-        if not cols:
-            problems.append(f"random block {bi + 1}: needs at least one column")
-        if len(set(cols)) != len(cols):
-            problems.append(f"random block {bi + 1}: duplicate columns")
-        blocks.append((group, tuple(cols)))
+            problems.append(f"{where}: missing grouping column")
+        elif not isinstance(group, str):
+            problems.append(f"{where}: group must be a column name, got {group!r}")
+        if cols == ():
+            problems.append(f"{where}: needs at least one column")
+        if cols and len(set(cols)) != len(cols):
+            problems.append(f"{where}: duplicate columns")
+        blocks.append((group, cols))
+
+    offset = doc.get("offset")
+    if offset is not None and not isinstance(offset, str):
+        problems.append(f"offset must be a column name or null, got {offset!r}")
 
     hyper = settings_from_doc(doc, "hyperparameters", Hyperparameters, problems)
     sampler = settings_from_doc(doc, "sampler", SamplerSettings, problems)
@@ -133,13 +159,12 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     if problems:
         raise SpecValidationError(problems)
 
-    family = Family(kind=kind, link=link)
     return ModelSpec(
-        family=family,
+        family=Family(kind),
         response=response,
-        fixed_effects=tuple(fixed),
+        fixed_effects=fixed,
         random_blocks=tuple(RandomBlock(group=g, columns=c) for g, c in blocks),
-        offset=doc.get("offset"),
+        offset=offset,
         hyper=hyper,
         sampler=sampler,
         mode=mode,

@@ -91,7 +91,7 @@ import math
 import numpy as np
 
 from .errors import SamplerError
-from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE, scale_field
+from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE
 from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, linear_predictor
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
 from .model import total_log_likelihood  # noqa: F401
@@ -174,9 +174,10 @@ class GibbsEngine:
         self._prior_log_odds = math.log(pi) - math.log1p(-pi)
         self.mode = spec.mode
         self.adapting = False
-        self._scale_field = scale_field(spec.family.kind)
+        scale = spec.family.scale  # its state field is cached: every likelihood evaluation reads it
+        self._scale_attr = scale.field if scale is not None else None
         self._wy = spec.family.kernel_w * data.y  # w y: the slope of the kernel's linear term is _wy . c
-        self._update_scale = {"dispersion": self._update_dispersion, "sigma2": self._update_sigma2}.get(self._scale_field)
+        self._update_scale = {"dispersion": self._update_dispersion, "sigma2": self._update_sigma2}.get(self._scale_attr)
 
         if state is None:
             state = self._draw_feasible_start()
@@ -212,9 +213,8 @@ class GibbsEngine:
         a legitimate chain start.  The first feasible candidate of the first
         batch that has one is kept (see the module docstring).
         """
-        kind = self.spec.family.kind
         for _ in range(_START_BUDGET // _START_BATCH):
-            batch = sample_prior(self.hyper, self.dims, self.rng, family_kind=kind, mode=self.mode, n=_START_BATCH)
+            batch = sample_prior(self.hyper, self.dims, self.rng, self.spec.family, mode=self.mode, n=_START_BATCH)
             self._fix_by_mode(batch)  # screen each candidate as its chain would start
             feasible = self._feasible(batch)
             if feasible.any():
@@ -260,7 +260,7 @@ class GibbsEngine:
 
     def _ll_terms(self, eta: np.ndarray) -> np.ndarray:
         """Per-observation A(y, eta, scale) of the family kernel w y eta - A."""
-        field = self._scale_field
+        field = self._scale_attr
         return self.spec.family.kernel_a(self.data.y, eta, getattr(self.state, field) if field else None)
 
     def _line(self, eta0: np.ndarray, c: np.ndarray):
@@ -297,7 +297,7 @@ class GibbsEngine:
         return float(np.sum(family.log_likelihood(self.data.y, self._eta, family.scale_of(self.state))))
 
     def log_posterior(self) -> float:
-        return self.log_likelihood() + log_prior_state(self.hyper, self.state, self.spec.family.kind)
+        return self.log_likelihood() + log_prior_state(self.hyper, self.state, self.spec.family)
 
     # ---------------------------------------------------------- slice updates
 
@@ -460,7 +460,7 @@ class GibbsEngine:
         c is all zero has no cap; the caller guards that division by zero.
         """
         groups, n_groups = self.data.blocks[bi].groups, self.data.blocks[bi].n_groups
-        family, field = self.spec.family, self._scale_field
+        family, field = self.spec.family, self._scale_attr
         scale = getattr(self.state, field) if field else None
         c2 = c * c
 
@@ -603,7 +603,7 @@ class GibbsEngine:
             rows, cols = cholesky.tril_pairs(included.size)
             groups["lam", bi] = (bs.lam, included)
             groups["r", bi] = (bs.r, included[rows] & included[cols])
-        if self._scale_field == "dispersion":
+        if self._scale_attr == "dispersion":
             groups["dispersion", None] = (np.array([st.dispersion]), True)
         return groups
 

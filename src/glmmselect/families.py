@@ -4,18 +4,19 @@ Supported kind/link pairs are the canonical ones: poisson/log,
 negative_binomial/log, bernoulli/logit, gaussian/identity.  The negative
 binomial uses the mean/overdispersion convention Var = mu + mu^2/r_disp.
 
-This module is the one home of what differs by kind.  A :class:`Family` owns
-its link and normalized log-density; the per-observation kernel w y eta -
-A(y, eta, scale), with w = 1 for the count kinds and w = 0 for the gaussian,
-whose A is its residual term; response sampling and validation; whether
-responses are counts; and its :class:`Scale`: the ParameterState field
-holding the family scale (``dispersion`` for the negative binomial,
-``sigma2`` for the gaussian, none otherwise), which also names its trace
-column and picks the engine's scale update, with the scale's prior
-log-density and prior draw.  The scale's
-value is an argument of the likelihood and the sampler, never a field of
-the family.  The Gamma and inverse-gamma helpers those priors
-use live here so that :mod:`glmmselect.priors` shares them without a cycle.
+This module is the one home of what differs by kind, and :class:`Family` is
+the only way to look a kind up: callers pass the family, never its kind
+string.  A family owns its link (the canonical one of its kind) and
+normalized log-density; the per-observation kernel w y eta - A(y, eta,
+scale), with w = 1 for the count kinds and w = 0 for the gaussian, whose A
+is its residual term; response sampling and validation; whether responses
+are counts; and its :class:`Scale`: the ParameterState field holding the
+family scale (``dispersion`` for the negative binomial, ``sigma2`` for the
+gaussian, none otherwise), which also names its trace column and picks the
+engine's scale update, with the scale's prior log-density and prior draw.
+The scale's value is an argument of the likelihood and the sampler, never a
+field of the family.  The Gamma and inverse-gamma helpers those priors use
+live here so that :mod:`glmmselect.priors` shares them without a cycle.
 
 Log-gamma lives here as well, without SciPy, whose ``special`` module took
 0.18 s to import, a third of every CLI command's start-up, for three
@@ -34,7 +35,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
-__all__ = ["Family", "Scale", "CANONICAL_LINKS", "ETA_CAP", "family_scale", "scale_field"]
+__all__ = ["Family", "Scale", "CANONICAL_LINKS", "ETA_CAP"]
 
 CANONICAL_LINKS = {
     "poisson": "log",
@@ -169,20 +170,9 @@ _SCALES = {
 }
 
 
-def family_scale(kind: str) -> Scale | None:
-    """The scale of a family kind; None for kinds without one."""
-    return _SCALES.get(kind)
-
-
-def scale_field(kind: str) -> str | None:
-    """The field holding the scale of a family kind; None for kinds without one."""
-    scale = _SCALES.get(kind)
-    return scale.field if scale is not None else None
-
-
 @dataclass(frozen=True)
 class Family:
-    """Response distribution plus link.
+    """Response distribution plus its canonical link.
 
     The family scale (the NB overdispersion r_disp or the gaussian residual
     variance sigma^2) is a sampled parameter, not part of the family: the
@@ -195,17 +185,15 @@ class Family:
     """
 
     kind: str
-    link: str | None = None
 
     def __post_init__(self):
         if self.kind not in CANONICAL_LINKS:
             raise ConfigurationError(f"unsupported family kind {self.kind!r}")
-        link = self.link if self.link is not None else CANONICAL_LINKS[self.kind]
-        if link != CANONICAL_LINKS[self.kind]:
-            raise ConfigurationError(
-                f"unsupported link {link!r} for family {self.kind!r}"
-            )
-        object.__setattr__(self, "link", link)
+
+    @property
+    def link(self) -> str:
+        """The canonical link of the kind, the only one supported."""
+        return CANONICAL_LINKS[self.kind]
 
     @property
     def scale(self) -> Scale | None:

@@ -157,6 +157,10 @@ class SamplerSettings:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
         if self.chains < 1:
             raise ConfigurationError("chains must be >= 1")
         for name in ("adapt", "burnin", "kept"):

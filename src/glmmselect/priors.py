@@ -50,7 +50,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, SamplerError
-from .families import family_scale, gamma_logpdf, invgamma_logpdf, sample_invgamma, scale_field
+from .families import Family, gamma_logpdf, invgamma_logpdf, sample_invgamma
 from .model import BlockState, Hyperparameters, ModelDims, ParameterState
 
 __all__ = [
@@ -305,11 +305,12 @@ def draw_latent(rng, shape, n_groups: int):
     return m, kappa, xi
 
 
-def log_prior_state(hyper: Hyperparameters, state: ParameterState, family_kind: str = "poisson") -> float:
+def log_prior_state(hyper: Hyperparameters, state: ParameterState, family: Family) -> float:
     """Joint log prior of a full state, pseudo-priors included: the model's one prior density.
 
-    Raises ConfigurationError for a negative lam, or a non-positive tau2,
-    h, v or nu.
+    The family's scale, if its kind has one, adds its prior at the value
+    :meth:`Family.scale_of` reads from the state.  Raises ConfigurationError
+    for a negative lam, or a non-positive tau2, h, v or nu.
     """
     pi = hyper.prior_inclusion
 
@@ -339,9 +340,8 @@ def log_prior_state(hyper: Hyperparameters, state: ParameterState, family_kind: 
         total += float(np.sum(normal_logpdf(bs.xi, bs.kappa[None, :])))
         total += float(np.sum(exponential_logpdf(bs.kappa, bs.m**2 / 2.0)))
         total += float(np.sum(gamma_logpdf(bs.m, 1.0, 1.0)))
-    scale = family_scale(family_kind)
-    if scale is not None:
-        total += scale.log_prior(getattr(state, scale.field))
+    if family.scale is not None:
+        total += family.scale.log_prior(family.scale_of(state))
     return total
 
 
@@ -349,23 +349,24 @@ def sample_prior(
     hyper: Hyperparameters,
     dims: ModelDims,
     rng: np.random.Generator,
-    family_kind: str = "poisson",
+    family: Family,
     mode: str = "ssvs-full",
     n: int | None = None,
 ) -> ParameterState:
     """Exact draw from the full joint prior (initialization and checks), one stage at a time.
 
-    With ``n``, a batch of n independent draws: every array gains a leading
-    axis of length n, the family scale (if the kind has one) is an (n, 1)
-    column, and :meth:`ParameterState.take` picks one draw.  A batch uses
-    the generator in its own order, so it differs from n unbatched calls.
+    The family's scale, if its kind has one, is drawn from its prior into
+    the state field it names.  With ``n``, a batch of n independent draws:
+    every array gains a leading axis of length n, the family scale is an
+    (n, 1) column, and :meth:`ParameterState.take` picks one draw.  A batch
+    uses the generator in its own order, so it differs from n unbatched calls.
     """
     pi = hyper.prior_inclusion
-    scale, field = family_scale(family_kind), scale_field(family_kind)
+    field = family.scale.field if family.scale is not None else None
     lead = () if n is None else (n,)
 
     def draw_scale():
-        value = scale.draw_prior(rng, None if n is None else (n, 1))
+        value = family.scale.draw_prior(rng, None if n is None else (n, 1))
         return float(value) if n is None else value
 
     def indicators(shape):

@@ -16,6 +16,7 @@ from .errors import ConfigurationError
 from .ioutil import write_csv
 
 __all__ = [
+    "effect_list",
     "ModelLabel",
     "SelectionReport",
     "labels_of_trace",
@@ -30,6 +31,11 @@ __all__ = [
 ]
 
 
+def effect_list(bits) -> str:
+    """The 1-based positions of the set bits of an inclusion pattern, comma-joined; "-" when none is set."""
+    return ",".join(str(k + 1) for k, bit in enumerate(bits) if bit) or "-"
+
+
 @dataclass(frozen=True, order=True)
 class ModelLabel:
     """Binary inclusion pattern identifying one candidate model."""
@@ -38,11 +44,7 @@ class ModelLabel:
     random: tuple  # tuple of per-block tuples
 
     def describe(self) -> str:
-        fixed = ",".join(str(p + 1) for p, bit in enumerate(self.fixed) if bit) or "-"
-        parts = []
-        for bits in self.random:
-            parts.append(",".join(str(k + 1) for k, bit in enumerate(bits) if bit) or "-")
-        return f"fixed[{fixed}] random[" + "|".join(parts) + "]"
+        return f"fixed[{effect_list(self.fixed)}] random[" + "|".join(map(effect_list, self.random)) + "]"
 
 
 @dataclass

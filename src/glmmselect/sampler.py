@@ -25,7 +25,7 @@ import numpy as np
 from .cholesky import tril_pairs
 from .engine import GibbsEngine
 from .errors import ConfigurationError, SamplerError
-from .families import scale_field
+from .families import Family
 from .ioutil import parse_floats, read_csv, write_csv
 from .model import Dataset, ModelDims, ModelSpec
 
@@ -34,11 +34,12 @@ __all__ = ["ChainTrace", "Trace", "trace_layout", "run_chains", "save_trace", "l
 log = logging.getLogger(__name__)
 
 
-def trace_layout(dims: ModelDims, family_kind: str) -> list:
+def trace_layout(dims: ModelDims, family: Family) -> list:
     """Every trace field in column order, as (field, block, shape, column names).
 
     ``block`` is the random-block position (None for per-chain fields) and
     ``shape`` the shape of one draw; its raveled values fill the named columns.
+    The family's scale, if its kind has one, is the last field.
     """
     layout = [
         ("log_posterior", None, (), ["log_posterior"]),
@@ -55,9 +56,8 @@ def trace_layout(dims: ModelDims, family_kind: str) -> list:
             ("kappa", bi, (q,), [f"kappa{tag}_{k + 1}" for k in range(q)]),
             ("xi", bi, (n_groups, q), [f"xi{tag}_g{i + 1}_{k + 1}" for i in range(n_groups) for k in range(q)]),
         ]
-    field = scale_field(family_kind)
-    if field is not None:
-        layout.append((field, None, (), [field]))
+    if family.scale is not None:
+        layout.append((family.scale.field, None, (), [family.scale.field]))
     return layout
 
 
@@ -99,11 +99,10 @@ class ChainTrace:
 
 @dataclass
 class Trace:
-    """All chains, with the dimensions and family kind that lay out their columns."""
+    """All chains, with the dimensions that lay out their columns."""
 
     chains: list
     dims: ModelDims
-    family_kind: str = "poisson"
 
     @property
     def n_chains(self) -> int:
@@ -142,7 +141,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
     seed = settings.seed + chain
     rng = np.random.default_rng(seed)
     engine = GibbsEngine(spec, data, rng=rng)
-    layout = trace_layout(engine.dims, spec.family.kind)
+    layout = trace_layout(engine.dims, spec.family)
 
     engine.adapting = True
     for _ in range(settings.adapt):
@@ -193,7 +192,7 @@ def run_chains(
             chains = [_run_single_chain(spec, data, c) for c in range(n_chains)]
     except SamplerError as exc:
         raise SamplerError(f"chain failed: {exc}") from exc
-    return Trace(chains=chains, dims=dims, family_kind=spec.family.kind)
+    return Trace(chains=chains, dims=dims)
 
 
 def save_trace(trace: Trace, outdir: str) -> list:
@@ -241,7 +240,7 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
     raises ConfigurationError naming the file and column.
     """
     dims = ModelDims.of(spec, data)
-    layout = trace_layout(dims, spec.family.kind)
+    layout = trace_layout(dims, spec.family)
     names = [name for *_, field_names in layout for name in field_names]
     chains = []
     ci = 1
@@ -259,4 +258,4 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
         ci += 1
     if not chains:
         raise ConfigurationError(f"no chain CSVs found under {outdir}")
-    return Trace(chains=chains, dims=dims, family_kind=spec.family.kind)
+    return Trace(chains=chains, dims=dims)

@@ -8,7 +8,10 @@ import sys
 
 import pytest
 
+from glmmselect import cli
 from glmmselect.cli import RHAT_WARN, main
+from glmmselect.report import ModelLabel
+from glmmselect.simulate import ReplicationResult
 
 
 def write(tmp_path, name, obj):
@@ -155,12 +158,47 @@ class TestPipeline:
         with open(os.path.join(fit_out, "summary.txt"), encoding="utf-8") as fh:
             assert captured.out == fh.read() + "\n"
 
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("sampler", dict(SMALL_SPEC["sampler"], chains=2.0), "sampler: chains must be an integer, got 2.0"),
+            ("sampler", dict(SMALL_SPEC["sampler"], kept=10.5), "sampler: kept must be an integer, got 10.5"),
+            ("sampler", dict(SMALL_SPEC["sampler"], seed="7"), "sampler: seed must be an integer, got '7'"),
+            ("family", ["poisson"], "family must be an object or a kind name"),
+            ("fixed_effects", "x1", "fixed_effects must be a list of column names"),
+            ("random_blocks", ["subject"], "random block 1 must be an object"),
+        ],
+    )
+    def test_malformed_spec_is_error_exit(self, workspace, capsys, key, value, problem):
+        tmp_path, design, spec, data = workspace
+        bad = write(tmp_path, "bad_spec.json", dict(SMALL_SPEC, **{key: value}))
+        assert main(["fit", "--data", data, "--spec", bad, "--out", str(tmp_path / "fit")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid model spec: ") and problem in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+
     def test_replicate_command(self, workspace):
         tmp_path, design, spec, data = workspace
         out = str(tmp_path / "repl")
         assert main(["replicate", "--design", design, "--out", out, "--replicates", "2"]) == 0
         assert os.path.exists(os.path.join(out, "modal_models.csv"))
         assert os.path.exists(os.path.join(out, "summary.csv"))
+
+    def test_modal_models_name_effects_as_model_labels(self, tmp_path, monkeypatch):
+        # modal_models.csv and top_models.csv name a model's effects the same way
+        labels = [ModelLabel((1, 0, 1), ((0, 1),)), ModelLabel((0, 0, 0), ((0, 0),)), ModelLabel((1, 0, 1), ((0, 1),))]
+        rows = [
+            dict(ok=True, modal_fixed=lab.fixed, modal_random=lab.random[0], true_model=False, random_correct=False, rmse=0.0)
+            for lab in labels
+        ]
+        monkeypatch.setattr(cli, "run_replication", lambda design, spec, n_rep, workers: ReplicationResult(design, rows))
+        out = tmp_path / "repl"
+        assert main(["replicate", "--design", write(tmp_path, "design.json", SMALL_DESIGN), "--out", str(out)]) == 0
+        with open(out / "modal_models.csv", newline="", encoding="utf-8") as fh:
+            got = list(csv.DictReader(fh))
+        assert [(r["fixed_effects"], r["random_effects"], r["count"]) for r in got] == [("1,3", "2", "2"), ("-", "-", "1")]
+        for row, lab in zip(got, labels):
+            assert f"fixed[{row['fixed_effects']}] random[{row['random_effects']}]" == lab.describe()
 
     def test_grid_command(self, workspace):
         tmp_path, design, spec, data = workspace
@@ -207,6 +245,12 @@ class TestPipeline:
             ("simulate", "design", dict(SMALL_DESIGN, n=None), "design field 'n' must be an integer"),
             ("simulate", "design", dict(SMALL_DESIGN, n=12.5), "design field 'n' must be an integer"),
             ("simulate", "design", {"scale": "scaled", "active_random": [1], "omega": OMEGA_5}, "disagrees with omega"),
+            (
+                "replicate",
+                "design",
+                dict(SMALL_DESIGN, sampler=dict(SMALL_DESIGN["sampler"], chains=2.0)),
+                "sampler: chains must be an integer, got 2.0",
+            ),
         ],
     )
     def test_bad_json_document_is_error_exit(self, tmp_path, capsys, command, which, content, message):

@@ -11,6 +11,7 @@ from glmmselect.dataio import (
     write_dataset_csv,
 )
 from glmmselect.errors import DataError, SpecValidationError
+from glmmselect.families import Family
 
 MINIMAL = {
     "family": {"kind": "poisson"},
@@ -90,6 +91,53 @@ class TestParseSpec:
         spec = spec_from_dict(doc)
         assert not hasattr(spec.family, "dispersion")
         assert "dispersion" not in spec_to_dict(spec)["family"]
+
+    def test_noncanonical_link_rejected(self):
+        doc = dict(MINIMAL, family={"kind": "poisson", "link": "identity"})
+        with pytest.raises(SpecValidationError, match="unsupported link 'identity' for family 'poisson'"):
+            spec_from_dict(doc)
+
+    def test_canonical_link_accepted_and_written(self):
+        spec = spec_from_dict(dict(MINIMAL, family={"kind": "bernoulli", "link": "logit"}))
+        assert spec.family == Family("bernoulli")
+        doc = spec_to_dict(spec)
+        assert doc["family"] == {"kind": "bernoulli", "link": "logit"}
+        assert spec_from_dict(doc) == spec
+
+    @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("family", ["poisson"], "family must be an object or a kind name, got ['poisson']"),
+            ("family", {"kind": ["poisson"]}, "unknown family kind ['poisson']"),
+            ("response", ["y"], "response must be a column name, got ['y']"),
+            ("fixed_effects", "x1", "fixed_effects must be a list of column names, got 'x1'"),
+            ("fixed_effects", [1], "fixed_effects must be a list of column names, got [1]"),
+            ("random_blocks", ["site"], "random block 1 must be an object, got 'site'"),
+            ("random_blocks", {"group": "site"}, "random_blocks must be a list of objects, got {'group': 'site'}"),
+            (
+                "random_blocks",
+                [{"group": "site", "columns": "x1"}],
+                "random block 1: columns must be a list of column names, got 'x1'",
+            ),
+            (
+                "random_blocks",
+                [{"group": ["site"], "columns": ["1"]}],
+                "random block 1: group must be a column name, got ['site']",
+            ),
+            ("offset", 3, "offset must be a column name or null, got 3"),
+        ],
+    )
+    def test_wrong_type_is_one_problem(self, key, value, problem):
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_dict(dict(MINIMAL, **{key: value}))
+        assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize("key, value", [("chains", 2.0), ("kept", 10.5), ("seed", "7"), ("thin", True)])
+    def test_non_integer_sampler_value_rejected(self, tmp_path, key, value):
+        path = write(tmp_path, "m.json", json.dumps(dict(MINIMAL, sampler={key: value})))
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(path)
+        assert err.value.problems == [f"sampler: {key} must be an integer, got {value!r}"]
 
     @pytest.mark.parametrize(
         "section, key, value",

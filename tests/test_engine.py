@@ -115,7 +115,7 @@ class TestIndicatorConditional:
         # start at this generator's first prior draw, a moderate state: the absolute tolerances below
         # need one, and a feasible start from the search can have a log-likelihood near -1e29
         rng = np.random.default_rng(22)
-        start = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        start = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         engine = GibbsEngine(spec, data, rng=rng, state=start)
         for _ in range(3):
             engine.scan()
@@ -188,7 +188,7 @@ class TestIndicatorConditional:
     def test_empty_dataset_reproduces_prior(self):
         spec, _ = toy_setup(4)
         data0 = empty_data()
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data0), np.random.default_rng(5))
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data0), np.random.default_rng(5), spec.family)
         assert inclusion_probability(spec, data0, state, ("fixed", 0)) == 0.5
         assert inclusion_probability(spec, data0, state, ("random", 0)) == 0.5
 
@@ -457,7 +457,7 @@ class TestEmptyData:
             engine.scan()
             st, bs = engine.state, engine.state.blocks[0]
             chain[i] = st.theta[0], st.phi[0], bs.tau2[0], bs.kappa[0], bs.m[0]
-        prior = sample_prior(spec.hyper, engine.dims, np.random.default_rng(2), n=20_000)
+        prior = sample_prior(spec.hyper, engine.dims, np.random.default_rng(2), spec.family, n=20_000)
         pb = prior.blocks[0]
         reference = [prior.theta[:, 0], prior.phi[:, 0], pb.tau2[:, 0], pb.kappa[:, 0], pb.m[:, 0]]
         # thinned to 600 draws: the autocorrelations of these chains are near 0 by lag 20
@@ -492,7 +492,7 @@ class TestGivenState:
     @pytest.mark.parametrize("field", WRONG_SHAPES)
     def test_wrong_shape_is_rejected(self, field):
         spec, data = toy_setup(11, n=12, n_i=4, q=3)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(12))
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(12), spec.family)
         setattr(state if hasattr(state, field) else state.blocks[0], field, WRONG_SHAPES[field])
         with pytest.raises(ConfigurationError, match=rf"\b{field} has shape"):
             GibbsEngine(spec, data, rng=np.random.default_rng(13), state=state)
@@ -575,7 +575,7 @@ class TestGibbsScan:
         for _ in range(5):
             engine.scan()
             want = total_log_likelihood(spec, engine.state, data) + log_prior_state(
-                spec.hyper, engine.state, kind
+                spec.hyper, engine.state, spec.family
             )
             assert np.isfinite(want)
             assert engine.log_posterior() == want
@@ -719,7 +719,7 @@ class TestFeasibleStart:
         spec, data = toy_setup(27, q=2, kind=kind)
         spec = replace(spec, hyper=Hyperparameters())  # heavy-tailed slab: many overflowing draws
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(28))
-        batch = sample_prior(spec.hyper, engine.dims, np.random.default_rng(29), family_kind=kind, n=32)
+        batch = sample_prior(spec.hyper, engine.dims, np.random.default_rng(29), spec.family, n=32)
         batch.beta[0] = 1e308  # overflows every family: eta reaches inf
         batch.beta[1, 0] = np.nan  # NaN predictor: not a start, where total_log_likelihood raises
         batch.beta[2] = 0.0  # finite for every family
@@ -736,7 +736,7 @@ class TestFeasibleStart:
         spec, data = toy_setup(30, q=2)
         spec = replace(spec, hyper=Hyperparameters())
         dims = ModelDims.of(spec, data)
-        batch = sample_prior(spec.hyper, dims, np.random.default_rng(31), n=32)
+        batch = sample_prior(spec.hyper, dims, np.random.default_rng(31), spec.family, n=32)
         first = [reference_verdict(spec, batch.take(i), data) for i in range(32)].index(True)
         start = GibbsEngine(spec, data, rng=np.random.default_rng(31)).state
         want = batch.take(first)
@@ -747,7 +747,7 @@ class TestFeasibleStart:
     def test_diagonal_mode_screens_candidates_with_zero_r(self, monkeypatch):
         # candidate 0 overflows only through its r entry, which ssvs-diagonal fixes at 0, so it is feasible
         spec, data = toy_setup(40, q=2, mode="ssvs-diagonal")
-        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(41), n=32)
+        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(41), spec.family, n=32)
         batch.beta[0] = 0.0
         bs = batch.blocks[0]
         bs.include[0], bs.lam[0], bs.xi[0], bs.r[0] = 1, 1.0, 1.0, 1e200
@@ -769,7 +769,7 @@ class TestFeasibleStart:
 
         def sequential():
             while True:
-                state = sample_prior(spec.hyper, dims, rng)
+                state = sample_prior(spec.hyper, dims, rng, spec.family)
                 if reference_verdict(spec, state, data):
                     return state
 
@@ -806,7 +806,7 @@ class TestFeasibleStart:
             blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=1),),
         )
         dims = ModelDims.of(spec, data0)
-        want = sample_prior(spec.hyper, dims, np.random.default_rng(36), n=32).take(0)
+        want = sample_prior(spec.hyper, dims, np.random.default_rng(36), spec.family, n=32).take(0)
         start = GibbsEngine(spec, data0, rng=np.random.default_rng(36)).state
         np.testing.assert_array_equal(start.beta, want.beta)
         np.testing.assert_array_equal(start.blocks[0].lam, want.blocks[0].lam)

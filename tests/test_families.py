@@ -184,9 +184,9 @@ class TestSingleFormula:
     def test_scale_of_state_batch_and_trace_draw(self):
         dims = ModelDims(l=2, blocks=((1, 3),))
         rng = np.random.default_rng(6)
-        state = sample_prior(Hyperparameters(), dims, rng, family_kind="negative_binomial")
-        batch = sample_prior(Hyperparameters(), dims, rng, family_kind="gaussian", n=4)
         fam_nb, fam_g = Family("negative_binomial"), Family("gaussian")
+        state = sample_prior(Hyperparameters(), dims, rng, fam_nb)
+        batch = sample_prior(Hyperparameters(), dims, rng, fam_g, n=4)
         assert fam_nb.scale_of(state) == state.dispersion
         assert fam_g.scale_of(batch).shape == (4, 1)
         trace_draws = SimpleNamespace(sigma2=np.array([0.5, 1.5, 2.5]))

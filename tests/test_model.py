@@ -1,11 +1,12 @@
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from glmmselect.errors import ConfigurationError, NumericError
-from glmmselect.families import Family
+from glmmselect.families import CANONICAL_LINKS, Family
 from glmmselect.model import (
     BlockData,
     Dataset,
@@ -54,9 +55,13 @@ class TestFamily:
         with pytest.raises(ConfigurationError):
             Family(kind="weibull")
 
-    def test_noncanonical_link_rejected(self):
-        with pytest.raises(ConfigurationError):
-            Family(kind="poisson", link="identity")
+    @pytest.mark.parametrize("kind, link", CANONICAL_LINKS.items())
+    def test_link_is_the_kinds_canonical_link(self, kind, link):
+        # the link is not a setting: a family holds its kind alone
+        assert Family(kind).link == link
+        assert [f.name for f in fields(Family)] == ["kind"]
+        with pytest.raises(TypeError):
+            Family(kind, link)
 
     def test_dispersion_required_for_nb(self):
         # a model's family has no scale; the likelihood and sampling take it as an argument
@@ -135,7 +140,7 @@ class TestLinearPredictor:
         rng = np.random.default_rng(3)
         spec = toy_spec()
         data = toy_data(rng)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         state.beta[:] = 0.0
         for bs in state.blocks:
             bs.xi[:] = 0.0
@@ -145,7 +150,7 @@ class TestLinearPredictor:
         rng = np.random.default_rng(4)
         spec = toy_spec()
         data = toy_data(rng)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         state.beta[:] = [2.0, 0.0]
         state.J[:] = [1, 0]
         for bs in state.blocks:
@@ -156,7 +161,7 @@ class TestLinearPredictor:
         rng = np.random.default_rng(5)
         spec = toy_spec()
         data = toy_data(rng)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         state.J[:] = 0
         bs = state.blocks[0]
         bs.include[:] = 1
@@ -169,7 +174,7 @@ class TestLinearPredictor:
         rng = np.random.default_rng(6)
         spec = toy_spec()
         data = toy_data(rng)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         state.J[:] = [1, 0]
         eta1 = linear_predictor_all(spec, state, data)
         state.beta[1] = state.beta[1] + 123.0
@@ -180,7 +185,7 @@ class TestLinearPredictor:
         rng = np.random.default_rng(7)
         spec = toy_spec()
         data = toy_data(rng)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         state.J[:] = 1
         eps = 0.5
         base = linear_predictor_all(spec, state, data)
@@ -194,7 +199,7 @@ class TestLinearPredictor:
         base = toy_data(rng)
         off = rng.standard_normal(base.n_obs)
         data = Dataset(y=base.y, X=base.X, blocks=base.blocks, offset=off)
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         state.beta[:] = [0.4, -0.2]
         state.blocks[0].lam[:] = 0.5
         state.blocks[0].xi[:] = np.clip(state.blocks[0].xi, -2, 2)
@@ -217,7 +222,7 @@ class TestLinearPredictor:
             fixed_effects=("a", "b", "c", "d"),
             random_blocks=(RandomBlock(group="g", columns=tuple("abc"[:q])),),
         )
-        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, n=16)
+        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family, n=16)
         eta = linear_predictor(data, batch.beta_eff(), [(bs.lam, bs.r, bs.include, bs.xi) for bs in batch.blocks])
         assert eta.shape == (16, n_obs)
         for i in range(16):
@@ -228,14 +233,14 @@ class TestTotalLogLikelihood:
     def test_empty_dataset(self):
         spec = toy_spec(blocks=False)
         data = Dataset(y=np.zeros(0), X=np.zeros((0, 2)))
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(0))
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(0), spec.family)
         assert total_log_likelihood(spec, state, data) == 0.0
 
     def test_single_observation(self):
         rng = np.random.default_rng(10)
         spec = toy_spec(blocks=False)
         data = Dataset(y=np.array([2.0]), X=np.array([[1.0, 0.5]]))
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng)
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         eta = linear_predictor_all(spec, state, data)[0]
         want = loglik_one(spec.family, 2.0, eta)
         assert total_log_likelihood(spec, state, data) == pytest.approx(want)
@@ -243,7 +248,7 @@ class TestTotalLogLikelihood:
     def test_three_unit_means(self):
         spec = toy_spec(blocks=False)
         data = Dataset(y=np.zeros(3), X=np.column_stack([np.ones(3), np.zeros(3)]))
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(1))
+        state = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(1), spec.family)
         state.beta[:] = 0.0
         assert total_log_likelihood(spec, state, data) == pytest.approx(-3.0)
 

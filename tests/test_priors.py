@@ -9,7 +9,7 @@ from scipy import integrate, stats
 
 from glmmselect import priors
 from glmmselect.errors import ConfigurationError, SamplerError
-from glmmselect.families import family_scale
+from glmmselect.families import Family
 from glmmselect.model import MODES, Hyperparameters, ModelDims
 from glmmselect.priors import (
     draw_correlations,
@@ -27,6 +27,7 @@ from glmmselect.priors import (
 
 LOG_2PI = math.log(2 * math.pi)
 KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
+POISSON = Family("poisson")
 
 
 class TestLambdaPrior:
@@ -78,7 +79,7 @@ def random_state(kind, mode, seed):
     rng = np.random.default_rng(seed)
     h, v, nu, g = rng.uniform(0.5, 2.0, 4)
     hyper = Hyperparameters(h=h, v=v, nu=nu, g_shrink=g, prior_inclusion=rng.uniform(0.2, 0.8))
-    state = sample_prior(hyper, DIMS, rng, family_kind=kind, mode=mode)
+    state = sample_prior(hyper, DIMS, rng, Family(kind), mode=mode)
     if mode == "ssvs-diagonal":
         for bs in state.blocks:
             bs.r[:] = 0.0
@@ -118,13 +119,13 @@ class TestLogPriorState:
         for seed in range(20):
             hyper, state = random_state(kind, mode, seed)
             want = scipy_log_prior(hyper, state, kind)
-            assert log_prior_state(hyper, state, kind) == pytest.approx(want, rel=1e-10, abs=1e-8), seed
+            assert log_prior_state(hyper, state, Family(kind)) == pytest.approx(want, rel=1e-10, abs=1e-8), seed
 
     def test_beta_sign_symmetry(self):
         hyper, state = random_state("poisson", "ssvs-full", 0)
-        before = log_prior_state(hyper, state)
+        before = log_prior_state(hyper, state, POISSON)
         state.beta[1] = -state.beta[1]
-        assert log_prior_state(hyper, state) == before
+        assert log_prior_state(hyper, state, POISSON) == before
 
     def test_doubling_g_halves_the_beta_variance(self):
         # only the normal stage of beta moves, by the ratio of its variances
@@ -134,7 +135,7 @@ class TestLogPriorState:
         var2 = var1 / 2.0
         b2 = state.beta**2
         want = np.sum((-0.5 * np.log(var2) - b2 / (2 * var2)) - (-0.5 * np.log(var1) - b2 / (2 * var1)))
-        assert log_prior_state(doubled, state) - log_prior_state(hyper, state) == pytest.approx(want, abs=1e-9)
+        assert log_prior_state(doubled, state, POISSON) - log_prior_state(hyper, state, POISSON) == pytest.approx(want, abs=1e-9)
 
     @pytest.mark.parametrize("which", ["fixed", "random"])
     def test_indicator_branches_differ_by_prior_odds(self, which):
@@ -143,7 +144,7 @@ class TestLogPriorState:
         values = []
         for on in (1, 0):
             indicators[1] = on
-            values.append(log_prior_state(hyper, state))
+            values.append(log_prior_state(hyper, state, POISSON))
         pi = hyper.prior_inclusion
         assert values[0] - values[1] == pytest.approx(math.log(pi) - math.log(1.0 - pi), abs=1e-12)
 
@@ -151,12 +152,12 @@ class TestLogPriorState:
         # the single coordinate is constrained; its pseudo-prior is the same
         # N(0, 1), so the joint prior does not see which effects are included
         hyper = Hyperparameters()
-        state = sample_prior(hyper, ModelDims(l=1, blocks=((2, 3),)), np.random.default_rng(0))
+        state = sample_prior(hyper, ModelDims(l=1, blocks=((2, 3),)), np.random.default_rng(0), POISSON)
         state.blocks[0].r[:] = 0.8
         values = []
         for include in ([1, 1], [1, 0]):
             state.blocks[0].include[:] = include
-            values.append(log_prior_state(hyper, state))
+            values.append(log_prior_state(hyper, state, POISSON))
         # prior_inclusion 0.5 gives both indicator values the same mass
         assert values[0] == pytest.approx(values[1], abs=1e-12)
 
@@ -164,15 +165,15 @@ class TestLogPriorState:
         # perturbing one coordinate moves only its own N(0, 1) term
         hyper, state = random_state("poisson", "ssvs-full", 3)
         r = state.blocks[0].r
-        before, r0 = log_prior_state(hyper, state), r[0]
+        before, r0 = log_prior_state(hyper, state, POISSON), r[0]
         r[0] += 0.7
-        assert log_prior_state(hyper, state) - before == pytest.approx(-0.5 * (r[0] ** 2 - r0**2), abs=1e-12)
+        assert log_prior_state(hyper, state, POISSON) - before == pytest.approx(-0.5 * (r[0] ** 2 - r0**2), abs=1e-12)
 
     def test_xi_sign_symmetry(self):
         hyper, state = random_state("poisson", "ssvs-full", 4)
-        before = log_prior_state(hyper, state)
+        before = log_prior_state(hyper, state, POISSON)
         state.blocks[0].xi[:, 1] *= -1.0
-        assert log_prior_state(hyper, state) == before
+        assert log_prior_state(hyper, state, POISSON) == before
 
     @pytest.mark.parametrize("field, value", [("lam", -0.1), ("tau2", 0.0), ("h", 0.0), ("v", -1.0), ("nu", 0.0)])
     def test_rejects_out_of_support_values(self, field, value):
@@ -182,7 +183,7 @@ class TestLogPriorState:
         else:  # Hyperparameters rejects these itself; log_prior_state checks them as well
             hyper = SimpleNamespace(**{**vars(hyper), field: value})
         with pytest.raises(ConfigurationError, match=f"^{field} must be"):
-            log_prior_state(hyper, state)
+            log_prior_state(hyper, state, POISSON)
 
 
 class TestStageDraws:
@@ -233,8 +234,8 @@ class TestSamplers:
     def test_prior_draw_deterministic(self):
         hyper = Hyperparameters()
         dims = ModelDims(l=3, blocks=((2, 5),))
-        s1 = sample_prior(hyper, dims, np.random.default_rng(42))
-        s2 = sample_prior(hyper, dims, np.random.default_rng(42))
+        s1 = sample_prior(hyper, dims, np.random.default_rng(42), POISSON)
+        s2 = sample_prior(hyper, dims, np.random.default_rng(42), POISSON)
         np.testing.assert_array_equal(s1.beta, s2.beta)
         np.testing.assert_array_equal(s1.blocks[0].xi, s2.blocks[0].xi)
 
@@ -242,7 +243,7 @@ class TestSamplers:
         hyper = Hyperparameters()
         dims = ModelDims(l=1, blocks=())
         rng = np.random.default_rng(6)
-        draws = np.array([sample_prior(hyper, dims, rng).J[0] for _ in range(10_000)])
+        draws = np.array([sample_prior(hyper, dims, rng, POISSON).J[0] for _ in range(10_000)])
         assert abs(draws.mean() - 0.5) < 0.015
 
     def test_slab_draws_positive(self):
@@ -250,14 +251,14 @@ class TestSamplers:
         dims = ModelDims(l=1, blocks=((3, 4),))
         rng = np.random.default_rng(7)
         for _ in range(200)  :
-            st = sample_prior(hyper, dims, rng)
+            st = sample_prior(hyper, dims, rng, POISSON)
             assert np.all(st.blocks[0].lam > 0)
             assert np.all(st.blocks[0].tau2 > 0)
             assert np.all(st.blocks[0].kappa > 0)
 
     def test_nb_dispersion_draws_positive(self):
         # Gamma(0.01, rate 0.01) underflows to exactly 0 in about 0.06% of raw draws
-        draw = family_scale("negative_binomial").draw_prior
+        draw = Family("negative_binomial").scale.draw_prior
         rng = np.random.default_rng(0)
         assert all(draw(rng) > 0 for _ in range(20_000))
 
@@ -266,7 +267,7 @@ class TestSamplers:
         dims = ModelDims(l=4, blocks=((3, 4),))
         rng = np.random.default_rng(8)
         for _ in range(50):
-            st = sample_prior(hyper, dims, rng, mode="no-selection")
+            st = sample_prior(hyper, dims, rng, POISSON, mode="no-selection")
             assert np.all(st.J == 1)
             assert np.all(st.blocks[0].include == 1)
 
@@ -276,7 +277,7 @@ class TestSamplers:
         dims = ModelDims(l=3, blocks=((3, 5), (1, 4)))
         for kind in KINDS:
             for mode in MODES:
-                s = sample_prior(Hyperparameters(), dims, np.random.default_rng(123), family_kind=kind, mode=mode)
+                s = sample_prior(Hyperparameters(), dims, np.random.default_rng(123), Family(kind), mode=mode)
                 for a in (s.beta, s.J, s.theta, s.phi):
                     digest.update(a.tobytes())
                 for b in s.blocks:
@@ -288,7 +289,7 @@ class TestSamplers:
     def test_batch_draw_shapes(self):
         dims = ModelDims(l=3, blocks=((3, 5),))
         for kind in KINDS:
-            batch = sample_prior(Hyperparameters(), dims, np.random.default_rng(39), family_kind=kind, n=4)
+            batch = sample_prior(Hyperparameters(), dims, np.random.default_rng(39), Family(kind), n=4)
             assert batch.beta.shape == (4, 3) and batch.blocks[0].xi.shape == (4, 5, 3)
             assert batch.blocks[0].r.shape == (4, 3)
             scale = {"negative_binomial": batch.dispersion, "gaussian": batch.sigma2}.get(kind)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from glmmselect.errors import ConfigurationError
+from glmmselect.families import Family
 from glmmselect.model import ModelDims
 from glmmselect.report import (
     ModelLabel,
@@ -24,7 +25,7 @@ def fabricate_trace(J_rows, I_rows, beta_rows=None, l=None, q=None):
     q = I.shape[1]
     beta = np.asarray(beta_rows, dtype=float) if beta_rows is not None else np.ones((n, l))
     dims = ModelDims(l=l, blocks=((q, 3),))
-    layout = trace_layout(dims, "poisson")
+    layout = trace_layout(dims, Family("poisson"))
     fields = {
         "log_posterior": np.zeros(n),
         "beta": beta,
@@ -36,7 +37,7 @@ def fabricate_trace(J_rows, I_rows, beta_rows=None, l=None, q=None):
         "xi": np.zeros((n, 3 * q)),
     }
     values = np.hstack([fields[field].reshape(n, len(names)) for field, _, _, names in layout]).astype(float)
-    return Trace(chains=[ChainTrace(0, values, layout)], dims=dims, family_kind="poisson")
+    return Trace(chains=[ChainTrace(0, values, layout)], dims=dims)
 
 
 class TestLabelOf:
@@ -48,7 +49,7 @@ class TestLabelOf:
         # two chains and two blocks, against a draw-by-draw reading of the indicator views
         rng = np.random.default_rng(3)
         dims = ModelDims(l=3, blocks=((2, 3), (3, 2)))
-        layout = trace_layout(dims, "poisson")
+        layout = trace_layout(dims, Family("poisson"))
         chains = []
         for seed, n in enumerate((7, 5)):
             chain = ChainTrace(seed, rng.random((n, sum(len(names) for *_, names in layout))), layout)
