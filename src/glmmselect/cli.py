@@ -8,6 +8,12 @@ Subcommands:
   ppc        trace + data + spec -> rootogram / mean-sd CSVs
   report     trace + data + spec -> selection + diagnostics tables
 
+simulate, replicate and grid read a design document with the keys scale
+("full" or "scaled"), case, n, n_i, l, q, n_active_fixed, base_seed, omega,
+active_random (1-based; builds omega when omega is absent, else must agree
+with it), replicates, mode, hyperparameters and sampler.  A grid document
+lists "v" (v = nu) and "h".  Any other key is an error.
+
 All randomness is controlled by the spec/design seed, overridable with
 --seed.  Outputs are written atomically; identical invocations with the same
 seed produce byte-identical files.
@@ -18,16 +24,16 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
 from . import __version__
-from .dataio import load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
+from .dataio import check_keys, load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
 from .diagnostics import summarize_trace
 from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, parse_floats, read_csv, write_csv
-from .model import MODES, Hyperparameters, SamplerSettings
+from .model import MODES, Hyperparameters, ModelSpec, SamplerSettings, check_int
 from .ppc import mean_sd_scatter, replicate_data, rootogram
 from .report import (
     effect_list,
@@ -54,93 +60,88 @@ RHAT_WARN = 1.1
 log = logging.getLogger(__name__)
 
 
-# integer fields of a design document; "replicates" is read by the commands
-_DESIGN_INTS = ("n", "n_i", "l", "q", "n_active_fixed", "base_seed", "case", "replicates")
+# a design document holds the SimDesign settings and the study's own keys
+_DESIGN_SETTINGS = tuple(f.name for f in fields(SimDesign) if f.init)
+_DESIGN_KEYS = _DESIGN_SETTINGS + ("scale", "active_random", "replicates", "mode", "hyperparameters", "sampler")
 
 
-def _design_int(path: str, key: str, value) -> int:
-    try:
-        number = int(value)
-    except (TypeError, ValueError):
-        number = None
-    if number is None or (isinstance(value, float) and number != value):
-        raise ConfigurationError(f"{path}: design field {key!r} must be an integer, got {value!r}")
-    return number
-
-
-def _load_design(path: str) -> tuple[SimDesign, dict]:
-    doc = read_json(path)
-    for key in _DESIGN_INTS:
-        if key in doc:
-            doc[key] = _design_int(path, key, doc[key])
+def _design(doc: dict) -> SimDesign:
+    """The SimDesign of a design document."""
     scale = doc.get("scale", "full")
     if scale not in ("full", "scaled"):
-        raise ConfigurationError(f"{path}: design field 'scale' must be 'full' or 'scaled', got {scale!r}")
-    case = doc.get("case", 1)
-    base = full_scale_design(case=case) if scale == "full" else scaled_design(case=case)
-    overrides = {key: doc[key] for key in ("n", "n_i", "l", "q", "n_active_fixed", "base_seed") if key in doc}
-    q = overrides.get("q", base.q)
-    if "active_random" in doc:
-        active = doc["active_random"]
-        if not isinstance(active, list):
-            raise ConfigurationError(f"{path}: design field 'active_random' must be a list of integers")
-        active = tuple(_design_int(path, "active_random", k) - 1 for k in active)
-        if not all(0 <= k < q for k in active):
-            raise ConfigurationError(f"{path}: design field 'active_random' must list effects 1..{q}")
-        overrides["active_random"] = active
-    if "omega" in doc:
-        try:
-            overrides["omega"] = np.asarray(doc["omega"], dtype=float)
-        except (TypeError, ValueError):
-            raise ConfigurationError(f"{path}: design field 'omega' must be a numeric matrix") from None
-        # the effects with variance in omega are the truth; a listed active_random must agree
-        overrides.setdefault("active_random", None)
-    elif "q" in overrides or "active_random" in overrides:
+        raise ConfigurationError(f"scale must be 'full' or 'scaled', got {scale!r}")
+    base = full_scale_design() if scale == "full" else scaled_design()
+    settings = {key: doc[key] for key in _DESIGN_SETTINGS if key in doc}
+    q = check_int("q", settings.get("q", base.q), 1)
+    listed = doc.get("active_random")
+    if listed is not None and not (
+        isinstance(listed, list) and all(1 <= check_int("active_random", k) <= q for k in listed) and len(set(listed)) == len(listed)
+    ):
+        raise ConfigurationError(f"active_random must list effects 1..{q} once each, got {listed!r}")
+    if "omega" not in doc:
         # the base design's active effects beyond a smaller q are dropped
-        active = overrides.get("active_random", tuple(k for k in base.active_random if k < q))
-        overrides["active_random"] = active
-        overrides["omega"] = scaled_omega(q, active)
-    design = replace(base, **overrides)
-    return design, doc
+        active = [k - 1 for k in listed] if listed is not None else [k for k in base.active_random if k < q]
+        settings["omega"] = scaled_omega(q, tuple(active))
+    design = replace(base, **settings)
+    truth = [k + 1 for k in design.active_random]
+    if listed is not None and set(listed) != set(truth):
+        raise ConfigurationError(f"active_random {listed} disagrees with omega, whose diagonal gives effects {truth} variance")
+    return design
+
+
+def _with_flags(spec: ModelSpec, args) -> ModelSpec:
+    """``spec`` with the command's ``--seed`` and ``--mode``, where given."""
+    if args.seed is not None:
+        spec = replace(spec, sampler=replace(spec.sampler, seed=args.seed))
+    return replace(spec, mode=getattr(args, "mode", None) or spec.mode)
+
+
+def _study(args, default_replicates: int) -> tuple[SimDesign, ModelSpec, int]:
+    """The design, model spec and replicate count of the ``--design`` document.
+
+    Problems of the document are reported together, naming the file.  The
+    command's ``--seed`` (design and sampler seed), ``--mode`` and
+    ``--replicates`` then replace the document's values.
+    """
+    doc = read_json(args.design)
+    problems = []
+    check_keys(doc, _DESIGN_KEYS, None, problems)
+    hyper = settings_from_doc(doc, "hyperparameters", Hyperparameters, problems)
+    sampler = settings_from_doc(doc, "sampler", SamplerSettings, problems)
+    try:
+        design = _design(doc)
+        n_rep = check_int("replicates", doc.get("replicates", default_replicates), 1)
+        spec = build_model_spec(design, doc.get("mode", "ssvs-diagonal"), hyper, sampler)
+    except GlmmSelectError as exc:  # an omega that does not decompose raises DecompositionError or NumericError
+        problems.append(str(exc))
+    if problems:
+        raise SpecValidationError(problems, f"design {args.design}")
+    if args.replicates is not None:
+        n_rep = check_int("--replicates", args.replicates, 1)
+    if args.seed is not None:
+        design = replace(design, base_seed=args.seed)
+    return design, _with_flags(spec, args), n_rep
 
 
 def _load_grid(path: str) -> list:
-    """The (v, h) pairs of a grid document, h outermost."""
+    """The (v, h) pairs of a grid document, h outermost; "v" and "h" each list distinct values."""
     doc = read_json(path)
-    values = {}
+    problems = []
+    check_keys(doc, ("v", "h"), None, problems)
     for key in ("v", "h"):
         listed = doc.get(key)
         try:
-            values[key] = [float(x) for x in listed] if isinstance(listed, list) else []
-        except (TypeError, ValueError):
-            values[key] = []
-        if not values[key]:
-            raise ConfigurationError(f"{path}: {key!r} must be a non-empty list of numbers")
-    return [(v, h) for h in values["h"] for v in values["v"]]
-
-
-def _replicate_count(args, doc: dict, default: int) -> int:
-    """``--replicates``, else the design's "replicates", else ``default``; fewer than 1 is an error."""
-    if args.replicates is not None:
-        n_rep, source = args.replicates, "--replicates"
-    else:
-        n_rep, source = doc.get("replicates", default), f"{args.design}: design field 'replicates'"
-    if n_rep < 1:
-        raise ConfigurationError(f"{source} must be at least 1, got {n_rep}")
-    return n_rep
-
-
-def _design_spec(design: SimDesign, doc: dict, args) -> tuple:
-    problems = []
-    hyper = settings_from_doc(doc, "hyperparameters", Hyperparameters, problems)
-    sampler = settings_from_doc(doc, "sampler", SamplerSettings, problems)
+            if not isinstance(listed, list) or not listed:
+                raise ConfigurationError(f"{key!r} must be a non-empty list of numbers")
+            for x in listed:
+                Hyperparameters(**{key: x})
+            if len(set(listed)) < len(listed):
+                raise ConfigurationError(f"{key!r} lists a value more than once")
+        except ConfigurationError as exc:
+            problems.append(str(exc))
     if problems:
-        raise SpecValidationError(problems)
-    mode = getattr(args, "mode", None) or doc.get("mode", "ssvs-diagonal")
-    if getattr(args, "seed", None) is not None:
-        sampler = replace(sampler, seed=args.seed)
-        design = replace(design, base_seed=args.seed)
-    return design, build_model_spec(design, mode=mode, hyper=hyper, sampler=sampler)
+        raise SpecValidationError(problems, f"grid {path}")
+    return [(float(v), float(h)) for h in doc["h"] for v in doc["v"]]
 
 
 def _add_squares(data_path: str, cols: str, out_path: str) -> str:
@@ -170,11 +171,7 @@ def _write_reports(trace, outdir: str) -> str:
 
 
 def cmd_fit(args) -> int:
-    spec = parse_spec(args.spec)
-    if args.seed is not None:
-        spec = replace(spec, sampler=replace(spec.sampler, seed=args.seed))
-    if args.mode:
-        spec = replace(spec, mode=args.mode)
+    spec = _with_flags(parse_spec(args.spec), args)
     data_path = args.data
     if args.add_squares:
         data_path = _add_squares(args.data, args.add_squares, os.path.join(args.out, "data_with_squares.csv"))
@@ -188,11 +185,7 @@ def cmd_fit(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    design, doc = _load_design(args.design)
-    if args.seed is not None:
-        design = replace(design, base_seed=args.seed)
-    n_rep = _replicate_count(args, doc, 1)
-    spec = build_model_spec(design)
+    design, spec, n_rep = _study(args, 1)
     os.makedirs(args.out, exist_ok=True)
     for rep in range(n_rep):
         data, truth = simulate_dataset(design, rep)
@@ -212,9 +205,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_replicate(args) -> int:
-    design, doc = _load_design(args.design)
-    design, spec = _design_spec(design, doc, args)
-    n_rep = _replicate_count(args, doc, 20)
+    design, spec, n_rep = _study(args, 20)
     result = run_replication(design, spec, n_rep, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
     counts = result.modal_label_counts()
@@ -238,10 +229,8 @@ def cmd_replicate(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    design, doc = _load_design(args.design)
-    design, spec = _design_spec(design, doc, args)
+    design, spec, n_rep = _study(args, 20)
     pairs = _load_grid(args.grid)
-    n_rep = _replicate_count(args, doc, 20)
     cells = run_grid(design, spec, pairs, n_rep, workers=args.workers)
     rows = grid_report(cells)
     os.makedirs(args.out, exist_ok=True)

@@ -24,7 +24,7 @@ from .model import (
     SamplerSettings,
 )
 
-__all__ = ["load_dataset", "parse_spec", "read_json", "settings_from_doc", "spec_from_dict", "spec_to_dict", "write_dataset_csv"]
+__all__ = ["check_keys", "load_dataset", "parse_spec", "read_json", "settings_from_doc", "spec_from_dict", "spec_to_dict", "write_dataset_csv"]
 
 INTERCEPT_NAME = "1"
 
@@ -63,6 +63,14 @@ def load_dataset(path: str, spec: ModelSpec) -> Dataset:
     return data
 
 
+def check_keys(doc: dict, allowed, where: str | None, problems: list[str]) -> bool:
+    """Append a problem naming the keys of ``doc`` not in ``allowed`` (prefixed ``where: ``); whether there were none."""
+    unknown = [key for key in doc if key not in allowed]
+    if unknown:
+        problems.append(f"{where + ': ' if where else ''}unknown key(s) {', '.join(map(repr, unknown))}")
+    return not unknown
+
+
 def settings_from_doc(doc: dict, section: str, cls: type, problems: list[str]):
     """``cls`` built from the object ``doc[section]`` (absent: defaults), or None.
 
@@ -73,14 +81,11 @@ def settings_from_doc(doc: dict, section: str, cls: type, problems: list[str]):
     if not isinstance(values, dict):
         problems.append(f"{section} must be an object")
         return None
-    names = {f.name for f in fields(cls)}
-    unknown = [key for key in values if key not in names]
-    if unknown:
-        problems.append(f"{section}: unknown key(s) {', '.join(map(repr, unknown))}")
+    if not check_keys(values, {f.name for f in fields(cls)}, section, problems):
         return None
     try:
         return cls(**values)
-    except (ConfigurationError, TypeError, ValueError) as exc:
+    except ConfigurationError as exc:
         problems.append(f"{section}: {exc}")
         return None
 
@@ -93,9 +98,13 @@ def _column_names(value, what: str, problems: list[str]) -> tuple | None:
     return tuple(value)
 
 
+_SPEC_KEYS = ("family", "response", "fixed_effects", "random_blocks", "offset", "hyperparameters", "sampler", "mode")
+
+
 def spec_from_dict(doc: dict) -> ModelSpec:
     """Validate a spec document, collecting every problem before raising."""
     problems = []
+    check_keys(doc, _SPEC_KEYS, None, problems)
 
     fam_doc = doc.get("family", {})
     if isinstance(fam_doc, str):
@@ -103,6 +112,8 @@ def spec_from_dict(doc: dict) -> ModelSpec:
     if not isinstance(fam_doc, dict):
         problems.append(f"family must be an object or a kind name, got {fam_doc!r}")
     else:
+        # a dispersion key gets its own message below
+        check_keys(fam_doc, ("kind", "link", "dispersion"), "family", problems)
         kind, link = fam_doc.get("kind"), fam_doc.get("link")
         if not isinstance(kind, str) or kind not in CANONICAL_LINKS:
             problems.append(f"unknown family kind {kind!r}")
@@ -133,6 +144,7 @@ def spec_from_dict(doc: dict) -> ModelSpec:
         if not isinstance(bdoc, dict):
             problems.append(f"{where} must be an object, got {bdoc!r}")
             continue
+        check_keys(bdoc, ("group", "columns"), where, problems)
         group = bdoc.get("group")
         cols = _column_names(bdoc.get("columns", []), f"{where}: columns", problems)
         if not group:

@@ -26,8 +26,8 @@ class DataError(GlmmSelectError):
 
 
 class SpecValidationError(ConfigurationError):
-    """Model spec document failed validation; carries every problem found."""
+    """A JSON document (model spec, design or grid) failed validation; carries every problem found."""
 
-    def __init__(self, problems):
+    def __init__(self, problems, document: str = "model spec"):
         self.problems = list(problems)
-        super().__init__("invalid model spec: " + "; ".join(self.problems))
+        super().__init__(f"invalid {document}: " + "; ".join(self.problems))

@@ -11,6 +11,7 @@ from :mod:`glmmselect.cholesky` given the random-effect indicators I.
 engine caches the whole sum and rebuilds it from :func:`block_predictor`.
 """
 
+import math
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -30,6 +31,7 @@ __all__ = [
     "ParameterState",
     "ModelDims",
     "MODES",
+    "check_int",
     "block_predictor",
     "linear_predictor",
     "linear_predictor_all",
@@ -37,6 +39,15 @@ __all__ = [
 ]
 
 MODES = ("ssvs-full", "ssvs-diagonal", "no-selection")
+
+
+def check_int(name: str, value, low: int | None = None) -> int:
+    """``value`` if it is an ``int`` (not a ``bool``) of at least ``low``, else ConfigurationError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ConfigurationError(f"{name} must be at least {low}, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -133,6 +144,10 @@ class Hyperparameters:
     prior_inclusion: float = 0.5
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, (int, float)) or isinstance(value, bool) or not -math.inf < value < math.inf:
+                raise ConfigurationError(f"hyperparameter {f.name} must be a finite number, got {value!r}")
         for name in ("h", "v", "nu", "g_shrink"):
             if not getattr(self, name) > 0:
                 raise ConfigurationError(f"hyperparameter {name} must be positive")
@@ -157,17 +172,10 @@ class SamplerSettings:
     seed: int = 0
 
     def __post_init__(self):
+        # numpy seeds must be non-negative
+        low = {"chains": 1, "adapt": 0, "burnin": 0, "kept": 0, "thin": 1, "seed": 0}
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigurationError(f"{f.name} must be an integer, got {value!r}")
-        if self.chains < 1:
-            raise ConfigurationError("chains must be >= 1")
-        for name in ("adapt", "burnin", "kept"):
-            if getattr(self, name) < 0:
-                raise ConfigurationError(f"{name} must be >= 0")
-        if self.thin < 1:
-            raise ConfigurationError("thin must be >= 1")
+            check_int(f.name, getattr(self, f.name), low[f.name])
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,18 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
     return ChainTrace(seed, values, layout)
 
 
+def process_map(fn, tasks: list, workers: int) -> list:
+    """``[fn(*task) for task in tasks]``, run in up to ``workers`` processes when there are two or more tasks.
+
+    ``fn`` must be a module-level function, so that the pool can pickle it.
+    """
+    if workers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+            futures = [pool.submit(fn, *task) for task in tasks]
+            return [f.result() for f in futures]
+    return [fn(*task) for task in tasks]
+
+
 def run_chains(
     spec: ModelSpec,
     data: Dataset,
@@ -179,17 +191,8 @@ def run_chains(
     processes.  Results are identical either way.
     """
     dims = ModelDims.of(spec, data)
-    n_chains = spec.sampler.chains
     try:
-        if workers > 1 and n_chains > 1:
-            with ProcessPoolExecutor(max_workers=min(workers, n_chains)) as pool:
-                futures = [
-                    pool.submit(_run_single_chain, spec, data, c)
-                    for c in range(n_chains)
-                ]
-                chains = [f.result() for f in futures]
-        else:
-            chains = [_run_single_chain(spec, data, c) for c in range(n_chains)]
+        chains = process_map(_run_single_chain, [(spec, data, c) for c in range(spec.sampler.chains)], workers)
     except SamplerError as exc:
         raise SamplerError(f"chain failed: {exc}") from exc
     return Trace(chains=chains, dims=dims)

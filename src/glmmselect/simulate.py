@@ -8,7 +8,6 @@ generation is deterministic given (base_seed, replicate).
 """
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -16,9 +15,9 @@ import numpy as np
 from .cholesky import decompose_covariance
 from .errors import ConfigurationError, GlmmSelectError
 from .families import ETA_CAP, Family
-from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor
+from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor, check_int
 from .report import fixed_effect_rmse, modal_random_pattern, top_models
-from .sampler import run_chains
+from .sampler import process_map, run_chains
 
 __all__ = [
     "SimDesign",
@@ -35,6 +34,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# beta_1, and the half-width of the uniform law of beta_2..n_active_fixed
+TRUE_INTERCEPT = 2.0
+SLOPE_HALF_WIDTH = 0.4
 
 _ACTIVE_BLOCK_VALUES = {
     (0, 0): 0.08,
@@ -67,9 +70,8 @@ def scaled_omega(q: int, active: tuple) -> np.ndarray:
 class SimDesign:
     """Generator settings for one simulation scenario.
 
-    ``active_random`` is the truth: the effects (0-based) that
+    ``active_random`` is derived, not set: the effects (0-based) that
     :func:`~glmmselect.cholesky.decompose_covariance` keeps from ``omega``.
-    None takes them from omega; a tuple that lists other effects is rejected.
     """
 
     n: int = 60
@@ -77,28 +79,27 @@ class SimDesign:
     l: int = 10
     q: int = 10
     n_active_fixed: int = 6
-    active_random: tuple | None = None
     omega: np.ndarray = field(default_factory=section3_omega)
     case: int = 1
-    intercept_beta: float = 2.0
-    uniform_half_width: float = 0.4
     base_seed: int = 0
+    active_random: tuple = field(init=False)
 
     def __post_init__(self):
+        for name in ("n", "n_i", "l", "q", "n_active_fixed", "case", "base_seed"):
+            check_int(name, getattr(self, name), 0 if name == "base_seed" else 1)
         if self.case not in (1, 2):
             raise ConfigurationError("case must be 1 or 2")
-        omega = np.asarray(self.omega, dtype=float)
+        for name in ("q", "n_active_fixed"):
+            if getattr(self, name) > self.l:
+                raise ConfigurationError(f"{name} must be in [1, l]")
+        try:
+            omega = np.asarray(self.omega, dtype=float)
+        except (TypeError, ValueError):
+            raise ConfigurationError("omega must be a numeric matrix") from None
         if omega.shape != (self.q, self.q):
             raise ConfigurationError("omega shape must be (q, q)")
         object.__setattr__(self, "omega", omega)
-        active = tuple(np.flatnonzero(decompose_covariance(omega)[0]).tolist())
-        if self.active_random is not None and set(self.active_random) != set(active):
-            raise ConfigurationError(
-                f"active_random {tuple(self.active_random)} disagrees with omega, whose diagonal gives effects {active} variance (0-based)"
-            )
-        object.__setattr__(self, "active_random", active)
-        if not 1 <= self.n_active_fixed <= self.l:
-            raise ConfigurationError("n_active_fixed must be in [1, l]")
+        object.__setattr__(self, "active_random", tuple(np.flatnonzero(decompose_covariance(omega)[0]).tolist()))
 
     @property
     def inactive_value(self) -> float:
@@ -145,9 +146,8 @@ def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, SimTru
     """Generate one replicate; deterministic given (base_seed, replicate)."""
     rng = np.random.default_rng([design.base_seed, replicate, 0])
     beta = np.full(design.l, design.inactive_value)
-    beta[0] = design.intercept_beta
-    hw = design.uniform_half_width
-    beta[1 : design.n_active_fixed] = rng.uniform(-hw, hw, size=design.n_active_fixed - 1)
+    beta[0] = TRUE_INTERCEPT
+    beta[1 : design.n_active_fixed] = rng.uniform(-SLOPE_HALF_WIDTH, SLOPE_HALF_WIDTH, size=design.n_active_fixed - 1)
 
     n_obs = design.n * design.n_i
     X = rng.standard_normal((n_obs, design.l))
@@ -257,18 +257,8 @@ def run_replication(
     workers: int = 1,
 ) -> ReplicationResult:
     """Simulate-fit-score over replicates in ``spec.mode``; embarrassingly parallel."""
-    rows = []
-    if workers > 1 and n_replicates > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_fit_one_replicate, design, spec, rep)
-                for rep in range(n_replicates)
-            ]
-            for f in futures:
-                rows.extend(f.result())
-    else:
-        for rep in range(n_replicates):
-            rows.extend(_fit_one_replicate(design, spec, rep))
+    tasks = [(design, spec, rep) for rep in range(n_replicates)]
+    rows = [row for rep_rows in process_map(_fit_one_replicate, tasks, workers) for row in rep_rows]
     return ReplicationResult(design=design, rows=rows)
 
 
@@ -289,10 +279,5 @@ def run_grid(
         hyper = replace(spec.hyper, v=v, nu=v, h=h)
         cell_spec = replace(spec, hyper=hyper)
         summ = run_replication(design, cell_spec, n_replicates, workers=workers).summary()
-        cells[(v, h)] = {
-            "percent": summ["percent"],
-            "rmse": summ["rmse"],
-            "n_ok": summ["n_ok"],
-            "n_failed": summ["n_failed"],
-        }
+        cells[(v, h)] = {key: summ[key] for key in ("percent", "rmse", "n_ok", "n_failed")}
     return cells

@@ -210,7 +210,7 @@ class TestPipeline:
         lines = open(os.path.join(out, "grid.csv")).read().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
 
-    @pytest.mark.parametrize("command", ["replicate", "grid"])
+    @pytest.mark.parametrize("command", ["simulate", "replicate", "grid"])
     @pytest.mark.parametrize(
         "section, key", [("sampler", "foo"), ("sampler", "max_stepouts"), ("hyperparameters", "foo")]
     )
@@ -224,26 +224,65 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and f"{section}: unknown key(s) '{key}'" in err
 
+    @pytest.mark.parametrize("command", ["simulate", "replicate", "grid"])
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_subjects": 12}, "unknown key(s) 'n_subjects'"),
+            ({"n": True}, "n must be an integer, got True"),
+            ({"n": 12.0}, "n must be an integer, got 12.0"),
+            ({"sampler": dict(SMALL_DESIGN["sampler"], thin=0)}, "sampler: thin must be at least 1, got 0"),
+            ({"hyperparameters": {"h": "1"}}, "hyperparameters: hyperparameter h must be a finite number, got '1'"),
+            # the document's mode is checked even where --mode replaces it
+            ({"mode": "ssvs"}, "unknown mode 'ssvs'"),
+        ],
+    )
+    def test_every_study_command_rejects_a_bad_design(self, tmp_path, capsys, command, change, message):
+        design = write(tmp_path, "design.json", dict(SMALL_DESIGN, **change))
+        args = [command, "--design", design, "--out", str(tmp_path / "out")]
+        if command != "simulate":
+            args += ["--mode", "ssvs-full"]
+        if command == "grid":
+            args += ["--grid", write(tmp_path, "grid.json", {"v": [1.0], "h": [1.0]})]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and len(captured.err.splitlines()) == 1
+        assert captured.err.startswith(f"error: invalid design {design}: {message}")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "command, which, content, message",
         [
             ("grid", "grid", {"v": [1.0]}, "'h' must be a non-empty list of numbers"),
             ("grid", "grid", {"v": [], "h": [1.0]}, "'v' must be a non-empty list of numbers"),
-            ("grid", "grid", {"v": ["a"], "h": [1.0]}, "'v' must be a non-empty list of numbers"),
+            ("grid", "grid", {"v": ["a"], "h": [1.0]}, "hyperparameter v must be a finite number, got 'a'"),
+            ("grid", "grid", {"v": [1.0], "h": [True]}, "hyperparameter h must be a finite number, got True"),
+            ("grid", "grid", {"v": [-1.0], "h": [1.0]}, "hyperparameter v must be positive"),
+            ("grid", "grid", {"v": [1.0, 0.5, 1.0], "h": [1.0]}, "'v' lists a value more than once"),
+            ("grid", "grid", {"v": [1.0], "h": [2, 2.0]}, "'h' lists a value more than once"),
+            ("grid", "grid", {"v": [1.0], "h": [1.0], "nu": [5]}, "unknown key(s) 'nu'"),
             ("grid", "grid", "{not json", "invalid JSON"),
             ("grid", "grid", None, "cannot read"),
-            ("grid", "design", dict(SMALL_DESIGN, case="x"), "design field 'case' must be an integer"),
+            ("grid", "design", dict(SMALL_DESIGN, case="x"), "case must be an integer, got 'x'"),
             ("replicate", "design", "{not json", "invalid JSON"),
             ("replicate", "design", None, "cannot read"),
             ("replicate", "design", [SMALL_DESIGN], "expected a JSON object"),
-            ("replicate", "design", dict(SMALL_DESIGN, case="x"), "design field 'case' must be an integer"),
-            ("replicate", "design", dict(SMALL_DESIGN, replicates="two"), "design field 'replicates'"),
-            ("replicate", "design", dict(SMALL_DESIGN, active_random=["b"]), "design field 'active_random'"),
+            ("replicate", "design", dict(SMALL_DESIGN, case="x"), "case must be an integer, got 'x'"),
+            ("replicate", "design", dict(SMALL_DESIGN, replicates="two"), "replicates must be an integer, got 'two'"),
+            ("replicate", "design", dict(SMALL_DESIGN, active_random=["b"]), "active_random must be an integer, got 'b'"),
             ("replicate", "design", dict(SMALL_DESIGN, active_random=[0]), "must list effects 1..2"),
             ("simulate", "design", dict(SMALL_DESIGN, active_random=[1, 5]), "must list effects 1..2"),
-            ("replicate", "design", dict(SMALL_DESIGN, scale="small"), "design field 'scale' must be"),
-            ("simulate", "design", dict(SMALL_DESIGN, n=None), "design field 'n' must be an integer"),
-            ("simulate", "design", dict(SMALL_DESIGN, n=12.5), "design field 'n' must be an integer"),
+            ("simulate", "design", dict(SMALL_DESIGN, active_random=[1, 1]), "must list effects 1..2 once each"),
+            ("simulate", "design", {"scale": "scaled", "q": 2, "omega": [[1, 2], [2, 1]]}, "design.json: active submatrix is not PSD"),
+            ("replicate", "design", dict(SMALL_DESIGN, scale="small"), "scale must be 'full' or 'scaled', got 'small'"),
+            ("simulate", "design", dict(SMALL_DESIGN, n=None), "n must be an integer, got None"),
+            ("simulate", "design", dict(SMALL_DESIGN, n=12.5), "n must be an integer, got 12.5"),
+            ("simulate", "design", dict(SMALL_DESIGN, n=0), "n must be at least 1, got 0"),
+            ("simulate", "design", {"scale": "scaled", "n_i": -1}, "n_i must be at least 1, got -1"),
+            ("simulate", "design", {"scale": "scaled", "l": 3, "q": 5, "n_active_fixed": 2}, "q must be in [1, l]"),
+            ("simulate", "design", {"scale": "scaled", "q": -1}, "q must be at least 1, got -1"),
+            ("simulate", "design", {"scale": "scaled", "omega": [[1, 0], [0]]}, "omega must be a numeric matrix"),
+            ("simulate", "design", {"scale": "full", "base_seed": -1}, "base_seed must be at least 0, got -1"),
             ("simulate", "design", {"scale": "scaled", "active_random": [1], "omega": OMEGA_5}, "disagrees with omega"),
             (
                 "replicate",
@@ -276,8 +315,8 @@ class TestPipeline:
         [
             ("-2", None, "error: --replicates must be at least 1, got -2"),
             ("0", None, "error: --replicates must be at least 1, got 0"),
-            (None, -1, "design field 'replicates' must be at least 1, got -1"),
-            (None, 0, "design field 'replicates' must be at least 1, got 0"),
+            (None, -1, "replicates must be at least 1, got -1"),
+            (None, 0, "replicates must be at least 1, got 0"),
         ],
     )
     def test_replicate_count_below_one_is_error_exit(self, tmp_path, capsys, command, flag, in_design, message):

@@ -140,6 +140,21 @@ class TestParseSpec:
         assert err.value.problems == [f"sampler: {key} must be an integer, got {value!r}"]
 
     @pytest.mark.parametrize(
+        "key, value, problem",
+        [
+            ("chains", 0, "chains must be at least 1, got 0"),
+            ("thin", 0, "thin must be at least 1, got 0"),
+            ("kept", -1, "kept must be at least 0, got -1"),
+            # numpy takes no negative seed
+            ("seed", -1, "seed must be at least 0, got -1"),
+        ],
+    )
+    def test_out_of_range_sampler_value_rejected(self, key, value, problem):
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_dict(dict(MINIMAL, sampler={key: value}))
+        assert err.value.problems == [f"sampler: {problem}"]
+
+    @pytest.mark.parametrize(
         "section, key, value",
         [("sampler", "slice_widths", {"beta": 0.5}), ("sampler", "max_stepouts", 10), ("family", "dispersion", 1.0)],
     )
@@ -148,6 +163,49 @@ class TestParseSpec:
         doc = dict(MINIMAL, **{section: dict(base, **{key: value})})
         with pytest.raises(SpecValidationError, match=key):
             spec_from_dict(doc)
+
+
+    @pytest.mark.parametrize(
+        "doc, problem",
+        [
+            (dict(MINIMAL, hyperparams={"h": 2.0}), "unknown key(s) 'hyperparams'"),
+            (dict(MINIMAL, offst="logq"), "unknown key(s) 'offst'"),
+            (dict(MINIMAL, family={"kind": "poisson", "lnk": "log"}), "family: unknown key(s) 'lnk'"),
+            (
+                dict(MINIMAL, random_blocks=[{"group": "site", "columns": ["1"], "column": ["x"]}]),
+                "random block 1: unknown key(s) 'column'",
+            ),
+            (dict(MINIMAL, hyperparameters={"hh": 2.0}), "hyperparameters: unknown key(s) 'hh'"),
+            (dict(MINIMAL, sampler={"chain": 2}), "sampler: unknown key(s) 'chain'"),
+            (
+                dict(MINIMAL, family={"kind": "negative_binomial", "dispersion": 1.0}),
+                "family.dispersion is not a setting: the family scale is sampled from its prior",
+            ),
+        ],
+    )
+    def test_unknown_key_is_one_problem(self, doc, problem):
+        with pytest.raises(SpecValidationError) as err:
+            spec_from_dict(doc)
+        assert err.value.problems == [problem]
+
+    @pytest.mark.parametrize(
+        "text, problem",
+        [
+            ('{"h": true}', "hyperparameter h must be a finite number, got True"),
+            ('{"v": Infinity}', "hyperparameter v must be a finite number, got inf"),
+            ('{"nu": NaN}', "hyperparameter nu must be a finite number, got nan"),
+            ('{"h": "1"}', "hyperparameter h must be a finite number, got '1'"),
+            ('{"prior_inclusion": null}', "hyperparameter prior_inclusion must be a finite number, got None"),
+        ],
+    )
+    def test_non_number_hyperparameter_rejected(self, tmp_path, text, problem):
+        doc = json.dumps(MINIMAL)[:-1] + f', "hyperparameters": {text}}}'
+        with pytest.raises(SpecValidationError) as err:
+            parse_spec(write(tmp_path, "m.json", doc))
+        assert err.value.problems == [f"hyperparameters: {problem}"]
+
+    def test_integer_hyperparameter_accepted(self):
+        assert spec_from_dict(dict(MINIMAL, hyperparameters={"h": 2, "v": 1})).hyper.h == 2
 
 
 class TestLoadDataset:

@@ -17,7 +17,7 @@ from glmmselect.model import (
     RandomBlock,
     SamplerSettings,
 )
-from glmmselect.sampler import load_trace, run_chains, save_trace
+from glmmselect.sampler import load_trace, process_map, run_chains, save_trace
 
 
 def small_problem(
@@ -118,6 +118,13 @@ class TestRunChains:
         trace = run_chains(spec, data)
         assert trace.chains[0].lam == []
         assert trace.n_recorded == 20
+
+
+class TestProcessMap:
+    @pytest.mark.parametrize("workers", [1, 2, 8])
+    def test_results_in_task_order(self, workers):
+        tasks = [(7, 2), (9, 4), (5, 5)]
+        assert process_map(divmod, tasks, workers) == [(3, 1), (2, 1), (1, 0)]
 
 
 class TestTracePersistence:

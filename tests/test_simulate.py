@@ -1,8 +1,10 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from glmmselect import simulate
-from glmmselect.errors import SamplerError
+from glmmselect.errors import ConfigurationError, SamplerError
 from glmmselect.model import Hyperparameters, SamplerSettings
 from glmmselect.simulate import (
     SimDesign,
@@ -38,6 +40,42 @@ class TestOmega:
         assert om[0, 2] == 0.04
         assert om[2, 2] == 0.15
         assert om.sum() == pytest.approx(0.08 + 0.15 + 2 * 0.04)
+
+
+class TestSimDesign:
+    def test_eight_settings(self):
+        names = [f.name for f in fields(SimDesign) if f.init]
+        assert names == ["n", "n_i", "l", "q", "n_active_fixed", "omega", "case", "base_seed"]
+
+    def test_active_random_follows_omega(self):
+        d = SimDesign(l=6, q=6, omega=scaled_omega(6, (4, 1)))
+        assert d.active_random == (1, 4)
+        assert d.random_truth_mask().tolist() == [0, 1, 0, 0, 1, 0]
+        assert replace(d, omega=np.diag([0.0, 0.0, 0.2, 0.0, 0.0, 0.0])).active_random == (2,)
+
+    def test_active_random_is_not_a_setting(self):
+        with pytest.raises(TypeError):
+            SimDesign(active_random=(0, 2, 5))
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            (dict(n=True), "n must be an integer, got True"),
+            (dict(n=60.0), "n must be an integer, got 60.0"),
+            (dict(n=0), "n must be at least 1, got 0"),
+            (dict(n_i=-1), "n_i must be at least 1, got -1"),
+            (dict(l=3, q=5, n_active_fixed=2, omega=np.zeros((5, 5))), r"q must be in \[1, l\]"),
+            (dict(n_active_fixed=11), r"n_active_fixed must be in \[1, l\]"),
+            (dict(case=True), "case must be an integer, got True"),
+            (dict(case=3), "case must be 1 or 2"),
+            (dict(base_seed=-1), "base_seed must be at least 0, got -1"),
+            (dict(omega="x"), "omega must be a numeric matrix"),
+            (dict(omega=np.eye(3)), r"omega shape must be \(q, q\)"),
+        ],
+    )
+    def test_bad_setting_rejected(self, settings, message):
+        with pytest.raises(ConfigurationError, match=message):
+            SimDesign(**settings)
 
 
 class TestSimulateDataset:
@@ -90,7 +128,7 @@ class TestSimulateDataset:
         # regress the group effects implied by y? cheaper: large-n sample of the
         # factor path is already covered in cholesky tests; here check that
         # simulated counts carry the random intercept signal group-wise
-        d = SimDesign(n=2000, n_i=2, l=3, q=3, n_active_fixed=1, active_random=(0,),
+        d = SimDesign(n=2000, n_i=2, l=3, q=3, n_active_fixed=1,
                       omega=scaled_omega(3, (0,)))
         data, truth = simulate_dataset(d, 0)
         # log of group means should have variance roughly omega[0,0] + noise
@@ -119,7 +157,7 @@ class TestReplication:
         # one huge fixed effect and one strong random intercept, nothing else:
         # the true pattern must be modal in every replicate
         design = SimDesign(
-            n=60, n_i=8, l=2, q=2, n_active_fixed=1, active_random=(0,),
+            n=60, n_i=8, l=2, q=2, n_active_fixed=1,
             omega=np.diag([0.5, 0.0]), case=1, base_seed=1,
         )
         spec = build_model_spec(
@@ -170,7 +208,7 @@ class TestReplication:
 
     def test_parallel_matches_serial(self):
         design = SimDesign(
-            n=20, n_i=4, l=2, q=1, n_active_fixed=2, active_random=(0,),
+            n=20, n_i=4, l=2, q=1, n_active_fixed=2,
             omega=np.array([[0.3]]), case=1, base_seed=2,
         )
         spec = build_model_spec(
@@ -187,7 +225,7 @@ class TestReplication:
 class TestGrid:
     def test_single_cell_reduces_to_replication(self):
         design = SimDesign(
-            n=15, n_i=3, l=2, q=1, n_active_fixed=2, active_random=(0,),
+            n=15, n_i=3, l=2, q=1, n_active_fixed=2,
             omega=np.array([[0.3]]), case=1, base_seed=3,
         )
         spec = build_model_spec(
