@@ -42,7 +42,6 @@ from .report import (
     SelectionReport,
     fixed_effect_rmse,
     grid_report,
-    inclusion_probabilities,
     top_models,
 )
 from .sampler import Trace, load_trace, run_chains, save_trace

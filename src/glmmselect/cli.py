@@ -39,6 +39,7 @@ from .report import (
     effect_list,
     format_table,
     grid_report,
+    ranked_patterns,
     top_models,
     write_grid_report,
     write_selection_report,
@@ -157,9 +158,9 @@ def _write_reports(trace, outdir: str) -> str:
 
     Warns on stderr when the largest finite split R-hat exceeds RHAT_WARN.
     """
+    report = top_models(trace)
     rows = summarize_trace(trace)
     write_csv(os.path.join(outdir, "diagnostics.csv"), ["parameter", "mean", "sd", "rhat", "ess"], rows)
-    report = top_models(trace)
     write_selection_report(report, outdir)
     worst = max((r[3] for r in rows if np.isfinite(r[3])), default=0.0)
     if worst > RHAT_WARN:
@@ -188,13 +189,13 @@ def cmd_simulate(args) -> int:
     design, spec, n_rep = _study(args, 1)
     os.makedirs(args.out, exist_ok=True)
     for rep in range(n_rep):
-        data, truth = simulate_dataset(design, rep)
+        data, beta = simulate_dataset(design, rep)
         write_dataset_csv(os.path.join(args.out, f"replicate_{rep + 1}.csv"), data, spec)
         sidecar = {
-            "beta": truth.beta.tolist(),
-            "fixed_mask": truth.fixed_mask.tolist(),
-            "random_mask": truth.random_mask.tolist(),
-            "omega": truth.omega.tolist(),
+            "beta": beta.tolist(),
+            "fixed_mask": design.fixed_truth_mask().tolist(),
+            "random_mask": design.random_truth_mask().tolist(),
+            "omega": design.omega.tolist(),
         }
         atomic_write_text(
             os.path.join(args.out, f"replicate_{rep + 1}_truth.json"),
@@ -208,11 +209,13 @@ def cmd_replicate(args) -> int:
     design, spec, n_rep = _study(args, 20)
     result = run_replication(design, spec, n_rep, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
-    counts = result.modal_label_counts()
-    total = sum(counts.values())
+    modal = [r["modal_fixed"] + r["modal_random"] for r in result.rows if r["ok"]]
     rows = []
-    for (fixed, random), cnt in sorted(counts.items(), key=lambda kv: (-kv[1], kv[0])):
-        rows.append((effect_list(fixed), effect_list(random), cnt, round(100.0 * cnt / total, 2)))
+    if modal:
+        patterns, counts = ranked_patterns(np.array(modal))
+        for pattern, cnt in zip(patterns.tolist(), counts.tolist()):
+            pct = round(100.0 * cnt / len(modal), 2)
+            rows.append((effect_list(pattern[: design.l]), effect_list(pattern[design.l :]), cnt, pct))
     write_csv(
         os.path.join(args.out, "modal_models.csv"),
         ["fixed_effects", "random_effects", "count", "percent"],

@@ -188,7 +188,6 @@ class GibbsEngine:
         self.widths = {key: _Width(draws.size) for key, (draws, _) in self._draws().items()}
         self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
         self.xi_accepted = self.xi_proposed = 0  # groups, over every xi column update
-        self.scan_count = 0
         self.recompute_caches()
 
     # ------------------------------------------------------------------ setup
@@ -581,7 +580,6 @@ class GibbsEngine:
             if self._update_scale is not None:
                 self._update_scale()
             self.recompute_caches()
-            self.scan_count += 1
             if self.adapting:
                 self._adapt_widths()
             self.check_exclusion_invariant()

@@ -161,7 +161,8 @@ class SamplerSettings:
 
     Each chain runs ``adapt`` scans that tune its slice widths (see
     :mod:`glmmselect.engine`), then ``burnin`` scans, then ``kept`` scans of
-    which every ``thin``-th is recorded.  Chain c is seeded ``seed + c``.
+    which every ``thin``-th is recorded, so ``kept`` must be at least
+    ``thin``.  Chain c is seeded ``seed + c``.
     """
 
     chains: int = 3
@@ -176,6 +177,8 @@ class SamplerSettings:
         low = {"chains": 1, "adapt": 0, "burnin": 0, "kept": 0, "thin": 1, "seed": 0}
         for f in fields(self):
             check_int(f.name, getattr(self, f.name), low[f.name])
+        if self.kept < self.thin:
+            raise ConfigurationError(f"kept must be at least thin ({self.thin}) to record a draw, got {self.kept}")
 
 
 @dataclass(frozen=True)

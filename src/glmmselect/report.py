@@ -2,12 +2,12 @@
 marginal inclusion probabilities, RMSE of the fixed effects, and
 hyperparameter-grid tables.
 
-A "model" is the joint inclusion pattern (fixed-effect bits, then each
-block's random-effect bits in spec order); the modal model is the pattern
-appearing most often among the kept draws.
+A pattern is one row of :func:`indicator_matrix`: a kept draw's fixed-effect
+bits, then each random block's bits in spec order.  A "model" is a pattern.
+Patterns are ranked one way, by :func:`ranked_patterns`: by count
+descending, ties in ascending row order.  The modal model is the first.
 """
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,10 +19,9 @@ __all__ = [
     "effect_list",
     "ModelLabel",
     "SelectionReport",
-    "labels_of_trace",
+    "indicator_matrix",
+    "ranked_patterns",
     "top_models",
-    "inclusion_probabilities",
-    "modal_random_pattern",
     "fixed_effect_rmse",
     "grid_report",
     "format_table",
@@ -53,63 +52,34 @@ class SelectionReport:
     inclusion_fixed: np.ndarray
     inclusion_random: list   # per block arrays
     modal: ModelLabel
-    total_draws: int
 
 
-def labels_of_trace(trace) -> list:
-    """Label of every kept draw, pooled across chains in chain order."""
-    bits = np.concatenate([np.hstack([chain.J, *chain.include]) for chain in trace.chains]).astype(int)
-    edges = np.cumsum([trace.dims.l] + [q for q, _ in trace.dims.blocks])[:-1]
-    parts = [map(tuple, part.tolist()) for part in np.split(bits, edges, axis=1)]
-    return [ModelLabel(fixed, tuple(random)) for fixed, *random in zip(*parts)]
+def indicator_matrix(trace) -> np.ndarray:
+    """(draws, l + sum of q) int8 matrix of every kept draw's pattern, chains in order."""
+    return np.concatenate([np.hstack([chain.J, *chain.include]) for chain in trace.chains]).astype(np.int8)
 
 
-def _ranked(counts: Counter) -> list:
-    """(pattern, count) pairs by count descending, then pattern ascending."""
-    return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
-
-
-def top_models(trace, k: int | None = None) -> SelectionReport:
-    """Frequency table of inclusion patterns, ties broken by label order."""
-    labels = labels_of_trace(trace)
-    if not labels:
+def ranked_patterns(bits) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of ``bits`` and their counts, by count descending, ties in ascending row order."""
+    if len(bits) == 0:
         raise ConfigurationError("empty trace")
-    ranked = _ranked(Counter(labels))
-    total = len(labels)
-    entries = [(lab, cnt, 100.0 * cnt / total) for lab, cnt in ranked]
-    if k is not None:
-        entries = entries[:k]
-    incl = inclusion_probabilities(trace)
-    return SelectionReport(
-        entries=entries,
-        inclusion_fixed=incl["fixed"],
-        inclusion_random=incl["random"],
-        modal=ranked[0][0],
-        total_draws=total,
-    )
+    patterns, counts = np.unique(bits, axis=0, return_counts=True)
+    order = np.argsort(-counts, kind="stable")
+    return patterns[order], counts[order]
 
 
-def inclusion_probabilities(trace) -> dict:
-    """Mean of each inclusion indicator across all kept draws."""
-    if trace.n_recorded == 0:
-        raise ConfigurationError("empty trace")
-    fixed = trace.pooled("J").mean(axis=0)
-    random = []
-    for bi in range(len(trace.dims.blocks)):
-        random.append(trace.pooled("include", bi).mean(axis=0))
-    return {"fixed": fixed, "random": random}
-
-
-def modal_random_pattern(trace, block: int | None = None) -> tuple:
-    """Most frequent random-effect inclusion pattern (marginal over fixed bits).
-
-    Returns the concatenated per-block pattern, or one block's pattern when
-    ``block`` is given.
-    """
-    counts = Counter(lab.random if block is None else lab.random[block] for lab in labels_of_trace(trace))
-    if not counts:
-        raise ConfigurationError("empty trace")
-    return _ranked(counts)[0][0]
+def top_models(trace) -> SelectionReport:
+    """Every pattern of the trace with its count and percent, and the inclusion probabilities."""
+    bits = indicator_matrix(trace)
+    patterns, counts = ranked_patterns(bits)
+    bounds = np.cumsum([0, trace.dims.l] + [q for q, _ in trace.dims.blocks]).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    entries = []
+    for row, cnt in zip(patterns.tolist(), counts.tolist()):
+        fixed, *random = (tuple(row[a:b]) for a, b in spans)
+        entries.append((ModelLabel(fixed, tuple(random)), cnt, 100.0 * cnt / len(bits)))
+    fixed_incl, *random_incl = (bits[:, a:b].mean(axis=0) for a, b in spans)
+    return SelectionReport(entries=entries, inclusion_fixed=fixed_incl, inclusion_random=random_incl, modal=entries[0][0])
 
 
 def fixed_effect_rmse(trace, truth) -> float:
@@ -118,7 +88,7 @@ def fixed_effect_rmse(trace, truth) -> float:
     sqrt(mean over coordinates of (mean_draws(J*beta) - beta_true)^2).
     """
     truth = np.asarray(truth, dtype=float)
-    post_mean = trace.pooled_beta_eff().mean(axis=0)
+    post_mean = np.concatenate([chain.beta * chain.J for chain in trace.chains]).mean(axis=0)
     if truth.shape != post_mean.shape:
         raise ConfigurationError(
             f"truth has length {truth.size}, trace has {post_mean.size} coefficients"
@@ -133,7 +103,7 @@ def grid_report(cells) -> list:
     optionally 'n_ok'/'n_failed'.  Rows are ordered by (h, v).
     """
     keys = sorted(cells.keys(), key=lambda vh: (vh[1], vh[0]))
-    return [{"v": v, "h": h, "status": "ok", **cells[(v, h)]} for v, h in keys]
+    return [{"v": v, "h": h, **cells[(v, h)]} for v, h in keys]
 
 
 def format_table(header, rows) -> str:
@@ -160,5 +130,5 @@ def write_selection_report(report: SelectionReport, outdir: str) -> None:
 
 
 def write_grid_report(rows, path: str) -> None:
-    header = ["v", "h", "status", "percent", "rmse", "n_ok", "n_failed"]
+    header = ["v", "h", "percent", "rmse", "n_ok", "n_failed"]
     write_csv(path, header, [[row.get(c, "") for c in header] for row in rows])

@@ -93,9 +93,6 @@ class ChainTrace:
     def n_recorded(self) -> int:
         return self.values.shape[0]
 
-    def beta_eff(self) -> np.ndarray:
-        return self.beta * self.J
-
 
 @dataclass
 class Trace:
@@ -111,14 +108,6 @@ class Trace:
     @property
     def n_recorded(self) -> int:
         return sum(c.n_recorded for c in self.chains)
-
-    def pooled_beta_eff(self) -> np.ndarray:
-        return np.concatenate([c.beta_eff() for c in self.chains], axis=0)
-
-    def pooled(self, name: str, block: int | None = None) -> np.ndarray:
-        if block is None:
-            return np.concatenate([getattr(c, name) for c in self.chains], axis=0)
-        return np.concatenate([getattr(c, name)[block] for c in self.chains], axis=0)
 
     @cached_property
     def _columns(self) -> dict:

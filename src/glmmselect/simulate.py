@@ -4,7 +4,10 @@ The full-scale design has l = q = 10 with six active fixed effects
 (beta_1 = 2, beta_2..6 ~ Unif(-0.4, 0.4)) and active random effects
 {1, 3, 6}; case 1 sets the remaining coefficients to 0, case 2 to 0.01.
 A scaled variant shrinks everything for desk-scale runs.  Dataset
-generation is deterministic given (base_seed, replicate).
+generation is deterministic given (base_seed, replicate); the true
+coefficients come back with the data, and the true inclusion masks and
+covariance are the design's own (``fixed_truth_mask``, ``random_truth_mask``
+and ``omega``).
 """
 
 import logging
@@ -16,12 +19,11 @@ from .cholesky import decompose_covariance
 from .errors import ConfigurationError, GlmmSelectError
 from .families import ETA_CAP, Family
 from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor, check_int
-from .report import fixed_effect_rmse, modal_random_pattern, top_models
+from .report import fixed_effect_rmse, indicator_matrix, ranked_patterns, top_models
 from .sampler import process_map, run_chains
 
 __all__ = [
     "SimDesign",
-    "SimTruth",
     "ReplicationResult",
     "section3_omega",
     "scaled_omega",
@@ -134,16 +136,8 @@ def scaled_design(case: int = 1, base_seed: int = 0, n: int = 60, n_i: int = 10)
     )
 
 
-@dataclass(frozen=True)
-class SimTruth:
-    beta: np.ndarray
-    fixed_mask: np.ndarray
-    random_mask: np.ndarray
-    omega: np.ndarray
-
-
-def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, SimTruth]:
-    """Generate one replicate; deterministic given (base_seed, replicate)."""
+def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, np.ndarray]:
+    """One replicate's dataset and its true coefficients; deterministic given (base_seed, replicate)."""
     rng = np.random.default_rng([design.base_seed, replicate, 0])
     beta = np.full(design.l, design.inactive_value)
     beta[0] = TRUE_INTERCEPT
@@ -167,13 +161,7 @@ def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, SimTru
         X=X,
         blocks=(BlockData(Z=Z, groups=groups, n_groups=design.n),),
     )
-    truth = SimTruth(
-        beta=beta,
-        fixed_mask=design.fixed_truth_mask(),
-        random_mask=design.random_truth_mask(),
-        omega=design.omega,
-    )
-    return data, truth
+    return data, beta
 
 
 def build_model_spec(
@@ -215,34 +203,26 @@ class ReplicationResult:
             "n_failed": len(self.rows) - n_ok,
         }
 
-    def modal_label_counts(self) -> dict:
-        counts = {}
-        for r in self.rows:
-            if r["ok"]:
-                key = (r["modal_fixed"], r["modal_random"])
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
 
 def _fit_one_replicate(design: SimDesign, spec: ModelSpec, replicate: int) -> list:
     """Simulate, fit in ``spec.mode`` and score one replicate; its row, as a one-row list."""
-    data, truth = simulate_dataset(design, replicate)
+    data, beta = simulate_dataset(design, replicate)
     row = {"replicate": replicate, "mode": spec.mode, "ok": False}
     try:
         trace = run_chains(spec, data)
-        rep = top_models(trace, k=1)
-        modal = rep.modal
-        rand_pattern = modal_random_pattern(trace, block=0)
-        fixed_ok = modal.fixed == tuple(truth.fixed_mask.tolist())
-        random_ok = rand_pattern == tuple(truth.random_mask.tolist())
+        modal = top_models(trace).modal
+        block0, _ = ranked_patterns(indicator_matrix(trace)[:, design.l : design.l + design.q])
+        rand_pattern = tuple(block0[0].tolist())
+        true_fixed = tuple(design.fixed_truth_mask().tolist())
+        true_random = tuple(design.random_truth_mask().tolist())
         row.update(
             ok=True,
             modal_fixed=modal.fixed,
             modal_random=modal.random[0],
             marginal_modal_random=rand_pattern,
-            true_model=bool(fixed_ok and modal.random[0] == tuple(truth.random_mask.tolist())),
-            random_correct=bool(random_ok),
-            rmse=fixed_effect_rmse(trace, truth.beta),
+            true_model=modal.fixed == true_fixed and modal.random[0] == true_random,
+            random_correct=rand_pattern == true_random,
+            rmse=fixed_effect_rmse(trace, beta),
         )
     except GlmmSelectError as exc:  # a failed fit marks the replicate failed
         log.warning("replicate %d mode %s failed: %s", replicate, spec.mode, exc)

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -132,6 +133,18 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "chain_2.csv: file is empty" in err
 
+    def test_header_only_chain_csvs_report_empty_trace(self, workspace, capsys):
+        tmp_path, design, spec, data = workspace
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--data", data, "--spec", spec, "--out", str(fit_out)]) == 0
+        for path in fit_out.glob("chain_*.csv"):
+            path.write_text(path.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main(["report", "--trace", str(fit_out), "--data", data, "--spec", spec, "--out", str(tmp_path / "rep")]) == 1
+        assert capsys.readouterr().err == "error: empty trace\n"
+
     def test_rhat_warning_and_summary_table(self, workspace, capsys):
         tmp_path, design, spec, data = workspace
         fit_out = str(tmp_path / "fit")
@@ -164,6 +177,7 @@ class TestPipeline:
             ("sampler", dict(SMALL_SPEC["sampler"], chains=2.0), "sampler: chains must be an integer, got 2.0"),
             ("sampler", dict(SMALL_SPEC["sampler"], kept=10.5), "sampler: kept must be an integer, got 10.5"),
             ("sampler", dict(SMALL_SPEC["sampler"], seed="7"), "sampler: seed must be an integer, got '7'"),
+            ("sampler", dict(SMALL_SPEC["sampler"], kept=0), "sampler: kept must be at least thin (1) to record a draw, got 0"),
             ("family", ["poisson"], "family must be an object or a kind name"),
             ("fixed_effects", "x1", "fixed_effects must be a list of column names"),
             ("random_blocks", ["subject"], "random block 1 must be an object"),
@@ -200,6 +214,23 @@ class TestPipeline:
         for row, lab in zip(got, labels):
             assert f"fixed[{row['fixed_effects']}] random[{row['random_effects']}]" == lab.describe()
 
+    def test_tied_modal_models_come_out_in_pattern_order(self, tmp_path, monkeypatch):
+        # three patterns each modal in two replicates, listed in no order: ties keep ascending pattern order
+        patterns = [((1, 1, 0), (1, 0)), ((0, 1, 1), (0, 1)), ((1, 1, 0), (0, 1)), ((0, 1, 1), (0, 1)), ((1, 1, 0), (1, 0)), ((1, 1, 0), (0, 1))]
+        rows = [dict(ok=True, modal_fixed=f, modal_random=r, true_model=False, random_correct=False, rmse=0.0) for f, r in patterns]
+        rows.append(dict(ok=False, error="stopped"))
+        monkeypatch.setattr(cli, "run_replication", lambda design, spec, n_rep, workers: ReplicationResult(design, rows))
+        out = tmp_path / "repl"
+        assert main(["replicate", "--design", write(tmp_path, "design.json", SMALL_DESIGN), "--out", str(out)]) == 0
+        with open(out / "modal_models.csv", newline="", encoding="utf-8") as fh:
+            got = [tuple(r) for r in csv.reader(fh)]
+        assert got == [
+            ("fixed_effects", "random_effects", "count", "percent"),
+            ("2,3", "2", "2", "33.33"),
+            ("1,2", "2", "2", "33.33"),
+            ("1,2", "1", "2", "33.33"),
+        ]
+
     def test_grid_command(self, workspace):
         tmp_path, design, spec, data = workspace
         grid = write(tmp_path, "grid.json", {"v": [1.0], "h": [1.0, 10.0]})
@@ -209,6 +240,7 @@ class TestPipeline:
         ]) == 0
         lines = open(os.path.join(out, "grid.csv")).read().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
+        assert lines[0] == "v,h,percent,rmse,n_ok,n_failed"
 
     @pytest.mark.parametrize("command", ["simulate", "replicate", "grid"])
     @pytest.mark.parametrize(
@@ -232,6 +264,7 @@ class TestPipeline:
             ({"n": True}, "n must be an integer, got True"),
             ({"n": 12.0}, "n must be an integer, got 12.0"),
             ({"sampler": dict(SMALL_DESIGN["sampler"], thin=0)}, "sampler: thin must be at least 1, got 0"),
+            ({"sampler": dict(SMALL_DESIGN["sampler"], kept=5, thin=10)}, "sampler: kept must be at least thin (10) to record a draw, got 5"),
             ({"hyperparameters": {"h": "1"}}, "hyperparameters: hyperparameter h must be a finite number, got '1'"),
             # the document's mode is checked even where --mode replaces it
             ({"mode": "ssvs"}, "unknown mode 'ssvs'"),

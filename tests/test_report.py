@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,9 +11,8 @@ from glmmselect.report import (
     fixed_effect_rmse,
     format_table,
     grid_report,
-    inclusion_probabilities,
-    labels_of_trace,
-    modal_random_pattern,
+    indicator_matrix,
+    ranked_patterns,
     top_models,
 )
 from glmmselect.sampler import ChainTrace, Trace, trace_layout
@@ -45,7 +46,7 @@ class TestLabelOf:
         lab = ModelLabel(fixed=(1, 0), random=((0, 1),))
         assert lab.describe() == "fixed[1] random[2]"
 
-    def test_labels_match_per_draw_reading(self):
+    def test_top_models_match_per_draw_reading(self):
         # two chains and two blocks, against a draw-by-draw reading of the indicator views
         rng = np.random.default_rng(3)
         dims = ModelDims(l=3, blocks=((2, 3), (3, 2)))
@@ -62,11 +63,50 @@ class TestLabelOf:
             for c in chains
             for i in range(c.n_recorded)
         ]
-        assert labels_of_trace(trace) == expected
-        for block in (None, 1):
+        counts = Counter(expected)
+        rep = top_models(trace)
+        assert [(lab, cnt) for lab, cnt, _ in rep.entries] == sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+        assert [pct for _, _, pct in rep.entries] == [100.0 * cnt / len(expected) for _, cnt, _ in rep.entries]
+        assert rep.modal == rep.entries[0][0]
+        np.testing.assert_array_equal(rep.inclusion_fixed, np.mean([lab.fixed for lab in expected], axis=0))
+        for bi in range(2):
+            np.testing.assert_array_equal(rep.inclusion_random[bi], np.mean([lab.random[bi] for lab in expected], axis=0))
+        bits = indicator_matrix(trace)
+        assert bits.dtype == np.int8 and bits.shape == (12, 3 + 2 + 3)
+        for block, (a, b) in ((None, (3, 8)), (1, (5, 8))):
             patterns = [lab.random if block is None else lab.random[block] for lab in expected]
             modal = max(sorted(set(patterns)), key=patterns.count)  # most frequent, then smallest
-            assert modal_random_pattern(trace, block=block) == modal
+            ranked, _ = ranked_patterns(bits[:, a:b])
+            flat = sum(modal, ()) if block is None else modal
+            assert tuple(ranked[0].tolist()) == flat
+
+
+class TestRankedPatterns:
+    @staticmethod
+    def oracle(bits):
+        counts = Counter(map(tuple, bits.tolist()))
+        return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
+
+    @pytest.mark.parametrize("widths", [(4,), (2, 3), (3, 1, 2)])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_counter_oracle(self, widths, seed):
+        # one block or several side by side; rows repeated a set number of times force ties
+        rng = np.random.default_rng(seed)
+        distinct = rng.integers(0, 2, (12, sum(widths)), dtype=np.int8)
+        repeats = rng.choice([1, 2, 3], size=len(distinct))
+        bits = rng.permutation(np.repeat(distinct, repeats, axis=0))
+        patterns, counts = ranked_patterns(bits)
+        assert list(zip(map(tuple, patterns.tolist()), counts.tolist())) == self.oracle(bits)
+
+    def test_ties_keep_ascending_row_order(self):
+        bits = np.array([[1, 1], [0, 1], [1, 0], [0, 1], [1, 0], [1, 1]], dtype=np.int8)
+        patterns, counts = ranked_patterns(bits)
+        assert patterns.tolist() == [[0, 1], [1, 0], [1, 1]]
+        assert counts.tolist() == [2, 2, 2]
+
+    def test_no_rows_raises(self):
+        with pytest.raises(ConfigurationError, match="empty trace"):
+            ranked_patterns(np.zeros((0, 3), dtype=np.int8))
 
 
 class TestTopModels:
@@ -97,11 +137,12 @@ class TestTopModels:
         rep = top_models(trace)
         assert rep.entries[0][0].fixed == (0, 1)
 
-    def test_truncation(self):
+    def test_every_distinct_pattern_listed_once(self):
         rng = np.random.default_rng(1)
         trace = fabricate_trace(rng.integers(0, 2, (100, 3)), rng.integers(0, 2, (100, 1)))
-        rep = top_models(trace, k=2)
-        assert len(rep.entries) == 2
+        rep = top_models(trace)
+        labels = [lab for lab, _, _ in rep.entries]
+        assert len(labels) == len(set(labels)) == len(np.unique(indicator_matrix(trace), axis=0))
 
     def test_empty_trace_raises(self):
         trace = fabricate_trace(np.zeros((0, 2)), np.zeros((0, 1)))
@@ -112,41 +153,39 @@ class TestTopModels:
 class TestInclusion:
     def test_all_ones(self):
         trace = fabricate_trace([[1, 1]] * 8, [[1]] * 8)
-        incl = inclusion_probabilities(trace)
-        np.testing.assert_array_equal(incl["fixed"], [1.0, 1.0])
-        np.testing.assert_array_equal(incl["random"][0], [1.0])
+        rep = top_models(trace)
+        np.testing.assert_array_equal(rep.inclusion_fixed, [1.0, 1.0])
+        np.testing.assert_array_equal(rep.inclusion_random[0], [1.0])
 
     def test_alternating_half(self):
         J = [[1, 0], [0, 1]] * 5
         trace = fabricate_trace(J, [[1]] * 10)
-        incl = inclusion_probabilities(trace)
-        np.testing.assert_allclose(incl["fixed"], [0.5, 0.5])
+        np.testing.assert_allclose(top_models(trace).inclusion_fixed, [0.5, 0.5])
 
     def test_matches_label_weighted_marginal(self):
         rng = np.random.default_rng(2)
         J = rng.integers(0, 2, (300, 3))
         I = rng.integers(0, 2, (300, 2))
         trace = fabricate_trace(J, I)
-        incl = inclusion_probabilities(trace)
         rep = top_models(trace)
         total = sum(cnt for _, cnt, _ in rep.entries)
         marg = np.zeros(3)
         for lab, cnt, _ in rep.entries:
             marg += np.array(lab.fixed) * cnt
-        np.testing.assert_allclose(incl["fixed"], marg / total, atol=1e-12)
+        np.testing.assert_allclose(rep.inclusion_fixed, marg / total, atol=1e-12)
 
     def test_fraction_reporting_precision(self):
         # a 4349-in-9000 inclusion rate is reportable to 4 decimals
         J = np.zeros((9000, 1), dtype=np.int8)
         J[:4349] = 1
         trace = fabricate_trace(J, np.ones((9000, 1)))
-        incl = inclusion_probabilities(trace)
-        assert round(float(incl["fixed"][0]), 4) == round(4349 / 9000, 4)
+        assert round(float(top_models(trace).inclusion_fixed[0]), 4) == round(4349 / 9000, 4)
 
     def test_modal_random_pattern(self):
         I = [[1, 0]] * 6 + [[0, 1]] * 4
         trace = fabricate_trace([[1, 1]] * 10, I)
-        assert modal_random_pattern(trace, block=0) == (1, 0)
+        patterns, counts = ranked_patterns(indicator_matrix(trace)[:, 2:])
+        assert patterns[0].tolist() == [1, 0] and counts.tolist() == [6, 4]
 
 
 class TestRmse:
@@ -184,8 +223,7 @@ class TestRmse:
 class TestGridReport:
     def test_single_cell(self):
         rows = grid_report({(1.0, 0.1): {"percent": 44.0, "rmse": 0.001}})
-        assert len(rows) == 1
-        assert rows[0]["status"] == "ok"
+        assert rows == [{"v": 1.0, "h": 0.1, "percent": 44.0, "rmse": 0.001}]
 
     def test_nine_cells_ordered_by_h_then_v(self):
         cells = {}

@@ -13,11 +13,12 @@ from glmmselect.model import (
     BlockData,
     Dataset,
     Hyperparameters,
+    ModelDims,
     ModelSpec,
     RandomBlock,
     SamplerSettings,
 )
-from glmmselect.sampler import load_trace, process_map, run_chains, save_trace
+from glmmselect.sampler import ChainTrace, Trace, load_trace, process_map, run_chains, save_trace, trace_layout
 
 
 def small_problem(
@@ -70,10 +71,10 @@ class TestRunChains:
         assert match, caplog.text
         assert 0.0 < float(match.group(2)) <= 1.0  # the one random effect is in, so xi took steps
 
-    def test_kept_zero_gives_empty_trace(self):
-        spec, data = small_problem(kept=0, chains=1)
-        trace = run_chains(spec, data)
-        assert trace.n_recorded == 0
+    @pytest.mark.parametrize("kept, thin", [(0, 1), (5, 10)])
+    def test_settings_that_record_no_draw_are_rejected(self, kept, thin):
+        with pytest.raises(ConfigurationError, match=rf"kept must be at least thin \({thin}\) to record a draw, got {kept}"):
+            SamplerSettings(kept=kept, thin=thin)
 
     def test_same_seed_bit_identical(self):
         spec, data = small_problem(seed=5, kept=20)
@@ -147,8 +148,11 @@ class TestTracePersistence:
 
     @pytest.mark.parametrize("kind", ["poisson", "negative_binomial", "gaussian", "bernoulli"])
     def test_empty_trace_roundtrip(self, tmp_path, kind):
-        spec, data = small_problem(seed=10, kept=0, kind=kind)
-        trace = run_chains(spec, data)
+        spec, data = small_problem(seed=10, kind=kind)
+        layout = trace_layout(ModelDims.of(spec, data), spec.family)
+        n_columns = sum(len(names) for *_, names in layout)
+        chains = [ChainTrace(spec.sampler.seed + c, np.zeros((0, n_columns)), layout) for c in range(spec.sampler.chains)]
+        trace = Trace(chains=chains, dims=ModelDims.of(spec, data))
         paths = save_trace(trace, str(tmp_path))
         assert all(len(Path(p).read_text().splitlines()) == 1 for p in paths)  # header only
         back = load_trace(str(tmp_path), spec, data)

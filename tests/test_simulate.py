@@ -80,25 +80,25 @@ class TestSimDesign:
 
 class TestSimulateDataset:
     def test_case1_inactive_exactly_zero(self):
-        data, truth = simulate_dataset(full_scale_design(case=1), 0)
-        assert np.all(truth.beta[6:] == 0.0)
-        assert truth.beta[0] == 2.0
+        data, beta = simulate_dataset(full_scale_design(case=1), 0)
+        assert np.all(beta[6:] == 0.0)
+        assert beta[0] == 2.0
 
     def test_case2_inactive_exactly_small(self):
-        data, truth = simulate_dataset(full_scale_design(case=2), 0)
-        assert np.all(truth.beta[6:] == 0.01)
+        data, beta = simulate_dataset(full_scale_design(case=2), 0)
+        assert np.all(beta[6:] == 0.01)
 
     def test_active_betas_in_range(self):
-        _, truth = simulate_dataset(full_scale_design(), 3)
-        assert np.all(np.abs(truth.beta[1:6]) <= 0.4)
+        _, beta = simulate_dataset(full_scale_design(), 3)
+        assert np.all(np.abs(beta[1:6]) <= 0.4)
 
     def test_bit_reproducible(self):
         d = scaled_design()
-        a1, t1 = simulate_dataset(d, 7)
-        a2, t2 = simulate_dataset(d, 7)
+        a1, b1 = simulate_dataset(d, 7)
+        a2, b2 = simulate_dataset(d, 7)
         np.testing.assert_array_equal(a1.y, a2.y)
         np.testing.assert_array_equal(a1.X, a2.X)
-        np.testing.assert_array_equal(t1.beta, t2.beta)
+        np.testing.assert_array_equal(b1, b2)
 
     def test_replicates_differ(self):
         d = scaled_design()
@@ -110,11 +110,11 @@ class TestSimulateDataset:
         # same seeds: case 1 and case 2 differ only through the inactive betas' effect on y
         d1 = scaled_design(case=1, base_seed=9)
         d2 = scaled_design(case=2, base_seed=9)
-        a1, t1 = simulate_dataset(d1, 0)
-        a2, t2 = simulate_dataset(d2, 0)
+        a1, b1 = simulate_dataset(d1, 0)
+        a2, b2 = simulate_dataset(d2, 0)
         np.testing.assert_array_equal(a1.X, a2.X)
-        np.testing.assert_array_equal(t1.beta[:4], t2.beta[:4])
-        assert np.all(t2.beta[4:] == 0.01)
+        np.testing.assert_array_equal(b1[:4], b2[:4])
+        assert np.all(b2[4:] == 0.01)
 
     def test_covariate_standardization(self):
         data, _ = simulate_dataset(SimDesign(n=400, n_i=5), 0)
@@ -130,10 +130,10 @@ class TestSimulateDataset:
         # simulated counts carry the random intercept signal group-wise
         d = SimDesign(n=2000, n_i=2, l=3, q=3, n_active_fixed=1,
                       omega=scaled_omega(3, (0,)))
-        data, truth = simulate_dataset(d, 0)
+        data, beta = simulate_dataset(d, 0)
         # log of group means should have variance roughly omega[0,0] + noise
         gm = np.array([data.y[data.blocks[0].groups == i].mean() for i in range(d.n)])
-        lv = np.log(np.maximum(gm, 0.25)) - np.log(np.exp(truth.beta[0]))
+        lv = np.log(np.maximum(gm, 0.25)) - np.log(np.exp(beta[0]))
         assert 0.02 < lv.var() < 0.4
 
     def test_group_layout(self):
