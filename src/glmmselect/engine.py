@@ -48,15 +48,23 @@ A'' instead.
 
 Without a given state, a chain starts at a prior draw whose likelihood is
 finite.  The search draws candidates ``_START_BATCH`` at a time with
-``sample_prior(..., n=...)``, computes their predictors as (n, n_obs) arrays
-and their log-likelihood kernels (``_feasible``), and keeps the first finite
-one in draw order, so the start is exactly the prior conditioned on a
-finite likelihood.  Candidates are screened with what the mode fixes
-already set (r = 0 in ssvs-diagonal), as their chains would start.  A
-candidate with a NaN predictor counts as infeasible.  After
-``_START_BUDGET`` candidates the search raises
-``SamplerError``.  On the paper's full-scale design about 1 in 500 prior
-draws is feasible in the ssvs modes, and none in ``no-selection``.
+``sample_prior(..., n=...)`` on the model's dims with zero groups per block,
+which draws every field but xi, and sets what the mode fixes (r = 0 in
+ssvs-diagonal), as their chains would start.  ``_screen`` then walks the
+observations in row chunks of 1, 2, 4, ... rows.  For each chunk, and only
+for the candidates still alive, it draws each block's xi of the groups the
+chunk's rows reach, adds the chunk's kernel sum eta . w y - sum A to each
+candidate's running total, and drops a candidate as soon as that total is
+not finite, a NaN predictor included.  The first survivor in batch order is
+the start, and the xi of the groups that no row reached are drawn for it
+then; with no observations, that is every group.  Given kappa the xi of
+different groups are independent, so drawing them late leaves the start
+exactly the prior conditioned on a finite likelihood.  After
+``_START_BUDGET`` candidates the search raises ``SamplerError``.  On the
+paper's full-scale design about 1 in 500 prior draws is feasible in the
+ssvs modes, and none in ``no-selection``.  Most candidates drop out within
+the first rows, so there a start takes about 5 ms and a failing
+``no-selection`` search about 0.1 s (one core of a 2-core x86 host).
 
 The family scale has one update per kind.  The NB overdispersion is
 slice-updated on the sum of ``Family.log_likelihood`` at the cached predictor
@@ -100,6 +108,7 @@ from .priors import (
     draw_latent,
     draw_shrinkage,
     draw_slab,
+    draw_xi,
     log_prior_state,
     sample_gig,
     sample_invgamma,
@@ -124,8 +133,8 @@ _ADAPT_MIN_COUNT = 20
 _NEWTON_MAX_STEPS = 30
 _NEWTON_MAX_ETA_STEP = 2.0
 _NEWTON_TOL = 0.1
-# the start search screens prior draws in batches of _START_BATCH, at most _START_BUDGET of them
-_START_BATCH = 32
+# the start search screens prior draws in batches of _START_BATCH, at most _START_BUDGET of them in all
+_START_BATCH = 128
 _START_BUDGET = 20_000
 
 
@@ -209,32 +218,79 @@ class GibbsEngine:
         """Prior draw conditioned on a finite likelihood (valid start point).
 
         Heavy-tailed prior draws can overflow a log link; any support point is
-        a legitimate chain start.  The first feasible candidate of the first
-        batch that has one is kept (see the module docstring).
+        a legitimate chain start.  The first survivor of the first batch that
+        has one is kept, and the xi of the groups that no row reached are
+        drawn for it then (see the module docstring).
         """
-        for _ in range(_START_BUDGET // _START_BATCH):
-            batch = sample_prior(self.hyper, self.dims, self.rng, self.spec.family, mode=self.mode, n=_START_BATCH)
+        chunks = self._row_chunks()
+        reached = chunks[-1][1] if chunks else np.zeros(len(self.dims.blocks), dtype=int)
+        bare = ModelDims(l=self.dims.l, blocks=tuple((q, 0) for q, _ in self.dims.blocks))
+        for first in range(0, _START_BUDGET, _START_BATCH):
+            size = min(_START_BATCH, _START_BUDGET - first)
+            batch = sample_prior(self.hyper, bare, self.rng, self.spec.family, mode=self.mode, n=size)
             self._fix_by_mode(batch)  # screen each candidate as its chain would start
-            feasible = self._feasible(batch)
-            if feasible.any():
-                return batch.take(int(np.argmax(feasible)))
+            survivors = self._screen(batch, chunks)
+            if survivors.size:
+                start = batch.take(int(survivors[0]))
+                for bs, (_, n_groups), reach in zip(start.blocks, self.dims.blocks, reached):
+                    bs.xi[reach:] = draw_xi(self.rng, bs.kappa, n_groups - reach)
+                return start
         raise SamplerError(f"could not find a prior draw with finite likelihood in {_START_BUDGET} draws")
 
-    def _feasible(self, batch: ParameterState) -> np.ndarray:
-        """Per candidate of a batched prior draw: is its log-likelihood finite?
+    def _row_chunks(self) -> list:
+        """The observations in chunks of 1, 2, 4, ... rows, each with every block's reach after it.
 
-        The screen sums the family kernel eta . w y - sum A(y, eta, scale),
-        as every likelihood target of the engine does; the normalizing terms
-        it leaves out are finite at every valid y and prior-drawn scale.  A
-        candidate whose linear predictor has a NaN is not feasible; with no
-        observations every candidate is.
+        A block's reach is 1 + the largest group index of the rows up to the
+        chunk's end: the groups whose xi the screen has drawn once it has
+        read the chunk.
         """
+        chunks, start, size = [], 0, 1
+        reach = np.zeros(len(self.data.blocks), dtype=int)
+        while start < self.data.n_obs:
+            stop = min(start + size, self.data.n_obs)
+            reach = np.maximum(reach, [bdata.groups[start:stop].max() + 1 for bdata in self.data.blocks])
+            chunks.append((self.data.rows(start, stop), reach))
+            start, size = stop, 2 * size
+        return chunks
+
+    def _screen(self, batch: ParameterState, chunks: list) -> np.ndarray:
+        """The candidates of a batch whose log-likelihood is finite, as indices in batch order.
+
+        ``batch`` comes from ``sample_prior`` with zero groups per block; the
+        screen gives each block an (n, n_groups, q) xi of zeros and, chunk by
+        chunk of ``_row_chunks``, draws into it the xi of the groups the
+        chunk reaches, for the candidates still alive.  It sums the family
+        kernel eta . w y - sum A(y, eta, scale) over the chunks, as every
+        likelihood target of the engine does; the normalizing terms it
+        leaves out are finite at every valid y and prior-drawn scale.  A
+        candidate drops out at the first chunk after which its total is not
+        finite, so a NaN predictor drops it too.  With no observations every
+        candidate survives.
+        """
+        n = batch.beta.shape[0]
+        family = self.spec.family
+        scale = family.scale_of(batch)
+        beta_eff = batch.beta_eff()
+        for bs, (q, n_groups) in zip(batch.blocks, self.dims.blocks):
+            bs.xi = np.zeros((n, n_groups, q))
+        live, total = np.arange(n), np.zeros(n)
+        drawn = np.zeros(len(batch.blocks), dtype=int)
         with np.errstate(over="ignore", invalid="ignore"):
-            blocks = [(bs.lam, bs.r, bs.include, bs.xi) for bs in batch.blocks]
-            eta = linear_predictor(self.data, batch.beta_eff(), blocks)
-            family = self.spec.family
-            ll = eta @ self._wy - family.kernel_a(self.data.y, eta, family.scale_of(batch)).sum(axis=1)
-        return np.isfinite(ll)
+            for chunk, reach in chunks:
+                blocks = []
+                for bs, lo, hi in zip(batch.blocks, drawn, reach):
+                    if hi > lo:
+                        bs.xi[live, lo:hi] = draw_xi(self.rng, bs.kappa[live], hi - lo)
+                    blocks.append((bs.lam[live], bs.r[live], bs.include[live], bs.xi[live, :hi]))
+                drawn = reach
+                eta = linear_predictor(chunk, beta_eff[live], blocks)
+                a = family.kernel_a(chunk.y, eta, None if scale is None else scale[live])
+                total = total + eta @ (family.kernel_w * chunk.y) - a.sum(axis=1)
+                keep = np.isfinite(total)
+                live, total = live[keep], total[keep]
+                if not live.size:
+                    break
+        return live
 
     # ------------------------------------------------------- cached predictor
 

@@ -109,6 +109,13 @@ class Dataset:
     def n_obs(self) -> int:
         return self.y.shape[0]
 
+    def rows(self, start: int, stop: int) -> "Dataset":
+        """Observations start to stop - 1, as a dataset whose blocks keep their groups and n_groups."""
+        s = slice(start, stop)
+        blocks = tuple(BlockData(Z=b.Z[s], groups=b.groups[s], n_groups=b.n_groups) for b in self.blocks)
+        offset = None if self.offset is None else self.offset[s]
+        return Dataset(y=self.y[s], X=self.X[s], blocks=blocks, offset=offset)
+
     @property
     def l(self) -> int:
         return self.X.shape[1]

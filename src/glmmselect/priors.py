@@ -12,7 +12,7 @@ Hierarchies (per coefficient / effect), each with the function that draws it:
                    as their pseudo-prior, so the prior does not depend on the
                    indicators.  Sigma_r is fixed at I and is not a setting.
   latent effects   xi ~ N(0, kappa) with kappa ~ Exp(m^2/2), m ~ Gamma(1, 1):
-                   :func:`draw_latent`
+                   :func:`draw_latent`, or :func:`draw_xi` for xi given kappa
   family scale     the prior of its family (NB overdispersion ~ Gamma(0.01,
                    rate 0.01), gaussian sigma2 ~ IG(0.01, 0.01)); see
                    :mod:`glmmselect.families`
@@ -58,6 +58,7 @@ __all__ = [
     "draw_slab",
     "draw_correlations",
     "draw_latent",
+    "draw_xi",
     "log_prior_state",
     "sample_prior",
     "halfnormal_logpdf",
@@ -301,8 +302,15 @@ def draw_latent(rng, shape, n_groups: int):
     m and kappa have ``shape``, xi has ``shape[:-1] + (n_groups, shape[-1])``.
     """
     m, kappa = _rate_pair(rng, shape)
-    xi = rng.normal(0.0, 1.0, size=shape[:-1] + (n_groups, shape[-1])) * np.sqrt(kappa)[..., None, :]
-    return m, kappa, xi
+    return m, kappa, draw_xi(rng, kappa, n_groups)
+
+
+def draw_xi(rng, kappa, n_groups: int):
+    """Latent effects xi ~ N(0, kappa) of ``n_groups`` groups given their variances.
+
+    ``kappa`` has shape (..., q); xi has shape (..., n_groups, q).
+    """
+    return rng.normal(0.0, 1.0, size=kappa.shape[:-1] + (n_groups, kappa.shape[-1])) * np.sqrt(kappa)[..., None, :]
 
 
 def log_prior_state(hyper: Hyperparameters, state: ParameterState, family: Family) -> float:
@@ -360,6 +368,9 @@ def sample_prior(
     every array gains a leading axis of length n, the family scale is an
     (n, 1) column, and :meth:`ParameterState.take` picks one draw.  A batch
     uses the generator in its own order, so it differs from n unbatched calls.
+    A block of ``dims`` with zero groups draws no latent effects: its xi is
+    empty and its m and kappa are drawn, so that :func:`draw_xi` can draw
+    the xi of any group from that kappa later.
     """
     pi = hyper.prior_inclusion
     field = family.scale.field if family.scale is not None else None

@@ -452,15 +452,23 @@ print(json.dumps(sorted(m for m in sys.modules if m == "scipy" or m.startswith("
 """
 
 
+def fresh_python(*args) -> str:
+    """The stdout of ``python *args`` in a fresh interpreter that imports the package from this checkout."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
+
+
 class TestRuntimeDependencies:
     def test_commands_import_no_scipy(self, tmp_path):
         design = write(tmp_path, "design.json", SMALL_DESIGN)
         spec = write(tmp_path, "spec.json", SMALL_SPEC)
-        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        done = subprocess.run(
-            [sys.executable, "-c", _RUNTIME_SCRIPT, design, spec, str(tmp_path)],
-            capture_output=True, text=True, env=env, timeout=300,
-        )
-        assert done.returncode == 0, done.stderr
-        assert json.loads(done.stdout.splitlines()[-1]) == []
+        out = fresh_python("-c", _RUNTIME_SCRIPT, design, spec, str(tmp_path))
+        assert json.loads(out.splitlines()[-1]) == []
+
+    def test_cli_import_leaves_out_the_process_pool(self):
+        # the pool module is imported only when a command runs more than one worker
+        out = fresh_python("-c", "import sys, glmmselect.cli; print('concurrent.futures.process' in sys.modules)")
+        assert out.split() == ["False"]

@@ -23,7 +23,7 @@ from glmmselect.model import (
 from glmmselect.cholesky import mask_factors
 from glmmselect.errors import ConfigurationError, NumericError, SamplerError
 from glmmselect.families import Family
-from glmmselect.priors import log_prior_state, sample_prior
+from glmmselect.priors import draw_xi, log_prior_state, sample_prior
 from glmmselect.simulate import build_model_spec, full_scale_design, simulate_dataset
 
 KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
@@ -309,6 +309,7 @@ class TestLineTargets:
     def test_indicator_odds_are_the_kernel_difference(self, kind):
         engine, _, _ = self.engine_for(kind)
         engine.state.beta[1] = 0.7
+        engine.recompute_caches()  # the cached predictor must hold the edited beta
         for which in [("fixed", 1), ("random", 0), ("random", 1)]:
             s_on, s_off = engine.state.copy(), engine.state.copy()
             if which[0] == "fixed":
@@ -713,48 +714,112 @@ def reference_verdict(spec, state, data) -> bool:
         return False
 
 
+def bare_batch(spec, data, seed, n=32):
+    """n prior candidates as the start search draws them: every field but xi, which is empty."""
+    dims = ModelDims.of(spec, data)
+    bare = replace(dims, blocks=tuple((q, 0) for q, _ in dims.blocks))
+    return sample_prior(spec.hyper, bare, np.random.default_rng(seed), spec.family, mode=spec.mode, n=n)
+
+
+def crossed_setup(seed=60):
+    """Two random blocks with crossed groupings, whose group indices are not in row order.
+
+    Block a has a random intercept and slope over 6 shuffled groups, block b
+    a random intercept over 4.  Block b's group 3 has one row, row 1, where
+    its design value is 3000: that row overflows unless lam xi of the group
+    is small, and the second row chunk (rows 1 and 2) reaches group 3 in its
+    first row, before groups 1 and 2.
+    """
+    rng = np.random.default_rng(seed)
+    n_obs = 24
+    X = rng.standard_normal((n_obs, 2))
+    X[:, 0] = 1.0
+    groups_a = rng.permutation(np.repeat(np.arange(6), 4))
+    groups_b = np.concatenate([[0, 3], np.tile(np.arange(3), 8)[:22]])
+    Z_a = np.column_stack([np.ones(n_obs), rng.standard_normal(n_obs)])
+    Z_b = np.ones((n_obs, 1))
+    Z_b[1] = 3000.0
+    data = Dataset(
+        y=rng.poisson(1.5, n_obs).astype(float),
+        X=X,
+        blocks=(BlockData(Z=Z_a, groups=groups_a, n_groups=6), BlockData(Z=Z_b, groups=groups_b, n_groups=4)),
+    )
+    spec = ModelSpec(
+        family=Family(kind="poisson"),
+        response="y",
+        fixed_effects=("1", "x2"),
+        random_blocks=(RandomBlock(group="a", columns=("1", "z")), RandomBlock(group="b", columns=("1",))),
+        hyper=Hyperparameters(v=1.0, nu=1.0),
+    )
+    return spec, data
+
+
+def binding_offset_setup(seed=62):
+    """The q = 2 toy model with an offset of 708 on every fifth row: exp(eta) overflows there once eta > 1.78."""
+    spec, data = toy_setup(seed, q=2)
+    offset = np.where(np.arange(data.n_obs) % 5 == 4, 708.0, 0.0)
+    return replace(spec, offset="off"), replace(data, offset=offset)
+
+
 class TestFeasibleStart:
     @pytest.mark.parametrize("kind", KINDS)
     def test_batch_verdict_matches_full_likelihood(self, kind):
         spec, data = toy_setup(27, q=2, kind=kind)
         spec = replace(spec, hyper=Hyperparameters())  # heavy-tailed slab: many overflowing draws
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(28))
-        batch = sample_prior(spec.hyper, engine.dims, np.random.default_rng(29), spec.family, n=32)
+        batch = bare_batch(spec, data, 29)
         batch.beta[0] = 1e308  # overflows every family: eta reaches inf
         batch.beta[1, 0] = np.nan  # NaN predictor: not a start, where total_log_likelihood raises
         batch.beta[2] = 0.0  # finite for every family
         batch.J[2] = 0
         batch.blocks[0].include[2] = 0
+        survivors = engine._screen(batch, engine._row_chunks())
         with pytest.raises(NumericError):
             total_log_likelihood(spec, batch.take(1), data)
-        verdict = engine._feasible(batch)
+        # a dropped candidate keeps xi = 0 in the groups the screen never reached for it; the rows
+        # that dropped it make its full likelihood non-finite whatever those groups hold
         want = [reference_verdict(spec, batch.take(i), data) for i in range(32)]
-        assert verdict.tolist() == want
+        assert np.isin(np.arange(32), survivors).tolist() == want
         assert not want[0] and not want[1] and want[2]
+        assert np.all(np.diff(survivors) > 0)
+        # the toy rows reach every group, so each survivor has all its xi drawn
+        assert np.all(batch.blocks[0].xi[survivors] != 0.0)
 
-    def test_start_is_first_feasible_candidate(self):
+    def test_start_is_first_feasible_candidate(self, monkeypatch):
         spec, data = toy_setup(30, q=2)
         spec = replace(spec, hyper=Hyperparameters())
-        dims = ModelDims.of(spec, data)
-        batch = sample_prior(spec.hyper, dims, np.random.default_rng(31), spec.family, n=32)
-        first = [reference_verdict(spec, batch.take(i), data) for i in range(32)].index(True)
+        batches = []
+
+        def recorded(*args, **kwargs):
+            batches.append(sample_prior(*args, **kwargs))
+            return batches[-1]
+
+        monkeypatch.setattr(engine_module, "sample_prior", recorded)
         start = GibbsEngine(spec, data, rng=np.random.default_rng(31)).state
-        want = batch.take(first)
-        np.testing.assert_array_equal(start.beta, want.beta)
-        np.testing.assert_array_equal(start.blocks[0].xi, want.blocks[0].xi)
-        np.testing.assert_array_equal(start.blocks[0].include, want.blocks[0].include)
+        verdicts = [[reference_verdict(spec, b.take(i), data) for i in range(b.beta.shape[0])] for b in batches]
+        assert not any(any(v) for v in verdicts[:-1])
+        first = verdicts[-1].index(True)
+        assert first > 0  # infeasible candidates came first
+        want = batches[-1].take(first)
+        for name in ("beta", "J", "theta", "phi"):
+            np.testing.assert_array_equal(getattr(start, name), getattr(want, name))
+        for name in ("lam", "include", "tau2", "r", "xi", "kappa", "m"):
+            np.testing.assert_array_equal(getattr(start.blocks[0], name), getattr(want.blocks[0], name))
 
     def test_diagonal_mode_screens_candidates_with_zero_r(self, monkeypatch):
         # candidate 0 overflows only through its r entry, which ssvs-diagonal fixes at 0, so it is feasible
         spec, data = toy_setup(40, q=2, mode="ssvs-diagonal")
-        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), np.random.default_rng(41), spec.family, n=32)
+        batch = bare_batch(spec, data, 41)
         batch.beta[0] = 0.0
         bs = batch.blocks[0]
-        bs.include[0], bs.lam[0], bs.xi[0], bs.r[0] = 1, 1.0, 1.0, 1e200
+        bs.include[0], bs.lam[0], bs.kappa[0], bs.r[0] = 1, 1.0, 1.0, 1e200
+        full = GibbsEngine(replace(spec, mode="ssvs-full"), data, rng=np.random.default_rng(43))
+        assert 0 not in full._screen(batch.copy(), full._row_chunks())
         monkeypatch.setattr(engine_module, "sample_prior", lambda *args, **kwargs: batch)
         start = GibbsEngine(spec, data, rng=np.random.default_rng(42)).state
         np.testing.assert_array_equal(start.beta, 0.0)
-        np.testing.assert_array_equal(start.blocks[0].xi, 1.0)
+        np.testing.assert_array_equal(start.blocks[0].lam, 1.0)
+        np.testing.assert_array_equal(start.blocks[0].kappa, 1.0)
         assert np.all(start.blocks[0].r == 0.0)
 
     def test_matches_sequential_rejection_sampler(self):
@@ -798,34 +863,87 @@ class TestFeasibleStart:
         include_rate = np.mean([s.blocks[0].include for s in reference])
         assert include_rate < 0.45  # the condition matters here
 
+    @pytest.mark.parametrize("case", ["crossed", "offset"])
+    def test_matches_sequential_rejection_sampler_beyond_the_toy(self, case):
+        # the toy oracle above has one block in row order and no offset; here the screen must add the
+        # offset of each chunk's rows, and draw xi for groups that rows reach out of order, in two blocks
+        spec, data = crossed_setup() if case == "crossed" else binding_offset_setup()
+        dims = ModelDims.of(spec, data)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(63))
+        rng = np.random.default_rng(64)
+        n = 2000
+
+        def sequential():
+            while True:
+                state = sample_prior(spec.hyper, dims, rng, spec.family)
+                if reference_verdict(spec, state, data):
+                    return state
+
+        screened = [engine._draw_feasible_start() for _ in range(n)]
+        reference = [sequential() for _ in range(n)]
+
+        def marginals(states):
+            out = {"beta1": [s.beta[0] for s in states], "beta2": [s.beta[1] for s in states]}
+            for bi, (_, n_groups) in enumerate(dims.blocks):
+                out[f"log lam{bi}"] = [math.log(s.blocks[bi].lam[0]) for s in states]
+                for g in (0, n_groups - 1):
+                    out[f"xi{bi} g{g}"] = [s.blocks[bi].xi[g, 0] for s in states]
+            return out
+
+        got, ref = marginals(screened), marginals(reference)
+        for name in got:
+            assert stats.ks_2samp(got[name], ref[name]).pvalue > 1e-3, name
+
+        def patterns(states):
+            bits = [np.concatenate([s.J] + [bs.include for bs in s.blocks]) for s in states]
+            return np.bincount([int("".join(map(str, b)), 2) for b in bits], minlength=2 ** len(bits[0]))
+
+        table = np.array([patterns(screened), patterns(reference)])
+        table = table[:, table.sum(axis=0) > 0]
+        assert stats.chi2_contingency(table).pvalue > 1e-3
+        # the condition matters here: in the crossed case it cuts the upper tail of block b's group 3,
+        # whose prior is symmetric, and the offset cuts that of the intercept, whose prior 0.9 quantile is about 1.2
+        if case == "crossed":
+            assert np.mean(np.array(ref["xi1 g3"]) > 0.0) < 0.45
+            assert not np.all(np.diff(data.blocks[0].groups) >= 0) and not np.all(np.diff(data.blocks[1].groups) >= 0)
+        else:
+            assert np.quantile(ref["beta1"], 0.9) < 0.9
+
     def test_empty_dataset_takes_first_candidate(self):
         spec, _ = toy_setup(35)
         data0 = Dataset(
             y=np.zeros(0),
             X=np.zeros((0, 2)),
-            blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=1),),
+            blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=3),),
         )
-        dims = ModelDims.of(spec, data0)
-        want = sample_prior(spec.hyper, dims, np.random.default_rng(36), spec.family, n=32).take(0)
+        # the first candidate of the first batch, then its xi for all 3 groups: no row reached any
+        rng = np.random.default_rng(36)
+        bare = ModelDims(l=2, blocks=((1, 0),))
+        want = sample_prior(spec.hyper, bare, rng, spec.family, n=engine_module._START_BATCH).take(0)
+        want_xi = draw_xi(rng, want.blocks[0].kappa, 3)
         start = GibbsEngine(spec, data0, rng=np.random.default_rng(36)).state
         np.testing.assert_array_equal(start.beta, want.beta)
         np.testing.assert_array_equal(start.blocks[0].lam, want.blocks[0].lam)
+        np.testing.assert_array_equal(start.blocks[0].kappa, want.blocks[0].kappa)
+        np.testing.assert_array_equal(start.blocks[0].xi, want_xi)
+        assert want_xi.shape == (3, 1) and np.all(want_xi != 0.0)
 
     def test_infeasible_model_raises_after_budget(self, monkeypatch):
         spec, data = toy_setup(37)
         # exp(eta) overflows at every observation for any prior draw
         data = replace(data, offset=np.full(data.n_obs, 1e300))
         spec = replace(spec, offset="off")
-        draws = []
+        screened = []
+        screen = GibbsEngine._screen
 
-        def counted(*args, n=None, **kwargs):
-            draws.append(n)
-            return sample_prior(*args, n=n, **kwargs)
+        def counted(engine, batch, chunks):
+            screened.append(batch.beta.shape[0])
+            return screen(engine, batch, chunks)
 
-        monkeypatch.setattr(engine_module, "sample_prior", counted)
+        monkeypatch.setattr(GibbsEngine, "_screen", counted)
         with pytest.raises(SamplerError, match="20000 draws"):
             GibbsEngine(spec, data, rng=np.random.default_rng(38))
-        assert sum(draws) == 20_000
+        assert sum(screened) == 20_000
 
 
 class TestSliceWidths:

@@ -154,8 +154,11 @@ class TestReplication:
         assert result.rows == []
 
     def test_strong_signal_smoke(self):
-        # one huge fixed effect and one strong random intercept, nothing else:
-        # the true pattern must be modal in every replicate
+        # one huge fixed effect and one strong random intercept, nothing else.  Over replicates 0-199
+        # of this design, 196 modal models were the true one, 199 marginal random patterns were right,
+        # and the per-replicate rmse had median 0.105 and mean 0.171, with a tail up to 1.25 from chains
+        # that mix slowly.  The bounds below hold for 20 replicates drawn from those rates with
+        # probability above 0.99: at most 4 misses each, and a median rmse of at most 0.26
         design = SimDesign(
             n=60, n_i=8, l=2, q=2, n_active_fixed=1,
             omega=np.diag([0.5, 0.0]), case=1, base_seed=1,
@@ -166,11 +169,12 @@ class TestReplication:
             hyper=Hyperparameters(v=1.0, nu=1.0),
             sampler=SamplerSettings(chains=1, adapt=60, burnin=60, kept=300, seed=0),
         )
-        summ = run_replication(design, spec, 2).summary()
-        assert summ["n_ok"] == 2
-        assert summ["percent"] == 100.0
-        assert summ["percent_random"] == 100.0
-        assert summ["rmse"] < 0.1
+        result = run_replication(design, spec, 20)
+        summ = result.summary()
+        assert summ["n_ok"] == 20
+        assert summ["percent"] >= 80.0
+        assert summ["percent_random"] >= 80.0
+        assert np.median([row["rmse"] for row in result.rows]) <= 0.26
 
     def _failing_fit(self, monkeypatch, exc):
         def fail(*args, **kwargs):
