@@ -46,25 +46,13 @@ update computes w (y . c) once (per group for xi) and evaluates only A,
 through ``_ll_terms``, at each point; the xi step's Newton steps use A' and
 A'' instead.
 
-Without a given state, a chain starts at a prior draw whose likelihood is
-finite.  The search draws candidates ``_START_BATCH`` at a time with
-``sample_prior(..., n=...)`` on the model's dims with zero groups per block,
-which draws every field but xi, and sets what the mode fixes (r = 0 in
-ssvs-diagonal), as their chains would start.  ``_screen`` then walks the
-observations in row chunks of 1, 2, 4, ... rows.  For each chunk, and only
-for the candidates still alive, it draws each block's xi of the groups the
-chunk's rows reach, adds the chunk's kernel sum eta . w y - sum A to each
-candidate's running total, and drops a candidate as soon as that total is
-not finite, a NaN predictor included.  The first survivor in batch order is
-the start, and the xi of the groups that no row reached are drawn for it
-then; with no observations, that is every group.  Given kappa the xi of
-different groups are independent, so drawing them late leaves the start
-exactly the prior conditioned on a finite likelihood.  After
-``_START_BUDGET`` candidates the search raises ``SamplerError``.  On the
-paper's full-scale design about 1 in 500 prior draws is feasible in the
-ssvs modes, and none in ``no-selection``.  Most candidates drop out within
-the first rows, so there a start takes about 5 ms and a failing
-``no-selection`` search about 0.1 s (one core of a 2-core x86 host).
+Without a given state, a chain starts near a point estimate, overdispersed
+after Gelman & Rubin (1992) so that chains set out from different points.
+theta, phi, the indicators, r and m are one ``sample_prior`` draw.  beta is
+drawn from N(b, 4 H^-1) around the ridge-IRLS estimate b of the GLM with the
+random effects at 0, H its Newton precision (``_ridge_irls``); lam = 0.5,
+tau2 = kappa = 1, the family scale is 1 and xi ~ N(0, 1).  A start whose
+log-likelihood is not finite raises ``SamplerError``.
 
 The family scale has one update per kind.  The NB overdispersion is
 slice-updated on the sum of ``Family.log_likelihood`` at the cached predictor
@@ -100,7 +88,7 @@ import numpy as np
 
 from .errors import SamplerError
 from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE
-from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, linear_predictor
+from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
 from .model import total_log_likelihood  # noqa: F401
 from .priors import (
@@ -129,13 +117,10 @@ _SLICE_KINDS = ("beta", "phi", "lam", "r", "xi", "kappa", "m", "dispersion")
 _WIDTH_MIN = 1e-4
 _WIDTH_MAX = 1e4
 _ADAPT_MIN_COUNT = 20
-# the mode search of the xi proposal, GibbsEngine._group_laplace
+# the mode search of the xi proposal, GibbsEngine._group_laplace, and of the start's beta, GibbsEngine._ridge_irls
 _NEWTON_MAX_STEPS = 30
 _NEWTON_MAX_ETA_STEP = 2.0
 _NEWTON_TOL = 0.1
-# the start search screens prior draws in batches of _START_BATCH, at most _START_BUDGET of them in all
-_START_BATCH = 128
-_START_BUDGET = 20_000
 
 
 class _Width:
@@ -188,9 +173,8 @@ class GibbsEngine:
         self._wy = spec.family.kernel_w * data.y  # w y: the slope of the kernel's linear term is _wy . c
         self._update_scale = {"dispersion": self._update_dispersion, "sigma2": self._update_sigma2}.get(self._scale_attr)
 
-        if state is None:
-            state = self._draw_feasible_start()
-        self.state = state.copy()
+        drawn = state is None
+        self.state = self._draw_start() if drawn else state.copy()
         self.state.check_dims(self.dims)
         self._fix_by_mode(self.state)
 
@@ -198,11 +182,15 @@ class GibbsEngine:
         self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
         self.xi_accepted = self.xi_proposed = 0  # groups, over every xi column update
         self.recompute_caches()
+        if drawn:
+            ll = math.nan if np.isnan(self._eta).any() else self.log_likelihood()
+            if not math.isfinite(ll):
+                raise SamplerError(f"the start has log-likelihood {ll}: the model overflows near the ridge-IRLS estimate")
 
     # ------------------------------------------------------------------ setup
 
     def _fix_by_mode(self, state: ParameterState) -> None:
-        """Set what the mode fixes, in a state or a batch of them.
+        """Set what the mode fixes in a state.
 
         no-selection fixes every indicator at 1 and ssvs-diagonal every r at 0.
         """
@@ -214,83 +202,47 @@ class GibbsEngine:
             for bs in state.blocks:
                 bs.r[:] = 0.0
 
-    def _draw_feasible_start(self) -> ParameterState:
-        """Prior draw conditioned on a finite likelihood (valid start point).
-
-        Heavy-tailed prior draws can overflow a log link; any support point is
-        a legitimate chain start.  The first survivor of the first batch that
-        has one is kept, and the xi of the groups that no row reached are
-        drawn for it then (see the module docstring).
-        """
-        chunks = self._row_chunks()
-        reached = chunks[-1][1] if chunks else np.zeros(len(self.dims.blocks), dtype=int)
-        bare = ModelDims(l=self.dims.l, blocks=tuple((q, 0) for q, _ in self.dims.blocks))
-        for first in range(0, _START_BUDGET, _START_BATCH):
-            size = min(_START_BATCH, _START_BUDGET - first)
-            batch = sample_prior(self.hyper, bare, self.rng, self.spec.family, mode=self.mode, n=size)
-            self._fix_by_mode(batch)  # screen each candidate as its chain would start
-            survivors = self._screen(batch, chunks)
-            if survivors.size:
-                start = batch.take(int(survivors[0]))
-                for bs, (_, n_groups), reach in zip(start.blocks, self.dims.blocks, reached):
-                    bs.xi[reach:] = draw_xi(self.rng, bs.kappa, n_groups - reach)
-                return start
-        raise SamplerError(f"could not find a prior draw with finite likelihood in {_START_BUDGET} draws")
-
-    def _row_chunks(self) -> list:
-        """The observations in chunks of 1, 2, 4, ... rows, each with every block's reach after it.
-
-        A block's reach is 1 + the largest group index of the rows up to the
-        chunk's end: the groups whose xi the screen has drawn once it has
-        read the chunk.
-        """
-        chunks, start, size = [], 0, 1
-        reach = np.zeros(len(self.data.blocks), dtype=int)
-        while start < self.data.n_obs:
-            stop = min(start + size, self.data.n_obs)
-            reach = np.maximum(reach, [bdata.groups[start:stop].max() + 1 for bdata in self.data.blocks])
-            chunks.append((self.data.rows(start, stop), reach))
-            start, size = stop, 2 * size
-        return chunks
-
-    def _screen(self, batch: ParameterState, chunks: list) -> np.ndarray:
-        """The candidates of a batch whose log-likelihood is finite, as indices in batch order.
-
-        ``batch`` comes from ``sample_prior`` with zero groups per block; the
-        screen gives each block an (n, n_groups, q) xi of zeros and, chunk by
-        chunk of ``_row_chunks``, draws into it the xi of the groups the
-        chunk reaches, for the candidates still alive.  It sums the family
-        kernel eta . w y - sum A(y, eta, scale) over the chunks, as every
-        likelihood target of the engine does; the normalizing terms it
-        leaves out are finite at every valid y and prior-drawn scale.  A
-        candidate drops out at the first chunk after which its total is not
-        finite, so a NaN predictor drops it too.  With no observations every
-        candidate survives.
-        """
-        n = batch.beta.shape[0]
-        family = self.spec.family
-        scale = family.scale_of(batch)
-        beta_eff = batch.beta_eff()
-        for bs, (q, n_groups) in zip(batch.blocks, self.dims.blocks):
-            bs.xi = np.zeros((n, n_groups, q))
-        live, total = np.arange(n), np.zeros(n)
-        drawn = np.zeros(len(batch.blocks), dtype=int)
+    def _draw_start(self) -> ParameterState:
+        """The start of a chain without a given state (see the module docstring)."""
+        start = sample_prior(self.hyper, self.dims, self.rng, self.spec.family, mode=self.mode)
         with np.errstate(over="ignore", invalid="ignore"):
-            for chunk, reach in chunks:
-                blocks = []
-                for bs, lo, hi in zip(batch.blocks, drawn, reach):
-                    if hi > lo:
-                        bs.xi[live, lo:hi] = draw_xi(self.rng, bs.kappa[live], hi - lo)
-                    blocks.append((bs.lam[live], bs.r[live], bs.include[live], bs.xi[live, :hi]))
-                drawn = reach
-                eta = linear_predictor(chunk, beta_eff[live], blocks)
-                a = family.kernel_a(chunk.y, eta, None if scale is None else scale[live])
-                total = total + eta @ (family.kernel_w * chunk.y) - a.sum(axis=1)
-                keep = np.isfinite(total)
-                live, total = live[keep], total[keep]
-                if not live.size:
-                    break
-        return live
+            b, h = self._ridge_irls()
+            chol = np.linalg.cholesky(h)
+        start.beta = b + 2.0 * np.linalg.solve(chol.T, self.rng.standard_normal(b.size))  # N(b, 4 H^-1)
+        for bs, (q, n_groups) in zip(start.blocks, self.dims.blocks):
+            bs.lam, bs.tau2, bs.kappa = np.full(q, 0.5), np.ones(q), np.ones(q)
+            bs.xi = draw_xi(self.rng, bs.kappa, n_groups)
+        if self._scale_attr is not None:
+            setattr(start, self._scale_attr, 1.0)
+        return start
+
+    def _ridge_irls(self):
+        """The ridge-IRLS estimate b of beta, random effects at 0 and family scale at 1, and H at b.
+
+        Newton steps from 0 on the GLM log-likelihood plus the beta prior at
+        theta = sigma2 = 1, with gradient X'(w y - A') - g beta and precision
+        H = X' diag(A'') X + g I.  Each step is clipped to +-1 per coordinate,
+        since a Poisson step from far away overshoots.  The steps stop once
+        step' H step is below ``_NEWTON_TOL`` squared, or after
+        ``_NEWTON_MAX_STEPS`` of them.
+        """
+        data, family, g = self.data, self.spec.family, self.hyper.g_shrink
+        offset = 0.0 if data.offset is None else data.offset
+        scale = None if self._scale_attr is None else 1.0
+        ridge = g * np.eye(self.dims.l)
+
+        def derivatives(beta):
+            a1, a2 = family.kernel_a_derivatives(data.y, data.X @ beta + offset, scale)
+            return data.X.T @ (self._wy - a1) - g * beta, (data.X.T * a2) @ data.X + ridge
+
+        beta = np.zeros(self.dims.l)
+        for _ in range(_NEWTON_MAX_STEPS):
+            grad, h = derivatives(beta)
+            step = np.clip(np.linalg.solve(h, grad), -1.0, 1.0)
+            beta += step
+            if not step @ h @ step > _NEWTON_TOL**2:  # a NaN step stops too
+                break
+        return beta, derivatives(beta)[1]
 
     # ------------------------------------------------------- cached predictor
 

@@ -177,11 +177,8 @@ class Family:
     The family scale (the NB overdispersion r_disp or the gaussian residual
     variance sigma^2) is a sampled parameter, not part of the family: the
     likelihood and sampling methods take it as ``scale``, and
-    :meth:`scale_of` reads it from a state or a trace draw.  For a batch of
-    prior draws it is an (n, 1) column, one scale per candidate, which
-    broadcasts over (n, n_obs) predictor rows in :meth:`kernel_a`;
-    :meth:`log_likelihood` of the negative binomial takes one scale.  Kinds
-    without a scale ignore the argument.
+    :meth:`scale_of` reads it from a state or a trace draw.  Kinds without a
+    scale ignore the argument.
     """
 
     kind: str
@@ -205,7 +202,7 @@ class Family:
         return self.kind != "gaussian"
 
     def scale_of(self, source, index=None):
-        """The scale held by ``source``: a ParameterState (batched: a column), or a ChainTrace and draw ``index``.
+        """The scale held by ``source``: a ParameterState, or a ChainTrace and draw ``index``.
 
         None for kinds without a scale.
         """

@@ -109,13 +109,6 @@ class Dataset:
     def n_obs(self) -> int:
         return self.y.shape[0]
 
-    def rows(self, start: int, stop: int) -> "Dataset":
-        """Observations start to stop - 1, as a dataset whose blocks keep their groups and n_groups."""
-        s = slice(start, stop)
-        blocks = tuple(BlockData(Z=b.Z[s], groups=b.groups[s], n_groups=b.n_groups) for b in self.blocks)
-        offset = None if self.offset is None else self.offset[s]
-        return Dataset(y=self.y[s], X=self.X[s], blocks=blocks, offset=offset)
-
     @property
     def l(self) -> int:
         return self.X.shape[1]
@@ -267,10 +260,6 @@ class BlockState:
             m=self.m.copy(),
         )
 
-    def take(self, i: int) -> "BlockState":
-        """Draw i of a batch (every array has a leading draw axis), as views."""
-        return BlockState(**{f.name: getattr(self, f.name)[i] for f in fields(self)})
-
 
 @dataclass
 class ParameterState:
@@ -296,22 +285,6 @@ class ParameterState:
             blocks=[b.copy() for b in self.blocks],
             dispersion=self.dispersion,
             sigma2=self.sigma2,
-        )
-
-    def take(self, i: int) -> "ParameterState":
-        """Draw i of a batch from ``sample_prior(..., n=...)``, as views into it."""
-
-        def scale(value):  # an (n, 1) column in a batch; None or 1.0 where the kind has no such scale
-            return value if value is None or np.ndim(value) == 0 else float(value[i, 0])
-
-        return ParameterState(
-            beta=self.beta[i],
-            J=self.J[i],
-            theta=self.theta[i],
-            phi=self.phi[i],
-            blocks=[b.take(i) for b in self.blocks],
-            dispersion=scale(self.dispersion),
-            sigma2=scale(self.sigma2),
         )
 
     def check_dims(self, dims: ModelDims) -> None:
@@ -346,15 +319,12 @@ def linear_predictor(data: Dataset, beta_eff: np.ndarray, blocks) -> np.ndarray:
     """X beta_eff + the term of each random block + offset, for every observation.
 
     ``blocks`` holds one raw ``(lam, r, include, xi)`` per block of ``data``;
-    :func:`~glmmselect.cholesky.mask_factors` masks the factors.  Every
-    argument may carry the same leading draw axes, which the result
-    (..., n_obs) keeps.  A batch gives, row by row, the same bits as one draw
-    at a time.
+    :func:`~glmmselect.cholesky.mask_factors` masks the factors.
     """
-    eta = np.matmul(data.X, beta_eff[..., None])[..., 0]
+    eta = data.X @ beta_eff
     for bdata, (lam, r, include, xi) in zip(data.blocks, blocks):
         lam_eff, gamma = mask_factors(lam, r, include)
-        eta = eta + block_predictor(bdata.Z, bdata.groups, xi, lam_eff[..., None] * gamma)
+        eta = eta + block_predictor(bdata.Z, bdata.groups, xi, lam_eff[:, None] * gamma)
     if data.offset is not None:
         eta = eta + data.offset
     return eta

@@ -17,10 +17,10 @@ Hierarchies (per coefficient / effect), each with the function that draws it:
                    rate 0.01), gaussian sigma2 ~ IG(0.01, 0.01)); see
                    :mod:`glmmselect.families`
 
-:func:`sample_prior` draws a whole state (or a batch of them) from these
-stage functions, and the Gibbs engine redraws each excluded effect's
-hierarchy with the same ones.  :func:`log_prior_state` is the one prior
-density: the joint log prior of a state, every stage included.
+:func:`sample_prior` draws a whole state from these stage functions, and
+the Gibbs engine redraws each excluded effect's hierarchy with the same
+ones.  :func:`log_prior_state` is the one prior density: the joint log
+prior of a state, every stage included.
 
 Excluded coefficients keep evolving under the same slab density (pseudo-prior
 scheme), so indicator flips stay reversible with exact Bernoulli conditionals.
@@ -276,10 +276,7 @@ def _rate_pair(rng, shape):
 
 
 def draw_shrinkage(rng, shape, sigma2, g):
-    """(phi, theta, beta) of fixed effects from their prior, each of ``shape``.
-
-    ``sigma2`` broadcasts against ``shape`` (an (n, 1) column in a batch).
-    """
+    """(phi, theta, beta) of fixed effects from their prior, each of ``shape``."""
     phi, theta = _rate_pair(rng, shape)
     # numpy's normal(0, s) is s * standard_normal(); an array s takes its slow broadcasting path
     return phi, theta, rng.standard_normal(shape) * np.sqrt(sigma2 / (g * theta))
@@ -359,26 +356,14 @@ def sample_prior(
     rng: np.random.Generator,
     family: Family,
     mode: str = "ssvs-full",
-    n: int | None = None,
 ) -> ParameterState:
-    """Exact draw from the full joint prior (initialization and checks), one stage at a time.
+    """Exact draw from the full joint prior, one stage at a time.
 
     The family's scale, if its kind has one, is drawn from its prior into
-    the state field it names.  With ``n``, a batch of n independent draws:
-    every array gains a leading axis of length n, the family scale is an
-    (n, 1) column, and :meth:`ParameterState.take` picks one draw.  A batch
-    uses the generator in its own order, so it differs from n unbatched calls.
-    A block of ``dims`` with zero groups draws no latent effects: its xi is
-    empty and its m and kappa are drawn, so that :func:`draw_xi` can draw
-    the xi of any group from that kappa later.
+    the state field it names.
     """
     pi = hyper.prior_inclusion
     field = family.scale.field if family.scale is not None else None
-    lead = () if n is None else (n,)
-
-    def draw_scale():
-        value = family.scale.draw_prior(rng, None if n is None else (n, 1))
-        return float(value) if n is None else value
 
     def indicators(shape):
         if mode == "no-selection":
@@ -386,17 +371,17 @@ def sample_prior(
         return (rng.random(shape) < pi).astype(np.int8)
 
     # sigma2 enters the beta prior, so it is drawn first; any other scale is drawn last
-    sigma2 = draw_scale() if field == "sigma2" else 1.0
-    phi, theta, beta = draw_shrinkage(rng, lead + (dims.l,), sigma2, hyper.g_shrink)
-    J = indicators(lead + (dims.l,))
+    sigma2 = float(family.scale.draw_prior(rng)) if field == "sigma2" else 1.0
+    phi, theta, beta = draw_shrinkage(rng, (dims.l,), sigma2, hyper.g_shrink)
+    J = indicators((dims.l,))
     blocks = []
     for q, n_groups in dims.blocks:
-        include = indicators(lead + (q,))
-        tau2, lam = draw_slab(rng, lead + (q,), hyper)
-        r = draw_correlations(rng, lead + (q * (q - 1) // 2,))
-        m, kappa, xi = draw_latent(rng, lead + (q,), n_groups)
+        include = indicators((q,))
+        tau2, lam = draw_slab(rng, (q,), hyper)
+        r = draw_correlations(rng, (q * (q - 1) // 2,))
+        m, kappa, xi = draw_latent(rng, (q,), n_groups)
         blocks.append(BlockState(lam=lam, include=include, tau2=tau2, r=r, xi=xi, kappa=kappa, m=m))
-    dispersion = draw_scale() if field == "dispersion" else None
+    dispersion = float(family.scale.draw_prior(rng)) if field == "dispersion" else None
     return ParameterState(
         beta=beta, J=J, theta=theta, phi=phi, blocks=blocks, dispersion=dispersion, sigma2=sigma2
     )

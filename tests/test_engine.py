@@ -21,10 +21,11 @@ from glmmselect.model import (
     total_log_likelihood,
 )
 from glmmselect.cholesky import mask_factors
-from glmmselect.errors import ConfigurationError, NumericError, SamplerError
+from glmmselect.errors import ConfigurationError, SamplerError
 from glmmselect.families import Family
-from glmmselect.priors import draw_xi, log_prior_state, sample_prior
-from glmmselect.simulate import build_model_spec, full_scale_design, simulate_dataset
+from glmmselect.priors import draw_latent, draw_shrinkage, draw_slab, log_prior_state, sample_prior
+from glmmselect.sampler import run_chains
+from glmmselect.simulate import build_model_spec, full_scale_design, scaled_design, simulate_dataset
 
 KINDS = ("poisson", "negative_binomial", "gaussian", "bernoulli")
 
@@ -112,8 +113,7 @@ class TestIndicatorConditional:
         # the flips below move the cached predictor by deltas; each check compares it with a recompute
         q = 4
         spec, data = toy_setup(21, q=q)
-        # start at this generator's first prior draw, a moderate state: the absolute tolerances below
-        # need one, and a feasible start from the search can have a log-likelihood near -1e29
+        # start at this generator's first prior draw, a moderate state: the absolute tolerances below need one
         rng = np.random.default_rng(22)
         start = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family)
         engine = GibbsEngine(spec, data, rng=rng, state=start)
@@ -458,9 +458,12 @@ class TestEmptyData:
             engine.scan()
             st, bs = engine.state, engine.state.blocks[0]
             chain[i] = st.theta[0], st.phi[0], bs.tau2[0], bs.kappa[0], bs.m[0]
-        prior = sample_prior(spec.hyper, engine.dims, np.random.default_rng(2), spec.family, n=20_000)
-        pb = prior.blocks[0]
-        reference = [prior.theta[:, 0], prior.phi[:, 0], pb.tau2[:, 0], pb.kappa[:, 0], pb.m[:, 0]]
+        # 20,000 prior draws from the stage functions sample_prior uses; sigma2 is 1 for the poisson
+        prior_rng, size = np.random.default_rng(2), (20_000,)
+        phi, theta, _ = draw_shrinkage(prior_rng, size, 1.0, spec.hyper.g_shrink)
+        tau2, _ = draw_slab(prior_rng, size, spec.hyper)
+        m, kappa, _ = draw_latent(prior_rng, size, 1)
+        reference = [theta, phi, tau2, kappa, m]
         # thinned to 600 draws: the autocorrelations of these chains are near 0 by lag 20
         for name, draws, ref in zip(("theta", "phi", "tau2", "kappa", "m"), chain[::thin].T, reference):
             assert stats.ks_2samp(draws, ref).pvalue > 1e-3, name
@@ -705,245 +708,80 @@ class TestGibbsScan:
         assert stats.kstest(np.log(draws), lambda x: np.interp(x, log_r, cdf)).pvalue > 1e-3
 
 
-def reference_verdict(spec, state, data) -> bool:
-    """Whether a state is a valid start, from the full likelihood; a NaN predictor is not."""
-    try:
-        with np.errstate(all="ignore"):
-            return math.isfinite(total_log_likelihood(spec, state, data))
-    except NumericError:
-        return False
+class TestStart:
+    @pytest.mark.parametrize("design", [full_scale_design(), scaled_design()], ids=["full", "scaled"])
+    def test_no_selection_starts_on_the_paper_designs(self, design):
+        # no prior draw with every effect in had a finite likelihood on these designs
+        data, _ = simulate_dataset(design, 0)
+        spec = build_model_spec(design, mode="no-selection")
+        for seed in range(1, 41):
+            engine = GibbsEngine(spec, data, rng=np.random.default_rng(seed))
+            assert math.isfinite(engine.log_likelihood()), seed
 
+    @pytest.mark.parametrize("mode", ["ssvs-full", "ssvs-diagonal", "no-selection"])
+    @pytest.mark.parametrize("kind", ["bernoulli", "gaussian"])
+    def test_bernoulli_and_gaussian_chains_run(self, kind, mode):
+        # heavy-tailed prior starts put these kernels' slice targets beyond float resolution
+        design = scaled_design()
+        data, _ = simulate_dataset(design, 0)
+        data = replace(data, y=(data.y > 0).astype(float) if kind == "bernoulli" else np.log1p(data.y))
+        spec = replace(build_model_spec(design, mode=mode), family=Family(kind))
+        for seed in (1, 2, 3):
+            engine = GibbsEngine(spec, data, rng=np.random.default_rng(seed))
+            engine.adapting = True
+            for _ in range(60):
+                engine.scan()
+            assert math.isfinite(engine.log_posterior()), seed
 
-def bare_batch(spec, data, seed, n=32):
-    """n prior candidates as the start search draws them: every field but xi, which is empty."""
-    dims = ModelDims.of(spec, data)
-    bare = replace(dims, blocks=tuple((q, 0) for q, _ in dims.blocks))
-    return sample_prior(spec.hyper, bare, np.random.default_rng(seed), spec.family, mode=spec.mode, n=n)
+    def test_one_prior_draw_and_the_same_start_per_seed(self, monkeypatch):
+        spec, data = toy_setup(30, q=2, kind="negative_binomial")
+        calls = []
 
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return sample_prior(*args, **kwargs)
 
-def crossed_setup(seed=60):
-    """Two random blocks with crossed groupings, whose group indices are not in row order.
-
-    Block a has a random intercept and slope over 6 shuffled groups, block b
-    a random intercept over 4.  Block b's group 3 has one row, row 1, where
-    its design value is 3000: that row overflows unless lam xi of the group
-    is small, and the second row chunk (rows 1 and 2) reaches group 3 in its
-    first row, before groups 1 and 2.
-    """
-    rng = np.random.default_rng(seed)
-    n_obs = 24
-    X = rng.standard_normal((n_obs, 2))
-    X[:, 0] = 1.0
-    groups_a = rng.permutation(np.repeat(np.arange(6), 4))
-    groups_b = np.concatenate([[0, 3], np.tile(np.arange(3), 8)[:22]])
-    Z_a = np.column_stack([np.ones(n_obs), rng.standard_normal(n_obs)])
-    Z_b = np.ones((n_obs, 1))
-    Z_b[1] = 3000.0
-    data = Dataset(
-        y=rng.poisson(1.5, n_obs).astype(float),
-        X=X,
-        blocks=(BlockData(Z=Z_a, groups=groups_a, n_groups=6), BlockData(Z=Z_b, groups=groups_b, n_groups=4)),
-    )
-    spec = ModelSpec(
-        family=Family(kind="poisson"),
-        response="y",
-        fixed_effects=("1", "x2"),
-        random_blocks=(RandomBlock(group="a", columns=("1", "z")), RandomBlock(group="b", columns=("1",))),
-        hyper=Hyperparameters(v=1.0, nu=1.0),
-    )
-    return spec, data
-
-
-def binding_offset_setup(seed=62):
-    """The q = 2 toy model with an offset of 708 on every fifth row: exp(eta) overflows there once eta > 1.78."""
-    spec, data = toy_setup(seed, q=2)
-    offset = np.where(np.arange(data.n_obs) % 5 == 4, 708.0, 0.0)
-    return replace(spec, offset="off"), replace(data, offset=offset)
-
-
-class TestFeasibleStart:
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_batch_verdict_matches_full_likelihood(self, kind):
-        spec, data = toy_setup(27, q=2, kind=kind)
-        spec = replace(spec, hyper=Hyperparameters())  # heavy-tailed slab: many overflowing draws
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(28))
-        batch = bare_batch(spec, data, 29)
-        batch.beta[0] = 1e308  # overflows every family: eta reaches inf
-        batch.beta[1, 0] = np.nan  # NaN predictor: not a start, where total_log_likelihood raises
-        batch.beta[2] = 0.0  # finite for every family
-        batch.J[2] = 0
-        batch.blocks[0].include[2] = 0
-        survivors = engine._screen(batch, engine._row_chunks())
-        with pytest.raises(NumericError):
-            total_log_likelihood(spec, batch.take(1), data)
-        # a dropped candidate keeps xi = 0 in the groups the screen never reached for it; the rows
-        # that dropped it make its full likelihood non-finite whatever those groups hold
-        want = [reference_verdict(spec, batch.take(i), data) for i in range(32)]
-        assert np.isin(np.arange(32), survivors).tolist() == want
-        assert not want[0] and not want[1] and want[2]
-        assert np.all(np.diff(survivors) > 0)
-        # the toy rows reach every group, so each survivor has all its xi drawn
-        assert np.all(batch.blocks[0].xi[survivors] != 0.0)
-
-    def test_start_is_first_feasible_candidate(self, monkeypatch):
-        spec, data = toy_setup(30, q=2)
-        spec = replace(spec, hyper=Hyperparameters())
-        batches = []
-
-        def recorded(*args, **kwargs):
-            batches.append(sample_prior(*args, **kwargs))
-            return batches[-1]
-
-        monkeypatch.setattr(engine_module, "sample_prior", recorded)
-        start = GibbsEngine(spec, data, rng=np.random.default_rng(31)).state
-        verdicts = [[reference_verdict(spec, b.take(i), data) for i in range(b.beta.shape[0])] for b in batches]
-        assert not any(any(v) for v in verdicts[:-1])
-        first = verdicts[-1].index(True)
-        assert first > 0  # infeasible candidates came first
-        want = batches[-1].take(first)
+        monkeypatch.setattr(engine_module, "sample_prior", counted)
+        first = GibbsEngine(spec, data, rng=np.random.default_rng(31)).state
+        assert len(calls) == 1
+        second = GibbsEngine(spec, data, rng=np.random.default_rng(31)).state
         for name in ("beta", "J", "theta", "phi"):
-            np.testing.assert_array_equal(getattr(start, name), getattr(want, name))
+            np.testing.assert_array_equal(getattr(first, name), getattr(second, name))
         for name in ("lam", "include", "tau2", "r", "xi", "kappa", "m"):
-            np.testing.assert_array_equal(getattr(start.blocks[0], name), getattr(want.blocks[0], name))
+            np.testing.assert_array_equal(getattr(first.blocks[0], name), getattr(second.blocks[0], name))
+        assert first.dispersion == second.dispersion == 1.0
+        np.testing.assert_array_equal(first.blocks[0].lam, 0.5)
+        np.testing.assert_array_equal(first.blocks[0].kappa, 1.0)
 
-    def test_diagonal_mode_screens_candidates_with_zero_r(self, monkeypatch):
-        # candidate 0 overflows only through its r entry, which ssvs-diagonal fixes at 0, so it is feasible
-        spec, data = toy_setup(40, q=2, mode="ssvs-diagonal")
-        batch = bare_batch(spec, data, 41)
-        batch.beta[0] = 0.0
-        bs = batch.blocks[0]
-        bs.include[0], bs.lam[0], bs.kappa[0], bs.r[0] = 1, 1.0, 1.0, 1e200
-        full = GibbsEngine(replace(spec, mode="ssvs-full"), data, rng=np.random.default_rng(43))
-        assert 0 not in full._screen(batch.copy(), full._row_chunks())
-        monkeypatch.setattr(engine_module, "sample_prior", lambda *args, **kwargs: batch)
-        start = GibbsEngine(spec, data, rng=np.random.default_rng(42)).state
-        np.testing.assert_array_equal(start.beta, 0.0)
-        np.testing.assert_array_equal(start.blocks[0].lam, 1.0)
-        np.testing.assert_array_equal(start.blocks[0].kappa, 1.0)
-        assert np.all(start.blocks[0].r == 0.0)
+    def test_infeasible_model_raises(self):
+        spec, data = toy_setup(37)
+        # exp(eta) overflows at every observation for any beta
+        data = replace(data, offset=np.full(data.n_obs, 1e300))
+        spec = replace(spec, offset="off")
+        with pytest.raises(SamplerError, match="log-likelihood"):
+            GibbsEngine(spec, data, rng=np.random.default_rng(38))
 
-    def test_matches_sequential_rejection_sampler(self):
-        # about 0.29 of this model's prior draws are feasible, so the condition shapes the start:
-        # included effects with a huge slab value overflow, so inclusion is rarer than its prior 0.5
-        spec, data = toy_setup(32, q=2)
-        spec = replace(spec, hyper=Hyperparameters())
-        dims = ModelDims.of(spec, data)
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(33))
-        rng = np.random.default_rng(34)
-        n = 3000
-
-        def sequential():
-            while True:
-                state = sample_prior(spec.hyper, dims, rng, spec.family)
-                if reference_verdict(spec, state, data):
-                    return state
-
-        batched = [engine._draw_feasible_start() for _ in range(n)]
-        reference = [sequential() for _ in range(n)]
-
-        def marginals(states):
-            return {
-                "beta1": [s.beta[0] for s in states],
-                "log lam1": [math.log(s.blocks[0].lam[0]) for s in states],
-                "log kappa2": [math.log(s.blocks[0].kappa[1]) for s in states],
-                "xi11": [s.blocks[0].xi[0, 0] for s in states],
-            }
-
-        got, ref = marginals(batched), marginals(reference)
-        for name in got:
-            assert stats.ks_2samp(got[name], ref[name]).pvalue > 1e-3, name
-
-        def patterns(states):
-            codes = [int("".join(map(str, np.concatenate([s.J, s.blocks[0].include]))), 2) for s in states]
-            return np.bincount(codes, minlength=16)
-
-        table = np.array([patterns(batched), patterns(reference)])
-        table = table[:, table.sum(axis=0) > 0]
-        assert stats.chi2_contingency(table).pvalue > 1e-3
-        include_rate = np.mean([s.blocks[0].include for s in reference])
-        assert include_rate < 0.45  # the condition matters here
-
-    @pytest.mark.parametrize("case", ["crossed", "offset"])
-    def test_matches_sequential_rejection_sampler_beyond_the_toy(self, case):
-        # the toy oracle above has one block in row order and no offset; here the screen must add the
-        # offset of each chunk's rows, and draw xi for groups that rows reach out of order, in two blocks
-        spec, data = crossed_setup() if case == "crossed" else binding_offset_setup()
-        dims = ModelDims.of(spec, data)
-        engine = GibbsEngine(spec, data, rng=np.random.default_rng(63))
-        rng = np.random.default_rng(64)
-        n = 2000
-
-        def sequential():
-            while True:
-                state = sample_prior(spec.hyper, dims, rng, spec.family)
-                if reference_verdict(spec, state, data):
-                    return state
-
-        screened = [engine._draw_feasible_start() for _ in range(n)]
-        reference = [sequential() for _ in range(n)]
-
-        def marginals(states):
-            out = {"beta1": [s.beta[0] for s in states], "beta2": [s.beta[1] for s in states]}
-            for bi, (_, n_groups) in enumerate(dims.blocks):
-                out[f"log lam{bi}"] = [math.log(s.blocks[bi].lam[0]) for s in states]
-                for g in (0, n_groups - 1):
-                    out[f"xi{bi} g{g}"] = [s.blocks[bi].xi[g, 0] for s in states]
-            return out
-
-        got, ref = marginals(screened), marginals(reference)
-        for name in got:
-            assert stats.ks_2samp(got[name], ref[name]).pvalue > 1e-3, name
-
-        def patterns(states):
-            bits = [np.concatenate([s.J] + [bs.include for bs in s.blocks]) for s in states]
-            return np.bincount([int("".join(map(str, b)), 2) for b in bits], minlength=2 ** len(bits[0]))
-
-        table = np.array([patterns(screened), patterns(reference)])
-        table = table[:, table.sum(axis=0) > 0]
-        assert stats.chi2_contingency(table).pvalue > 1e-3
-        # the condition matters here: in the crossed case it cuts the upper tail of block b's group 3,
-        # whose prior is symmetric, and the offset cuts that of the intercept, whose prior 0.9 quantile is about 1.2
-        if case == "crossed":
-            assert np.mean(np.array(ref["xi1 g3"]) > 0.0) < 0.45
-            assert not np.all(np.diff(data.blocks[0].groups) >= 0) and not np.all(np.diff(data.blocks[1].groups) >= 0)
-        else:
-            assert np.quantile(ref["beta1"], 0.9) < 0.9
-
-    def test_empty_dataset_takes_first_candidate(self):
-        spec, _ = toy_setup(35)
+    def test_empty_dataset_start_has_the_model_shapes(self):
+        spec, _ = toy_setup(35, q=2)
         data0 = Dataset(
             y=np.zeros(0),
             X=np.zeros((0, 2)),
-            blocks=(BlockData(Z=np.zeros((0, 1)), groups=np.zeros(0, dtype=int), n_groups=3),),
+            blocks=(BlockData(Z=np.zeros((0, 2)), groups=np.zeros(0, dtype=int), n_groups=3),),
         )
-        # the first candidate of the first batch, then its xi for all 3 groups: no row reached any
-        rng = np.random.default_rng(36)
-        bare = ModelDims(l=2, blocks=((1, 0),))
-        want = sample_prior(spec.hyper, bare, rng, spec.family, n=engine_module._START_BATCH).take(0)
-        want_xi = draw_xi(rng, want.blocks[0].kappa, 3)
-        start = GibbsEngine(spec, data0, rng=np.random.default_rng(36)).state
-        np.testing.assert_array_equal(start.beta, want.beta)
-        np.testing.assert_array_equal(start.blocks[0].lam, want.blocks[0].lam)
-        np.testing.assert_array_equal(start.blocks[0].kappa, want.blocks[0].kappa)
-        np.testing.assert_array_equal(start.blocks[0].xi, want_xi)
-        assert want_xi.shape == (3, 1) and np.all(want_xi != 0.0)
+        engine = GibbsEngine(spec, data0, rng=np.random.default_rng(36))
+        start = engine.state
+        start.check_dims(engine.dims)
+        assert start.blocks[0].xi.shape == (3, 2) and np.all(start.blocks[0].xi != 0.0)
+        assert np.all(np.isfinite(start.beta)) and engine.log_likelihood() == 0.0
 
-    def test_infeasible_model_raises_after_budget(self, monkeypatch):
-        spec, data = toy_setup(37)
-        # exp(eta) overflows at every observation for any prior draw
-        data = replace(data, offset=np.full(data.n_obs, 1e300))
-        spec = replace(spec, offset="off")
-        screened = []
-        screen = GibbsEngine._screen
-
-        def counted(engine, batch, chunks):
-            screened.append(batch.beta.shape[0])
-            return screen(engine, batch, chunks)
-
-        monkeypatch.setattr(GibbsEngine, "_screen", counted)
-        with pytest.raises(SamplerError, match="20000 draws"):
-            GibbsEngine(spec, data, rng=np.random.default_rng(38))
-        assert sum(screened) == 20_000
+    def test_gaussian_chains_stay_at_the_data_scale(self):
+        # a prior start put sigma2 near 1e86 and held beta1 near 1e43 in every recorded draw at seed 11
+        spec, data = toy_setup(0, n=15, n_i=4, kind="gaussian", mode="no-selection")
+        for seed in (1, 2, 11):
+            spec = replace(spec, sampler=SamplerSettings(chains=2, adapt=25, burnin=10, kept=30, seed=seed))
+            for chain in run_chains(spec, data).chains:
+                assert np.all(np.abs(chain.beta) < 1e3), seed
+                assert np.all(np.isfinite(chain.sigma2)), seed
 
 
 class TestSliceWidths:

@@ -181,14 +181,12 @@ class TestSingleFormula:
         assert a1.shape == a2.shape == eta.shape
         assert np.all(a2 >= 0.0)
 
-    def test_scale_of_state_batch_and_trace_draw(self):
+    def test_scale_of_state_and_trace_draw(self):
         dims = ModelDims(l=2, blocks=((1, 3),))
         rng = np.random.default_rng(6)
         fam_nb, fam_g = Family("negative_binomial"), Family("gaussian")
         state = sample_prior(Hyperparameters(), dims, rng, fam_nb)
-        batch = sample_prior(Hyperparameters(), dims, rng, fam_g, n=4)
         assert fam_nb.scale_of(state) == state.dispersion
-        assert fam_g.scale_of(batch).shape == (4, 1)
         trace_draws = SimpleNamespace(sigma2=np.array([0.5, 1.5, 2.5]))
         assert fam_g.scale_of(trace_draws, 1) == 1.5
         assert Family("poisson").scale_of(state) is None

@@ -14,7 +14,6 @@ from glmmselect.model import (
     ModelSpec,
     RandomBlock,
     SamplerSettings,
-    linear_predictor,
     linear_predictor_all,
     total_log_likelihood,
 )
@@ -206,27 +205,6 @@ class TestLinearPredictor:
         eta_with = linear_predictor_all(spec, state, data)
         eta_without = linear_predictor_all(spec, state, base)
         np.testing.assert_allclose(eta_with - eta_without, off, atol=1e-12)
-
-    @pytest.mark.parametrize("q", [1, 3])
-    def test_batch_rows_match_single_draws(self, q):
-        # the start search screens a batch of prior draws; each row must be
-        # the bits of that draw's own predictor, offset included
-        rng = np.random.default_rng(9)
-        n_obs, n_groups = 24, 6
-        X = rng.standard_normal((n_obs, 4))
-        block = BlockData(Z=X[:, :q], groups=np.arange(n_obs) % n_groups, n_groups=n_groups)
-        data = Dataset(y=np.zeros(n_obs), X=X, blocks=(block,), offset=rng.standard_normal(n_obs))
-        spec = ModelSpec(
-            family=Family(kind="poisson"),
-            response="y",
-            fixed_effects=("a", "b", "c", "d"),
-            random_blocks=(RandomBlock(group="g", columns=tuple("abc"[:q])),),
-        )
-        batch = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, spec.family, n=16)
-        eta = linear_predictor(data, batch.beta_eff(), [(bs.lam, bs.r, bs.include, bs.xi) for bs in batch.blocks])
-        assert eta.shape == (16, n_obs)
-        for i in range(16):
-            np.testing.assert_array_equal(eta[i], linear_predictor_all(spec, batch.take(i), data))
 
 
 class TestTotalLogLikelihood:

@@ -272,7 +272,7 @@ class TestSamplers:
             assert np.all(st.blocks[0].include == 1)
 
     def test_unbatched_prior_draw_unchanged(self):
-        # sha256 of unbatched draws made before the batch axis was added to sample_prior
+        # sha256 of seeded prior draws: the prior stream must not change
         digest = hashlib.sha256()
         dims = ModelDims(l=3, blocks=((3, 5), (1, 4)))
         for kind in KINDS:
@@ -285,20 +285,6 @@ class TestSamplers:
                         digest.update(a.tobytes())
                 digest.update(repr((s.dispersion, s.sigma2)).encode())
         assert digest.hexdigest() == "81a3a55d8253ae0ced57853e17671370a90093a9b15c8cbc0e33209f248a08b6"
-
-    def test_batch_draw_shapes(self):
-        dims = ModelDims(l=3, blocks=((3, 5),))
-        for kind in KINDS:
-            batch = sample_prior(Hyperparameters(), dims, np.random.default_rng(39), Family(kind), n=4)
-            assert batch.beta.shape == (4, 3) and batch.blocks[0].xi.shape == (4, 5, 3)
-            assert batch.blocks[0].r.shape == (4, 3)
-            scale = {"negative_binomial": batch.dispersion, "gaussian": batch.sigma2}.get(kind)
-            assert scale is None or scale.shape == (4, 1)
-            for i in range(4):
-                one = batch.take(i)
-                one.check_dims(dims)
-                assert isinstance(one.sigma2, float)
-                assert one.dispersion is None or isinstance(one.dispersion, float)
 
 
 def log_cdf_table(logpdf):
