@@ -753,6 +753,56 @@ class TestStart:
         np.testing.assert_array_equal(first.blocks[0].lam, 0.5)
         np.testing.assert_array_equal(first.blocks[0].kappa, 1.0)
 
+    @pytest.mark.parametrize("mode", ["ssvs-full", "ssvs-diagonal", "no-selection"])
+    def test_prior_part_of_the_start_keeps_the_mode_fixes(self, mode):
+        spec, data = toy_setup(40, q=3, mode=mode)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(41))
+        prior = sample_prior(spec.hyper, engine.dims, np.random.default_rng(41), spec.family, mode=mode)
+        start, bs, pbs = engine.state, engine.state.blocks[0], prior.blocks[0]
+        for name in ("J", "theta", "phi"):
+            np.testing.assert_array_equal(getattr(start, name), getattr(prior, name))
+        for name in ("include", "m"):
+            np.testing.assert_array_equal(getattr(bs, name), getattr(pbs, name))
+        np.testing.assert_array_equal(bs.r, 0.0 if mode == "ssvs-diagonal" else pbs.r)
+        if mode == "no-selection":
+            assert np.all(start.J == 1) and np.all(bs.include == 1)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_ridge_irls_is_the_penalized_mode(self, kind):
+        # b maximises the GLM log-likelihood (random effects 0, offset in, scale 1) minus g/2 |b|^2,
+        # and H is that target's negative Hessian there
+        spec, data = with_offset(*toy_setup(42, n=12, kind=kind), seed=43)
+        spec = replace(spec, hyper=replace(spec.hyper, g_shrink=2.5))
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(44))
+        scale = None if spec.family.scale is None else 1.0
+
+        def target(beta):
+            eta = data.X @ beta + data.offset
+            return spec.family.log_likelihood(data.y, eta, scale).sum() - 1.25 * beta @ beta
+
+        b, h = engine._ridge_irls()
+        oracle = optimize.minimize(lambda beta: -target(beta), np.zeros(2), method="BFGS", options={"gtol": 1e-10})
+        np.testing.assert_allclose(b, oracle.x, atol=1e-5)
+        step, eye = 1e-4, np.eye(2)
+        hessian = [
+            [(target(b + step * (ei + ej)) - target(b + step * (ei - ej)) - target(b - step * (ei - ej))
+              + target(b - step * (ei + ej))) / (4 * step**2) for ej in eye]
+            for ei in eye
+        ]
+        np.testing.assert_allclose(h, -np.array(hessian), rtol=1e-4)
+
+    def test_start_beta_is_overdispersed_around_the_estimate(self):
+        # beta ~ N(b, 4 H^-1): with H = L L', z = L' (beta - b) / 2 is standard normal
+        spec, data = toy_setup(45, kind="negative_binomial")
+        b, h = GibbsEngine(spec, data, rng=np.random.default_rng(0))._ridge_irls()
+        chol = np.linalg.cholesky(h)
+        z = np.array(
+            [chol.T @ (GibbsEngine(spec, data, rng=np.random.default_rng(seed)).state.beta - b) / 2.0 for seed in range(1, 401)]
+        )
+        for k in range(z.shape[1]):
+            assert stats.kstest(z[:, k], "norm").pvalue > 1e-3, k
+        np.testing.assert_allclose(np.cov(z.T), np.eye(z.shape[1]), atol=0.2)
+
     def test_infeasible_model_raises(self):
         spec, data = toy_setup(37)
         # exp(eta) overflows at every observation for any beta
