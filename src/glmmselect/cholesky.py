@@ -44,18 +44,17 @@ def mask_factors(lam: np.ndarray, r: np.ndarray, include: np.ndarray) -> tuple[n
     row k and column k of the unit lower-triangular (q, q) gamma are exact
     zeros (diagonal kept at 1).  Raw values are not modified.  The caller
     passes float ``lam`` and ``include`` of length q, and ``r`` of length
-    q(q-1)/2, unchecked.  All three may carry the same leading draw axes;
-    gamma is then (..., q, q).
+    q(q-1)/2, unchecked.
     """
-    q = lam.shape[-1]
+    q = lam.shape[0]
     lam_eff = np.where(include, lam, 0.0)
-    gamma = np.zeros(lam_eff.shape + (q,))
+    gamma = np.zeros((q, q))
     if np.count_nonzero(r):
-        gamma[(..., *tril_pairs(q))] = r
+        gamma[tril_pairs(q)] = r
         dead = lam_eff == 0.0
-        gamma[dead] = 0.0                          # rows k
-        np.swapaxes(gamma, -1, -2)[dead] = 0.0     # columns k
-    gamma.reshape(lam_eff.shape[:-1] + (q * q,))[..., :: q + 1] = 1.0   # the diagonal
+        gamma[dead] = 0.0       # rows k
+        gamma[:, dead] = 0.0    # columns k
+    gamma.reshape(q * q)[:: q + 1] = 1.0   # the diagonal
     return lam_eff, gamma
 
 

@@ -346,8 +346,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        check_int("--workers", args.workers, 1)
         return args.func(args)
-    except GlmmSelectError as exc:
+    except (GlmmSelectError, OSError) as exc:  # OSError: an --out path that is a file, a full disk, ...
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

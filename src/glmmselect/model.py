@@ -250,15 +250,7 @@ class BlockState:
     m: np.ndarray       # (q,) rate latents for kappa
 
     def copy(self) -> "BlockState":
-        return BlockState(
-            lam=self.lam.copy(),
-            include=self.include.copy(),
-            tau2=self.tau2.copy(),
-            r=self.r.copy(),
-            xi=self.xi.copy(),
-            kappa=self.kappa.copy(),
-            m=self.m.copy(),
-        )
+        return BlockState(**{f.name: getattr(self, f.name).copy() for f in fields(self)})
 
 
 @dataclass
@@ -277,15 +269,14 @@ class ParameterState:
         return self.beta * self.J
 
     def copy(self) -> "ParameterState":
-        return ParameterState(
-            beta=self.beta.copy(),
-            J=self.J.copy(),
-            theta=self.theta.copy(),
-            phi=self.phi.copy(),
-            blocks=[b.copy() for b in self.blocks],
-            dispersion=self.dispersion,
-            sigma2=self.sigma2,
-        )
+        """A copy that shares no array and no block with this state."""
+
+        def copied(value):
+            if isinstance(value, list):
+                return [b.copy() for b in value]
+            return value.copy() if isinstance(value, np.ndarray) else value
+
+        return ParameterState(**{f.name: copied(getattr(self, f.name)) for f in fields(self)})
 
     def check_dims(self, dims: ModelDims) -> None:
         """Raise ConfigurationError unless every array of the state has the shape ``dims`` gives it."""
@@ -308,11 +299,10 @@ def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings:
     """One random block's term of eta: row j gets Z[j] . (loadings @ xi[groups[j]]).
 
     ``loadings`` is Lambda_eff Gamma_eff (q, q) and ``xi`` the (n_groups, q)
-    latent effects.  Both may carry the same leading draw axes, which the
-    result (..., n_obs) keeps.
+    latent effects.
     """
-    rho = xi @ loadings.swapaxes(-1, -2)   # (..., n_groups, q) effect vectors
-    return np.einsum("ij,...ij->...i", Z, np.take(rho, groups, axis=-2))
+    rho = xi @ loadings.T   # (n_groups, q) effect vectors
+    return np.einsum("ij,ij->i", Z, rho[groups])
 
 
 def linear_predictor(data: Dataset, beta_eff: np.ndarray, blocks) -> np.ndarray:

@@ -13,6 +13,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .model import Dataset, ModelSpec, linear_predictor
+from .priors import draw_xi
 
 __all__ = ["PpcSummary", "replicate_data", "rootogram", "mean_sd_scatter"]
 
@@ -31,8 +32,7 @@ def _draw_eta(data: Dataset, chain, i: int, rng, conditional: bool) -> np.ndarra
         if conditional:
             xi = chain.xi[bi][i]
         else:
-            kappa = chain.kappa[bi][i]
-            xi = rng.standard_normal((bdata.n_groups, bdata.q)) * np.sqrt(kappa)[None, :]
+            xi = draw_xi(rng, chain.kappa[bi][i], bdata.n_groups)
         blocks.append((chain.lam[bi][i], chain.r[bi][i], chain.include[bi][i], xi))
     return linear_predictor(data, chain.beta[i] * chain.J[i], blocks)
 

@@ -187,7 +187,6 @@ def build_model_spec(
 class ReplicationResult:
     """Per-replicate rows plus aggregates recomputable from them."""
 
-    design: SimDesign
     rows: list  # dicts: replicate, mode, ok, modal label bits, flags, rmse
 
     def summary(self) -> dict:
@@ -219,7 +218,6 @@ def _fit_one_replicate(design: SimDesign, spec: ModelSpec, replicate: int) -> li
             ok=True,
             modal_fixed=modal.fixed,
             modal_random=modal.random[0],
-            marginal_modal_random=rand_pattern,
             true_model=modal.fixed == true_fixed and modal.random[0] == true_random,
             random_correct=rand_pattern == true_random,
             rmse=fixed_effect_rmse(trace, beta),
@@ -239,7 +237,7 @@ def run_replication(
     """Simulate-fit-score over replicates in ``spec.mode``; embarrassingly parallel."""
     tasks = [(design, spec, rep) for rep in range(n_replicates)]
     rows = [row for rep_rows in process_map(_fit_one_replicate, tasks, workers) for row in rep_rows]
-    return ReplicationResult(design=design, rows=rows)
+    return ReplicationResult(rows=rows)
 
 
 def run_grid(

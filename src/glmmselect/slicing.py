@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import SamplerError
 
-__all__ = ["slice_update", "slice_update_vec", "SliceStats"]
+__all__ = ["slice_update", "SliceStats"]
 
 _MAX_SHRINK = 1000
 
@@ -88,74 +88,3 @@ def slice_update(
         else:
             right = x1
     raise SamplerError("slice shrinkage failed to find an acceptable point")
-
-
-def slice_update_vec(
-    target_logdensity,
-    x0: np.ndarray,
-    width,
-    rng: np.random.Generator,
-    lower: float = -math.inf,
-    upper: float = math.inf,
-    max_stepouts: int = 50,
-    stats: SliceStats | None = None,
-) -> np.ndarray:
-    """Slice-update several independent coordinates in lockstep.
-
-    ``target_logdensity`` maps an (n,) vector to (n,) per-lane log densities;
-    lane i's density may depend only on x[i].  All lanes consume randomness
-    from the shared generator in a fixed order, so results are reproducible.
-    """
-    x0 = np.asarray(x0, dtype=float)
-    n = x0.shape[0]
-    if n == 0:
-        return x0.copy()
-    width = np.broadcast_to(np.asarray(width, dtype=float), (n,)).copy()
-
-    def f(x):
-        out = np.asarray(target_logdensity(x), dtype=float)
-        return np.where((x <= lower) | (x >= upper), -np.inf, out)
-
-    f0 = f(x0)
-    if not np.all(np.isfinite(f0)):
-        raise SamplerError("vectorized slice target not finite at current point")
-
-    level = f0 + np.log(rng.random(n))
-    u = rng.random(n)
-    left = x0 - u * width
-    right = left + width
-
-    def step_out(edge, step, budget):
-        """Move each lane's edge by ``step`` until it leaves the slice or its budget ends."""
-        taken = np.zeros(n, dtype=np.int64)
-        active = (budget > 0) & (f(edge) > level)
-        while np.any(active):
-            edge = np.where(active, edge + step, edge)
-            taken += active
-            active &= (taken < budget) & (f(edge) > level)
-        return edge, taken
-
-    budget_left = np.floor(max_stepouts * rng.random(n)).astype(np.int64)
-    left, out_left = step_out(left, -width, budget_left)
-    right, out_right = step_out(right, width, max_stepouts - 1 - budget_left)
-    if stats is not None:
-        n_out = out_left + out_right
-        stats.stepouts += int(n_out.sum())
-        stats.updates += n
-        stats.fallbacks += int(np.count_nonzero(n_out == max_stepouts - 1))
-
-    x1 = x0.copy()
-    pending = np.ones(n, dtype=bool)
-    for _ in range(_MAX_SHRINK):
-        prop = left + rng.random(n) * (right - left)
-        fx = f(np.where(pending, prop, x0))
-        accept = pending & (fx > level)
-        x1[accept] = prop[accept]
-        pending &= ~accept
-        if not np.any(pending):
-            return x1
-        shrink_left = pending & (prop < x0)
-        shrink_right = pending & ~shrink_left
-        left = np.where(shrink_left, prop, left)
-        right = np.where(shrink_right, prop, right)
-    raise SamplerError("vectorized slice shrinkage failed to converge")

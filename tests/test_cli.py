@@ -95,6 +95,30 @@ class TestFit:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_error_exit(self, workspace, capsys, workers):
+        tmp_path, design, spec, data = workspace
+        out = tmp_path / "fit"
+        assert main(["fit", "--data", data, "--spec", spec, "--out", str(out), "--workers", workers]) == 1
+        assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "fit", "ppc", "report"])
+    def test_out_path_naming_a_file_is_error_exit(self, workspace, capsys, command):
+        tmp_path, design, spec, data = workspace
+        fitted = str(tmp_path / "fitted")
+        assert main(["fit", "--data", data, "--spec", spec, "--out", fitted]) == 0
+        args = {
+            "simulate": ["--design", design],
+            "fit": ["--data", data, "--spec", spec],
+            "ppc": ["--trace", fitted, "--data", data, "--spec", spec, "--n-rep", "2"],
+            "report": ["--trace", fitted, "--data", data, "--spec", spec],
+        }[command]
+        capsys.readouterr()
+        assert main([command, *args, "--out", spec]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "File exists" in err
+
     def test_usage_error_exit_code(self):
         with pytest.raises(SystemExit) as exc:
             main(["fit"])
@@ -205,7 +229,7 @@ class TestPipeline:
             dict(ok=True, modal_fixed=lab.fixed, modal_random=lab.random[0], true_model=False, random_correct=False, rmse=0.0)
             for lab in labels
         ]
-        monkeypatch.setattr(cli, "run_replication", lambda design, spec, n_rep, workers: ReplicationResult(design, rows))
+        monkeypatch.setattr(cli, "run_replication", lambda design, spec, n_rep, workers: ReplicationResult(rows))
         out = tmp_path / "repl"
         assert main(["replicate", "--design", write(tmp_path, "design.json", SMALL_DESIGN), "--out", str(out)]) == 0
         with open(out / "modal_models.csv", newline="", encoding="utf-8") as fh:
@@ -219,7 +243,7 @@ class TestPipeline:
         patterns = [((1, 1, 0), (1, 0)), ((0, 1, 1), (0, 1)), ((1, 1, 0), (0, 1)), ((0, 1, 1), (0, 1)), ((1, 1, 0), (1, 0)), ((1, 1, 0), (0, 1))]
         rows = [dict(ok=True, modal_fixed=f, modal_random=r, true_model=False, random_correct=False, rmse=0.0) for f, r in patterns]
         rows.append(dict(ok=False, error="stopped"))
-        monkeypatch.setattr(cli, "run_replication", lambda design, spec, n_rep, workers: ReplicationResult(design, rows))
+        monkeypatch.setattr(cli, "run_replication", lambda design, spec, n_rep, workers: ReplicationResult(rows))
         out = tmp_path / "repl"
         assert main(["replicate", "--design", write(tmp_path, "design.json", SMALL_DESIGN), "--out", str(out)]) == 0
         with open(out / "modal_models.csv", newline="", encoding="utf-8") as fh:

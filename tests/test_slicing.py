@@ -5,7 +5,7 @@ import pytest
 from scipy import stats
 
 from glmmselect.errors import SamplerError
-from glmmselect.slicing import SliceStats, slice_update, slice_update_vec
+from glmmselect.slicing import SliceStats, slice_update
 
 
 def std_normal(x):
@@ -99,57 +99,3 @@ class TestScalarSlice:
             xs[i] = x
         assert abs(xs.mean() - 1.0) < 0.02
         assert abs(xs.var() - 1.0) < 0.05
-
-
-class TestVectorSlice:
-    def test_matches_normal_moments(self):
-        rng = np.random.default_rng(8)
-        x = np.zeros(500)
-        keep = []
-        for i in range(1200):
-            x = slice_update_vec(lambda t: -0.5 * t * t, x, 1.0, rng)
-            if i >= 200:
-                keep.append(x.copy())
-        arr = np.asarray(keep)
-        assert abs(arr.mean()) < 0.01
-        assert abs(arr.var() - 1.0) < 0.02
-
-    def test_lanes_with_different_targets(self):
-        # lane i targets N(mu_i, 1); each lane converges to its own mean
-        rng = np.random.default_rng(9)
-        mus = np.array([-3.0, 0.0, 4.0])
-        x = mus.copy()
-        keep = []
-        for i in range(6000):
-            x = slice_update_vec(lambda t: -0.5 * (t - mus) ** 2, x, 1.0, rng)
-            if i >= 1000:
-                keep.append(x.copy())
-        arr = np.asarray(keep)
-        np.testing.assert_allclose(arr.mean(axis=0), mus, atol=0.1)
-
-    def test_bounds(self):
-        rng = np.random.default_rng(10)
-        x = np.full(50, 0.5)
-        for _ in range(300):
-            x = slice_update_vec(lambda t: -t, x, 1.0, rng, lower=0.0)
-            assert np.all(x > 0.0)
-
-    def test_stepout_cap_keeps_flat_target_invariant(self):
-        # as the scalar test, with 40,000 lanes: the edge pair's sd is 0.0015, the old deficit 0.02
-        rng = np.random.default_rng(14)
-        x = rng.uniform(0.0, 100.0, 40_000)
-        for _ in range(10):
-            x = slice_update_vec(np.zeros_like, x, 1.0, rng, lower=0.0, upper=100.0, max_stepouts=5)
-        assert_flat_histogram(x)
-
-    def test_empty_input(self):
-        rng = np.random.default_rng(11)
-        out = slice_update_vec(lambda t: t, np.zeros(0), 1.0, rng)
-        assert out.size == 0
-
-    def test_deterministic_given_seed(self):
-        r1 = np.random.default_rng(12)
-        r2 = np.random.default_rng(12)
-        x1 = slice_update_vec(lambda t: -0.5 * t * t, np.zeros(10), 1.0, r1)
-        x2 = slice_update_vec(lambda t: -0.5 * t * t, np.zeros(10), 1.0, r2)
-        np.testing.assert_array_equal(x1, x2)
