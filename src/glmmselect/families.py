@@ -313,6 +313,8 @@ class Family:
 
         For log-link families eta is capped at ``ETA_CAP`` before
         exponentiation so extreme draws cannot overflow the count sampler.
+        NB responses are Poisson draws at Gamma(r, scale mu / r) means: numpy's
+        negative_binomial raises at r below 1e-100 and gives only zeros above 1e17.
         """
         self._check_scale(scale)
         eta = np.asarray(eta, dtype=float)
@@ -322,7 +324,7 @@ class Family:
         if self.kind == "poisson":
             return rng.poisson(mu).astype(float)
         if self.kind == "negative_binomial":
-            return rng.negative_binomial(scale, scale / (scale + mu)).astype(float)
+            return rng.poisson(rng.gamma(scale, mu / scale)).astype(float)
         if self.kind == "bernoulli":
             return (rng.random(mu.shape) < mu).astype(float)
         return rng.normal(eta, np.sqrt(scale))

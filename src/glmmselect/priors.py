@@ -34,15 +34,16 @@ engine draws them exactly with the samplers here:
                     2023, Commun. Stat. Theory Methods), by
                     :func:`sample_modified_halfnormal`
   kappa | xi, m     GIG(1 - n_groups/2, sum_g xi_g^2, m^2), the generalized
-                    inverse Gaussian, by :func:`sample_gig` (Hoermann & Leydold
-                    2014, "Generating generalized inverse Gaussian random
-                    variates", Stat. Comput.)
+                    inverse Gaussian, by :func:`sample_gig` (Devroye 2014,
+                    "Random variate generation for the generalized inverse
+                    Gaussian distribution", Stat. Comput.)
 
 Both rejection samplers take arrays of parameters and raise ``SamplerError``
 when a draw is still pending after ``_MAX_ROUNDS`` rounds.  Each accepts
-with probability above one half per round for every parameter they take (on
-a grid over |p| up to 100, sqrt(chi psi) from 1e-6 to 1e3, and t from 1e-8
-to 1e8), so that happens only when the setup broke.
+with probability above one half per round for every parameter they take
+(the GIG above 0.82 on a grid over |p| up to 100 and sqrt(chi psi) from
+1e-6 to 1e3; the modified half-normal for t from 1e-8 to 1e8), so that
+happens only when the setup broke.
 """
 
 import math
@@ -149,89 +150,56 @@ def sample_modified_halfnormal(rng, t) -> np.ndarray:
     return _rejection(rng, [_mhn_proposal(t_i) for t_i in flat], 4).reshape(np.shape(t))
 
 
-def _gig_setup(lam: float, omega: float):
-    """t, s, the mode xm and log sqrt(f(xm)) of the standardized GIG(lam, omega, omega), lam >= 0.
+def _gig_devroye(lam: float, omega: float):
+    """Proposal function for log Y, Y from the standardized GIG(lam, omega, omega), lam >= 0 (Devroye 2014).
 
-    f(x) = x^(lam - 1) exp(-omega (x + 1/x) / 2); log sqrt(f(x)) = t log x - s (x + 1/x).
+    X = log Y - asinh(lam / omega) has the concave log density psi(x) =
+    -alpha (cosh x - 1) - lam (expm1 x - x), alpha = sqrt(omega^2 + lam^2) -
+    lam, which peaks at psi(0) = 0.  The hat is 1 on [-s', t'] and the
+    tangents of psi at t and -s beyond, whose zeros are t' and -s'; concavity
+    makes it a hat for any t, s > 0, and Devroye's choice of them bounds the
+    rejection constant.  alpha cosh x is summed from exp(+-x + log(alpha /
+    2)), finite wherever alpha cosh x is, also at alpha = 0; a proposal at
+    which a term still overflows has psi below -1e308 and is rejected.
     """
-    t, s = 0.5 * (lam - 1.0), 0.25 * omega
-    if lam >= 1.0:
-        xm = (math.hypot(lam - 1.0, omega) + (lam - 1.0)) / omega
-    else:  # the same root, without cancellation
-        xm = omega / (math.hypot(1.0 - lam, omega) + (1.0 - lam))
-    return t, s, xm, t * math.log(xm) - s * (xm + 1.0 / xm)
+    alpha = omega * (omega / (math.hypot(omega, lam) + lam))  # sqrt(omega^2 + lam^2) - lam without cancellation
+    log_half_alpha = math.log(alpha) - math.log(2.0) if alpha > 0.0 else -math.inf
 
+    def psi(x):
+        return alpha - math.exp(x + log_half_alpha) - math.exp(log_half_alpha - x) - lam * (math.expm1(x) - x)
 
-def _gig_ratio_of_uniforms(lam: float, omega: float, shift: bool):
-    """Proposal function for the standardized GIG by ratio-of-uniforms, with or without a shift by the mode.
+    def dpsi(x):
+        return math.exp(log_half_alpha - x) - math.exp(x + log_half_alpha) - lam * math.expm1(x)
 
-    The region is {(u, v): 0 < v <= sqrt(f(u / v + c) / f(xm))}, c = xm or
-    0, bounded by v <= 1 and u between the extremes of (x - c) sqrt(f(x) /
-    f(xm)).  Unshifted, u runs from 0 to its value at the mode of x^2 f(x);
-    shifted, the extremes sit at the roots in (0, xm) and (xm, inf) of the
-    cubic y^3 + a y^2 + b y + xm, found by Cardano's trigonometric rule.
-    """
-    t, s, xm, nc = _gig_setup(lam, omega)
-
-    def log_ratio(x):  # log sqrt(f(x) / f(xm))
-        return t * math.log(x) - s * (x + 1.0 / x) - nc
-
-    if shift:
-        a = -(2.0 * (lam + 1.0) / omega + xm)
-        b = 2.0 * (lam - 1.0) * xm / omega - 1.0
-        p = b - a * a / 3.0
-        q = 2.0 * a**3 / 27.0 - a * b / 3.0 + xm
-        phi = math.acos(max(-1.0, min(1.0, -q / (2.0 * math.sqrt(-(p**3) / 27.0)))))
-        fak = 2.0 * math.sqrt(-p / 3.0)
-        y_hi = fak * math.cos(phi / 3.0) - a / 3.0
-        y_lo = fak * math.cos(phi / 3.0 + 4.0 * math.pi / 3.0) - a / 3.0
-        u_lo = (y_lo - xm) * math.exp(log_ratio(y_lo))
-        u_span = (y_hi - xm) * math.exp(log_ratio(y_hi)) - u_lo
-        center = xm
+    right, left = -psi(1.0), -psi(-1.0)
+    t = math.sqrt(2.0 / (alpha + lam)) if right > 2.0 else math.log(4.0 / (alpha + 2.0 * lam)) if right < 0.5 else 1.0
+    if left > 2.0:
+        s = math.sqrt(4.0 / (alpha * math.cosh(1.0) + lam))
+    elif left < 0.5:  # log(1 + 1/alpha + sqrt(1/alpha^2 + 2/alpha)), whose alpha^2 underflows below 1e-154
+        s = math.log1p((1.0 + math.sqrt(1.0 + 2.0 * alpha)) / alpha) if alpha > 0.0 else math.inf
+        s = min(s, 1.0 / lam) if lam > 0.0 else s
     else:
-        ym = ((lam + 1.0) + math.hypot(lam + 1.0, omega)) / omega  # mode of x^2 f(x)
-        u_lo, u_span, center = 0.0, ym * math.exp(log_ratio(ym)), 0.0
+        s = 1.0
+    eta, zeta, theta, xi = -psi(t), -dpsi(t), -psi(-s), dpsi(-s)
+    r, p = 1.0 / zeta, 1.0 / xi  # the areas of the right and left tails
+    t0, s0 = t - r * eta, s - p * theta
+    q = t0 + s0  # the area of the flat middle
+    total, shift = p + q + r, math.asinh(lam / omega)
 
-    def propose(u, v):
-        x = (u_lo + u * u_span) / v + center
-        return x if x > 0.0 and math.log(v) <= log_ratio(x) else None
-
-    return propose
-
-
-def _gig_three_piece(lam: float, omega: float):
-    """Proposal function for the standardized GIG when 0 <= lam < 1 - 2.25 omega^2 and omega <= 0.2.
-
-    The hat is the constant f(xm) on (0, x0], x0 = omega / (1 - lam); then
-    e^-omega x^(lam - 1) on (x0, 2 / omega]; then (2 / omega)^(lam - 1)
-    exp(-omega x / 2), a shifted exponential.  In this region x0 < 2 / omega
-    always.  The middle piece's area and inverse use expm1 and log1p, which
-    stay exact as lam goes to 0, where the piece is e^-omega / x.
-    """
-    _, _, xm, _ = _gig_setup(lam, omega)
-    x0 = omega / (1.0 - lam)
-    log_top = math.log(2.0 / omega)
-    span = log_top - math.log(x0)
-    growth = math.expm1(lam * span)
-    log_k0 = (lam - 1.0) * math.log(xm) - 0.5 * omega * (xm + 1.0 / xm)
-    a0 = math.exp(log_k0) * x0
-    a01 = a0 + math.exp(-omega) * x0**lam * (growth / lam if lam > 0.0 else span)
-    a2 = 2.0 * math.exp((lam - 1.0) * log_top - 1.0) / omega
-
-    def propose(u, w):
-        v = u * (a01 + a2)
-        if v <= a0:
-            x = x0 * v / a0
-            log_hat = log_k0
-        elif v <= a01:
-            frac = min((v - a0) / (a01 - a0), 1.0)
-            x = x0 * math.exp(math.log1p(growth * frac) / lam if lam > 0.0 else span * frac)
-            log_hat = -omega + (lam - 1.0) * math.log(x)
+    def propose(u, v, w):
+        z = u * total
+        if z < q:
+            x, log_hat = -s0 + q * v, 0.0
+        elif z < q + r:
+            x = t0 - r * math.log(v)
+            log_hat = -eta - zeta * (x - t)
         else:
-            x = (2.0 / omega) * (1.0 - math.log((v - a01) / a2))
-            log_hat = (lam - 1.0) * log_top - 0.5 * omega * x
-        log_f = (lam - 1.0) * math.log(x) - 0.5 * omega * (x + 1.0 / x)
-        return x if math.log(w) <= log_f - log_hat else None
+            x = -s0 + p * math.log(v)
+            log_hat = -theta + xi * (x + s)
+        try:
+            return x + shift if math.log(w) + log_hat <= psi(x) else None
+        except OverflowError:
+            return None
 
     return propose
 
@@ -243,30 +211,23 @@ def sample_gig(rng, p, chi, psi) -> np.ndarray:
     finite and positive, or SamplerError is raised.  With omega =
     sqrt(chi psi) and alpha = sqrt(chi / psi), a draw is alpha Y for Y from
     the standardized GIG(|p|, omega, omega), inverted when p < 0.  Y comes
-    from one of Hoermann & Leydold's (2014) three samplers, each with a
-    rejection constant bounded over its region: ratio-of-uniforms shifted by
-    the mode for |p| > 2 or omega > 3, unshifted for |p| >= 1 - 2.25
-    omega^2 or omega > 0.2, and the three-piece hat otherwise (|p| < 1 and
-    small omega), where the shifted bounds lose all precision.
+    from Devroye's (2014) one rejection sampler for every (|p|, omega); it
+    accepts at least 0.82 of its proposals for |p| from 0 to 100 and omega
+    from 1e-6 to 1e3, and it draws down to omega = 1e-300.
     """
     shape = np.broadcast_shapes(np.shape(p), np.shape(chi), np.shape(psi))
-    proposals, scales = [], []
+    proposals, signs, log_alphas = [], [], []
     for p_i, chi_i, psi_i in zip(*(_flat_floats(x, shape) for x in (p, chi, psi))):
         if not (math.isfinite(p_i) and 0.0 < chi_i < math.inf and 0.0 < psi_i < math.inf):
             raise SamplerError(f"GIG needs a finite p and finite positive chi, psi; got {p_i}, {chi_i}, {psi_i}")
-        lam, omega = abs(p_i), math.sqrt(chi_i) * math.sqrt(psi_i)
         try:
-            if lam > 2.0 or omega > 3.0:
-                proposals.append(_gig_ratio_of_uniforms(lam, omega, shift=True))
-            elif lam >= 1.0 - 2.25 * omega * omega or omega > 0.2:
-                proposals.append(_gig_ratio_of_uniforms(lam, omega, shift=False))
-            else:
-                proposals.append(_gig_three_piece(lam, omega))
+            proposals.append(_gig_devroye(abs(p_i), math.sqrt(chi_i) * math.sqrt(psi_i)))
         except (ArithmeticError, ValueError):  # omega underflowed to 0, or a bound overflowed
             raise SamplerError(f"GIG setup failed at p = {p_i}, chi = {chi_i}, psi = {psi_i}") from None
-        scales.append((p_i < 0.0, math.sqrt(chi_i) / math.sqrt(psi_i)))
-    y = _rejection(rng, proposals, 2).tolist()
-    return np.array([alpha / y_i if flip else alpha * y_i for y_i, (flip, alpha) in zip(y, scales)]).reshape(shape)
+        signs.append(-1.0 if p_i < 0.0 else 1.0)
+        log_alphas.append(0.5 * (math.log(chi_i) - math.log(psi_i)))
+    log_y = _rejection(rng, proposals, 3)
+    return np.exp(np.array(signs) * log_y + np.array(log_alphas)).reshape(shape)
 
 
 def _rate_pair(rng, shape):

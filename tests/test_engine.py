@@ -448,7 +448,7 @@ class TestXiKernel:
 class TestEmptyData:
     def test_chain_reproduces_the_prior(self):
         # with no observations an invariant scan keeps the prior; the one group puts kappa | xi, m at
-        # GIG(p = 0.5), whose small-omega draws take the three-piece branch
+        # GIG(p = 0.5), half of whose small-omega proposals come from the hat's left tail
         spec, _ = toy_setup(4)
         data0 = empty_data()
         engine = GibbsEngine(spec, data0, rng=np.random.default_rng(1))

@@ -199,7 +199,8 @@ class TestSample:
         mu = np.exp(eta)
         for scale in (0.3, 4.0):
             got = Family("negative_binomial").sample(np.random.default_rng(7), eta, scale)
-            want = np.random.default_rng(7).negative_binomial(scale, scale / (scale + mu)).astype(float)
+            want_rng = np.random.default_rng(7)
+            want = want_rng.poisson(want_rng.gamma(scale, mu / scale)).astype(float)
             np.testing.assert_array_equal(got, want)
             got = Family("gaussian").sample(np.random.default_rng(7), eta, scale)
             np.testing.assert_array_equal(got, np.random.default_rng(7).normal(eta, np.sqrt(scale)))
@@ -207,6 +208,19 @@ class TestSample:
         np.testing.assert_array_equal(got, np.random.default_rng(7).poisson(mu).astype(float))
         got = Family("bernoulli").sample(np.random.default_rng(7), eta)
         np.testing.assert_array_equal(got, (np.random.default_rng(7).random(50) < 1.0 / (1.0 + np.exp(-eta))).astype(float))
+
+    @pytest.mark.parametrize("dispersion", [1e-100, 0.3, 4.0, 1e20])
+    def test_negative_binomial_draws_follow_its_law(self, dispersion):
+        # mean mu, variance mu + mu^2 / r and P(y = 0) = (r / (r + mu))^r, each within 5 standard errors
+        mu, n = 3.0, 20_000
+        y = Family("negative_binomial").sample(np.random.default_rng(12), np.full(n, math.log(mu)), dispersion)
+        var = mu + mu * mu / dispersion
+        assert abs(y.mean() - mu) < 5.0 * math.sqrt(var / n)
+        p0 = math.exp(-dispersion * math.log1p(mu / dispersion))
+        assert abs(np.mean(y == 0.0) - p0) <= 5.0 * math.sqrt(p0 * (1.0 - p0) / n)
+        if dispersion > 1e-3:  # at r = 1e-100 all but about 2e-98 of the draws are 0, so no sample shows the variance
+            m4 = np.mean((y - y.mean()) ** 4)
+            assert abs(y.var() - var) < 5.0 * math.sqrt((m4 - var * var) / n)
 
     @pytest.mark.parametrize("kind", ["poisson", "negative_binomial"])
     def test_log_link_draws_at_capped_eta(self, kind):

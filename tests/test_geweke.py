@@ -7,7 +7,9 @@ from, so bounded functions of the state have their prior means.  The model is
 a tiny bernoulli GLMM: 6 groups of 4 rows, X = [1, x] and one random block
 with Z = X (q = 2, so ssvs-full moves r).  The prior inclusion 0.3 makes a
 kernel that drops the prior log-odds visible.  Slice widths stay at 1, and
-the kernels are invariant for any width.
+the kernels are invariant for any width.  Gaussian and negative binomial
+copies of the model run in ssvs-full too, so the updates of the family
+scale are tested as well.
 
 The draws of one simulator are serially correlated, so 40 simulators run
 from independent prior draws, and each function's mean over all their scans is
@@ -22,6 +24,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from glmmselect import families
 from glmmselect.engine import GibbsEngine
 from glmmselect.families import Family
 from glmmselect.model import (
@@ -41,14 +44,14 @@ Z_MAX = 4.0
 PI = 0.3
 
 
-def tiny_model(mode):
-    """6 groups x 4 rows of a bernoulli GLMM with X = Z = [1, x]; y is a placeholder."""
+def tiny_model(mode, kind="bernoulli"):
+    """6 groups x 4 rows of a GLMM of family ``kind`` with X = Z = [1, x]; y is a placeholder."""
     x = np.random.default_rng(100).standard_normal(24)
     X = np.column_stack([np.ones(24), x])
     groups = np.repeat(np.arange(6), 4)
     data = Dataset(y=np.zeros(24), X=X, blocks=(BlockData(Z=X, groups=groups, n_groups=6),))
     spec = ModelSpec(
-        family=Family(kind="bernoulli"),
+        family=Family(kind=kind),
         response="y",
         fixed_effects=("1", "x"),
         random_blocks=(RandomBlock(group="g", columns=("1", "x")),),
@@ -72,7 +75,8 @@ def successive_conditional(spec, data, medians, n_chains, n_scans, seed):
     """The test functions of every state of ``n_chains`` simulators, (n_chains, n_scans, ...), and their r draws.
 
     Each simulator starts at its own prior draw.  The functions are J, I,
-    1{beta > 0} and 1{lam, tau2, kappa below their prior ``medians``}.
+    1{beta > 0} and 1{lam, tau2, kappa below their prior ``medians``}, and
+    1{scale below ``medians["scale"]``} for a family with a scale.
     """
     rng = np.random.default_rng(seed)
     family = spec.family
@@ -81,16 +85,17 @@ def successive_conditional(spec, data, medians, n_chains, n_scans, seed):
         state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, family, mode=spec.mode)
         if spec.mode == "ssvs-diagonal":
             state.blocks[0].r[:] = 0.0
-        y = family.sample(rng, linear_predictor_all(spec, state, data))
+        y = family.sample(rng, linear_predictor_all(spec, state, data), family.scale_of(state))
         for _ in range(n_scans):
             engine = GibbsEngine(spec, replace(data, y=y), rng=rng, state=state)
             engine.scan()
             state = engine.state
-            y = family.sample(rng, linear_predictor_all(spec, state, data))
+            y = family.sample(rng, linear_predictor_all(spec, state, data), family.scale_of(state))
             bs = state.blocks[0]
+            scale = [] if family.scale is None else [[family.scale_of(state) < medians["scale"]]]
             rows.append(np.concatenate([
                 state.J, bs.include, state.beta > 0,
-                *(getattr(bs, name) < medians[name] for name in ("lam", "tau2", "kappa")),
+                *(getattr(bs, name) < medians[name] for name in ("lam", "tau2", "kappa")), *scale,
             ]))
             r.append(bs.r.copy())
     return np.array(rows, dtype=float).reshape(n_chains, n_scans, -1), np.array(r).reshape(n_chains, n_scans, -1)
@@ -104,9 +109,8 @@ def chain_z(series, expected):
         return (means.mean(axis=0) - expected) / se
 
 
-@pytest.mark.parametrize("mode", ["ssvs-full", "ssvs-diagonal", "no-selection"])
-def test_scan_keeps_the_prior(mode, medians):
-    spec, data = tiny_model(mode)
+def assert_scan_keeps_the_prior(spec, data, medians):
+    mode = spec.mode
     rows, r = successive_conditional(spec, data, medians, N_CHAINS, N_SCANS, seed=1)
     expected = np.full(rows.shape[-1], 0.5)
     expected[:4] = PI  # J_1, J_2, I_1, I_2
@@ -119,3 +123,24 @@ def test_scan_keeps_the_prior(mode, medians):
         rows, expected = np.concatenate([rows, r > 0], axis=-1), np.append(expected, 0.5)
     z = chain_z(rows, expected)
     assert np.all(np.abs(z) < Z_MAX), np.round(z, 2)
+
+
+@pytest.mark.parametrize("mode", ["ssvs-full", "ssvs-diagonal", "no-selection"])
+def test_scan_keeps_the_prior(mode, medians):
+    assert_scan_keeps_the_prior(*tiny_model(mode), medians)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "negative_binomial"])
+def test_scan_keeps_the_prior_with_a_family_scale(kind, medians, monkeypatch):
+    """ssvs-full with the gaussian sigma2 or the NB dispersion; the scale's prior median comes from 20,000 draws.
+
+    The NB dispersion prior is Gamma(2, rate 2) here, in place of the
+    default Gamma(0.01, rate 0.01), at which the NB simulator stops with
+    ``slice shrinkage failed``.
+    """
+    if kind == "negative_binomial":
+        monkeypatch.setattr(families, "NB_DISPERSION_SHAPE", 2.0)
+        monkeypatch.setattr(families, "NB_DISPERSION_RATE", 2.0)
+    spec, data = tiny_model("ssvs-full", kind)
+    scale_median = np.median(spec.family.scale.draw_prior(np.random.default_rng(8), 20_000))
+    assert_scan_keeps_the_prior(spec, data, dict(medians, scale=scale_median))

@@ -287,12 +287,12 @@ class TestSamplers:
         assert digest.hexdigest() == "81a3a55d8253ae0ced57853e17671370a90093a9b15c8cbc0e33209f248a08b6"
 
 
-def log_cdf_table(logpdf):
+def log_cdf_table(logpdf, span=80.0):
     """(grid of u = log x, CDF of log x there) for a density on x > 0 given by ``logpdf``.
 
-    A coarse pass over log x in [-80, 80] finds where the density of log x is
-    within e^-45 of its peak; the trapezoid rule on 40,001 points there gives
-    the CDF.
+    A coarse pass over log x in [-span, span] finds where the density of log
+    x is within e^-45 of its peak; the trapezoid rule on 40,001 points there
+    gives the CDF.
     """
 
     def log_density(u):
@@ -300,7 +300,7 @@ def log_cdf_table(logpdf):
             out = logpdf(np.exp(u)) + u
         return np.where(np.isfinite(out), out, -np.inf)
 
-    coarse = np.linspace(-80.0, 80.0, 4001)
+    coarse = np.linspace(-span, span, int(50 * span) + 1)
     dens = log_density(coarse)
     bulk = coarse[dens > dens.max() - 45.0]
     u = np.linspace(bulk[0] - 0.1, bulk[-1] + 0.1, 40001)
@@ -310,8 +310,8 @@ def log_cdf_table(logpdf):
     return u, cdf / cdf[-1]
 
 
-def ks_pvalue(draws, logpdf) -> float:
-    u, cdf = log_cdf_table(logpdf)
+def ks_pvalue(draws, logpdf, span=80.0) -> float:
+    u, cdf = log_cdf_table(logpdf, span)
     return stats.kstest(np.log(draws), lambda x: np.interp(x, u, cdf)).pvalue
 
 
@@ -320,7 +320,7 @@ class TestExactConditionals:
 
     @pytest.mark.parametrize("p", [-29.0, -2.0, -0.5, 0.0, 0.5, 30.0])
     def test_gig_matches_scipy(self, p):
-        # omega = sqrt(chi psi) spans all three regions of the sampler; chi / psi = 1e-8 .. 1e8
+        # omega = sqrt(chi psi) = 1e-4 .. 1e2; chi / psi = 1e-8 .. 1e8
         rng = np.random.default_rng(int(100 + 2 * p))
         for omega in (1e-4, 1e-2, 1.0, 1e2):
             for ratio in (1e-8, 1.0, 1e8):
@@ -328,6 +328,25 @@ class TestExactConditionals:
                 draws = sample_gig(rng, p, np.full(1500, chi), psi)
                 oracle = stats.geninvgauss(p, omega, scale=math.sqrt(ratio))
                 assert ks_pvalue(draws, oracle.logpdf) > 1e-3, (omega, ratio)
+
+    @pytest.mark.parametrize("p", [-29.0, -0.5, 0.0, 0.5, 100.0])
+    def test_gig_matches_its_density_at_tiny_omega(self, p):
+        # chi = psi = omega puts log x at about +-log(1 / omega), up to 700 here, past scipy's Bessel normalizer
+        rng = np.random.default_rng(int(200 + 2 * p))
+        for omega in (1e-20, 1e-125, 1e-300):
+            draws = sample_gig(rng, p, np.full(1500, omega), omega)
+            assert np.all((draws > 0.0) & np.isfinite(draws)), omega
+
+            def logpdf(x):
+                return (p - 1.0) * np.log(x) - 0.5 * omega * (x + 1.0 / x)
+
+            assert ks_pvalue(draws, logpdf, span=800.0) > 1e-3, omega
+
+    @pytest.mark.parametrize("p", [-29.0, 100.0])
+    @pytest.mark.parametrize("chi, psi", [(1e-300, 1.0), (1.0, 1e-300), (1e-150, 1e-150)])
+    def test_gig_draws_where_omega_is_near_the_float_limit(self, p, chi, psi):
+        draws = sample_gig(np.random.default_rng(11), p, np.full(200, chi), psi)
+        assert np.all((draws > 0.0) & np.isfinite(draws))
 
     @pytest.mark.parametrize("t", [1e-6, 1e-3, 1.0, 1e3, 1e6])
     def test_modified_halfnormal_matches_numerical_cdf(self, t):

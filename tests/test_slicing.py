@@ -47,12 +47,14 @@ class TestScalarSlice:
             assert 0.0 < x < 1.0
 
     def test_symmetric_output_with_tiny_width(self):
-        # with a degenerate width the update still explores symmetrically
+        # with a width of 1/100 sd the update still explores symmetrically; the budget of 10 sd binds
+        # whenever its random split leaves one side short, and a budget that favours one side moves the mean
+        # by 0.1 or more
         rng = np.random.default_rng(3)
         xs = []
         x = 0.0
-        for _ in range(30_000):
-            x = slice_update(std_normal, x, 1e-3, rng, max_stepouts=10_000)
+        for _ in range(10_000):
+            x = slice_update(std_normal, x, 1e-2, rng, max_stepouts=1000)
             xs.append(x)
         xs = np.asarray(xs)
         assert abs(xs.mean()) < 0.05
