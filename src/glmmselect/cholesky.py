@@ -27,6 +27,8 @@ from .errors import DecompositionError
 
 __all__ = ["tril_pairs", "mask_factors", "effect_loadings", "decompose_covariance"]
 
+ZERO_VARIANCE_TOL = 1e-12
+
 
 @lru_cache(maxsize=64)
 def tril_pairs(q: int) -> tuple[np.ndarray, np.ndarray]:
@@ -89,13 +91,14 @@ def _below_index(q: int, k: int) -> np.ndarray:
     return index
 
 
-def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def decompose_covariance(omega: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Recover ``(lam, gamma)`` from a symmetric PSD matrix.
 
     omega = LG @ LG.T for the loadings LG = lam[:, None] * gamma, with gamma
-    unit lower-triangular.  Diagonal entries <= tol are treated as removed
-    effects (lam[k] = 0 and row and column k of gamma zero off the diagonal);
-    the remaining principal submatrix must be positive definite.  Sign
+    unit lower-triangular.  Diagonal entries <= ``ZERO_VARIANCE_TOL`` are
+    treated as removed effects (lam[k] = 0 and row and column k of gamma zero
+    off the diagonal); the remaining principal submatrix must be positive
+    definite, after a ``ZERO_VARIANCE_TOL`` ridge if need be.  Sign
     convention lam >= 0.
     """
     omega = np.asarray(omega, dtype=float)
@@ -105,17 +108,17 @@ def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> tuple[np.ndar
     if not np.all(np.isfinite(omega)):
         raise DecompositionError("omega has non-finite entries")
     asym = np.max(np.abs(omega - omega.T)) if q else 0.0
-    if asym > max(tol, 1e-8 * max(1.0, np.max(np.abs(omega)))):
+    if asym > 1e-8 * max(1.0, np.max(np.abs(omega))):
         raise DecompositionError(f"omega is not symmetric (max asymmetry {asym:.3g})")
     omega = (omega + omega.T) / 2.0
 
-    active = np.diag(omega) > tol
+    active = np.diag(omega) > ZERO_VARIANCE_TOL
     # a zero-variance effect must not covary with anything
     for k in np.flatnonzero(~active):
         row = np.abs(omega[k, :])
-        if np.any(row[np.arange(q) != k] > max(tol, 1e-8)):
+        if np.any(row[np.arange(q) != k] > 1e-8):
             raise DecompositionError(
-                f"row {k} has zero variance but nonzero covariances; not PSD within tol"
+                f"row {k} has zero variance but nonzero covariances; not PSD"
             )
 
     lam = np.zeros(q)
@@ -127,9 +130,9 @@ def decompose_covariance(omega: np.ndarray, tol: float = 1e-12) -> tuple[np.ndar
             chol = np.linalg.cholesky(sub)
         except np.linalg.LinAlgError:
             try:
-                chol = np.linalg.cholesky(sub + tol * np.eye(idx.size))
+                chol = np.linalg.cholesky(sub + ZERO_VARIANCE_TOL * np.eye(idx.size))
             except np.linalg.LinAlgError as exc:
-                raise DecompositionError("active submatrix is not PSD within tol") from exc
+                raise DecompositionError("active submatrix is not PSD") from exc
         lam[idx] = np.diag(chol)
         gamma[np.ix_(idx, idx)] = chol / np.diag(chol)[:, None]
     return lam, gamma

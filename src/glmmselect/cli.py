@@ -1,12 +1,18 @@
 """Command-line interface.
 
-Subcommands:
+Subcommands, with the options each reads (every one also takes --out):
   fit        data + spec -> trace CSVs, diagnostics, selection report
+             --data --spec [--mode] [--add-squares] [--seed] [--workers]
   simulate   design -> replicate dataset CSVs with truth sidecars
+             --design [--replicates] [--seed]
   replicate  design -> modal-model frequency table across replicates
+             --design [--mode] [--replicates] [--seed] [--workers]
   grid       design + grid -> hyperparameter table
+             --design --grid [--mode] [--replicates] [--seed] [--workers]
   ppc        trace + data + spec -> rootogram / mean-sd CSVs
+             --trace --data --spec [--n-rep] [--marginal] [--max-count] [--seed]
   report     trace + data + spec -> selection + diagnostics tables
+             --trace --data --spec
 
 simulate, replicate and grid read a design document with the keys scale
 ("full" or "scaled"), case, n, n_i, l, q, n_active_fixed, base_seed, omega,
@@ -15,8 +21,8 @@ with it), replicates, mode, hyperparameters and sampler.  A grid document
 lists "v" (v = nu) and "h".  Any other key is an error.
 
 All randomness is controlled by the spec/design seed, overridable with
---seed.  Outputs are written atomically; identical invocations with the same
-seed produce byte-identical files.
+--seed where a command takes it.  Outputs are written atomically; identical
+invocations with the same seed produce byte-identical files.
 """
 
 import argparse
@@ -282,35 +288,35 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, seed_help=None, workers_help=None):
         p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the base seed")
-        p.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            help="processes for chains (fit) or replicates (replicate, grid); results are identical for any value",
-        )
+        if seed_help:
+            p.add_argument("--seed", type=int, default=None, help=seed_help)
+        if workers_help:
+            p.add_argument("--workers", type=int, default=1, help=workers_help)
+
+    study_seed = "override the design's base seed and the sampler seed"
+    workers = "processes for chains (fit) or replicates (replicate, grid); results are identical for any value"
 
     p = sub.add_parser("fit", help="fit a model to data")
     p.add_argument("--data", required=True)
     p.add_argument("--spec", required=True)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--add-squares", default=None, metavar="COLS", help="comma-separated columns to square into <col>_sq")
-    common(p)
+    common(p, "override the spec's sampler seed", workers)
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("simulate", help="generate synthetic datasets")
     p.add_argument("--design", required=True)
     p.add_argument("--replicates", type=int, default=None)
-    common(p)
+    common(p, study_seed)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("replicate", help="replication study for one design")
     p.add_argument("--design", required=True)
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--replicates", type=int, default=None)
-    common(p)
+    common(p, study_seed, workers)
     p.set_defaults(func=cmd_replicate)
 
     p = sub.add_parser("grid", help="hyperparameter grid study")
@@ -318,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", required=True, help="JSON with 'v' and 'h' lists")
     p.add_argument("--mode", choices=MODES, default=None)
     p.add_argument("--replicates", type=int, default=None)
-    common(p)
+    common(p, study_seed, workers)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("ppc", help="posterior predictive checks from a saved trace")
@@ -328,7 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n-rep", type=int, default=200)
     p.add_argument("--marginal", action="store_true", help="draw fresh latent effects")
     p.add_argument("--max-count", type=int, default=None)
-    common(p)
+    # --workers stays for command lines that pass it, such as the benchmark's
+    common(p, "seed of the replicate draws (default: the spec's sampler seed)", "accepted and ignored: ppc runs in one process")
     p.set_defaults(func=cmd_ppc)
 
     p = sub.add_parser("report", help="selection tables from a saved trace")
@@ -346,7 +353,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        check_int("--workers", args.workers, 1)
+        if "workers" in args:
+            check_int("--workers", args.workers, 1)
         return args.func(args)
     except (GlmmSelectError, OSError) as exc:  # OSError: an --out path that is a file, a full disk, ...
         print(f"error: {exc}", file=sys.stderr)

@@ -111,7 +111,7 @@ def rootogram(observed: np.ndarray, replicated: np.ndarray, max_count: int) -> l
     return bins
 
 
-def mean_sd_scatter(replicated: np.ndarray, observed: np.ndarray | None = None) -> PpcSummary:
+def mean_sd_scatter(replicated: np.ndarray, observed: np.ndarray) -> PpcSummary:
     """Sample mean and sd (denominator n-1) of each replicate, plus the observed pair."""
     replicated = np.asarray(replicated, dtype=float)
     if replicated.ndim != 2:
@@ -121,10 +121,7 @@ def mean_sd_scatter(replicated: np.ndarray, observed: np.ndarray | None = None) 
     pairs = np.column_stack(
         [replicated.mean(axis=1), replicated.std(axis=1, ddof=1)]
     ) if replicated.shape[0] else np.zeros((0, 2))
-    obs_pair = (float("nan"), float("nan"))
-    if observed is not None:
-        observed = np.asarray(observed, dtype=float)
-        if observed.size < 2:
-            raise ConfigurationError("observed set needs at least 2 observations")
-        obs_pair = (float(observed.mean()), float(observed.std(ddof=1)))
-    return PpcSummary(pairs=pairs, observed_pair=obs_pair)
+    observed = np.asarray(observed, dtype=float)
+    if observed.size < 2:
+        raise ConfigurationError("observed set needs at least 2 observations")
+    return PpcSummary(pairs=pairs, observed_pair=(float(observed.mean()), float(observed.std(ddof=1))))

@@ -118,22 +118,13 @@ class SimDesign:
         return mask
 
 
-def full_scale_design(case: int = 1, base_seed: int = 0) -> SimDesign:
-    return SimDesign(case=case, base_seed=base_seed)
+def full_scale_design(base_seed: int = 0) -> SimDesign:
+    return SimDesign(base_seed=base_seed)
 
 
-def scaled_design(case: int = 1, base_seed: int = 0, n: int = 60, n_i: int = 10) -> SimDesign:
+def scaled_design() -> SimDesign:
     """Desk-scale variant: l = q = 6, active fixed {1..4}, active random {1, 3}."""
-    return SimDesign(
-        n=n,
-        n_i=n_i,
-        l=6,
-        q=6,
-        n_active_fixed=4,
-        omega=scaled_omega(6, (0, 2)),
-        case=case,
-        base_seed=base_seed,
-    )
+    return SimDesign(l=6, q=6, n_active_fixed=4, omega=scaled_omega(6, (0, 2)))
 
 
 def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, np.ndarray]:

@@ -124,6 +124,18 @@ class TestFit:
             main(["fit"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command, flag", [("simulate", "--workers"), ("report", "--workers"), ("report", "--seed")])
+    def test_option_the_command_does_not_read_is_usage_error(self, tmp_path, capsys, command, flag):
+        args = {
+            "simulate": ["--design", "design.json"],
+            "report": ["--trace", "fit", "--data", "data.csv", "--spec", "spec.json"],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *args, "--out", str(tmp_path / "out"), flag, "2"])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestPipeline:
     def test_ppc_and_report_from_saved_trace(self, workspace, capsys):

@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -264,7 +265,7 @@ class TestLoadDataset:
     def test_write_then_load_roundtrip(self, tmp_path):
         from glmmselect.simulate import scaled_design, simulate_dataset, build_model_spec
 
-        design = scaled_design(n=5, n_i=2)
+        design = replace(scaled_design(), n=5, n_i=2)
         data, _ = simulate_dataset(design, 0)
         spec = build_model_spec(design)
         path = str(tmp_path / "sim.csv")

@@ -617,6 +617,49 @@ class TestGibbsScan:
         with pytest.raises(SamplerError, match=r"excluded effect 2 contributes to eta \(block 0\)"):
             engine.check_exclusion_invariant()
 
+    @staticmethod
+    def _omega_rule(lam_eff, gamma, excluded):
+        """The invariant's message from Omega = L L^T itself, or None: a nonzero row or column k of Omega, else of L."""
+        lg = lam_eff[:, None] * gamma
+        omega = lg @ lg.T
+        for k in excluded:
+            if omega[k, :].any() or omega[:, k].any():
+                return f"exclusion invariant violated in Omega (block 0, k {k})"
+            if lg[k, :].any() or lg[:, k].any():
+                return f"excluded effect {k} contributes to eta (block 0)"
+        return None
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_invariant_matches_the_omega_rule(self, monkeypatch, q):
+        engine = GibbsEngine(*toy_setup(31, q=q), rng=np.random.default_rng(32))
+        rng = np.random.default_rng(q)
+        seen = set()
+        for _ in range(100):
+            include = rng.integers(0, 2, q)
+            include[rng.integers(q)] = 0
+            engine.state.blocks[0].include[:] = include
+            lam_eff, gamma = mask_factors(rng.uniform(0.1, 2.0, q), rng.uniform(-1.0, 1.0, q * (q - 1) // 2), include.astype(float))
+            k = rng.choice(np.flatnonzero(include == 0))
+            leak = rng.choice(["row", "column", "scale", "clean"])
+            if leak == "row" and k > 0:
+                gamma[k, rng.integers(k)] = rng.uniform(0.1, 1.0)
+            elif leak == "column" and k < q - 1:
+                j = rng.integers(k + 1, q)
+                lam_eff[j] = max(lam_eff[j], 0.5)
+                gamma[j, k] = rng.uniform(0.1, 1.0)
+            elif leak == "scale":
+                lam_eff[k] = rng.uniform(0.1, 1.0)
+            monkeypatch.setattr(engine, "_gamma_eff", lambda bi: (lam_eff, gamma))
+            want = self._omega_rule(lam_eff, gamma, np.flatnonzero(include == 0))
+            try:
+                engine.check_exclusion_invariant()
+                got = None
+            except SamplerError as exc:
+                got = str(exc)
+            assert got == want
+            seen.add("clean" if want is None else "Omega" if "Omega" in want else "eta")
+        assert seen == {"clean", "Omega", "eta"}
+
     def test_diagonal_mode_never_moves_r(self):
         rng = np.random.default_rng(13)
         n, n_i = 6, 3

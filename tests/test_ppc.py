@@ -140,12 +140,12 @@ class TestRootogram:
 
 class TestMeanSd:
     def test_constant_replicate(self):
-        out = mean_sd_scatter(np.full((1, 6), 3.0))
+        out = mean_sd_scatter(np.full((1, 6), 3.0), observed=np.arange(6.0))
         assert out.pairs[0, 0] == 3.0
         assert out.pairs[0, 1] == 0.0
 
     def test_two_point_replicate(self):
-        out = mean_sd_scatter(np.array([[0.0, 2.0]]))
+        out = mean_sd_scatter(np.array([[0.0, 2.0]]), observed=np.zeros(2))
         assert out.pairs[0, 0] == pytest.approx(1.0)
         assert out.pairs[0, 1] == pytest.approx(math.sqrt(2.0))
 
@@ -156,5 +156,7 @@ class TestMeanSd:
         assert out.observed_pair[1] == pytest.approx(y.std(ddof=1))
 
     def test_short_replicate_rejected(self):
-        with pytest.raises(ConfigurationError):
-            mean_sd_scatter(np.zeros((2, 1)))
+        with pytest.raises(ConfigurationError, match="replicates need at least 2"):
+            mean_sd_scatter(np.zeros((2, 1)), observed=np.zeros(2))
+        with pytest.raises(ConfigurationError, match="observed set needs at least 2"):
+            mean_sd_scatter(np.zeros((2, 3)), observed=np.zeros(1))

@@ -80,12 +80,12 @@ class TestSimDesign:
 
 class TestSimulateDataset:
     def test_case1_inactive_exactly_zero(self):
-        data, beta = simulate_dataset(full_scale_design(case=1), 0)
+        data, beta = simulate_dataset(full_scale_design(), 0)
         assert np.all(beta[6:] == 0.0)
         assert beta[0] == 2.0
 
     def test_case2_inactive_exactly_small(self):
-        data, beta = simulate_dataset(full_scale_design(case=2), 0)
+        data, beta = simulate_dataset(replace(full_scale_design(), case=2), 0)
         assert np.all(beta[6:] == 0.01)
 
     def test_active_betas_in_range(self):
@@ -108,8 +108,8 @@ class TestSimulateDataset:
 
     def test_cases_share_design_given_seed(self):
         # same seeds: case 1 and case 2 differ only through the inactive betas' effect on y
-        d1 = scaled_design(case=1, base_seed=9)
-        d2 = scaled_design(case=2, base_seed=9)
+        d1 = replace(scaled_design(), base_seed=9)
+        d2 = replace(d1, case=2)
         a1, b1 = simulate_dataset(d1, 0)
         a2, b2 = simulate_dataset(d2, 0)
         np.testing.assert_array_equal(a1.X, a2.X)
@@ -148,7 +148,7 @@ class TestReplication:
         return SamplerSettings(chains=1, adapt=30, burnin=40, kept=150, seed=0)
 
     def test_zero_replicates(self):
-        design = scaled_design(n=10, n_i=4)
+        design = replace(scaled_design(), n=10, n_i=4)
         spec = build_model_spec(design, sampler=self._quick_settings())
         result = run_replication(design, spec, 0)
         assert result.rows == []
@@ -181,7 +181,7 @@ class TestReplication:
             raise exc
 
         monkeypatch.setattr(simulate, "run_chains", fail)
-        design = scaled_design(n=10, n_i=4)
+        design = replace(scaled_design(), n=10, n_i=4)
         return design, build_model_spec(design, sampler=self._quick_settings())
 
     def test_sampler_error_marks_replicate_failed(self, monkeypatch):
@@ -199,7 +199,7 @@ class TestReplication:
             raise SamplerError("stop after recording the mode")
 
         monkeypatch.setattr(simulate, "run_chains", fail)
-        design = scaled_design(n=10, n_i=4)
+        design = replace(scaled_design(), n=10, n_i=4)
         spec = build_model_spec(design, mode=mode, sampler=self._quick_settings())
         result = run_replication(design, spec, 2)
         assert fitted == [mode, mode]
@@ -242,7 +242,7 @@ class TestGrid:
         assert cells[(1.0, 1.0)]["rmse"] == direct["rmse"]
 
     def test_paired_seeds_share_datasets(self):
-        design = scaled_design(base_seed=11)
+        design = replace(scaled_design(), base_seed=11)
         d1, _ = simulate_dataset(design, 4)
         d2, _ = simulate_dataset(design, 4)
         assert hash(d1.y.tobytes()) == hash(d2.y.tobytes())
