@@ -41,7 +41,6 @@ from .report import (
     ModelLabel,
     SelectionReport,
     fixed_effect_rmse,
-    grid_report,
     top_models,
 )
 from .sampler import Trace, load_trace, run_chains, save_trace

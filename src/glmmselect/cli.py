@@ -16,9 +16,15 @@ Subcommands, with the options each reads (every one also takes --out):
 
 simulate, replicate and grid read a design document with the keys scale
 ("full" or "scaled"), case, n, n_i, l, q, n_active_fixed, base_seed, omega,
-active_random (1-based; builds omega when omega is absent, else must agree
-with it), replicates, mode, hyperparameters and sampler.  A grid document
-lists "v" (v = nu) and "h".  Any other key is an error.
+replicates, mode, hyperparameters and sampler.  omega, the random-effect
+covariance, is the only random-effect truth: the effects it gives variance
+are the active ones.  Without omega, the truth is the scale's own active
+effects (full: 1, 3, 6; scaled: 1, 3) up to q.  A grid document lists "v"
+(v = nu) and "h".  Any other key is an error.
+
+replicate writes summary.csv with the columns mode, percent_true_model,
+percent_random_correct, mean_rmse, n_ok and n_failed; grid writes grid.csv
+with v and h and then the same five, one row per (v, h), sorted by h, then v.
 
 All randomness is controlled by the spec/design seed, overridable with
 --seed where a command takes it.  Outputs are written atomically; identical
@@ -41,24 +47,17 @@ from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, parse_floats, read_csv, write_csv
 from .model import MODES, Hyperparameters, ModelSpec, SamplerSettings, check_int
 from .ppc import mean_sd_scatter, replicate_data, rootogram
-from .report import (
-    effect_list,
-    format_table,
-    grid_report,
-    ranked_patterns,
-    top_models,
-    write_grid_report,
-    write_selection_report,
-)
+from .report import effect_list, format_table, ranked_patterns, top_models, write_selection_report
 from .sampler import load_trace, run_chains, save_trace
 from .simulate import (
-    scaled_omega,
+    STUDY_COLUMNS,
     SimDesign,
     build_model_spec,
     full_scale_design,
     run_grid,
     run_replication,
     scaled_design,
+    scaled_omega,
     simulate_dataset,
 )
 
@@ -69,7 +68,7 @@ log = logging.getLogger(__name__)
 
 # a design document holds the SimDesign settings and the study's own keys
 _DESIGN_SETTINGS = tuple(f.name for f in fields(SimDesign) if f.init)
-_DESIGN_KEYS = _DESIGN_SETTINGS + ("scale", "active_random", "replicates", "mode", "hyperparameters", "sampler")
+_DESIGN_KEYS = _DESIGN_SETTINGS + ("scale", "replicates", "mode", "hyperparameters", "sampler")
 
 
 def _design(doc: dict) -> SimDesign:
@@ -79,21 +78,11 @@ def _design(doc: dict) -> SimDesign:
         raise ConfigurationError(f"scale must be 'full' or 'scaled', got {scale!r}")
     base = full_scale_design() if scale == "full" else scaled_design()
     settings = {key: doc[key] for key in _DESIGN_SETTINGS if key in doc}
-    q = check_int("q", settings.get("q", base.q), 1)
-    listed = doc.get("active_random")
-    if listed is not None and not (
-        isinstance(listed, list) and all(1 <= check_int("active_random", k) <= q for k in listed) and len(set(listed)) == len(listed)
-    ):
-        raise ConfigurationError(f"active_random must list effects 1..{q} once each, got {listed!r}")
     if "omega" not in doc:
         # the base design's active effects beyond a smaller q are dropped
-        active = [k - 1 for k in listed] if listed is not None else [k for k in base.active_random if k < q]
-        settings["omega"] = scaled_omega(q, tuple(active))
-    design = replace(base, **settings)
-    truth = [k + 1 for k in design.active_random]
-    if listed is not None and set(listed) != set(truth):
-        raise ConfigurationError(f"active_random {listed} disagrees with omega, whose diagonal gives effects {truth} variance")
-    return design
+        q = check_int("q", settings.get("q", base.q), 1)
+        settings["omega"] = scaled_omega(q, tuple(k for k in base.active_random if k < q))
+    return replace(base, **settings)
 
 
 def _with_flags(spec: ModelSpec, args) -> ModelSpec:
@@ -131,7 +120,7 @@ def _study(args, default_replicates: int) -> tuple[SimDesign, ModelSpec, int]:
 
 
 def _load_grid(path: str) -> list:
-    """The (v, h) pairs of a grid document, h outermost; "v" and "h" each list distinct values."""
+    """The (v, h) pairs of a grid document; "v" and "h" each list distinct values."""
     doc = read_json(path)
     problems = []
     check_keys(doc, ("v", "h"), None, problems)
@@ -227,12 +216,7 @@ def cmd_replicate(args) -> int:
         ["fixed_effects", "random_effects", "count", "percent"],
         rows,
     )
-    summ = result.summary()
-    write_csv(
-        os.path.join(args.out, "summary.csv"),
-        ["mode", "percent_true_model", "percent_random_correct", "mean_rmse", "n_ok", "n_failed"],
-        [(spec.mode, summ["percent"], summ["percent_random"], summ["rmse"], summ["n_ok"], summ["n_failed"])],
-    )
+    write_csv(os.path.join(args.out, "summary.csv"), ["mode", *STUDY_COLUMNS], [(spec.mode, *result.summary().values())])
     print(format_table(["fixed", "random", "count", "percent"], rows[:10]))
     return 0
 
@@ -240,11 +224,10 @@ def cmd_replicate(args) -> int:
 def cmd_grid(args) -> int:
     design, spec, n_rep = _study(args, 20)
     pairs = _load_grid(args.grid)
-    cells = run_grid(design, spec, pairs, n_rep, workers=args.workers)
-    rows = grid_report(cells)
+    rows = run_grid(design, spec, pairs, n_rep, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
-    write_grid_report(rows, os.path.join(args.out, "grid.csv"))
-    print(format_table(["v", "h", "percent", "rmse"], [(r["v"], r["h"], r["percent"], r["rmse"]) for r in rows]))
+    write_csv(os.path.join(args.out, "grid.csv"), ["v", "h", *STUDY_COLUMNS], rows)
+    print(format_table(["v", "h", "percent", "rmse"], [(v, h, pct, rmse) for v, h, pct, _, rmse, *_ in rows]))
     return 0
 
 

@@ -109,7 +109,7 @@ def summarize_trace(trace) -> list:
         x = trace.scalar_matrix(name)
         pooled = x.reshape(-1)
         try:
-            rhat = gelman_rubin(x) if x.shape[0] > 1 or x.shape[1] >= 4 else float("nan")
+            rhat = gelman_rubin(x)
         except ConfigurationError:
             rhat = float("nan")
         try:

@@ -1,6 +1,5 @@
 """Turn traces into selection deliverables: posterior model frequencies,
-marginal inclusion probabilities, RMSE of the fixed effects, and
-hyperparameter-grid tables.
+marginal inclusion probabilities and the RMSE of the fixed effects.
 
 A pattern is one row of :func:`indicator_matrix`: a kept draw's fixed-effect
 bits, then each random block's bits in spec order.  A "model" is a pattern.
@@ -23,10 +22,8 @@ __all__ = [
     "ranked_patterns",
     "top_models",
     "fixed_effect_rmse",
-    "grid_report",
     "format_table",
     "write_selection_report",
-    "write_grid_report",
 ]
 
 
@@ -96,16 +93,6 @@ def fixed_effect_rmse(trace, truth) -> float:
     return float(np.sqrt(np.mean((post_mean - truth) ** 2)))
 
 
-def grid_report(cells) -> list:
-    """Rows (v, h, percent, rmse, ...) per case in hyperparameter-table layout.
-
-    ``cells`` maps (v, h) -> summary dict with keys 'percent', 'rmse' and
-    optionally 'n_ok'/'n_failed'.  Rows are ordered by (h, v).
-    """
-    keys = sorted(cells.keys(), key=lambda vh: (vh[1], vh[0]))
-    return [{"v": v, "h": h, **cells[(v, h)]} for v, h in keys]
-
-
 def format_table(header, rows) -> str:
     """Aligned fixed-width text table."""
     cells = [[str(h) for h in header]] + [[str(c) for c in row] for row in rows]
@@ -127,8 +114,3 @@ def write_selection_report(report: SelectionReport, outdir: str) -> None:
     for bi, arr in enumerate(report.inclusion_random):
         incl_rows += [(f"block{bi + 1}_effect{k + 1}", float(v)) for k, v in enumerate(arr)]
     write_csv(f"{outdir}/inclusion.csv", ["effect", "probability"], incl_rows)
-
-
-def write_grid_report(rows, path: str) -> None:
-    header = ["v", "h", "percent", "rmse", "n_ok", "n_failed"]
-    write_csv(path, header, [[row.get(c, "") for c in header] for row in rows])

@@ -25,6 +25,7 @@ from .sampler import process_map, run_chains
 __all__ = [
     "SimDesign",
     "ReplicationResult",
+    "STUDY_COLUMNS",
     "section3_omega",
     "scaled_omega",
     "full_scale_design",
@@ -174,6 +175,10 @@ def build_model_spec(
     )
 
 
+# the columns of a study table row, after the row's own keys (mode, or v and h)
+STUDY_COLUMNS = ("percent_true_model", "percent_random_correct", "mean_rmse", "n_ok", "n_failed")
+
+
 @dataclass
 class ReplicationResult:
     """Per-replicate rows plus aggregates recomputable from them."""
@@ -181,17 +186,17 @@ class ReplicationResult:
     rows: list  # dicts: replicate, mode, ok, modal label bits, flags, rmse
 
     def summary(self) -> dict:
+        """The study table's values, keyed by :data:`STUDY_COLUMNS` in order; NaN where no replicate finished."""
         ok = [r for r in self.rows if r["ok"]]
         n_ok = len(ok)
-        if n_ok == 0:
-            return {"percent": float("nan"), "percent_random": float("nan"), "rmse": float("nan"), "n_ok": 0, "n_failed": len(self.rows)}
-        return {
-            "percent": 100.0 * sum(r["true_model"] for r in ok) / n_ok,
-            "percent_random": 100.0 * sum(r["random_correct"] for r in ok) / n_ok,
-            "rmse": float(np.mean([r["rmse"] for r in ok])),
-            "n_ok": n_ok,
-            "n_failed": len(self.rows) - n_ok,
-        }
+        rates = (float("nan"),) * 3
+        if ok:
+            rates = (
+                100.0 * sum(r["true_model"] for r in ok) / n_ok,
+                100.0 * sum(r["random_correct"] for r in ok) / n_ok,
+                float(np.mean([r["rmse"] for r in ok])),
+            )
+        return dict(zip(STUDY_COLUMNS, (*rates, n_ok, len(self.rows) - n_ok)))
 
 
 def _fit_one_replicate(design: SimDesign, spec: ModelSpec, replicate: int) -> list:
@@ -237,16 +242,15 @@ def run_grid(
     grid,
     n_replicates: int,
     workers: int = 1,
-) -> dict:
+) -> list:
     """Replication study per (v, h) cell in ``spec.mode``, with shared replicate seeds.
 
     ``grid`` is an iterable of (v, h) pairs (v and nu vary together).
-    Returns cells keyed (v, h) ready for :func:`glmmselect.report.grid_report`.
+    Returns the grid table: one row ``(v, h, *summary values)`` per cell,
+    sorted by (h, v), the summary values in :data:`STUDY_COLUMNS` order.
     """
-    cells = {}
-    for v, h in grid:
-        hyper = replace(spec.hyper, v=v, nu=v, h=h)
-        cell_spec = replace(spec, hyper=hyper)
-        summ = run_replication(design, cell_spec, n_replicates, workers=workers).summary()
-        cells[(v, h)] = {key: summ[key] for key in ("percent", "rmse", "n_ok", "n_failed")}
-    return cells
+    rows = []
+    for v, h in sorted(grid, key=lambda vh: (vh[1], vh[0])):
+        cell_spec = replace(spec, hyper=replace(spec.hyper, v=v, nu=v, h=h))
+        rows.append((v, h, *run_replication(design, cell_spec, n_replicates, workers=workers).summary().values()))
+    return rows

@@ -29,7 +29,6 @@ SMALL_DESIGN = {
     "l": 3,
     "q": 2,
     "n_active_fixed": 2,
-    "active_random": [1],
     "base_seed": 0,
     "replicates": 2,
     "hyperparameters": {"v": 1.0, "nu": 1.0},
@@ -232,7 +231,10 @@ class TestPipeline:
         out = str(tmp_path / "repl")
         assert main(["replicate", "--design", design, "--out", out, "--replicates", "2"]) == 0
         assert os.path.exists(os.path.join(out, "modal_models.csv"))
-        assert os.path.exists(os.path.join(out, "summary.csv"))
+        lines = open(os.path.join(out, "summary.csv")).read().strip().splitlines()
+        assert lines[0] == "mode,percent_true_model,percent_random_correct,mean_rmse,n_ok,n_failed"
+        mode, *_, n_ok, n_failed = lines[1].split(",")
+        assert mode == "ssvs-diagonal" and int(n_ok) + int(n_failed) == 2
 
     def test_modal_models_name_effects_as_model_labels(self, tmp_path, monkeypatch):
         # modal_models.csv and top_models.csv name a model's effects the same way
@@ -276,7 +278,7 @@ class TestPipeline:
         ]) == 0
         lines = open(os.path.join(out, "grid.csv")).read().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
-        assert lines[0] == "v,h,percent,rmse,n_ok,n_failed"
+        assert lines[0] == "v,h,percent_true_model,percent_random_correct,mean_rmse,n_ok,n_failed"
 
     @pytest.mark.parametrize("command", ["simulate", "replicate", "grid"])
     @pytest.mark.parametrize(
@@ -338,10 +340,8 @@ class TestPipeline:
             ("replicate", "design", [SMALL_DESIGN], "expected a JSON object"),
             ("replicate", "design", dict(SMALL_DESIGN, case="x"), "case must be an integer, got 'x'"),
             ("replicate", "design", dict(SMALL_DESIGN, replicates="two"), "replicates must be an integer, got 'two'"),
-            ("replicate", "design", dict(SMALL_DESIGN, active_random=["b"]), "active_random must be an integer, got 'b'"),
-            ("replicate", "design", dict(SMALL_DESIGN, active_random=[0]), "must list effects 1..2"),
-            ("simulate", "design", dict(SMALL_DESIGN, active_random=[1, 5]), "must list effects 1..2"),
-            ("simulate", "design", dict(SMALL_DESIGN, active_random=[1, 1]), "must list effects 1..2 once each"),
+            # omega is the one random-effect truth of a design
+            ("simulate", "design", dict(SMALL_DESIGN, active_random=[1]), "unknown key(s) 'active_random'"),
             ("simulate", "design", {"scale": "scaled", "q": 2, "omega": [[1, 2], [2, 1]]}, "design.json: active submatrix is not PSD"),
             ("replicate", "design", dict(SMALL_DESIGN, scale="small"), "scale must be 'full' or 'scaled', got 'small'"),
             ("simulate", "design", dict(SMALL_DESIGN, n=None), "n must be an integer, got None"),
@@ -352,7 +352,6 @@ class TestPipeline:
             ("simulate", "design", {"scale": "scaled", "q": -1}, "q must be at least 1, got -1"),
             ("simulate", "design", {"scale": "scaled", "omega": [[1, 0], [0]]}, "omega must be a numeric matrix"),
             ("simulate", "design", {"scale": "full", "base_seed": -1}, "base_seed must be at least 0, got -1"),
-            ("simulate", "design", {"scale": "scaled", "active_random": [1], "omega": OMEGA_5}, "disagrees with omega"),
             (
                 "replicate",
                 "design",
@@ -370,7 +369,6 @@ class TestPipeline:
             # the truth is the effects omega gives variance, not the base design's (0, 2)
             ({"scale": "scaled", "omega": OMEGA_5}, [0, 0, 0, 0, 1, 0]),
             ({"scale": "scaled", "q": 2, "omega": [[1, 0], [0, 1]]}, [1, 1]),
-            ({"scale": "scaled", "active_random": [5], "omega": OMEGA_5}, [0, 0, 0, 0, 1, 0]),
         ],
     )
     def test_omega_sets_the_random_truth(self, tmp_path, design, random_mask):

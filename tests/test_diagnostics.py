@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
-from glmmselect.diagnostics import effective_sample_size, gelman_rubin
+from glmmselect.diagnostics import effective_sample_size, gelman_rubin, summarize_trace
 from glmmselect.errors import ConfigurationError
+from glmmselect.families import Family
+from glmmselect.model import ModelDims
+from glmmselect.sampler import ChainTrace, Trace, trace_layout
 
 
 class TestGelmanRubin:
@@ -68,3 +71,25 @@ class TestEffectiveSampleSize:
     def test_too_short_raises(self):
         with pytest.raises(ConfigurationError):
             effective_sample_size(np.zeros((1, 4)))
+
+
+def random_trace(n_chains, n_draws):
+    """A trace of uniform draws in every column of a small poisson model."""
+    rng = np.random.default_rng(7)
+    dims = ModelDims(l=2, blocks=((2, 3),))
+    layout = trace_layout(dims, Family("poisson"))
+    n_columns = sum(len(names) for *_, names in layout)
+    return Trace(chains=[ChainTrace(c, rng.random((n_draws, n_columns)), layout) for c in range(n_chains)], dims=dims)
+
+
+class TestSummarizeTrace:
+    @pytest.mark.parametrize("n_chains", [1, 2])
+    def test_three_draws_give_nan_rhat(self, n_chains):
+        # split R-hat needs 4 draws per chain, however many chains there are
+        rows = summarize_trace(random_trace(n_chains, 3))
+        assert rows and all(np.isnan(rhat) for *_, rhat, _ in rows)
+
+    @pytest.mark.parametrize("n_chains", [1, 2])
+    def test_four_draws_give_an_rhat(self, n_chains):
+        rows = summarize_trace(random_trace(n_chains, 4))
+        assert rows and all(np.isfinite(rhat) for *_, rhat, _ in rows)

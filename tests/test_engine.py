@@ -502,6 +502,21 @@ class TestGivenState:
             GibbsEngine(spec, data, rng=np.random.default_rng(13), state=state)
 
 
+def dispersion_log_cdf(y, eta, r_min, r_max):
+    """(grid of log r, CDF of log r there) of the NB dispersion's full conditional r | y, eta.
+
+    scipy's NB pmf times the Gamma(0.01, rate 0.01) prior, by the trapezoid
+    rule on 20,001 points of log r in [log r_min, log r_max].
+    """
+    log_r = np.linspace(math.log(r_min), math.log(r_max), 20001)
+    r = np.exp(log_r)[:, None]
+    log_post = stats.nbinom.logpmf(y, r, r / (r + np.exp(eta))).sum(axis=1)
+    log_post += stats.gamma.logpdf(r[:, 0], 0.01, scale=100.0) + log_r  # density of log r
+    dens = np.exp(log_post - log_post.max())
+    cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
+    return log_r, cdf / cdf[-1]
+
+
 class TestGibbsScan:
     def test_no_selection_mode_keeps_indicators(self):
         spec, data = toy_setup(8, mode="no-selection")
@@ -723,8 +738,8 @@ class TestGibbsScan:
 
     def test_nb_dispersion_update_keeps_its_conditional(self):
         # start each update at an exact draw of r_disp | y, eta (grid inverse
-        # CDF under scipy's NB pmf and the Gamma(0.01, rate 0.01) prior); an
-        # invariant update returns draws with the same distribution
+        # CDF of dispersion_log_cdf); an invariant update returns draws with
+        # the same distribution
         rng = np.random.default_rng(19)
         n = 60
         eta = rng.normal(1.0, 0.3, n)
@@ -733,20 +748,58 @@ class TestGibbsScan:
         spec = ModelSpec(family=Family(kind="negative_binomial"), response="y", fixed_effects=("1",))
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(20))
         engine._eta = eta
-
-        log_r = np.linspace(math.log(1e-2), math.log(1e3), 20001)
-        r = np.exp(log_r)[:, None]
-        log_post = stats.nbinom.logpmf(y, r, r / (r + np.exp(eta))).sum(axis=1)
-        log_post += stats.gamma.logpdf(r[:, 0], 0.01, scale=100.0) + log_r  # density of log r
-        dens = np.exp(log_post - log_post.max())
-        cdf = np.concatenate([[0.0], np.cumsum((dens[1:] + dens[:-1]) / 2.0)])
-        cdf /= cdf[-1]
+        log_r, cdf = dispersion_log_cdf(y, eta, 1e-2, 1e3)
 
         starts = np.exp(np.interp(rng.random(2000), cdf, log_r))
         draws = np.empty_like(starts)
         for i, start in enumerate(starts):
             engine.state.dispersion = float(start)
             engine._update_dispersion()
+            draws[i] = engine.state.dispersion
+        assert stats.kstest(np.log(draws), lambda x: np.interp(x, log_r, cdf)).pvalue > 1e-3
+
+
+class TestFamilyScaleConditionals:
+    """Draws of the family-scale updates at a fixed rest of the state, against their full conditionals."""
+
+    def test_sigma2_draws_follow_its_inverse_gamma(self):
+        # sigma2 | rest ~ IG(0.01 + (n + l)/2, 0.01 + ssr/2 + g sum(theta beta^2)/2): the IG(0.01, 0.01)
+        # prior, the gaussian likelihood and the N(0, sigma2 / (g theta)) prior of every beta
+        spec, data = toy_setup(seed=21, n=10, n_i=2, kind="gaussian")
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(22))
+        st = engine.state
+        st.J[:] = 1
+        st.beta[:] = [1.2, -2.5]
+        st.theta[:] = [3.0, 4.0]
+        engine.recompute_caches()
+        resid = data.y - engine._eta
+        shape = 0.01 + 0.5 * (data.n_obs + st.beta.size)
+        scale = 0.01 + 0.5 * resid @ resid + 0.5 * spec.hyper.g_shrink * np.sum(st.theta * st.beta**2)
+        draws = np.empty(20_000)
+        for i in range(draws.size):
+            engine._update_sigma2()
+            draws[i] = st.sigma2
+        assert stats.kstest(draws, stats.invgamma(shape, scale=scale).cdf).pvalue > 1e-3
+
+    def test_dispersion_chain_follows_its_conditional(self):
+        # the Gamma(0.01, rate 0.01) prior leaves 20 observations' conditional a heavy right tail,
+        # so the grid reaches r = 5000
+        rng = np.random.default_rng(23)
+        n = 20
+        eta = rng.normal(1.0, 0.3, n)
+        y = rng.negative_binomial(2.0, 2.0 / (2.0 + np.exp(eta))).astype(float)
+        data = Dataset(y=y, X=np.ones((n, 1)))
+        spec = ModelSpec(family=Family(kind="negative_binomial"), response="y", fixed_effects=("1",))
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(24))
+        engine._eta = eta
+        engine.state.dispersion = 2.0
+        log_r, cdf = dispersion_log_cdf(y, eta, 1e-3, 5e3)
+
+        # 10,000 successive updates, every 10th kept
+        draws = np.empty(1000)
+        for i in range(draws.size):
+            for _ in range(10):
+                engine._update_dispersion()
             draws[i] = engine.state.dispersion
         assert stats.kstest(np.log(draws), lambda x: np.interp(x, log_r, cdf)).pvalue > 1e-3
 

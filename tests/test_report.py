@@ -10,7 +10,6 @@ from glmmselect.report import (
     ModelLabel,
     fixed_effect_rmse,
     format_table,
-    grid_report,
     indicator_matrix,
     ranked_patterns,
     top_models,
@@ -220,20 +219,7 @@ class TestRmse:
             fixed_effect_rmse(trace, [1.0])
 
 
-class TestGridReport:
-    def test_single_cell(self):
-        rows = grid_report({(1.0, 0.1): {"percent": 44.0, "rmse": 0.001}})
-        assert rows == [{"v": 1.0, "h": 0.1, "percent": 44.0, "rmse": 0.001}]
-
-    def test_nine_cells_ordered_by_h_then_v(self):
-        cells = {}
-        for v in (0.01, 1.0, 5.0):
-            for h in (0.1, 1.0, 10.0):
-                cells[(v, h)] = {"percent": 0.0, "rmse": 0.0}
-        rows = grid_report(cells)
-        assert len(rows) == 9
-        assert [(r["v"], r["h"]) for r in rows[:3]] == [(0.01, 0.1), (1.0, 0.1), (5.0, 0.1)]
-
+class TestFormatTable:
     def test_format_table_alignment(self):
         text = format_table(["a", "bb"], [(1, 2), (30, 4)])
         lines = text.splitlines()

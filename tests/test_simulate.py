@@ -7,6 +7,8 @@ from glmmselect import simulate
 from glmmselect.errors import ConfigurationError, SamplerError
 from glmmselect.model import Hyperparameters, SamplerSettings
 from glmmselect.simulate import (
+    STUDY_COLUMNS,
+    ReplicationResult,
     SimDesign,
     build_model_spec,
     full_scale_design,
@@ -147,6 +149,19 @@ class TestReplication:
     def _quick_settings(self):
         return SamplerSettings(chains=1, adapt=30, burnin=40, kept=150, seed=0)
 
+    def test_summary_is_the_study_columns(self):
+        flags = [(True, True), (True, False), (False, False)]
+        rows = [dict(ok=True, true_model=t, random_correct=r, rmse=0.1 * k) for k, (t, r) in enumerate(flags)]
+        summ = ReplicationResult(rows + [dict(ok=False, error="stopped")]).summary()
+        assert tuple(summ) == STUDY_COLUMNS
+        assert list(summ.values()) == [100.0 * 2 / 3, 100.0 * 1 / 3, float(np.mean([0.0, 0.1, 0.2])), 3, 1]
+
+    def test_summary_without_a_finished_replicate_is_nan(self):
+        summ = ReplicationResult([dict(ok=False, error="stopped")] * 2).summary()
+        assert tuple(summ) == STUDY_COLUMNS
+        assert all(np.isnan(summ[key]) for key in STUDY_COLUMNS[:3])
+        assert (summ["n_ok"], summ["n_failed"]) == (0, 2)
+
     def test_zero_replicates(self):
         design = replace(scaled_design(), n=10, n_i=4)
         spec = build_model_spec(design, sampler=self._quick_settings())
@@ -172,8 +187,8 @@ class TestReplication:
         result = run_replication(design, spec, 20)
         summ = result.summary()
         assert summ["n_ok"] == 20
-        assert summ["percent"] >= 80.0
-        assert summ["percent_random"] >= 80.0
+        assert summ["percent_true_model"] >= 80.0
+        assert summ["percent_random_correct"] >= 80.0
         assert np.median([row["rmse"] for row in result.rows]) <= 0.26
 
     def _failing_fit(self, monkeypatch, exc):
@@ -236,10 +251,24 @@ class TestGrid:
             design, mode="ssvs-diagonal", hyper=Hyperparameters(v=1.0, nu=1.0),
             sampler=SamplerSettings(chains=1, adapt=10, burnin=10, kept=60, seed=0),
         )
-        cells = run_grid(design, spec, [(1.0, 1.0)], 2)
+        rows = run_grid(design, spec, [(1.0, 1.0)], 2)
         direct = run_replication(design, spec, 2).summary()
-        assert cells[(1.0, 1.0)]["percent"] == direct["percent"]
-        assert cells[(1.0, 1.0)]["rmse"] == direct["rmse"]
+        assert direct["n_ok"] == 2
+        assert rows == [(1.0, 1.0, *direct.values())]
+
+    def test_rows_come_back_in_h_then_v_order(self, monkeypatch):
+        # each cell's stand-in study scores its own (v, h), so a row shows whether it kept its cell's values
+        def study(design, spec, n_replicates, workers=1):
+            hyper = spec.hyper
+            assert hyper.nu == hyper.v
+            return ReplicationResult([dict(ok=True, true_model=True, random_correct=False, rmse=hyper.v + 10 * hyper.h)])
+
+        monkeypatch.setattr(simulate, "run_replication", study)
+        design = scaled_design()
+        pairs = [(v, h) for h in (1.0, 0.5) for v in (1.0, 0.1, 0.01)]
+        rows = run_grid(design, build_model_spec(design), pairs, 1)
+        assert [row[:2] for row in rows] == [(0.01, 0.5), (0.1, 0.5), (1.0, 0.5), (0.01, 1.0), (0.1, 1.0), (1.0, 1.0)]
+        assert [row[2:] for row in rows] == [(100.0, 0.0, v + 10 * h, 1, 0) for v, h, *_ in rows]
 
     def test_paired_seeds_share_datasets(self):
         design = replace(scaled_design(), base_seed=11)
