@@ -202,8 +202,8 @@ def cmd_simulate(args) -> int:
 
 def cmd_replicate(args) -> int:
     design, spec, n_rep = _study(args, 20)
-    result = run_replication(design, spec, n_rep, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
+    result = run_replication(design, spec, n_rep, workers=args.workers)
     modal = [r["modal_fixed"] + r["modal_random"] for r in result.rows if r["ok"]]
     rows = []
     if modal:
@@ -224,8 +224,8 @@ def cmd_replicate(args) -> int:
 def cmd_grid(args) -> int:
     design, spec, n_rep = _study(args, 20)
     pairs = _load_grid(args.grid)
-    rows = run_grid(design, spec, pairs, n_rep, workers=args.workers)
     os.makedirs(args.out, exist_ok=True)
+    rows = run_grid(design, spec, pairs, n_rep, workers=args.workers)
     write_csv(os.path.join(args.out, "grid.csv"), ["v", "h", *STUDY_COLUMNS], rows)
     print(format_table(["v", "h", "percent", "rmse"], [(v, h, pct, rmse) for v, h, pct, _, rmse, *_ in rows]))
     return 0

@@ -52,7 +52,8 @@ theta, phi, the indicators, r and m are one ``sample_prior`` draw.  beta is
 drawn from N(b, 4 H^-1) around the ridge-IRLS estimate b of the GLM with the
 random effects at 0, H its Newton precision (``_ridge_irls``); lam = 0.5,
 tau2 = kappa = 1, the family scale is 1 and xi ~ N(0, 1).  A start whose
-log-likelihood is not finite raises ``SamplerError``.
+log-likelihood is not finite raises ``SamplerError``.  Every start, drawn or
+given, then takes what the mode fixes (``model.fix_mode``).
 
 The family scale has one update per kind.  The NB overdispersion is
 slice-updated on the sum of ``Family.log_likelihood`` at the cached predictor
@@ -61,12 +62,12 @@ The gaussian sigma2 is drawn from its inverse-gamma full conditional.
 
 Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
 group keyed ``(kind, block)`` (block None for the fixed effects and the
-dispersion).  Every width starts at 1.0.  While ``adapting`` is set, each scan
-adds the group's draws of the coordinates that take slice updates (included
-ones; see ``_draws``), and from its 20th such draw on each width is
-2.5 running standard deviations, clipped to [1e-4, 1e4].  Pseudo-prior draws
-of excluded coordinates do not count: they follow the heavy-tailed prior and
-would widen the slices of included ones.
+dispersion).  Every width starts at 1.0.  While ``adapting`` is set, each
+slice update adds its new value to its coordinate's running sums
+(``_slice``), and from a coordinate's 20th value on its width is 2.5 running
+standard deviations, clipped to [1e-4, 1e4].  Pseudo-prior draws of excluded
+coordinates never reach the store, because they take no slice update: they
+follow the heavy-tailed prior and would widen the slices of included ones.
 
 The engine reads its data from ``self.data`` and caches one quantity, the
 full linear predictor ``_eta`` of the current state.  Each update that moves
@@ -88,7 +89,7 @@ import numpy as np
 
 from .errors import SamplerError
 from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE
-from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor
+from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, fix_mode
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
 from .model import total_log_likelihood  # noqa: F401
 from .priors import (
@@ -130,24 +131,20 @@ class _Width:
 
     def __init__(self, size: int):
         self.width = np.ones(size)
-        self.count = np.zeros(size)
-        self.total = np.zeros(size)
-        self.total_sq = np.zeros(size)
+        # Python numbers: add runs after every adapting slice update, and numpy scalar arithmetic costs about 4x as much
+        self.count = [0] * size
+        self.total = [0.0] * size
+        self.total_sq = [0.0] * size
 
-    def add(self, draws: np.ndarray, live: np.ndarray) -> None:
-        """Add one scan's draws, one per coordinate, of the coordinates that ``live`` marks.
-
-        A coordinate's width is 2.5 running standard deviations of its live
-        draws once it has 20 of them.
-        """
-        self.count += live
-        self.total += np.where(live, draws, 0.0)
-        self.total_sq += np.where(live, draws**2, 0.0)
-        ready = self.count >= _ADAPT_MIN_COUNT
-        if ready.any():
-            mean = self.total[ready] / self.count[ready]
-            sd = np.sqrt(np.maximum(self.total_sq[ready] / self.count[ready] - mean**2, 0.0))
-            self.width[ready] = np.clip(2.5 * sd, _WIDTH_MIN, _WIDTH_MAX)
+    def add(self, j: int, x: float) -> None:
+        """Add a draw x of coordinate j; from its 20th draw on, its width is 2.5 running standard deviations."""
+        count = self.count[j] = self.count[j] + 1
+        total = self.total[j] = self.total[j] + x
+        total_sq = self.total_sq[j] = self.total_sq[j] + x * x
+        if count >= _ADAPT_MIN_COUNT:
+            mean = total / count
+            sd = math.sqrt(max(total_sq / count - mean * mean, 0.0))
+            self.width[j] = min(max(2.5 * sd, _WIDTH_MIN), _WIDTH_MAX)
 
 
 class GibbsEngine:
@@ -157,12 +154,12 @@ class GibbsEngine:
         self,
         spec: ModelSpec,
         data: Dataset,
-        rng: np.random.Generator | None = None,
+        rng: np.random.Generator,
         state: ParameterState | None = None,
     ):
         self.spec = spec
         self.data = data
-        self.rng = rng if rng is not None else np.random.default_rng(spec.sampler.seed)
+        self.rng = rng
         self.dims = ModelDims.of(spec, data)
         spec.family.validate_response(data.y)
         self.hyper = spec.hyper
@@ -178,9 +175,14 @@ class GibbsEngine:
         drawn = state is None
         self.state = self._draw_start() if drawn else state.copy()
         self.state.check_dims(self.dims)
-        self._fix_by_mode(self.state)
+        fix_mode(self.state, self.mode)
 
-        self.widths = {key: _Width(draws.size) for key, (draws, _) in self._draws().items()}
+        self.widths = {("beta", None): _Width(self.dims.l)}
+        for bi, (q, _) in enumerate(self.dims.blocks):
+            self.widths["lam", bi] = _Width(q)
+            self.widths["r", bi] = _Width(q * (q - 1) // 2)
+        if self._scale_attr == "dispersion":
+            self.widths["dispersion", None] = _Width(1)
         self.stats = {kind: SliceStats() for kind in _SLICE_KINDS}
         self.xi_accepted = self.xi_proposed = 0  # groups, over every xi column update
         self.recompute_caches()
@@ -191,22 +193,9 @@ class GibbsEngine:
 
     # ------------------------------------------------------------------ setup
 
-    def _fix_by_mode(self, state: ParameterState) -> None:
-        """Set what the mode fixes in a state.
-
-        no-selection fixes every indicator at 1 and ssvs-diagonal every r at 0.
-        """
-        if self.mode == "no-selection":
-            state.J[:] = 1
-            for bs in state.blocks:
-                bs.include[:] = 1
-        if self.mode == "ssvs-diagonal":
-            for bs in state.blocks:
-                bs.r[:] = 0.0
-
     def _draw_start(self) -> ParameterState:
         """The start of a chain without a given state (see the module docstring)."""
-        start = sample_prior(self.hyper, self.dims, self.rng, self.spec.family, mode=self.mode)
+        start = sample_prior(self.hyper, self.dims, self.rng, self.spec.family)
         with np.errstate(over="ignore", invalid="ignore"):
             b, h = self._ridge_irls()
             chol = np.linalg.cholesky(h)
@@ -310,19 +299,26 @@ class GibbsEngine:
 
     # ---------------------------------------------------------- slice updates
 
-    def _slice(self, kind: str, target, x0, width, lower: float = -math.inf) -> float:
-        """One slice update of a scalar coordinate; ``kind`` names its stats."""
-        return slice_update(target, float(x0), float(width), self.rng, lower=lower, stats=self.stats[kind])
+    def _slice(self, key: tuple, j: int, target, x0, lower: float) -> float:
+        """One slice update of coordinate j of parameter group ``key``; while ``adapting``, the new value tunes its width."""
+        width = float(self.widths[key].width[j])
+        x = slice_update(target, float(x0), width, self.rng, lower=lower, stats=self.stats[key[0]])
+        if self.adapting:
+            self._adapt_widths(key, j, x)
+        return x
 
-    def _slice_along(self, kind: str, c, old, var, width, x0, lower: float = -math.inf) -> float:
-        """Slice update of a coordinate whose term in eta is ``c * x``, under a N(0, var) prior.
+    def _adapt_widths(self, key: tuple, j: int, x: float) -> None:
+        self.widths[key].add(j, x)
+
+    def _slice_along(self, key: tuple, j: int, c, old, var, x0, lower: float = -math.inf) -> float:
+        """Slice update of coordinate j of ``key``, whose term in eta is ``c * x``, under a N(0, var) prior.
 
         ``old`` is the value the cached eta holds and ``x0`` the start point.
         Moves the cached eta to the new value.
         """
         eta_minus = self._eta - c * old
         line = self._line(eta_minus, c)
-        new = self._slice(kind, lambda x: line(x) - 0.5 * x * x / var, x0, width, lower)
+        new = self._slice(key, j, lambda x: line(x) - 0.5 * x * x / var, x0, lower)
         self._eta = eta_minus + c * new
         return new
 
@@ -361,8 +357,7 @@ class GibbsEngine:
         st = self.state
         if st.J[p]:
             var = st.sigma2 / (self.hyper.g_shrink * st.theta[p])
-            width = self.widths["beta", None].width[p]
-            st.beta[p] = self._slice_along("beta", self.data.X[:, p], st.beta[p], var, width, st.beta[p])
+            st.beta[p] = self._slice_along(("beta", None), p, self.data.X[:, p], st.beta[p], var, st.beta[p])
 
     def _update_theta_phi(self) -> None:
         """The shrinkage latents of every fixed effect, by exact draws.
@@ -419,8 +414,7 @@ class GibbsEngine:
         gxi_k = bs.xi @ gamma[k, :]
         c = bdata.Z[:, k] * gxi_k[bdata.groups]
         old = float(bs.lam[k])
-        width = self.widths["lam", bi].width[k]
-        bs.lam[k] = self._slice_along("lam", c, old, slab_var, width, old if old > 0.0 else 1e-12, 0.0)
+        bs.lam[k] = self._slice_along(("lam", bi), k, c, old, slab_var, old if old > 0.0 else 1e-12, 0.0)
 
     def _update_tau2(self, bi: int) -> None:
         """The slab variances of block bi, by exact draws.
@@ -451,11 +445,10 @@ class GibbsEngine:
         rows, cols = cholesky.tril_pairs(bdata.q)
         free = (bs.include[rows] & bs.include[cols]).astype(bool)
         bs.r[~free] = draw_correlations(self.rng, free.size - np.count_nonzero(free))
-        widths = self.widths["r", bi].width
         for j in np.flatnonzero(free):
             u, v = rows[j], cols[j]
             c = bdata.Z[:, u] * (bs.lam[u] * bs.xi[bdata.groups, v])
-            bs.r[j] = self._slice_along("r", c, bs.r[j], 1.0, widths[j], bs.r[j])
+            bs.r[j] = self._slice_along(("r", bi), j, c, bs.r[j], 1.0, bs.r[j])
 
     def _group_laplace(self, bi: int, eta0: np.ndarray, c: np.ndarray, slope: np.ndarray, precision: float):
         """Per group g of block bi, the mode m_g of its line target t_g and H_g = -t_g''(m_g).
@@ -552,8 +545,7 @@ class GibbsEngine:
             ll = float(np.sum(family.log_likelihood(self.data.y, self._eta, r)))
             return ll + family.scale.log_prior(r)
 
-        width = self.widths["dispersion", None].width[0]
-        self.state.dispersion = self._slice("dispersion", tgt, self.state.dispersion, width, 0.0)
+        self.state.dispersion = self._slice(("dispersion", None), 0, tgt, self.state.dispersion, 0.0)
 
     def _update_sigma2(self) -> None:
         st = self.state
@@ -590,34 +582,7 @@ class GibbsEngine:
             if self._update_scale is not None:
                 self._update_scale()
             self.recompute_caches()
-            if self.adapting:
-                self._adapt_widths()
             self.check_exclusion_invariant()
-
-    # ------------------------------------------------------------- adaptation
-
-    def _draws(self) -> dict:
-        """Each slice-updated parameter group, keyed (kind, block): its 1-D draws and live mask.
-
-        A coordinate is live while it takes slice updates: an included beta
-        or lam, an r entry whose two effects are in, the NB dispersion.  The
-        others are pseudo-prior draws, whose spread says nothing about the
-        slice scale.
-        """
-        st = self.state
-        groups = {("beta", None): (st.beta, st.J == 1)}
-        for bi, bs in enumerate(st.blocks):
-            included = bs.include == 1
-            rows, cols = cholesky.tril_pairs(included.size)
-            groups["lam", bi] = (bs.lam, included)
-            groups["r", bi] = (bs.r, included[rows] & included[cols])
-        if self._scale_attr == "dispersion":
-            groups["dispersion", None] = (np.array([st.dispersion]), True)
-        return groups
-
-    def _adapt_widths(self) -> None:
-        for key, (draws, live) in self._draws().items():
-            self.widths[key].add(draws, live)
 
     # -------------------------------------------------------------- invariant
 

@@ -32,6 +32,7 @@ __all__ = [
     "ModelDims",
     "MODES",
     "check_int",
+    "fix_mode",
     "block_predictor",
     "linear_predictor",
     "linear_predictor_all",
@@ -41,11 +42,11 @@ __all__ = [
 MODES = ("ssvs-full", "ssvs-diagonal", "no-selection")
 
 
-def check_int(name: str, value, low: int | None = None) -> int:
+def check_int(name: str, value, low: int) -> int:
     """``value`` if it is an ``int`` (not a ``bool``) of at least ``low``, else ConfigurationError naming ``name``."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
-    if low is not None and value < low:
+    if value < low:
         raise ConfigurationError(f"{name} must be at least {low}, got {value}")
     return value
 
@@ -293,6 +294,18 @@ class ParameterState:
             shapes = {"r": (q * (q - 1) // 2,), "xi": (n_groups, q)}
             for f in fields(bs):
                 check(f"block {bi} {f.name}", getattr(bs, f.name), shapes.get(f.name, (q,)))
+
+
+def fix_mode(state: ParameterState, mode: str) -> ParameterState:
+    """``state``, with what ``mode`` fixes set in place: no-selection every indicator at 1, ssvs-diagonal every r at 0."""
+    if mode == "no-selection":
+        state.J[:] = 1
+        for bs in state.blocks:
+            bs.include[:] = 1
+    elif mode == "ssvs-diagonal":
+        for bs in state.blocks:
+            bs.r[:] = 0.0
+    return state
 
 
 def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings: np.ndarray) -> np.ndarray:

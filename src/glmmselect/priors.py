@@ -316,28 +316,22 @@ def sample_prior(
     dims: ModelDims,
     rng: np.random.Generator,
     family: Family,
-    mode: str = "ssvs-full",
 ) -> ParameterState:
     """Exact draw from the full joint prior, one stage at a time.
 
     The family's scale, if its kind has one, is drawn from its prior into
-    the state field it names.
+    the state field it names.  ``model.fix_mode`` sets what a mode fixes.
     """
     pi = hyper.prior_inclusion
     field = family.scale.field if family.scale is not None else None
 
-    def indicators(shape):
-        if mode == "no-selection":
-            return np.ones(shape, dtype=np.int8)
-        return (rng.random(shape) < pi).astype(np.int8)
-
     # sigma2 enters the beta prior, so it is drawn first; any other scale is drawn last
     sigma2 = float(family.scale.draw_prior(rng)) if field == "sigma2" else 1.0
     phi, theta, beta = draw_shrinkage(rng, (dims.l,), sigma2, hyper.g_shrink)
-    J = indicators((dims.l,))
+    J = (rng.random(dims.l) < pi).astype(np.int8)
     blocks = []
     for q, n_groups in dims.blocks:
-        include = indicators((q,))
+        include = (rng.random(q) < pi).astype(np.int8)
         tau2, lam = draw_slab(rng, (q,), hyper)
         r = draw_correlations(rng, (q * (q - 1) // 2,))
         m, kappa, xi = draw_latent(rng, (q,), n_groups)

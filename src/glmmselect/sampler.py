@@ -1,7 +1,7 @@
 """Multi-chain orchestration and trace storage.
 
-Chains are initialized from the prior with sub-seeds ``base_seed + chain``;
-adaptation scans tune slice widths and are then frozen before burn-in.
+Chain c, seeded with the sampler seed plus c, starts at an overdispersed ridge-IRLS
+point (:mod:`glmmselect.engine`); adaptation scans tune slice widths, frozen before burn-in.
 
 Each chain's recorded draws are one ``(K, n_columns)`` float matrix, one row
 per kept draw.  :func:`trace_layout` is the one description of its columns:

@@ -9,7 +9,7 @@ import warnings
 
 import pytest
 
-from glmmselect import cli
+from glmmselect import cli, simulate
 from glmmselect.cli import RHAT_WARN, main
 from glmmselect.report import ModelLabel
 from glmmselect.simulate import ReplicationResult
@@ -102,8 +102,8 @@ class TestFit:
         assert capsys.readouterr().err == f"error: --workers must be at least 1, got {workers}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["simulate", "fit", "ppc", "report"])
-    def test_out_path_naming_a_file_is_error_exit(self, workspace, capsys, command):
+    @pytest.mark.parametrize("command", ["simulate", "fit", "ppc", "report", "replicate", "grid"])
+    def test_out_path_naming_a_file_is_error_exit(self, workspace, capsys, monkeypatch, command):
         tmp_path, design, spec, data = workspace
         fitted = str(tmp_path / "fitted")
         assert main(["fit", "--data", data, "--spec", spec, "--out", fitted]) == 0
@@ -112,7 +112,15 @@ class TestFit:
             "fit": ["--data", data, "--spec", spec],
             "ppc": ["--trace", fitted, "--data", data, "--spec", spec, "--n-rep", "2"],
             "report": ["--trace", fitted, "--data", data, "--spec", spec],
+            "replicate": ["--design", design],
+            "grid": ["--design", design, "--grid", write(tmp_path, "grid.json", {"v": [1.0], "h": [1.0]})],
         }[command]
+
+        def no_study(*args, **kwargs):
+            pytest.fail("the study ran before the output directory was made")
+
+        monkeypatch.setattr(cli, "run_replication", no_study)
+        monkeypatch.setattr(simulate, "run_replication", no_study)
         capsys.readouterr()
         assert main([command, *args, "--out", spec]) == 1
         err = capsys.readouterr().err

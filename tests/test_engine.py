@@ -17,6 +17,7 @@ from glmmselect.model import (
     ModelSpec,
     RandomBlock,
     SamplerSettings,
+    fix_mode,
     linear_predictor_all,
     total_log_likelihood,
 )
@@ -853,7 +854,7 @@ class TestStart:
     def test_prior_part_of_the_start_keeps_the_mode_fixes(self, mode):
         spec, data = toy_setup(40, q=3, mode=mode)
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(41))
-        prior = sample_prior(spec.hyper, engine.dims, np.random.default_rng(41), spec.family, mode=mode)
+        prior = fix_mode(sample_prior(spec.hyper, engine.dims, np.random.default_rng(41), spec.family), mode)
         start, bs, pbs = engine.state, engine.state.blocks[0], prior.blocks[0]
         for name in ("J", "theta", "phi"):
             np.testing.assert_array_equal(getattr(start, name), getattr(prior, name))
@@ -968,19 +969,15 @@ class TestSliceWidths:
         assert engine.widths["dispersion", None].width[0] != 1.0
         assert any(np.any(np.broadcast_to(sums[key][0], w.width.shape) < 40) for key, w in engine.widths.items())
 
-    def test_width_record_ignores_draws_that_are_not_live(self):
-        width = engine_module._Width(3)
+    def test_width_is_the_clipped_running_sd_from_the_20th_draw(self):
+        width = engine_module._Width(4)
         rng = np.random.default_rng(27)
-        live_draws = [[], [], []]
-        for scan in range(30):
-            draws = rng.normal([0.0, 5.0, -2.0], [0.1, 2.0, 30.0])
-            live = np.array([True, scan % 2 == 0, scan < 10])  # 30, 15 and 10 live scans
-            width.add(draws, live)
-            for k in np.flatnonzero(live):
-                live_draws[k].append((draws[k], draws[k] ** 2))
-        first, second = np.array(live_draws[0]).T
-        want = 2.5 * np.sqrt(second.mean() - first.mean() ** 2)
-        np.testing.assert_allclose(width.width[0], want, rtol=1e-12)
-        # fewer than 20 live draws: the start width stays
-        np.testing.assert_array_equal(width.width[1:], 1.0)
-        np.testing.assert_array_equal(width.count, [30, 15, 10])
+        # 30 and 19 draws, then 20 whose 2.5 sd lies below the lower clip and 25 whose 2.5 sd lies above the upper
+        draws = [rng.normal(0.0, 0.1, 30), rng.normal(5.0, 2.0, 19), rng.normal(-2.0, 1e-6, 20), rng.normal(0.0, 1e5, 25)]
+        for j, xs in enumerate(draws):
+            for x in xs:
+                width.add(j, float(x))
+        np.testing.assert_allclose(width.width[0], 2.5 * draws[0].std(), rtol=1e-10)
+        # 19 draws keep the start width; the other two are clipped
+        np.testing.assert_array_equal(width.width[1:], [1.0, 1e-4, 1e4])
+        assert width.count == [30, 19, 20, 25]

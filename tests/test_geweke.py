@@ -34,6 +34,7 @@ from glmmselect.model import (
     ModelDims,
     ModelSpec,
     RandomBlock,
+    fix_mode,
     linear_predictor_all,
 )
 from glmmselect.priors import sample_prior
@@ -82,9 +83,7 @@ def successive_conditional(spec, data, medians, n_chains, n_scans, seed):
     family = spec.family
     rows, r = [], []
     for _ in range(n_chains):
-        state = sample_prior(spec.hyper, ModelDims.of(spec, data), rng, family, mode=spec.mode)
-        if spec.mode == "ssvs-diagonal":
-            state.blocks[0].r[:] = 0.0
+        state = fix_mode(sample_prior(spec.hyper, ModelDims.of(spec, data), rng, family), spec.mode)
         y = family.sample(rng, linear_predictor_all(spec, state, data), family.scale_of(state))
         for _ in range(n_scans):
             engine = GibbsEngine(spec, replace(data, y=y), rng=rng, state=state)

@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from glmmselect import slicing
 from glmmselect.errors import SamplerError
 from glmmselect.slicing import SliceStats, slice_update
 
 
 def std_normal(x):
     return -0.5 * x * x
+
+
+def flat_below(upper):
+    """The log-density of a flat target whose support ends at ``upper``."""
+    return lambda t: 0.0 if t < upper else -math.inf
 
 
 def assert_flat_histogram(x, n_bins=20):
@@ -43,18 +49,19 @@ class TestScalarSlice:
         rng = np.random.default_rng(2)
         x = 0.2
         for _ in range(2000):
-            x = slice_update(lambda t: 0.0, x, 2.0, rng, lower=0.0, upper=1.0)
+            x = slice_update(flat_below(1.0), x, 2.0, rng, lower=0.0)
             assert 0.0 < x < 1.0
 
-    def test_symmetric_output_with_tiny_width(self):
+    def test_symmetric_output_with_tiny_width(self, monkeypatch):
         # with a width of 1/100 sd the update still explores symmetrically; the budget of 10 sd binds
         # whenever its random split leaves one side short, and a budget that favours one side moves the mean
         # by 0.1 or more
+        monkeypatch.setattr(slicing, "_MAX_STEPOUTS", 1000)
         rng = np.random.default_rng(3)
         xs = []
         x = 0.0
         for _ in range(10_000):
-            x = slice_update(std_normal, x, 1e-2, rng, max_stepouts=1000)
+            x = slice_update(std_normal, x, 1e-2, rng)
             xs.append(x)
         xs = np.asarray(xs)
         assert abs(xs.mean()) < 0.05
@@ -69,25 +76,28 @@ class TestScalarSlice:
         with pytest.raises(SamplerError):
             slice_update(std_normal, -1.0, 1.0, rng, lower=0.0)
 
-    def test_stepout_cap_falls_back(self):
+    def test_stepout_cap_falls_back(self, monkeypatch):
+        monkeypatch.setattr(slicing, "_MAX_STEPOUTS", 3)
         rng = np.random.default_rng(6)
         stats = SliceStats()
         # very wide target, tiny width: cap forces shrink-only fallback
         for _ in range(50):
-            slice_update(lambda t: -0.5 * (t / 50.0) ** 2, 0.0, 0.01, rng, max_stepouts=3, stats=stats)
+            slice_update(lambda t: -0.5 * (t / 50.0) ** 2, 0.0, 0.01, rng, stats=stats)
         assert stats.fallbacks > 0
 
-    def test_stepout_cap_keeps_flat_target_invariant(self):
+    def test_stepout_cap_keeps_flat_target_invariant(self, monkeypatch):
         # start 10,000 chains from the target, uniform on [0, 100], and take 10 updates each at
         # width 1 and a 5-step budget: an invariant update keeps them iid uniform, so each bin
         # count is binomial.  Separate per-side caps drained the edge bins to about 0.04 of the
         # mass each (0.05 expected), 6.7 sd of the edge pair here.
+        monkeypatch.setattr(slicing, "_MAX_STEPOUTS", 5)
         rng = np.random.default_rng(13)
         x = rng.uniform(0.0, 100.0, 10_000)
+        target = flat_below(100.0)
         for i in range(x.size):
             xi = x[i]
             for _ in range(10):
-                xi = slice_update(lambda t: 0.0, xi, 1.0, rng, lower=0.0, upper=100.0, max_stepouts=5)
+                xi = slice_update(target, xi, 1.0, rng, lower=0.0)
             x[i] = xi
         assert_flat_histogram(x)
 
