@@ -72,14 +72,15 @@ follow the heavy-tailed prior and would widen the slices of included ones.
 The engine reads its data from ``self.data`` and caches one quantity, the
 full linear predictor ``_eta`` of the current state.  Each update that moves
 a term of eta moves the cache by that term's change; an indicator flip moves
-it by a delta, since the on and off loadings Lambda_eff Gamma_eff differ only
-in row k and column k (:func:`cholesky.effect_loadings`).  A full recompute
-at the end of every scan bounds float drift, and ``log_posterior`` reads the
-cache it leaves.  Code that edits ``state`` directly must call
-``recompute_caches`` before the next update or ``log_posterior``.  ``scan``
-owns the ``np.errstate`` guard for overflow and invalid operations in the
-likelihood loop, so the per-evaluation code runs unguarded; the xi step adds
-a guard for division by zero.
+it by a delta, since the on and off loadings Lambda_eff Gamma_eff differ
+only in row k and column k (:func:`cholesky.effect_loadings`).  At the end
+of every scan, ``recompute_caches`` bounds float drift with the full sum,
+:func:`model.linear_predictor` over each block's ``_block_eta``, and
+``log_posterior`` reads the cache it leaves.  Code that edits ``state``
+directly must call ``recompute_caches`` before the next update or
+``log_posterior``.  ``scan`` owns the ``np.errstate`` guard for overflow and
+invalid operations in the likelihood loop, so the per-evaluation code runs
+unguarded; the xi step adds a guard for division by zero.
 """
 
 import logging
@@ -89,7 +90,7 @@ import numpy as np
 
 from .errors import SamplerError
 from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE
-from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_predictor, fix_mode
+from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_term, fix_mode, linear_predictor
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
 from .model import total_log_likelihood  # noqa: F401
 from .priors import (
@@ -218,12 +219,11 @@ class GibbsEngine:
         ``_NEWTON_MAX_STEPS`` of them.
         """
         data, family, g = self.data, self.spec.family, self.hyper.g_shrink
-        offset = 0.0 if data.offset is None else data.offset
         scale = None if self._scale_attr is None else 1.0
         ridge = g * np.eye(self.dims.l)
 
         def derivatives(beta):
-            a1, a2 = family.kernel_a_derivatives(data.y, data.X @ beta + offset, scale)
+            a1, a2 = family.kernel_a_derivatives(data.y, linear_predictor(data.X, beta, offset=data.offset), scale)
             return data.X.T @ (self._wy - a1) - g * beta, (data.X.T * a2) @ data.X + ridge
 
         beta = np.zeros(self.dims.l)
@@ -242,17 +242,13 @@ class GibbsEngine:
         bs = self.state.blocks[bi]
         return cholesky.mask_factors(bs.lam, bs.r, bs.include)
 
-    def _block_eta(self, bi: int, lam_eff, gamma) -> np.ndarray:
-        bdata = self.data.blocks[bi]
-        return block_predictor(bdata.Z, bdata.groups, self.state.blocks[bi].xi, lam_eff[:, None] * gamma)
+    def _block_eta(self, bi: int) -> np.ndarray:
+        bs = self.state.blocks[bi]
+        return block_term(self.data.blocks[bi], bs.lam, bs.r, bs.include, bs.xi)
 
     def recompute_caches(self) -> None:
-        eta = self.data.X @ self.state.beta_eff()
-        for bi in range(len(self.data.blocks)):
-            eta = eta + self._block_eta(bi, *self._gamma_eff(bi))
-        if self.data.offset is not None:
-            eta = eta + self.data.offset
-        self._eta = eta
+        terms = map(self._block_eta, range(len(self.data.blocks)))
+        self._eta = linear_predictor(self.data.X, self.state.beta_eff(), terms, self.data.offset)
 
     # ------------------------------------------------------------- likelihood
 

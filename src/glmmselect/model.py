@@ -7,8 +7,8 @@ The linear predictor for observation j of subject i is
 
 where J are fixed-effect inclusion indicators and the effective factors come
 from :mod:`glmmselect.cholesky` given the random-effect indicators I.
-:func:`linear_predictor` is the one place that sum is written; the Gibbs
-engine caches the whole sum and rebuilds it from :func:`block_predictor`.
+:func:`linear_predictor` is the one place that sum is written, and
+:func:`block_term` the one place that masks a block's factors into its term.
 """
 
 import math
@@ -34,6 +34,7 @@ __all__ = [
     "check_int",
     "fix_mode",
     "block_predictor",
+    "block_term",
     "linear_predictor",
     "linear_predictor_all",
     "total_log_likelihood",
@@ -318,26 +319,27 @@ def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings:
     return np.einsum("ij,ij->i", Z, rho[groups])
 
 
-def linear_predictor(data: Dataset, beta_eff: np.ndarray, blocks) -> np.ndarray:
-    """X beta_eff + the term of each random block + offset, for every observation.
+def block_term(bdata: BlockData, lam: np.ndarray, r: np.ndarray, include: np.ndarray, xi: np.ndarray) -> np.ndarray:
+    """The term of eta of one random block at raw values; :func:`~glmmselect.cholesky.mask_factors` masks the factors."""
+    lam_eff, gamma = mask_factors(lam, r, include)
+    return block_predictor(bdata.Z, bdata.groups, xi, lam_eff[:, None] * gamma)
 
-    ``blocks`` holds one raw ``(lam, r, include, xi)`` per block of ``data``;
-    :func:`~glmmselect.cholesky.mask_factors` masks the factors.
-    """
-    eta = data.X @ beta_eff
-    for bdata, (lam, r, include, xi) in zip(data.blocks, blocks):
-        lam_eff, gamma = mask_factors(lam, r, include)
-        eta = eta + block_predictor(bdata.Z, bdata.groups, xi, lam_eff[:, None] * gamma)
-    if data.offset is not None:
-        eta = eta + data.offset
+
+def linear_predictor(X: np.ndarray, beta_eff: np.ndarray, terms=(), offset: np.ndarray | None = None) -> np.ndarray:
+    """X beta_eff + each random block's term in ``terms``, in order, + ``offset`` (None adds nothing)."""
+    eta = X @ beta_eff
+    for term in terms:
+        eta = eta + term
+    if offset is not None:
+        eta = eta + offset
     return eta
 
 
 def linear_predictor_all(spec: ModelSpec, state: ParameterState, data: Dataset) -> np.ndarray:
     """Linear predictor of a state for every observation, using effective values."""
     state.check_dims(ModelDims.of(spec, data))
-    blocks = [(bs.lam, bs.r, bs.include, bs.xi) for bs in state.blocks]
-    return linear_predictor(data, state.beta_eff(), blocks)
+    terms = [block_term(bdata, bs.lam, bs.r, bs.include, bs.xi) for bdata, bs in zip(data.blocks, state.blocks)]
+    return linear_predictor(data.X, state.beta_eff(), terms, data.offset)
 
 
 def total_log_likelihood(spec: ModelSpec, state: ParameterState, data: Dataset) -> float:

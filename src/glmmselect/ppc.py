@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .model import Dataset, ModelSpec, linear_predictor
+from .model import Dataset, ModelSpec, block_term, linear_predictor
 from .priors import draw_xi
 
 __all__ = ["PpcSummary", "replicate_data", "rootogram", "mean_sd_scatter"]
@@ -27,14 +27,11 @@ class PpcSummary:
 
 
 def _draw_eta(data: Dataset, chain, i: int, rng, conditional: bool) -> np.ndarray:
-    blocks = []
+    terms = []
     for bi, bdata in enumerate(data.blocks):
-        if conditional:
-            xi = chain.xi[bi][i]
-        else:
-            xi = draw_xi(rng, chain.kappa[bi][i], bdata.n_groups)
-        blocks.append((chain.lam[bi][i], chain.r[bi][i], chain.include[bi][i], xi))
-    return linear_predictor(data, chain.beta[i] * chain.J[i], blocks)
+        xi = chain.xi[bi][i] if conditional else draw_xi(rng, chain.kappa[bi][i], bdata.n_groups)
+        terms.append(block_term(bdata, chain.lam[bi][i], chain.r[bi][i], chain.include[bi][i], xi))
+    return linear_predictor(data.X, chain.beta[i] * chain.J[i], terms, data.offset)
 
 
 def replicate_data(

@@ -18,7 +18,8 @@ import numpy as np
 from .cholesky import decompose_covariance
 from .errors import ConfigurationError, GlmmSelectError
 from .families import ETA_CAP, Family
-from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_predictor, check_int
+from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, check_int
+from .model import block_predictor, linear_predictor
 from .report import fixed_effect_rmse, indicator_matrix, ranked_patterns, top_models
 from .sampler import process_map, run_chains
 
@@ -144,7 +145,7 @@ def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, np.nda
     lam, gamma = decompose_covariance(design.omega)
     xi = rng.standard_normal((design.n, design.q))
 
-    eta = X @ beta + block_predictor(Z, groups, xi, lam[:, None] * gamma)
+    eta = linear_predictor(X, beta, [block_predictor(Z, groups, xi, lam[:, None] * gamma)])
     n_clamped = int(np.sum(eta > ETA_CAP))
     if n_clamped:
         log.info("replicate %d: clamped %d linear predictors at %.1f", replicate, n_clamped, ETA_CAP)

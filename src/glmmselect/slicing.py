@@ -8,6 +8,9 @@ Stepping out has a budget of m = ``_MAX_STEPOUTS`` widths in all, split at
 random as Neal's procedure requires: J = floor(m V) steps to the left and
 m - 1 - J to the right, V uniform.  Separate caps per side would break
 invariance.  An update whose interval reached the full m widths counts as a fallback.
+
+The slice is f(x) - f(x0) > log u: in floats, Neal's f(x) > f(x0) + log u
+fails once |f(x0)| nears 1e15, where f(x0) + log u rounds back to f(x0).
 """
 
 import math
@@ -57,7 +60,7 @@ def slice_update(
     if not math.isfinite(f0):  # a start at or below the bound lands here too
         raise SamplerError("target log-density is not finite at the current point")
 
-    level = f0 + math.log(rng.random())
+    log_u = math.log(rng.random())
     u = rng.random()
     left = x0 - u * width
     right = left + width
@@ -65,10 +68,10 @@ def slice_update(
     budget_left = math.floor(_MAX_STEPOUTS * rng.random())
     budget_right = _MAX_STEPOUTS - 1 - budget_left
     n_left = n_right = 0
-    while n_left < budget_left and f(left) > level:
+    while n_left < budget_left and f(left) - f0 > log_u:
         left -= width
         n_left += 1
-    while n_right < budget_right and f(right) > level:
+    while n_right < budget_right and f(right) - f0 > log_u:
         right += width
         n_right += 1
     if stats is not None:
@@ -78,7 +81,7 @@ def slice_update(
 
     for _ in range(_MAX_SHRINK):
         x1 = left + rng.random() * (right - left)
-        if f(x1) > level:
+        if f(x1) - f0 > log_u:
             return x1
         if x1 < x0:
             left = x1

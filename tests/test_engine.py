@@ -519,6 +519,14 @@ def dispersion_log_cdf(y, eta, r_min, r_max):
 
 
 class TestGibbsScan:
+    def test_cache_after_a_scan_is_the_models_linear_predictor(self):
+        # recompute_caches sums through model.linear_predictor, so the cache a scan leaves matches it bit for bit
+        spec, data = with_offset(*toy_setup(40, q=3), 41)
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(42))
+        for _ in range(5):
+            engine.scan()
+            np.testing.assert_array_equal(engine._eta, linear_predictor_all(spec, engine.state, data))
+
     def test_no_selection_mode_keeps_indicators(self):
         spec, data = toy_setup(8, mode="no-selection")
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(4))

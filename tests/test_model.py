@@ -5,6 +5,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from glmmselect.cholesky import mask_factors
 from glmmselect.errors import ConfigurationError, NumericError
 from glmmselect.families import CANONICAL_LINKS, Family
 from glmmselect.model import (
@@ -14,6 +15,9 @@ from glmmselect.model import (
     ModelSpec,
     RandomBlock,
     SamplerSettings,
+    block_predictor,
+    block_term,
+    linear_predictor,
     linear_predictor_all,
     total_log_likelihood,
 )
@@ -205,6 +209,25 @@ class TestLinearPredictor:
         eta_with = linear_predictor_all(spec, state, data)
         eta_without = linear_predictor_all(spec, state, base)
         np.testing.assert_allclose(eta_with - eta_without, off, atol=1e-12)
+
+    def test_sum_of_its_parts_in_order(self):
+        rng = np.random.default_rng(9)
+        X, beta = rng.standard_normal((7, 2)), rng.standard_normal(2)
+        t1, t2, off = rng.standard_normal((3, 7))
+        np.testing.assert_array_equal(linear_predictor(X, beta), X @ beta)
+        np.testing.assert_array_equal(linear_predictor(X, beta, [t1, t2], off), ((X @ beta + t1) + t2) + off)
+        np.testing.assert_array_equal(linear_predictor(X, beta, iter([t1]), None), X @ beta + t1)
+
+    def test_block_term_masks_the_raw_factors(self):
+        rng = np.random.default_rng(10)
+        bdata = BlockData(Z=rng.standard_normal((8, 3)), groups=np.arange(8) % 4, n_groups=4)
+        lam, r, xi = rng.uniform(0.1, 1.0, 3), rng.standard_normal(3), rng.standard_normal((4, 3))
+        include = np.array([1, 0, 1], dtype=np.int8)
+        lam_eff, gamma = mask_factors(lam, r, include)
+        want = block_predictor(bdata.Z, bdata.groups, xi, lam_eff[:, None] * gamma)
+        np.testing.assert_array_equal(block_term(bdata, lam, r, include, xi), want)
+        include[:] = 0
+        np.testing.assert_array_equal(block_term(bdata, lam, r, include, xi), np.zeros(8))
 
 
 class TestTotalLogLikelihood:

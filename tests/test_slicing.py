@@ -111,3 +111,13 @@ class TestScalarSlice:
             xs[i] = x
         assert abs(xs.mean() - 1.0) < 0.02
         assert abs(xs.var() - 1.0) < 0.05
+
+    def test_level_is_relative_to_the_start(self):
+        # at |f| = 1e16 floats are 2 apart, so f(x0) + log u rounds back to f(x0) for most u and an absolute
+        # level leaves x0 outside its own slice; the relative level f(x) - f(x0) > log u keeps the update
+        # working, and on this -x^2 (N(0, 1/2)) target its draws stay within a few sd of 0
+        rng = np.random.default_rng(8)
+        x = 0.0
+        for _ in range(200):
+            x = slice_update(lambda t: -1e16 - t * t, x, 1.0, rng)
+            assert math.isfinite(x) and abs(x) < 4.0
