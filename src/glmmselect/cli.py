@@ -46,7 +46,7 @@ from .diagnostics import summarize_trace
 from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, parse_floats, read_csv, write_csv
 from .model import MODES, Hyperparameters, ModelSpec, SamplerSettings, check_int
-from .ppc import mean_sd_scatter, replicate_data, rootogram
+from .ppc import ROOTOGRAM_MAX_COUNT, mean_sd_scatter, replicate_data, rootogram
 from .report import effect_list, format_table, ranked_patterns, top_models, write_selection_report
 from .sampler import load_trace, run_chains, save_trace
 from .simulate import (
@@ -239,7 +239,7 @@ def cmd_ppc(args) -> int:
     reps = replicate_data(trace, spec, data, args.n_rep, rng, conditional=not args.marginal)
     os.makedirs(args.out, exist_ok=True)
     if spec.family.counts:
-        max_count = args.max_count if args.max_count is not None else int(data.y.max())
+        max_count = args.max_count if args.max_count is not None else min(int(data.y.max()), ROOTOGRAM_MAX_COUNT)
         bins = rootogram(data.y, reps, max_count)
         write_csv(
             os.path.join(args.out, "rootogram.csv"),
@@ -316,7 +316,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spec", required=True)
     p.add_argument("--n-rep", type=int, default=200)
     p.add_argument("--marginal", action="store_true", help="draw fresh latent effects")
-    p.add_argument("--max-count", type=int, default=None)
+    p.add_argument(
+        "--max-count", type=int, default=None,
+        help=f"last rootogram bin before the tail bin, at most {ROOTOGRAM_MAX_COUNT} (default: max(y), capped there)",
+    )
     # --workers stays for command lines that pass it, such as the benchmark's
     common(p, "seed of the replicate draws (default: the spec's sampler seed)", "accepted and ignored: ppc runs in one process")
     p.set_defaults(func=cmd_ppc)

@@ -22,10 +22,11 @@ likelihood alone, so the full conditional of its whole hierarchy is its
 prior: the latent updates draw (phi, theta, beta), (tau2, lam) and (m,
 kappa, xi) of each excluded effect jointly from the prior, with the stage
 functions ``draw_shrinkage``, ``draw_slab`` and ``draw_latent`` of
-:mod:`glmmselect.priors`, and r entries without both effects in with its
-``draw_correlations``.  These draws are independent from scan to scan, so
-the pseudo-prior values that an indicator flip would switch in do not drift
-into the heavy tails of the prior for long stretches.
+:mod:`glmmselect.priors`, and r entries whose two effects are not both alive
+under :func:`cholesky.mask_factors` with its ``draw_correlations``.  These
+draws are independent from scan to scan, so the pseudo-prior values that an
+indicator flip would switch in do not drift into the heavy tails of the prior
+for long stretches.
 
 An included xi column takes one Metropolis-Hastings step for all its groups
 at once.  Each group's xi_gk has its own target along its rows, and is
@@ -55,9 +56,11 @@ tau2 = kappa = 1, the family scale is 1 and xi ~ N(0, 1).  A start whose
 log-likelihood is not finite raises ``SamplerError``.  Every start, drawn or
 given, then takes what the mode fixes (``model.fix_mode``).
 
-The family scale has one update per kind.  The NB overdispersion is
-slice-updated on the sum of ``Family.log_likelihood`` at the cached predictor
-plus its ``Scale.log_prior``, the same formulas ``log_posterior`` adds up.
+The family scale has one update per kind.  The NB overdispersion r is
+slice-updated on u = log r, whose prior draws span tens of orders of
+magnitude: the target is the sum of ``Family.log_likelihood`` at the cached
+predictor plus its ``Scale.log_prior``, the same formulas ``log_posterior``
+adds up, plus the Jacobian u.  Its slice width is on the log scale.
 The gaussian sigma2 is drawn from its inverse-gamma full conditional.
 
 Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
@@ -73,7 +76,8 @@ The engine reads its data from ``self.data`` and caches one quantity, the
 full linear predictor ``_eta`` of the current state.  Each update that moves
 a term of eta moves the cache by that term's change; an indicator flip moves
 it by a delta, since the on and off loadings Lambda_eff Gamma_eff differ
-only in row k and column k (:func:`cholesky.effect_loadings`).  At the end
+only in row k and column k.  Every such term reads the loadings from
+:func:`cholesky.mask_factors`, the one membership rule.  At the end
 of every scan, ``recompute_caches`` bounds float drift with the full sum,
 :func:`model.linear_predictor` over each block's ``_block_eta``, and
 ``log_posterior`` reads the cache it leaves.  Code that edits ``state``
@@ -380,11 +384,16 @@ class GibbsEngine:
         """The term of eta that including effect k of block bi adds, at the current raw values.
 
         Off zeroes row and column k of the loadings (the exclusion
-        invariant), so on - off is row k and column k of the on loadings.
+        invariant), so on - off is row k and column k of the on loadings,
+        read from ``mask_factors`` with include[k] set to 1.
         """
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
-        row, col = cholesky.effect_loadings(bs.lam, bs.r, bs.include, k)
+        on = bs.include.copy()
+        on[k] = 1
+        lam_eff, gamma = cholesky.mask_factors(bs.lam, bs.r, on)
+        row = lam_eff[k] * gamma[k, :]
+        col = lam_eff * gamma[:, k]
         col[k] = 0.0  # row k holds the diagonal loading
         delta = bdata.Z[:, k] * (bs.xi @ row)[bdata.groups]
         if col.any():
@@ -432,14 +441,15 @@ class GibbsEngine:
     def _update_r(self, bi: int) -> None:
         """The packed correlations r of block bi, each under its N(0, 1) prior.
 
-        An entry whose two effects are not both in leaves eta alone, so all
-        such entries are drawn at once from that prior; each other entry
-        takes a slice update.
+        An entry whose two effects are not both alive under ``mask_factors``
+        leaves eta alone, so all such entries are drawn at once from that
+        prior; each other entry takes a slice update.
         """
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
         rows, cols = cholesky.tril_pairs(bdata.q)
-        free = (bs.include[rows] & bs.include[cols]).astype(bool)
+        alive = self._gamma_eff(bi)[0] != 0.0
+        free = alive[rows] & alive[cols]
         bs.r[~free] = draw_correlations(self.rng, free.size - np.count_nonzero(free))
         for j in np.flatnonzero(free):
             u, v = rows[j], cols[j]
@@ -493,7 +503,8 @@ class GibbsEngine:
         if not bs.include[k]:
             return
         precision = 1.0 / bs.kappa[k]
-        c = bdata.Z @ cholesky.effect_loadings(bs.lam, bs.r, bs.include, k)[1]
+        lam_eff, gamma = self._gamma_eff(bi)
+        c = bdata.Z @ (lam_eff * gamma[:, k])
         x0 = bs.xi[:, k].copy()
         eta0 = self._eta - c * x0[groups]
         line = self._group_lines(bi, eta0, c)
@@ -535,13 +546,18 @@ class GibbsEngine:
     # --------------------------------------------------------- family scales
 
     def _update_dispersion(self) -> None:
+        """Slice update of the NB dispersion r on u = log r, whose target carries the Jacobian u."""
         family = self.spec.family
 
-        def tgt(r):
+        def tgt(u):
+            r = float(np.exp(u))
+            if not 0.0 < r < math.inf:  # u past the float range of r
+                return -math.inf
             ll = float(np.sum(family.log_likelihood(self.data.y, self._eta, r)))
-            return ll + family.scale.log_prior(r)
+            return ll + family.scale.log_prior(r) + u
 
-        self.state.dispersion = self._slice(("dispersion", None), 0, tgt, self.state.dispersion, 0.0)
+        u = self._slice(("dispersion", None), 0, tgt, math.log(self.state.dispersion), -math.inf)
+        self.state.dispersion = float(np.exp(u))
 
     def _update_sigma2(self) -> None:
         st = self.state

@@ -93,16 +93,28 @@ def _stirling_lgamma(x: np.ndarray) -> np.ndarray:
     return (x - 0.5) * np.log(x) - x + _HALF_LOG_2PI + inv * (1.0 / 12.0 - inv * inv / 360.0)
 
 
+def as_counts(y) -> np.ndarray | None:
+    """``y`` as an int64 array when every entry is a nonnegative integer below 2**63, else None.
+
+    This is the one count rule: the families' response check, the count
+    log-likelihoods and the rootogram all read it.  From 2**63 up a float
+    has no int64 value, so such a ``y`` is not a count here.
+    """
+    y = np.asarray(y, dtype=float)
+    if np.all((y >= 0.0) & (y < 2.0**63) & (y == np.floor(y))):  # NaN fails each test
+        return y.astype(np.int64)
+    return None
+
+
 def _count_index(y) -> tuple:
     """Counts ``y`` as an index array, and max(y) + 1 (1 when there are none).
 
-    A negative or non-integer ``y`` raises ConfigurationError: the table
-    identity of :func:`lgamma_counts` holds for counts only.
+    A ``y`` that :func:`as_counts` rejects raises ConfigurationError: the
+    table identity of :func:`lgamma_counts` holds for counts only.
     """
-    y = np.asarray(y, dtype=float)
-    k = y.astype(np.intp)  # NaN and inf cast to values the check rejects
-    if k.size and (k.min() < 0 or np.count_nonzero(k != y)):
-        raise ConfigurationError("log-gamma of counts needs nonnegative integer y")
+    k = as_counts(y)
+    if k is None:
+        raise ConfigurationError("log-gamma of counts needs nonnegative integer y below 2**63")
     return k, int(k.max()) + 1 if k.size else 1
 
 
@@ -333,10 +345,7 @@ class Family:
         y = np.asarray(y)
         if not np.all(np.isfinite(y)):
             raise ConfigurationError("responses must be finite")
-        if self.counts:
-            if np.any(y < 0) or np.any(y != np.floor(y)):
-                raise ConfigurationError(
-                    f"family {self.kind!r} requires nonnegative integer responses"
-                )
+        if self.counts and as_counts(y) is None:
+            raise ConfigurationError(f"family {self.kind!r} requires nonnegative integer responses below 2**63")
         if self.kind == "bernoulli" and np.any(y > 1):
             raise ConfigurationError("bernoulli responses must be 0 or 1")

@@ -12,10 +12,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
+from .families import as_counts
 from .model import Dataset, ModelSpec, block_term, linear_predictor
 from .priors import draw_xi
 
-__all__ = ["PpcSummary", "replicate_data", "rootogram", "mean_sd_scatter"]
+__all__ = ["PpcSummary", "ROOTOGRAM_MAX_COUNT", "replicate_data", "rootogram", "mean_sd_scatter"]
+
+# the largest max_count of a rootogram, and the cap on the CLI's default max(y): one bin per count up to it
+ROOTOGRAM_MAX_COUNT = 10_000
 
 
 @dataclass
@@ -73,26 +77,22 @@ def rootogram(observed: np.ndarray, replicated: np.ndarray, max_count: int) -> l
 
     Frequencies for c = 0..max_count plus one aggregate bin for counts above
     max_count; both raw and square-root scales are reported.  Every bin set
-    sums to the number of observations.
+    sums to the number of observations.  The expected frequencies are those
+    of all replicates together, divided by their number.  ``max_count`` must
+    lie in [0, ``ROOTOGRAM_MAX_COUNT``].
     """
-    observed = np.asarray(observed)
-    replicated = np.asarray(replicated, dtype=float)
-    for arr, name in ((observed, "observed"), (replicated, "replicated")):
-        if np.any(arr < 0) or np.any(arr != np.floor(arr)):
+    obs_k, rep_k = as_counts(observed), as_counts(replicated)
+    for k, name in ((obs_k, "observed"), (rep_k, "replicated")):
+        if k is None:
             raise ConfigurationError(f"rootogram requires nonnegative integer {name} counts")
-    if max_count < 0:
-        raise ConfigurationError("max_count must be >= 0")
+    if not 0 <= max_count <= ROOTOGRAM_MAX_COUNT:
+        raise ConfigurationError(f"max_count must be in [0, {ROOTOGRAM_MAX_COUNT}], got {max_count}")
 
     def freqs(values):
-        values = values.astype(np.int64)
-        counts = np.bincount(np.minimum(values, max_count + 1), minlength=max_count + 2)
-        return counts.astype(float)
+        return np.bincount(np.minimum(values.ravel(), max_count + 1), minlength=max_count + 2).astype(float)
 
-    obs_f = freqs(observed.ravel())
-    if replicated.size:
-        exp_f = np.mean([freqs(rep) for rep in replicated], axis=0)
-    else:
-        exp_f = np.zeros(max_count + 2)
+    obs_f = freqs(obs_k)
+    exp_f = freqs(rep_k) / rep_k.shape[0] if rep_k.size else np.zeros(max_count + 2)
     bins = []
     for c in range(max_count + 2):
         label = c if c <= max_count else f">{max_count}"

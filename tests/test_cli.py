@@ -11,6 +11,7 @@ import pytest
 
 from glmmselect import cli, simulate
 from glmmselect.cli import RHAT_WARN, main
+from glmmselect.ppc import ROOTOGRAM_MAX_COUNT
 from glmmselect.report import ModelLabel
 from glmmselect.simulate import ReplicationResult
 
@@ -164,6 +165,30 @@ class TestPipeline:
         rep_out = str(tmp_path / "rep")
         assert main(["report", "--trace", fit_out, "--data", data, "--spec", spec, "--out", rep_out]) == 0
         assert os.path.exists(os.path.join(rep_out, "top_models.csv"))
+
+    def test_ppc_default_max_count_is_capped(self, workspace, capsys):
+        # data with one count of 1.1e14: the default rootogram stops at the bound, not at max(y)
+        tmp_path, design, spec, data = workspace
+        fit_out = str(tmp_path / "fit")
+        assert main(["fit", "--data", data, "--spec", spec, "--out", fit_out]) == 0
+        with open(data, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rows[5]["y"] = "110000000000000"
+        big = str(tmp_path / "big.csv")
+        with open(big, "w", newline="") as fh:
+            out = csv.DictWriter(fh, list(rows[0]))
+            out.writeheader()
+            out.writerows(rows)
+        args = ["ppc", "--trace", fit_out, "--data", big, "--spec", spec, "--n-rep", "5"]
+        assert main([*args, "--out", str(tmp_path / "ppc")]) == 0
+        with open(tmp_path / "ppc" / "rootogram.csv", newline="") as fh:
+            bins = list(csv.DictReader(fh))
+        assert len(bins) == ROOTOGRAM_MAX_COUNT + 2
+        assert bins[-1]["count"] == f">{ROOTOGRAM_MAX_COUNT}"
+        assert float(bins[-1]["observed"]) == 1.0
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "ppc_max"), "--max-count", str(ROOTOGRAM_MAX_COUNT + 1)]) == 1
+        assert capsys.readouterr().err == f"error: max_count must be in [0, {ROOTOGRAM_MAX_COUNT}], got {ROOTOGRAM_MAX_COUNT + 1}\n"
 
     @pytest.mark.parametrize("command", ["report", "ppc"])
     def test_empty_chain_csv_is_error_exit(self, workspace, capsys, command):

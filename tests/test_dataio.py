@@ -11,7 +11,7 @@ from glmmselect.dataio import (
     spec_to_dict,
     write_dataset_csv,
 )
-from glmmselect.errors import DataError, SpecValidationError
+from glmmselect.errors import ConfigurationError, DataError, SpecValidationError
 from glmmselect.families import Family
 
 MINIMAL = {
@@ -261,6 +261,12 @@ class TestLoadDataset:
         spec = spec_from_dict(MINIMAL)
         with pytest.raises(Exception):
             load_dataset(write(tmp_path, "d.csv", csv), spec)
+
+    def test_count_past_int64_rejected_with_the_family_message(self, tmp_path):
+        # 1e19 is an integer-valued float without an int64 value, which the count likelihoods index by
+        csv = "y,x,site\n1e19,0.5,a\n2,0.1,b\n"
+        with pytest.raises(ConfigurationError, match="family 'poisson' requires nonnegative integer responses"):
+            load_dataset(write(tmp_path, "d.csv", csv), spec_from_dict(MINIMAL))
 
     def test_write_then_load_roundtrip(self, tmp_path):
         from glmmselect.simulate import scaled_design, simulate_dataset, build_model_spec

@@ -21,7 +21,7 @@ from glmmselect.model import (
     linear_predictor_all,
     total_log_likelihood,
 )
-from glmmselect.cholesky import mask_factors
+from glmmselect.cholesky import mask_factors, tril_pairs
 from glmmselect.errors import ConfigurationError, SamplerError
 from glmmselect.families import Family
 from glmmselect.priors import draw_latent, draw_shrinkage, draw_slab, log_prior_state, sample_prior
@@ -596,6 +596,27 @@ class TestGibbsScan:
                 want_moved.append("_update_r")
             assert all(moved[name] for name in want_moved), moved
 
+    def test_r_update_keeps_the_cache_with_an_included_effect_at_lam_zero(self):
+        # mask_factors zeroes row and column 0 of Gamma for an included effect 0 at lam exactly 0, so an r entry
+        # of a pair with effect 0 is not live: it is redrawn from its prior and leaves the cache alone
+        design = scaled_design()
+        data, _ = simulate_dataset(design, 0)
+        spec = build_model_spec(design, mode="ssvs-full")
+        engine = GibbsEngine(spec, data, rng=np.random.default_rng(12))
+        bs = engine.state.blocks[0]
+        bs.include[:] = 1
+        bs.lam[:] = 0.1
+        bs.lam[0] = 0.0
+        engine.recompute_caches()
+        engine.adapting = True
+        for _ in range(5):
+            with np.errstate(over="ignore", invalid="ignore"):
+                engine._update_r(0)
+            assert np.max(np.abs(engine._eta - linear_predictor_all(spec, engine.state, data))) < 1e-9
+        rows, cols = tril_pairs(design.q)
+        # only the live entries took slice updates, whose draws reach the width store
+        assert engine.widths["r", 0].count == [0 if 0 in (u, v) else 5 for u, v in zip(rows, cols)]
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_log_posterior_is_likelihood_plus_prior(self, kind):
         spec, data = toy_setup(19, q=2, kind=kind)
@@ -942,7 +963,7 @@ class TestStart:
 class TestSliceWidths:
     def test_adapted_widths_are_clipped_running_sd_of_live_draws(self):
         # a coordinate's draws count while it takes slice updates: an included beta or lam, an r entry
-        # with both effects in, the NB dispersion; pseudo-prior draws of the others do not
+        # with both effects in, the NB dispersion on its log scale; pseudo-prior draws of the others do not
         spec, data = toy_setup(25, q=3, kind="negative_binomial")
         engine = GibbsEngine(spec, data, rng=np.random.default_rng(26))
         # every effect starts included, so that every group has live draws from the first scan
@@ -958,7 +979,7 @@ class TestSliceWidths:
             included = bs.include == 1
             scan_draws = {
                 ("beta", None): (st.beta, st.beta**2, st.J == 1),
-                ("dispersion", None): (np.array([st.dispersion]), np.array([st.dispersion**2]), True),
+                ("dispersion", None): (np.log([st.dispersion]), np.log([st.dispersion]) ** 2, True),
                 ("lam", 0): (bs.lam, bs.lam**2, included),
                 ("r", 0): (bs.r, bs.r**2, included[rows] & included[cols]),
             }

@@ -39,8 +39,7 @@ class TestLgammaCounts:
     def test_empty_counts(self):
         assert lgamma_counts(np.zeros(0)).shape == (0,)
 
-    @pytest.mark.parametrize("bad", [0.5, -1.0, -0.5, math.nan, math.inf])
-    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast")
+    @pytest.mark.parametrize("bad", [0.5, -1.0, -0.5, math.nan, math.inf, 2.0**63, 1e19])
     def test_rejects_non_counts(self, bad):
         with pytest.raises(ConfigurationError, match="nonnegative integer"):
             lgamma_counts(np.array([1.0, bad, 2.0]))
@@ -56,6 +55,23 @@ class TestCountLikelihoods:
             fam.log_likelihood(np.array([0.0, 1.5]), np.zeros(2), scale)
         with pytest.raises(ConfigurationError, match="nonnegative integer"):
             fam.log_likelihood(np.array([0.0, -1.0]), np.zeros(2), scale)
+
+    @pytest.mark.parametrize("kind", ["poisson", "negative_binomial"])
+    def test_response_check_and_likelihood_take_the_same_counts(self, kind):
+        # one count rule: the responses that load are those with a likelihood, up to the largest float below 2**63
+        fam = Family(kind)
+        scale = 2.0 if kind == "negative_binomial" else None
+        counts = (0.0, 7.0, 2.0**53 + 2.0, 2.0**62, 2.0**63 - 1024.0)
+        for value in (-1.0, 0.5, 2.0**63, 1e19, 1e300) + counts:
+            y = np.array([0.0, 3.0, value])
+            if value in counts:
+                fam.validate_response(y)
+                assert np.all(np.isfinite(fam.log_likelihood(y, np.zeros(3), scale))), value
+                continue
+            with pytest.raises(ConfigurationError, match=f"family '{kind}' requires nonnegative integer responses"):
+                fam.validate_response(y)
+            with pytest.raises(ConfigurationError, match="log-gamma of counts needs nonnegative integer y"):
+                fam.log_likelihood(y, np.zeros(3), scale)
 
     def test_match_the_gammaln_formulas(self):
         rng = np.random.default_rng(1)

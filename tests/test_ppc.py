@@ -13,7 +13,7 @@ from glmmselect.model import (
     RandomBlock,
     SamplerSettings,
 )
-from glmmselect.ppc import mean_sd_scatter, replicate_data, rootogram
+from glmmselect.ppc import ROOTOGRAM_MAX_COUNT, mean_sd_scatter, replicate_data, rootogram
 from glmmselect.sampler import run_chains
 
 
@@ -130,6 +130,28 @@ class TestRootogram:
     def test_sqrt_scale(self):
         bins = rootogram(np.array([0, 0, 1, 2]), np.zeros((0, 4)), max_count=2)
         assert bins[0]["sqrt_observed"] == pytest.approx(math.sqrt(2.0))
+
+    def test_expected_is_the_mean_of_the_replicate_frequencies(self):
+        # the frequencies of all replicates together, divided once, equal the mean of each replicate's bit for bit
+        rng = np.random.default_rng(10)
+        for _ in range(50):
+            n_rep, n, max_count = rng.integers(1, 40), rng.integers(1, 30), rng.integers(0, 12)
+            reps = rng.poisson(rng.uniform(0.1, 15.0), (n_rep, n))
+            per_rep = [np.bincount(np.minimum(rep, max_count + 1), minlength=max_count + 2) for rep in reps]
+            want = np.mean(np.array(per_rep, dtype=float), axis=0)
+            got = np.array([b["expected"] for b in rootogram(reps[0], reps, max_count)])
+            assert got.tobytes() == want.tobytes()
+
+    def test_max_count_is_bounded(self):
+        # a count far past the bound falls in the tail bin; a max_count past it is refused before any bin is made
+        y = np.array([0.0, 3.0, 1.1e14])
+        bins = rootogram(y, np.array([y, y]), ROOTOGRAM_MAX_COUNT)
+        assert len(bins) == ROOTOGRAM_MAX_COUNT + 2
+        assert bins[-1]["count"] == f">{ROOTOGRAM_MAX_COUNT}"
+        assert bins[-1]["observed"] == bins[-1]["expected"] == 1.0
+        for max_count in (-1, ROOTOGRAM_MAX_COUNT + 1, 110_000_000_000_000):
+            with pytest.raises(ConfigurationError, match=rf"max_count must be in \[0, {ROOTOGRAM_MAX_COUNT}\], got {max_count}"):
+                rootogram(y, np.array([y]), max_count)
 
     def test_non_count_rejected(self):
         with pytest.raises(ConfigurationError):
