@@ -22,11 +22,10 @@ likelihood alone, so the full conditional of its whole hierarchy is its
 prior: the latent updates draw (phi, theta, beta), (tau2, lam) and (m,
 kappa, xi) of each excluded effect jointly from the prior, with the stage
 functions ``draw_shrinkage``, ``draw_slab`` and ``draw_latent`` of
-:mod:`glmmselect.priors`, and r entries whose two effects are not both alive
-under :func:`cholesky.mask_factors` with its ``draw_correlations``.  These
-draws are independent from scan to scan, so the pseudo-prior values that an
-indicator flip would switch in do not drift into the heavy tails of the prior
-for long stretches.
+:mod:`glmmselect.priors`, and r entries outside :func:`cholesky.live_pairs`
+with its ``draw_correlations``.  These draws are independent from scan to
+scan, so the pseudo-prior values that an indicator flip would switch in do
+not drift into the heavy tails of the prior for long stretches.
 
 An included xi column takes one Metropolis-Hastings step for all its groups
 at once.  Each group's xi_gk has its own target along its rows, and is
@@ -289,8 +288,6 @@ class GibbsEngine:
 
     def log_likelihood(self) -> float:
         """Full log-likelihood (constants included) at the cached predictor."""
-        if self.data.n_obs == 0:
-            return 0.0
         family = self.spec.family
         return float(np.sum(family.log_likelihood(self.data.y, self._eta, family.scale_of(self.state))))
 
@@ -441,17 +438,16 @@ class GibbsEngine:
     def _update_r(self, bi: int) -> None:
         """The packed correlations r of block bi, each under its N(0, 1) prior.
 
-        An entry whose two effects are not both alive under ``mask_factors``
-        leaves eta alone, so all such entries are drawn at once from that
-        prior; each other entry takes a slice update.
+        An entry outside ``cholesky.live_pairs`` leaves eta alone, so all
+        such entries are drawn at once from that prior; each live entry takes
+        a slice update.
         """
         bs = self.state.blocks[bi]
         bdata = self.data.blocks[bi]
         rows, cols = cholesky.tril_pairs(bdata.q)
-        alive = self._gamma_eff(bi)[0] != 0.0
-        free = alive[rows] & alive[cols]
-        bs.r[~free] = draw_correlations(self.rng, free.size - np.count_nonzero(free))
-        for j in np.flatnonzero(free):
+        live = cholesky.live_pairs(self._gamma_eff(bi)[0])
+        bs.r[~live] = draw_correlations(self.rng, live.size - np.count_nonzero(live))
+        for j in np.flatnonzero(live):
             u, v = rows[j], cols[j]
             c = bdata.Z[:, u] * (bs.lam[u] * bs.xi[bdata.groups, v])
             bs.r[j] = self._slice_along(("r", bi), j, c, bs.r[j], 1.0, bs.r[j])

@@ -51,6 +51,7 @@ SIGMA2_IG_SCALE = 0.01
 
 # responses of a log-link family are drawn at eta capped here, so exp(eta) stays a usable count mean
 ETA_CAP = 30.0
+_MEAN_CAP = math.exp(ETA_CAP)
 
 # lgamma_counts tables log Gamma(y + r) for y below this bound and uses Stirling's series from it on
 _LGAMMA_TABLE = 256
@@ -325,8 +326,11 @@ class Family:
 
         For log-link families eta is capped at ``ETA_CAP`` before
         exponentiation so extreme draws cannot overflow the count sampler.
-        NB responses are Poisson draws at Gamma(r, scale mu / r) means: numpy's
+        NB responses are Poisson draws at Gamma(r, scale mu / r) rates: numpy's
         negative_binomial raises at r below 1e-100 and gives only zeros above 1e17.
+        The rate is g (mu / r) for g ~ Gamma(r, 1), as numpy's gamma forms it;
+        where mu / r overflows it is (g / r) mu instead, and every rate is
+        capped at exp(``ETA_CAP``), the mean cap of the other log-link draws.
         """
         self._check_scale(scale)
         eta = np.asarray(eta, dtype=float)
@@ -336,7 +340,11 @@ class Family:
         if self.kind == "poisson":
             return rng.poisson(mu).astype(float)
         if self.kind == "negative_binomial":
-            return rng.poisson(rng.gamma(scale, mu / scale)).astype(float)
+            g = rng.standard_gamma(scale, mu.shape)
+            with np.errstate(over="ignore", invalid="ignore"):  # lanes of inf or NaN are not picked, or are capped
+                theta = mu / scale
+                rate = np.where(np.isinf(theta), g / scale * mu, g * theta)
+            return rng.poisson(np.minimum(rate, _MEAN_CAP)).astype(float)
         if self.kind == "bernoulli":
             return (rng.random(mu.shape) < mu).astype(float)
         return rng.normal(eta, np.sqrt(scale))

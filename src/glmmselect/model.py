@@ -6,9 +6,10 @@ The linear predictor for observation j of subject i is
     eta = X' (J * beta) + sum_blocks Z' Lambda_eff Gamma_eff xi_group + offset
 
 where J are fixed-effect inclusion indicators and the effective factors come
-from :mod:`glmmselect.cholesky` given the random-effect indicators I.
-:func:`linear_predictor` is the one place that sum is written, and
-:func:`block_term` the one place that masks a block's factors into its term.
+from :mod:`glmmselect.cholesky` given the random-effect indicators I.  Raw
+values reach eta by one road: ``cholesky.live_pairs`` -> ``mask_factors`` ->
+:func:`block_term`, a block's only term -> :func:`linear_predictor`, the one
+place the sum is written.
 """
 
 import math
@@ -33,7 +34,6 @@ __all__ = [
     "MODES",
     "check_int",
     "fix_mode",
-    "block_predictor",
     "block_term",
     "linear_predictor",
     "linear_predictor_all",
@@ -309,20 +309,16 @@ def fix_mode(state: ParameterState, mode: str) -> ParameterState:
     return state
 
 
-def block_predictor(Z: np.ndarray, groups: np.ndarray, xi: np.ndarray, loadings: np.ndarray) -> np.ndarray:
-    """One random block's term of eta: row j gets Z[j] . (loadings @ xi[groups[j]]).
-
-    ``loadings`` is Lambda_eff Gamma_eff (q, q) and ``xi`` the (n_groups, q)
-    latent effects.
-    """
-    rho = xi @ loadings.T   # (n_groups, q) effect vectors
-    return np.einsum("ij,ij->i", Z, rho[groups])
-
-
 def block_term(bdata: BlockData, lam: np.ndarray, r: np.ndarray, include: np.ndarray, xi: np.ndarray) -> np.ndarray:
-    """The term of eta of one random block at raw values; :func:`~glmmselect.cholesky.mask_factors` masks the factors."""
+    """The term of eta of one random block at raw values: row j gets Z[j] . (L @ xi[groups[j]]).
+
+    The loadings L = Lambda_eff Gamma_eff come from
+    :func:`~glmmselect.cholesky.mask_factors`, and ``xi`` holds the
+    (n_groups, q) latent effects.
+    """
     lam_eff, gamma = mask_factors(lam, r, include)
-    return block_predictor(bdata.Z, bdata.groups, xi, lam_eff[:, None] * gamma)
+    rho = xi @ (lam_eff[:, None] * gamma).T   # (n_groups, q) effect vectors
+    return np.einsum("ij,ij->i", bdata.Z, rho[bdata.groups])
 
 
 def linear_predictor(X: np.ndarray, beta_eff: np.ndarray, terms=(), offset: np.ndarray | None = None) -> np.ndarray:
@@ -344,7 +340,5 @@ def linear_predictor_all(spec: ModelSpec, state: ParameterState, data: Dataset) 
 
 def total_log_likelihood(spec: ModelSpec, state: ParameterState, data: Dataset) -> float:
     """Sum of per-observation log-likelihoods, in fixed observation order."""
-    if data.n_obs == 0:
-        return 0.0
     eta = linear_predictor_all(spec, state, data)
     return float(np.sum(spec.family.log_likelihood(data.y, eta, spec.family.scale_of(state))))

@@ -69,8 +69,7 @@ class ChainTrace:
     lists of them, one per random block.  Indicators are held as 0.0/1.0.
     """
 
-    def __init__(self, seed: int, values: np.ndarray, layout: list):
-        self.seed = seed
+    def __init__(self, values: np.ndarray, layout: list):
         self.values = values
         self.layout = layout
         self.dispersion = self.sigma2 = None
@@ -86,7 +85,7 @@ class ChainTrace:
 
     def __reduce__(self):
         # the views are rebuilt on unpickling, so a chain crosses processes as one matrix
-        return ChainTrace, (self.seed, self.values, self.layout)
+        return ChainTrace, (self.values, self.layout)
 
     @property
     def n_recorded(self) -> int:
@@ -126,9 +125,7 @@ class Trace:
 
 def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
     settings = spec.sampler
-    seed = settings.seed + chain
-    rng = np.random.default_rng(seed)
-    engine = GibbsEngine(spec, data, rng=rng)
+    engine = GibbsEngine(spec, data, rng=np.random.default_rng(settings.seed + chain))
     layout = trace_layout(engine.dims, spec.family)
 
     engine.adapting = True
@@ -153,7 +150,7 @@ def _run_single_chain(spec: ModelSpec, data: Dataset, chain: int) -> ChainTrace:
     fallbacks = sum(s.fallbacks for s in engine.stats.values())
     xi_rate = engine.xi_accepted / engine.xi_proposed if engine.xi_proposed else float("nan")
     log.info("chain %d: %d slice step-out fallbacks, xi acceptance %.3f", chain, fallbacks, xi_rate)
-    return ChainTrace(seed, values, layout)
+    return ChainTrace(values, layout)
 
 
 def process_map(fn, tasks: list, workers: int) -> list:
@@ -249,7 +246,7 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
             problem = _value_problem(field, column)
             if problem:
                 raise ConfigurationError(f"{path}: column {name!r} {problem}")
-        chains.append(ChainTrace(spec.sampler.seed + ci - 1, values, layout))
+        chains.append(ChainTrace(values, layout))
         ci += 1
     if not chains:
         raise ConfigurationError(f"no chain CSVs found under {outdir}")

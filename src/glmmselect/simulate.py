@@ -7,7 +7,9 @@ A scaled variant shrinks everything for desk-scale runs.  Dataset
 generation is deterministic given (base_seed, replicate); the true
 coefficients come back with the data, and the true inclusion masks and
 covariance are the design's own (``fixed_truth_mask``, ``random_truth_mask``
-and ``omega``).
+and ``omega``).  A replicate's random-effect term takes the model's one
+road: the (lam, r) of ``cholesky.decompose_covariance(omega)`` -> live_pairs
+-> mask_factors -> ``model.block_term`` -> ``model.linear_predictor``.
 """
 
 import logging
@@ -18,8 +20,8 @@ import numpy as np
 from .cholesky import decompose_covariance
 from .errors import ConfigurationError, GlmmSelectError
 from .families import ETA_CAP, Family
-from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, check_int
-from .model import block_predictor, linear_predictor
+from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_term, check_int
+from .model import linear_predictor
 from .report import fixed_effect_rmse, indicator_matrix, ranked_patterns, top_models
 from .sampler import process_map, run_chains
 
@@ -139,22 +141,16 @@ def simulate_dataset(design: SimDesign, replicate: int) -> tuple[Dataset, np.nda
     n_obs = design.n * design.n_i
     X = rng.standard_normal((n_obs, design.l))
     X[:, 0] = 1.0
-    Z = X[:, : design.q]
-    groups = np.repeat(np.arange(design.n), design.n_i)
+    bdata = BlockData(Z=X[:, : design.q], groups=np.repeat(np.arange(design.n), design.n_i), n_groups=design.n)
 
-    lam, gamma = decompose_covariance(design.omega)
+    lam, r = decompose_covariance(design.omega)
     xi = rng.standard_normal((design.n, design.q))
 
-    eta = linear_predictor(X, beta, [block_predictor(Z, groups, xi, lam[:, None] * gamma)])
+    eta = linear_predictor(X, beta, [block_term(bdata, lam, r, np.ones(design.q), xi)])
     n_clamped = int(np.sum(eta > ETA_CAP))
     if n_clamped:
         log.info("replicate %d: clamped %d linear predictors at %.1f", replicate, n_clamped, ETA_CAP)
-    data = Dataset(
-        y=Family("poisson").sample(rng, eta),
-        X=X,
-        blocks=(BlockData(Z=Z, groups=groups, n_groups=design.n),),
-    )
-    return data, beta
+    return Dataset(y=Family("poisson").sample(rng, eta), X=X, blocks=(bdata,)), beta
 
 
 def build_model_spec(

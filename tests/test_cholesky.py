@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from glmmselect.cholesky import decompose_covariance, mask_factors, tril_pairs
+from glmmselect.cholesky import decompose_covariance, live_pairs, mask_factors, tril_pairs
 from glmmselect.errors import DecompositionError
-from glmmselect.model import block_predictor
+from glmmselect.model import BlockData, block_term
 
 from oracles import doolittle_cholesky, factors_from_cholesky
 
@@ -25,9 +25,27 @@ def packed(gamma):
 
 def effect_vector(lam, r, include, xi):
     """Lambda_eff Gamma_eff xi through the model's block term: one group, Z = I."""
-    lam_eff, gamma = mask_factors(np.asarray(lam, dtype=float), np.asarray(r, dtype=float), np.asarray(include))
-    q = lam_eff.shape[0]
-    return block_predictor(np.eye(q), np.zeros(q, dtype=np.int64), xi[None, :], lam_eff[:, None] * gamma)
+    q = len(lam)
+    bdata = BlockData(Z=np.eye(q), groups=np.zeros(q, dtype=np.int64), n_groups=1)
+    return block_term(bdata, np.asarray(lam, dtype=float), np.asarray(r, dtype=float), np.asarray(include), xi[None, :])
+
+
+def zeroing_mask_factors(lam, r, include):
+    """The row/column-zeroing form of the membership rule: fill every r, then zero the dead rows and columns."""
+    q = lam.shape[0]
+    lam_eff = np.where(include, lam, 0.0)
+    gamma = np.zeros((q, q))
+    if np.count_nonzero(r):
+        gamma[tril_pairs(q)] = r
+        dead = lam_eff == 0.0
+        gamma[dead] = 0.0
+        gamma[:, dead] = 0.0
+    gamma.reshape(q * q)[:: q + 1] = 1.0
+    return lam_eff, gamma
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def random_spd(rng, q, lo=0.05, hi=4.0):
@@ -51,8 +69,41 @@ class TestPacking:
         assert np.all(np.triu(g, 1) == 0.0)
 
 
+class TestLivePairs:
+    def test_matches_a_loop_over_the_pairs(self):
+        rng = np.random.default_rng(8)
+        for _ in range(200):
+            q = int(rng.integers(1, 7))
+            lam_eff = np.where(rng.random(q) < 0.4, 0.0, rng.uniform(0.1, 2.0, q))
+            want = [lam_eff[u] != 0.0 and lam_eff[v] != 0.0 for u, v in zip(*tril_pairs(q))]
+            got = live_pairs(lam_eff)
+            assert got.dtype == bool
+            assert got.tolist() == want
+
+    def test_negative_zero_is_dead(self):
+        assert live_pairs(np.array([1.0, -0.0, 2.0])).tolist() == [False, True, False]
+
+
 class TestProjectConstraints:
     """The membership constraints as :func:`mask_factors` applies them."""
+
+    def test_bit_identical_to_row_column_zeroing(self):
+        rng = np.random.default_rng(9)
+        for i in range(10_000):
+            q = int(rng.integers(1, 8))
+            n_r = q * (q - 1) // 2
+            lam = np.where(rng.random(q) < 0.2, rng.choice([0.0, -0.0], q), rng.uniform(0.0, 2.0, q))
+            if i % 4 == 0:
+                r = np.zeros(n_r)
+            else:
+                r = rng.standard_normal(n_r)
+                r[rng.random(n_r) < 0.2] = 0.0
+                r[rng.random(n_r) < 0.2] = -0.0
+            include = rng.integers(0, 2, q).astype(float)
+            lam_eff, gamma = mask_factors(lam, r, include)
+            want_lam, want_gamma = zeroing_mask_factors(lam, r, include)
+            assert same_bits(lam_eff, want_lam)
+            assert same_bits(gamma, want_gamma)
 
     def test_all_included_copies_raw(self):
         rng = np.random.default_rng(1)
@@ -105,29 +156,43 @@ class TestAssemble:
 
 class TestDecompose:
     def test_identity(self):
-        lam, gamma = decompose_covariance(np.eye(4))
+        lam, r = decompose_covariance(np.eye(4))
         assert np.array_equal(lam, np.ones(4))
-        assert np.array_equal(gamma, np.eye(4))
+        assert same_bits(r, np.zeros(6))
 
     def test_reference_block_matches_oracle(self):
-        lam, gamma = decompose_covariance(ACTIVE_BLOCK)
+        lam, r = decompose_covariance(ACTIVE_BLOCK)
         lam_o, r_o = factors_from_cholesky(doolittle_cholesky(ACTIVE_BLOCK))
         np.testing.assert_allclose(lam, lam_o, atol=1e-12)
-        np.testing.assert_allclose(packed(gamma), r_o, atol=1e-12)
+        np.testing.assert_allclose(r, r_o, atol=1e-12)
 
     def test_diagonal_with_zero(self):
-        lam, gamma = decompose_covariance(np.diag([0.08, 0.0, 0.06]))
+        lam, r = decompose_covariance(np.diag([0.08, 0.0, 0.06]))
         np.testing.assert_allclose(lam, [np.sqrt(0.08), 0.0, np.sqrt(0.06)])
-        assert np.array_equal(gamma, np.eye(3))
+        assert same_bits(r, np.zeros(3))
+
+    def test_dead_effect_has_zero_r(self):
+        omega = np.zeros((3, 3))
+        omega[np.ix_([0, 2], [0, 2])] = [[0.08, 0.02], [0.02, 0.06]]
+        lam, r = decompose_covariance(omega)
+        # packed order (2,1), (3,1), (3,2): only (3,1) joins two live effects
+        assert r[0] == 0.0 and r[2] == 0.0
+        # r(3,1) = L[3,1] / L[3,3] for the Cholesky factor L of the live 2x2 block
+        assert r[1] == pytest.approx(0.02 / np.sqrt(0.08) / np.sqrt(0.06 - 0.02**2 / 0.08))
+        assert lam[1] == 0.0
+
+    def test_one_effect_has_no_r(self):
+        lam, r = decompose_covariance(np.array([[0.25]]))
+        assert lam[0] == 0.5
+        assert r.shape == (0,)
 
     def test_roundtrip_random_spd(self):
         rng = np.random.default_rng(4)
         for _ in range(200):
             q = int(rng.integers(1, 7))
             omega = random_spd(rng, q)
-            lam, gamma = decompose_covariance(omega)
-            lg = lam[:, None] * gamma
-            np.testing.assert_allclose(lg @ lg.T, omega, atol=1e-10)
+            lam, r = decompose_covariance(omega)
+            np.testing.assert_allclose(covariance(lam, r, np.ones(q)), omega, atol=1e-10)
 
     def test_factor_roundtrip(self):
         rng = np.random.default_rng(5)
@@ -135,12 +200,13 @@ class TestDecompose:
             q = int(rng.integers(2, 7))
             lam = rng.uniform(0.05, 2.0, q)
             r = rng.standard_normal(q * (q - 1) // 2)
-            back_lam, back_gamma = decompose_covariance(covariance(lam, r, np.ones(q)))
+            back_lam, back_r = decompose_covariance(covariance(lam, r, np.ones(q)))
             np.testing.assert_allclose(back_lam, lam, atol=1e-10)
-            np.testing.assert_allclose(packed(back_gamma), r, atol=1e-10)
+            np.testing.assert_allclose(back_r, r, atol=1e-10)
 
     def test_pair_is_its_own_masked_form(self):
-        # simulate_dataset multiplies the pair into its loadings unmasked: masking must not change a bit
+        # simulate_dataset forms its term through block_term with every effect included:
+        # that must equal the unmasked product of the decomposed factors bit for bit
         rng = np.random.default_rng(7)
         for _ in range(100):
             q = int(rng.integers(1, 7))
@@ -148,10 +214,15 @@ class TestDecompose:
             dead = rng.random(q) < 0.3
             omega[dead, :] = 0.0
             omega[:, dead] = 0.0
-            lam, gamma = decompose_covariance(omega)
-            lam_eff, gamma_eff = mask_factors(lam, packed(gamma), np.ones(q))
-            assert np.array_equal(lam_eff, lam)
-            assert np.array_equal(gamma_eff, gamma)
+            lam, r = decompose_covariance(omega)
+            gamma = np.eye(q)
+            gamma[tril_pairs(q)] = r
+            n_groups = int(rng.integers(1, 5))
+            bdata = BlockData(Z=rng.standard_normal((12, q)), groups=np.arange(12) % n_groups, n_groups=n_groups)
+            xi = rng.standard_normal((n_groups, q))
+            rho = xi @ (lam[:, None] * gamma).T
+            want = np.einsum("ij,ij->i", bdata.Z, rho[bdata.groups])
+            assert same_bits(block_term(bdata, lam, r, np.ones(q), xi), want)
 
     def test_rejects_asymmetric(self):
         with pytest.raises(DecompositionError):
@@ -185,7 +256,7 @@ class TestRandomEffectVector:
 
     def test_sample_covariance_converges(self):
         rng = np.random.default_rng(6)
-        lam, gamma = decompose_covariance(ACTIVE_BLOCK)
+        lam, gamma = mask_factors(*decompose_covariance(ACTIVE_BLOCK), np.ones(3))
         n = 100_000
         xi = rng.standard_normal((n, 3))
         draws = xi @ (lam[:, None] * gamma).T

@@ -190,6 +190,28 @@ class TestPipeline:
         assert main([*args, "--out", str(tmp_path / "ppc_max"), "--max-count", str(ROOTOGRAM_MAX_COUNT + 1)]) == 1
         assert capsys.readouterr().err == f"error: max_count must be in [0, {ROOTOGRAM_MAX_COUNT}], got {ROOTOGRAM_MAX_COUNT + 1}\n"
 
+    def test_ppc_at_subnormal_dispersion(self, workspace):
+        # an NB fit whose chain CSVs hold dispersion 1e-310, where mu / r overflows: ppc draws and exits 0
+        tmp_path, design, spec, data = workspace
+        spec_nb = write(tmp_path, "spec_nb.json", dict(SMALL_SPEC, family={"kind": "negative_binomial"}))
+        fit_out = tmp_path / "fit_nb"
+        assert main(["fit", "--data", data, "--spec", spec_nb, "--out", str(fit_out)]) == 0
+        for path in fit_out.glob("chain_*.csv"):
+            with open(path, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            for row in rows:
+                row["dispersion"] = "1e-310"
+            with open(path, "w", newline="") as fh:
+                out = csv.DictWriter(fh, list(rows[0]))
+                out.writeheader()
+                out.writerows(rows)
+        args = ["ppc", "--trace", str(fit_out), "--data", data, "--spec", spec_nb, "--n-rep", "10"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert main([*args, "--out", str(tmp_path / "ppc")]) == 0
+            assert main([*args, "--marginal", "--out", str(tmp_path / "ppc_marginal")]) == 0
+        assert os.path.exists(tmp_path / "ppc" / "rootogram.csv")
+
     @pytest.mark.parametrize("command", ["report", "ppc"])
     def test_empty_chain_csv_is_error_exit(self, workspace, capsys, command):
         tmp_path, design, spec, data = workspace

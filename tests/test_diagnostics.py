@@ -79,7 +79,7 @@ def random_trace(n_chains, n_draws):
     dims = ModelDims(l=2, blocks=((2, 3),))
     layout = trace_layout(dims, Family("poisson"))
     n_columns = sum(len(names) for *_, names in layout)
-    return Trace(chains=[ChainTrace(c, rng.random((n_draws, n_columns)), layout) for c in range(n_chains)], dims=dims)
+    return Trace(chains=[ChainTrace(rng.random((n_draws, n_columns)), layout) for c in range(n_chains)], dims=dims)
 
 
 class TestSummarizeTrace:

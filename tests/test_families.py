@@ -213,7 +213,7 @@ class TestSample:
     def test_matches_numpy_draws(self):
         eta = np.linspace(-2.0, 3.0, 50)
         mu = np.exp(eta)
-        for scale in (0.3, 4.0):
+        for scale in (0.3, 0.5, 4.0, 50.0):
             got = Family("negative_binomial").sample(np.random.default_rng(7), eta, scale)
             want_rng = np.random.default_rng(7)
             want = want_rng.poisson(want_rng.gamma(scale, mu / scale)).astype(float)
@@ -245,3 +245,23 @@ class TestSample:
         high = fam.sample(np.random.default_rng(8), np.array([0.5, 80.0, 1e300]), scale)
         capped = fam.sample(np.random.default_rng(8), np.array([0.5, ETA_CAP, ETA_CAP]), scale)
         np.testing.assert_array_equal(high, capped)
+
+    @pytest.mark.parametrize("dispersion", [1e-310, 5e-324])
+    @pytest.mark.parametrize("eta", [0.0, ETA_CAP])
+    def test_negative_binomial_draws_at_subnormal_dispersion(self, dispersion, eta):
+        # mu / r overflows here; the Gamma-mixed rate must not, and stays under the mean cap
+        fam = Family("negative_binomial")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for seed in range(50):
+                y = fam.sample(np.random.default_rng(seed), np.full(20, eta), dispersion)
+                assert np.all(np.isfinite(y)) and np.all(y >= 0.0)
+                assert np.all(y < 2.0 * math.exp(ETA_CAP))
+
+    def test_negative_binomial_rate_where_mu_over_r_overflows(self):
+        # the Poisson rate is g mu / r for the Gamma(r, 1) draw g; a stub rng hands back g and the rate
+        fam = Family("negative_binomial")
+        for g, want in ((0.0, 0.0), (1e-300, 1e10), (1.0, math.exp(ETA_CAP))):
+            rng = SimpleNamespace(standard_gamma=lambda shape, size: np.full(size, g), poisson=lambda rate: rate)
+            rate = fam.sample(rng, np.zeros(2), 1e-310)
+            np.testing.assert_allclose(rate, want, rtol=1e-12)

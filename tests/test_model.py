@@ -15,7 +15,6 @@ from glmmselect.model import (
     ModelSpec,
     RandomBlock,
     SamplerSettings,
-    block_predictor,
     block_term,
     linear_predictor,
     linear_predictor_all,
@@ -224,7 +223,8 @@ class TestLinearPredictor:
         lam, r, xi = rng.uniform(0.1, 1.0, 3), rng.standard_normal(3), rng.standard_normal((4, 3))
         include = np.array([1, 0, 1], dtype=np.int8)
         lam_eff, gamma = mask_factors(lam, r, include)
-        want = block_predictor(bdata.Z, bdata.groups, xi, lam_eff[:, None] * gamma)
+        rho = xi @ (lam_eff[:, None] * gamma).T
+        want = np.array([bdata.Z[j] @ rho[bdata.groups[j]] for j in range(8)])
         np.testing.assert_array_equal(block_term(bdata, lam, r, include, xi), want)
         include[:] = 0
         np.testing.assert_array_equal(block_term(bdata, lam, r, include, xi), np.zeros(8))

@@ -37,7 +37,7 @@ def fabricate_trace(J_rows, I_rows, beta_rows=None, l=None, q=None):
         "xi": np.zeros((n, 3 * q)),
     }
     values = np.hstack([fields[field].reshape(n, len(names)) for field, _, _, names in layout]).astype(float)
-    return Trace(chains=[ChainTrace(0, values, layout)], dims=dims)
+    return Trace(chains=[ChainTrace(values, layout)], dims=dims)
 
 
 class TestLabelOf:
@@ -51,8 +51,8 @@ class TestLabelOf:
         dims = ModelDims(l=3, blocks=((2, 3), (3, 2)))
         layout = trace_layout(dims, Family("poisson"))
         chains = []
-        for seed, n in enumerate((7, 5)):
-            chain = ChainTrace(seed, rng.random((n, sum(len(names) for *_, names in layout))), layout)
+        for n in (7, 5):
+            chain = ChainTrace(rng.random((n, sum(len(names) for *_, names in layout))), layout)
             for bits in [chain.J, *chain.include]:
                 bits[:] = rng.integers(0, 2, bits.shape)  # writes into chain.values
             chains.append(chain)

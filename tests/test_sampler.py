@@ -1,3 +1,5 @@
+import csv
+import json
 import logging
 import re
 from dataclasses import replace
@@ -7,16 +9,21 @@ import numpy as np
 import pytest
 
 from glmmselect.cholesky import mask_factors
+from glmmselect.cli import main
+from glmmselect.dataio import load_dataset, parse_spec
+from glmmselect.engine import GibbsEngine
 from glmmselect.errors import ConfigurationError, DataError
 from glmmselect.families import Family
 from glmmselect.model import (
     BlockData,
     Dataset,
+    MODES,
     Hyperparameters,
     ModelDims,
     ModelSpec,
     RandomBlock,
     SamplerSettings,
+    linear_predictor_all,
 )
 from glmmselect.sampler import ChainTrace, Trace, load_trace, process_map, run_chains, save_trace, trace_layout
 
@@ -90,8 +97,9 @@ class TestRunChains:
         spec, data = small_problem(seed=6, kept=20)
         trace = run_chains(spec, data)
         assert not np.array_equal(trace.chains[0].beta, trace.chains[1].beta)
-        assert trace.chains[0].seed == 6
-        assert trace.chains[1].seed == 7
+        # chain c is seeded seed + c: chain 1 here is chain 0 of a run seeded 7
+        spec7, _ = small_problem(seed=7, kept=20, chains=1)
+        np.testing.assert_array_equal(run_chains(spec7, data).chains[0].values, trace.chains[1].values)
 
     def test_workers_do_not_change_results(self):
         spec, data = small_problem(seed=7, kept=15)
@@ -151,7 +159,7 @@ class TestTracePersistence:
         spec, data = small_problem(seed=10, kind=kind)
         layout = trace_layout(ModelDims.of(spec, data), spec.family)
         n_columns = sum(len(names) for *_, names in layout)
-        chains = [ChainTrace(spec.sampler.seed + c, np.zeros((0, n_columns)), layout) for c in range(spec.sampler.chains)]
+        chains = [ChainTrace(np.zeros((0, n_columns)), layout) for c in range(spec.sampler.chains)]
         trace = Trace(chains=chains, dims=ModelDims.of(spec, data))
         paths = save_trace(trace, str(tmp_path))
         assert all(len(Path(p).read_text().splitlines()) == 1 for p in paths)  # header only
@@ -251,3 +259,59 @@ class TestTracePersistence:
         assert mat.shape == (2, 10)
         with pytest.raises(Exception):
             trace.scalar_matrix("nope")
+
+
+# a random (1, x) block per subject and a random intercept per site, crossed: 8 subjects of 3 visits, 3 sites
+TWO_BLOCK_SPEC = {
+    "family": {"kind": "poisson"},
+    "response": "y",
+    "fixed_effects": ["1", "x"],
+    "random_blocks": [{"group": "subject", "columns": ["1", "x"]}, {"group": "site", "columns": ["1"]}],
+    "sampler": {"chains": 2, "adapt": 3, "burnin": 2, "kept": 4, "seed": 3},
+}
+
+
+@pytest.fixture
+def two_block_files(tmp_path):
+    rng = np.random.default_rng(21)
+    data_path, spec_path = tmp_path / "two_blocks.csv", tmp_path / "spec.json"
+    with open(data_path, "w", newline="") as fh:
+        out = csv.writer(fh)
+        out.writerow(["y", "x", "subject", "site"])
+        for i in range(24):
+            out.writerow([int(rng.poisson(2.0)), f"{rng.standard_normal():.3f}", f"s{i // 3}", f"site{i % 3}"])
+    spec_path.write_text(json.dumps(TWO_BLOCK_SPEC))
+    return str(data_path), str(spec_path)
+
+
+class TestTwoBlocks:
+    @pytest.mark.parametrize("mode", MODES)
+    def test_cache_is_the_linear_predictor_after_every_scan(self, two_block_files, mode):
+        data_path, spec_path = two_block_files
+        spec = replace(parse_spec(spec_path), mode=mode)
+        data = load_dataset(data_path, spec)
+        assert [(b.q, b.n_groups) for b in data.blocks] == [(2, 8), (1, 3)]
+        for chain in range(spec.sampler.chains):
+            engine = GibbsEngine(spec, data, rng=np.random.default_rng(spec.sampler.seed + chain))
+            for _ in range(6):
+                engine.scan()
+                np.testing.assert_array_equal(engine._eta, linear_predictor_all(spec, engine.state, data))
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_fit_writes_and_reads_back_both_blocks(self, two_block_files, tmp_path, mode):
+        data_path, spec_path = two_block_files
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--data", data_path, "--spec", spec_path, "--mode", mode, "--out", str(fit_out)]) == 0
+        header = (fit_out / "chain_1.csv").read_text().splitlines()[0].split(",")
+        for name in ("lam1_1", "lam1_2", "I1_2", "r1_2_1", "xi1_g8_2", "lam2_1", "I2_1", "kappa2_1"):
+            assert name in header, name
+        assert [name for name in header if name.startswith("xi2_")] == ["xi2_g1_1", "xi2_g2_1", "xi2_g3_1"]
+        spec = replace(parse_spec(spec_path), mode=mode)
+        data = load_dataset(data_path, spec)
+        back = load_trace(str(fit_out), spec, data)
+        assert back.n_chains == 2
+        for chain, fitted in zip(back.chains, run_chains(spec, data).chains):
+            np.testing.assert_array_equal(chain.values, fitted.values)
+        save_trace(back, str(tmp_path / "again"))
+        for name in ("chain_1.csv", "chain_2.csv"):
+            assert (tmp_path / "again" / name).read_bytes() == (fit_out / name).read_bytes()
