@@ -22,9 +22,10 @@ are the active ones.  Without omega, the truth is the scale's own active
 effects (full: 1, 3, 6; scaled: 1, 3) up to q.  A grid document lists "v"
 (v = nu) and "h".  Any other key is an error.
 
-replicate writes summary.csv with the columns mode, percent_true_model,
-percent_random_correct, mean_rmse, n_ok and n_failed; grid writes grid.csv
-with v and h and then the same five, one row per (v, h), sorted by h, then v.
+Each table a command writes or prints takes its header from the column tuple
+of the module that builds its rows: diagnostics.DIAGNOSTIC_COLUMNS,
+report.TOP_MODELS_COLUMNS, ppc.ROOTOGRAM_COLUMNS and MEAN_SD_COLUMNS, and
+simulate's MODAL_MODELS_COLUMNS, SUMMARY_COLUMNS and GRID_COLUMNS.
 
 All randomness is controlled by the spec/design seed, overridable with
 --seed where a command takes it.  Outputs are written atomically; identical
@@ -42,24 +43,15 @@ import numpy as np
 
 from . import __version__
 from .dataio import check_keys, load_dataset, parse_spec, read_json, settings_from_doc, write_dataset_csv
-from .diagnostics import summarize_trace
+from .diagnostics import DIAGNOSTIC_COLUMNS, summarize_trace
 from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, parse_floats, read_csv, write_csv
 from .model import MODES, Hyperparameters, ModelSpec, SamplerSettings, check_int
-from .ppc import ROOTOGRAM_MAX_COUNT, mean_sd_scatter, replicate_data, rootogram
-from .report import effect_list, format_table, ranked_patterns, top_models, write_selection_report
+from .ppc import MEAN_SD_COLUMNS, ROOTOGRAM_COLUMNS, ROOTOGRAM_MAX_COUNT, mean_sd_scatter, replicate_data, rootogram
+from .report import TOP_MODELS_COLUMNS, format_table, top_models, write_selection_report
 from .sampler import load_trace, run_chains, save_trace
-from .simulate import (
-    STUDY_COLUMNS,
-    SimDesign,
-    build_model_spec,
-    full_scale_design,
-    run_grid,
-    run_replication,
-    scaled_design,
-    scaled_omega,
-    simulate_dataset,
-)
+from .simulate import GRID_COLUMNS, MODAL_MODELS_COLUMNS, SUMMARY_COLUMNS, SimDesign, build_model_spec
+from .simulate import full_scale_design, run_grid, run_replication, scaled_design, scaled_omega, simulate_dataset
 
 RHAT_WARN = 1.1
 
@@ -155,15 +147,13 @@ def _write_reports(trace, outdir: str) -> str:
     """
     report = top_models(trace)
     rows = summarize_trace(trace)
-    write_csv(os.path.join(outdir, "diagnostics.csv"), ["parameter", "mean", "sd", "rhat", "ess"], rows)
+    write_csv(os.path.join(outdir, "diagnostics.csv"), DIAGNOSTIC_COLUMNS, rows)
     write_selection_report(report, outdir)
     worst = max((r[3] for r in rows if np.isfinite(r[3])), default=0.0)
     if worst > RHAT_WARN:
         print(f"warning: max split R-hat {worst:.3f} exceeds {RHAT_WARN}; inspect diagnostics.csv", file=sys.stderr)
-    return format_table(
-        ["model", "count", "percent"],
-        [(lab.describe(), cnt, f"{pct:.2f}") for lab, cnt, pct in report.entries[:10]],
-    )
+    top = [(lab.describe(), cnt, f"{pct:.2f}") for lab, cnt, pct in report.entries[:10]]
+    return format_table(TOP_MODELS_COLUMNS, top)
 
 
 def cmd_fit(args) -> int:
@@ -204,20 +194,10 @@ def cmd_replicate(args) -> int:
     design, spec, n_rep = _study(args, 20)
     os.makedirs(args.out, exist_ok=True)
     result = run_replication(design, spec, n_rep, workers=args.workers)
-    modal = [r["modal_fixed"] + r["modal_random"] for r in result.rows if r["ok"]]
-    rows = []
-    if modal:
-        patterns, counts = ranked_patterns(np.array(modal))
-        for pattern, cnt in zip(patterns.tolist(), counts.tolist()):
-            pct = round(100.0 * cnt / len(modal), 2)
-            rows.append((effect_list(pattern[: design.l]), effect_list(pattern[design.l :]), cnt, pct))
-    write_csv(
-        os.path.join(args.out, "modal_models.csv"),
-        ["fixed_effects", "random_effects", "count", "percent"],
-        rows,
-    )
-    write_csv(os.path.join(args.out, "summary.csv"), ["mode", *STUDY_COLUMNS], [(spec.mode, *result.summary().values())])
-    print(format_table(["fixed", "random", "count", "percent"], rows[:10]))
+    rows = result.modal_models()
+    write_csv(os.path.join(args.out, "modal_models.csv"), MODAL_MODELS_COLUMNS, rows)
+    write_csv(os.path.join(args.out, "summary.csv"), SUMMARY_COLUMNS, [(spec.mode, *result.summary().values())])
+    print(format_table(MODAL_MODELS_COLUMNS, rows[:10]))
     return 0
 
 
@@ -226,8 +206,8 @@ def cmd_grid(args) -> int:
     pairs = _load_grid(args.grid)
     os.makedirs(args.out, exist_ok=True)
     rows = run_grid(design, spec, pairs, n_rep, workers=args.workers)
-    write_csv(os.path.join(args.out, "grid.csv"), ["v", "h", *STUDY_COLUMNS], rows)
-    print(format_table(["v", "h", "percent", "rmse"], [(v, h, pct, rmse) for v, h, pct, _, rmse, *_ in rows]))
+    write_csv(os.path.join(args.out, "grid.csv"), GRID_COLUMNS, rows)
+    print(format_table(GRID_COLUMNS, rows))
     return 0
 
 
@@ -240,16 +220,8 @@ def cmd_ppc(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     if spec.family.counts:
         max_count = args.max_count if args.max_count is not None else min(int(data.y.max()), ROOTOGRAM_MAX_COUNT)
-        bins = rootogram(data.y, reps, max_count)
-        write_csv(
-            os.path.join(args.out, "rootogram.csv"),
-            ["count", "observed", "expected", "sqrt_observed", "sqrt_expected"],
-            [(b["count"], b["observed"], b["expected"], b["sqrt_observed"], b["sqrt_expected"]) for b in bins],
-        )
-    summary = mean_sd_scatter(reps, data.y)
-    rows = [(i + 1, float(m), float(s)) for i, (m, s) in enumerate(summary.pairs)]
-    rows.append(("observed", summary.observed_pair[0], summary.observed_pair[1]))
-    write_csv(os.path.join(args.out, "mean_sd.csv"), ["replicate", "mean", "sd"], rows)
+        write_csv(os.path.join(args.out, "rootogram.csv"), ROOTOGRAM_COLUMNS, rootogram(data.y, reps, max_count))
+    write_csv(os.path.join(args.out, "mean_sd.csv"), MEAN_SD_COLUMNS, mean_sd_scatter(data.y, reps))
     print(f"wrote PPC data for {args.n_rep} replicates to {args.out}")
     return 0
 

@@ -4,9 +4,11 @@ import numpy as np
 
 from .errors import ConfigurationError
 
-__all__ = ["gelman_rubin", "effective_sample_size", "trace_gelman_rubin", "trace_ess", "summarize_trace"]
+__all__ = ["DIAGNOSTIC_COLUMNS", "gelman_rubin", "effective_sample_size", "trace_gelman_rubin", "trace_ess", "summarize_trace"]
 
 ESS_INFLATION_CAP = 1.5
+# diagnostics.csv, the rows of summarize_trace
+DIAGNOSTIC_COLUMNS = ("parameter", "mean", "sd", "rhat", "ess")
 
 
 def _as_chain_matrix(x) -> np.ndarray:
@@ -103,7 +105,7 @@ def trace_ess(trace, name: str) -> float:
 
 
 def summarize_trace(trace) -> list:
-    """Per-parameter rows: (name, mean, sd, R-hat, ESS) for every trace column but the xi ones."""
+    """Rows under :data:`DIAGNOSTIC_COLUMNS`, one per trace column but the xi ones."""
     rows = []
     for name in (n for n in trace.column_names() if not n.startswith("xi")):
         x = trace.scalar_matrix(name)

@@ -331,6 +331,7 @@ class Family:
         The rate is g (mu / r) for g ~ Gamma(r, 1), as numpy's gamma forms it;
         where mu / r overflows it is (g / r) mu instead, and every rate is
         capped at exp(``ETA_CAP``), the mean cap of the other log-link draws.
+        Every kind returns a float array shaped like ``eta``, 0-d included.
         """
         self._check_scale(scale)
         eta = np.asarray(eta, dtype=float)
@@ -338,16 +339,18 @@ class Family:
             eta = np.minimum(eta, ETA_CAP)
         mu = self.mean(eta)
         if self.kind == "poisson":
-            return rng.poisson(mu).astype(float)
-        if self.kind == "negative_binomial":
+            y = rng.poisson(mu)
+        elif self.kind == "negative_binomial":
             g = rng.standard_gamma(scale, mu.shape)
             with np.errstate(over="ignore", invalid="ignore"):  # lanes of inf or NaN are not picked, or are capped
                 theta = mu / scale
                 rate = np.where(np.isinf(theta), g / scale * mu, g * theta)
-            return rng.poisson(np.minimum(rate, _MEAN_CAP)).astype(float)
-        if self.kind == "bernoulli":
-            return (rng.random(mu.shape) < mu).astype(float)
-        return rng.normal(eta, np.sqrt(scale))
+            y = rng.poisson(np.minimum(rate, _MEAN_CAP))
+        elif self.kind == "bernoulli":
+            y = rng.random(mu.shape) < mu
+        else:
+            y = rng.normal(eta, np.sqrt(scale))
+        return np.asarray(y, dtype=float)
 
     def validate_response(self, y: np.ndarray) -> None:
         y = np.asarray(y)

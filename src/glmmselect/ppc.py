@@ -4,10 +4,9 @@ mean/sd scatter statistics.
 Replication is conditional by default: each replicate reuses the sampled
 latent effects of its posterior draw, so the comparison targets in-sample fit.
 Marginal replication (fresh latent effects from their fitted variances) is
-available via ``conditional=False``.
+available via ``conditional=False``.  The summaries return the rows of
+rootogram.csv and mean_sd.csv, under ``ROOTOGRAM_COLUMNS`` and ``MEAN_SD_COLUMNS``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,18 +15,13 @@ from .families import as_counts
 from .model import Dataset, ModelSpec, block_term, linear_predictor
 from .priors import draw_xi
 
-__all__ = ["PpcSummary", "ROOTOGRAM_MAX_COUNT", "replicate_data", "rootogram", "mean_sd_scatter"]
+__all__ = ["MEAN_SD_COLUMNS", "ROOTOGRAM_COLUMNS", "ROOTOGRAM_MAX_COUNT", "replicate_data", "rootogram", "mean_sd_scatter"]
 
 # the largest max_count of a rootogram, and the cap on the CLI's default max(y): one bin per count up to it
 ROOTOGRAM_MAX_COUNT = 10_000
 
-
-@dataclass
-class PpcSummary:
-    """Replicate (mean, sd) pairs and the observed pair."""
-
-    pairs: np.ndarray     # (n_rep, 2) replicate means and sds
-    observed_pair: tuple
+ROOTOGRAM_COLUMNS = ("count", "observed", "expected", "sqrt_observed", "sqrt_expected")
+MEAN_SD_COLUMNS = ("replicate", "mean", "sd")
 
 
 def _draw_eta(data: Dataset, chain, i: int, rng, conditional: bool) -> np.ndarray:
@@ -75,11 +69,11 @@ def replicate_data(
 def rootogram(observed: np.ndarray, replicated: np.ndarray, max_count: int) -> list:
     """Observed vs mean-expected frequencies per count value, with a tail bin.
 
-    Frequencies for c = 0..max_count plus one aggregate bin for counts above
-    max_count; both raw and square-root scales are reported.  Every bin set
-    sums to the number of observations.  The expected frequencies are those
-    of all replicates together, divided by their number.  ``max_count`` must
-    lie in [0, ``ROOTOGRAM_MAX_COUNT``].
+    Rows under :data:`ROOTOGRAM_COLUMNS` for counts 0..max_count, then one
+    labelled ">max_count" for the counts above; each frequency column sums to
+    the number of observations.  The expected frequencies are those of all
+    replicates together, divided by their number.  ``max_count`` must lie in
+    [0, ``ROOTOGRAM_MAX_COUNT``].
     """
     obs_k, rep_k = as_counts(observed), as_counts(replicated)
     for k, name in ((obs_k, "observed"), (rep_k, "replicated")):
@@ -93,32 +87,20 @@ def rootogram(observed: np.ndarray, replicated: np.ndarray, max_count: int) -> l
 
     obs_f = freqs(obs_k)
     exp_f = freqs(rep_k) / rep_k.shape[0] if rep_k.size else np.zeros(max_count + 2)
-    bins = []
-    for c in range(max_count + 2):
-        label = c if c <= max_count else f">{max_count}"
-        bins.append(
-            {
-                "count": label,
-                "observed": float(obs_f[c]),
-                "expected": float(exp_f[c]),
-                "sqrt_observed": float(np.sqrt(obs_f[c])),
-                "sqrt_expected": float(np.sqrt(exp_f[c])),
-            }
-        )
-    return bins
+    labels = [*range(max_count + 1), f">{max_count}"]
+    return list(zip(labels, obs_f.tolist(), exp_f.tolist(), np.sqrt(obs_f).tolist(), np.sqrt(exp_f).tolist()))
 
 
-def mean_sd_scatter(replicated: np.ndarray, observed: np.ndarray) -> PpcSummary:
-    """Sample mean and sd (denominator n-1) of each replicate, plus the observed pair."""
-    replicated = np.asarray(replicated, dtype=float)
-    if replicated.ndim != 2:
-        raise ConfigurationError("replicated sets must be 2-dimensional")
-    if replicated.shape[0] and replicated.shape[1] < 2:
-        raise ConfigurationError("replicates need at least 2 observations for an sd")
-    pairs = np.column_stack(
-        [replicated.mean(axis=1), replicated.std(axis=1, ddof=1)]
-    ) if replicated.shape[0] else np.zeros((0, 2))
+def mean_sd_scatter(observed: np.ndarray, replicated: np.ndarray) -> list:
+    """Rows under :data:`MEAN_SD_COLUMNS`: (i, mean, sd) of replicate i, then ("observed", mean, sd); sd divides by n-1."""
     observed = np.asarray(observed, dtype=float)
+    replicated = np.asarray(replicated, dtype=float)
     if observed.size < 2:
         raise ConfigurationError("observed set needs at least 2 observations")
-    return PpcSummary(pairs=pairs, observed_pair=(float(observed.mean()), float(observed.std(ddof=1))))
+    if replicated.ndim != 2:
+        raise ConfigurationError("replicated sets must be 2-dimensional")
+    if replicated.shape[1] < 2:
+        raise ConfigurationError("replicates need at least 2 observations for an sd")
+    means, sds = replicated.mean(axis=1).tolist(), replicated.std(axis=1, ddof=1).tolist()
+    observed_row = ("observed", float(observed.mean()), float(observed.std(ddof=1)))
+    return [*zip(range(1, len(means) + 1), means, sds), observed_row]

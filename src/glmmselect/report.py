@@ -15,6 +15,7 @@ from .errors import ConfigurationError
 from .ioutil import write_csv
 
 __all__ = [
+    "TOP_MODELS_COLUMNS",
     "effect_list",
     "ModelLabel",
     "SelectionReport",
@@ -25,6 +26,9 @@ __all__ = [
     "format_table",
     "write_selection_report",
 ]
+
+# top_models.csv, and the top-10 table of summary.txt
+TOP_MODELS_COLUMNS = ("model", "count", "percent")
 
 
 def effect_list(bits) -> str:
@@ -94,22 +98,18 @@ def fixed_effect_rmse(trace, truth) -> float:
 
 
 def format_table(header, rows) -> str:
-    """Aligned fixed-width text table."""
-    cells = [[str(h) for h in header]] + [[str(c) for c in row] for row in rows]
-    ncol = len(header)
-    col_w = [max(len(row[j]) for row in cells) for j in range(ncol)]
-    lines = []
-    for i, row in enumerate(cells):
-        lines.append("  ".join(row[j].ljust(col_w[j]) for j in range(ncol)).rstrip())
-        if i == 0:
-            lines.append("  ".join("-" * col_w[j] for j in range(ncol)))
+    """Aligned fixed-width text table: the header, a rule of dashes, then the rows."""
+    cells = [[str(c) for c in row] for row in (header, *rows)]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
+    lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
 
 
 def write_selection_report(report: SelectionReport, outdir: str) -> None:
     """top_models.csv (the 20 most frequent models) and inclusion.csv in ``outdir``."""
     rows = [(lab.describe(), cnt, round(pct, 4)) for lab, cnt, pct in report.entries[:20]]
-    write_csv(f"{outdir}/top_models.csv", ["model", "count", "percent"], rows)
+    write_csv(f"{outdir}/top_models.csv", TOP_MODELS_COLUMNS, rows)
     incl_rows = [(f"beta{p + 1}", float(v)) for p, v in enumerate(report.inclusion_fixed)]
     for bi, arr in enumerate(report.inclusion_random):
         incl_rows += [(f"block{bi + 1}_effect{k + 1}", float(v)) for k, v in enumerate(arr)]

@@ -187,6 +187,12 @@ def run_chains(
     return Trace(chains=chains, dims=dims)
 
 
+def _chain_numbers(outdir: str) -> list:
+    """The N >= 1 of every chain_N.csv in ``outdir``; none if it is not a directory."""
+    names = os.listdir(outdir) if os.path.isdir(outdir) else []
+    return [int(m[1]) for m in (re.fullmatch(r"chain_([1-9][0-9]*)\.csv", name) for name in names) if m]
+
+
 def save_trace(trace: Trace, outdir: str) -> list:
     """One CSV per chain: iteration, then every column of the chain's ``values``.
 
@@ -201,10 +207,9 @@ def save_trace(trace: Trace, outdir: str) -> list:
         path = os.path.join(outdir, f"chain_{ci + 1}.csv")
         write_csv(path, header, ([i + 1, *row] for i, row in enumerate(chain.values.tolist())))
         paths.append(path)
-    for name in os.listdir(outdir):
-        match = re.fullmatch(r"chain_(\d+)\.csv", name)
-        if match and int(match.group(1)) > len(trace.chains):
-            os.remove(os.path.join(outdir, name))
+    for n in _chain_numbers(outdir):
+        if n > len(trace.chains):
+            os.remove(os.path.join(outdir, f"chain_{n}.csv"))
     return paths
 
 
@@ -224,8 +229,9 @@ def _value_problem(field: str, values: np.ndarray) -> str | None:
 def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
     """Rebuild a Trace from chain CSVs written by :func:`save_trace`.
 
-    Columns are found by header name, so their order does not matter and
-    other columns are ignored.  A file that :func:`glmmselect.ioutil.read_csv`
+    Chains are read from chain_1.csv to the highest chain_N.csv; a gap raises
+    ConfigurationError.  Columns are found by header name, so their order does
+    not matter and other columns are ignored.  A file that :func:`glmmselect.ioutil.read_csv`
     rejects, a missing column or a cell that is not a number raises
     DataError; a value that no sampler state can hold (non-finite, negative
     lam, non-positive kappa or family scale, an indicator other than 0/1)
@@ -234,20 +240,19 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
     dims = ModelDims.of(spec, data)
     layout = trace_layout(dims, spec.family)
     names = [name for *_, field_names in layout for name in field_names]
+    fields = [field for field, _, _, field_names in layout for name in field_names]
     chains = []
-    ci = 1
-    while True:
+    last = max(_chain_numbers(outdir), default=0)
+    for ci in range(1, last + 1):
         path = os.path.join(outdir, f"chain_{ci}.csv")
         if not os.path.exists(path):
-            break
+            raise ConfigurationError(f"{path} is missing, but chain_{last}.csv is there")
         values = parse_floats(path, *read_csv(path), names)
-        fields = [field for field, _, _, field_names in layout for name in field_names]
         for field, name, column in zip(fields, names, values.T):
             problem = _value_problem(field, column)
             if problem:
                 raise ConfigurationError(f"{path}: column {name!r} {problem}")
         chains.append(ChainTrace(values, layout))
-        ci += 1
     if not chains:
         raise ConfigurationError(f"no chain CSVs found under {outdir}")
     return Trace(chains=chains, dims=dims)

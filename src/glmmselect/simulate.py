@@ -22,13 +22,13 @@ from .errors import ConfigurationError, GlmmSelectError
 from .families import ETA_CAP, Family
 from .model import BlockData, Dataset, Hyperparameters, ModelSpec, RandomBlock, SamplerSettings, block_term, check_int
 from .model import linear_predictor
-from .report import fixed_effect_rmse, indicator_matrix, ranked_patterns, top_models
+from .report import effect_list, fixed_effect_rmse, indicator_matrix, ranked_patterns, top_models
 from .sampler import process_map, run_chains
 
 __all__ = [
     "SimDesign",
     "ReplicationResult",
-    "STUDY_COLUMNS",
+    "STUDY_COLUMNS", "SUMMARY_COLUMNS", "GRID_COLUMNS", "MODAL_MODELS_COLUMNS",
     "section3_omega",
     "scaled_omega",
     "full_scale_design",
@@ -174,6 +174,10 @@ def build_model_spec(
 
 # the columns of a study table row, after the row's own keys (mode, or v and h)
 STUDY_COLUMNS = ("percent_true_model", "percent_random_correct", "mean_rmse", "n_ok", "n_failed")
+# summary.csv, grid.csv (the rows of run_grid) and modal_models.csv (of ReplicationResult.modal_models)
+SUMMARY_COLUMNS = ("mode", *STUDY_COLUMNS)
+GRID_COLUMNS = ("v", "h", *STUDY_COLUMNS)
+MODAL_MODELS_COLUMNS = ("fixed_effects", "random_effects", "count", "percent")
 
 
 @dataclass
@@ -194,6 +198,18 @@ class ReplicationResult:
                 float(np.mean([r["rmse"] for r in ok])),
             )
         return dict(zip(STUDY_COLUMNS, (*rates, n_ok, len(self.rows) - n_ok)))
+
+    def modal_models(self) -> list:
+        """Rows under :data:`MODAL_MODELS_COLUMNS`: the finished replicates' modal models, by ``ranked_patterns``."""
+        ok = [r for r in self.rows if r["ok"]]
+        if not ok:
+            return []
+        l = len(ok[0]["modal_fixed"])
+        patterns, counts = ranked_patterns(np.array([r["modal_fixed"] + r["modal_random"] for r in ok]))
+        return [
+            (effect_list(pattern[:l]), effect_list(pattern[l:]), cnt, round(100.0 * cnt / len(ok), 2))
+            for pattern, cnt in zip(patterns.tolist(), counts.tolist())
+        ]
 
 
 def _fit_one_replicate(design: SimDesign, spec: ModelSpec, replicate: int) -> list:
@@ -243,8 +259,8 @@ def run_grid(
     """Replication study per (v, h) cell in ``spec.mode``, with shared replicate seeds.
 
     ``grid`` is an iterable of (v, h) pairs (v and nu vary together).
-    Returns the grid table: one row ``(v, h, *summary values)`` per cell,
-    sorted by (h, v), the summary values in :data:`STUDY_COLUMNS` order.
+    Returns the grid table: one row under :data:`GRID_COLUMNS` per cell,
+    sorted by (h, v).
     """
     rows = []
     for v, h in sorted(grid, key=lambda vh: (vh[1], vh[0])):

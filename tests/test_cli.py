@@ -11,9 +11,10 @@ import pytest
 
 from glmmselect import cli, simulate
 from glmmselect.cli import RHAT_WARN, main
-from glmmselect.ppc import ROOTOGRAM_MAX_COUNT
-from glmmselect.report import ModelLabel
-from glmmselect.simulate import ReplicationResult
+from glmmselect.diagnostics import DIAGNOSTIC_COLUMNS
+from glmmselect.ppc import MEAN_SD_COLUMNS, ROOTOGRAM_COLUMNS, ROOTOGRAM_MAX_COUNT
+from glmmselect.report import TOP_MODELS_COLUMNS, ModelLabel
+from glmmselect.simulate import GRID_COLUMNS, MODAL_MODELS_COLUMNS, SUMMARY_COLUMNS, ReplicationResult
 
 
 def write(tmp_path, name, obj):
@@ -49,6 +50,12 @@ SMALL_SPEC = {
     "sampler": {"chains": 2, "adapt": 10, "burnin": 10, "kept": 30, "seed": 1},
     "mode": "ssvs-diagonal",
 }
+
+
+def header(path):
+    """The first line of a file, without its newline."""
+    with open(path, encoding="utf-8") as fh:
+        return fh.readline().rstrip("\n")
 
 
 def rhat_warning(outdir):
@@ -150,13 +157,20 @@ class TestPipeline:
         tmp_path, design, spec, data = workspace
         fit_out = str(tmp_path / "fit2")
         assert main(["fit", "--data", data, "--spec", spec, "--out", fit_out]) == 0
-        ppc_out = str(tmp_path / "ppc")
-        assert main([
-            "ppc", "--trace", fit_out, "--data", data, "--spec", spec,
-            "--out", ppc_out, "--n-rep", "20", "--seed", "3",
-        ]) == 0
-        assert os.path.exists(os.path.join(ppc_out, "rootogram.csv"))
-        assert os.path.exists(os.path.join(ppc_out, "mean_sd.csv"))
+        assert header(os.path.join(fit_out, "diagnostics.csv")) == ",".join(DIAGNOSTIC_COLUMNS)
+        assert header(os.path.join(fit_out, "top_models.csv")) == ",".join(TOP_MODELS_COLUMNS)
+        # summary.txt's table heads its columns with the same names
+        with open(os.path.join(fit_out, "summary.txt"), encoding="utf-8") as fh:
+            assert fh.readline().split() == list(TOP_MODELS_COLUMNS)
+        ppc_args = ["ppc", "--trace", fit_out, "--data", data, "--spec", spec, "--seed", "3"]
+        for flags, n_rep in (([], 20), (["--marginal"], 20), ([], 0)):
+            ppc_out = str(tmp_path / f"ppc_{n_rep}_{len(flags)}")
+            assert main([*ppc_args, *flags, "--n-rep", str(n_rep), "--out", ppc_out]) == 0
+            assert header(os.path.join(ppc_out, "rootogram.csv")) == ",".join(ROOTOGRAM_COLUMNS)
+            with open(os.path.join(ppc_out, "mean_sd.csv"), newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))
+            assert tuple(rows[0]) == MEAN_SD_COLUMNS
+            assert [r[0] for r in rows[1:]] == [str(i + 1) for i in range(n_rep)] + ["observed"]
         err_out = str(tmp_path / "ppc_neg")
         args = ["ppc", "--trace", fit_out, "--data", data, "--spec", spec, "--out", err_out, "--n-rep", "-2"]
         capsys.readouterr()
@@ -164,7 +178,8 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: the number of replicates must be >= 0, got -2\n"
         rep_out = str(tmp_path / "rep")
         assert main(["report", "--trace", fit_out, "--data", data, "--spec", spec, "--out", rep_out]) == 0
-        assert os.path.exists(os.path.join(rep_out, "top_models.csv"))
+        assert header(os.path.join(rep_out, "top_models.csv")) == ",".join(TOP_MODELS_COLUMNS)
+        assert header(os.path.join(rep_out, "diagnostics.csv")) == ",".join(DIAGNOSTIC_COLUMNS)
 
     def test_ppc_default_max_count_is_capped(self, workspace, capsys):
         # data with one count of 1.1e14: the default rootogram stops at the bound, not at max(y)
@@ -285,9 +300,10 @@ class TestPipeline:
         tmp_path, design, spec, data = workspace
         out = str(tmp_path / "repl")
         assert main(["replicate", "--design", design, "--out", out, "--replicates", "2"]) == 0
-        assert os.path.exists(os.path.join(out, "modal_models.csv"))
+        assert header(os.path.join(out, "modal_models.csv")) == ",".join(MODAL_MODELS_COLUMNS)
         lines = open(os.path.join(out, "summary.csv")).read().strip().splitlines()
         assert lines[0] == "mode,percent_true_model,percent_random_correct,mean_rmse,n_ok,n_failed"
+        assert lines[0] == ",".join(SUMMARY_COLUMNS)
         mode, *_, n_ok, n_failed = lines[1].split(",")
         assert mode == "ssvs-diagonal" and int(n_ok) + int(n_failed) == 2
 
@@ -334,6 +350,7 @@ class TestPipeline:
         lines = open(os.path.join(out, "grid.csv")).read().strip().splitlines()
         assert len(lines) == 3  # header + 2 cells
         assert lines[0] == "v,h,percent_true_model,percent_random_correct,mean_rmse,n_ok,n_failed"
+        assert lines[0] == ",".join(GRID_COLUMNS)
 
     @pytest.mark.parametrize("command", ["simulate", "replicate", "grid"])
     @pytest.mark.parametrize(

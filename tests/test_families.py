@@ -225,6 +225,17 @@ class TestSample:
         got = Family("bernoulli").sample(np.random.default_rng(7), eta)
         np.testing.assert_array_equal(got, (np.random.default_rng(7).random(50) < 1.0 / (1.0 + np.exp(-eta))).astype(float))
 
+    @pytest.mark.parametrize("kind", ["poisson", "negative_binomial", "bernoulli", "gaussian"])
+    @pytest.mark.parametrize("eta", [np.array(0.3), np.array([0.3, -1.0, 2.0])])
+    def test_draws_are_float_arrays_shaped_like_eta(self, kind, eta):
+        fam = Family(kind)
+        scale = 2.0 if fam.scale else None
+        y = fam.sample(np.random.default_rng(5), eta, scale)
+        assert isinstance(y, np.ndarray) and y.dtype == np.float64 and y.shape == eta.shape
+        # a 0-d eta draws what the first lane of a 1-element eta draws
+        one = fam.sample(np.random.default_rng(5), eta.reshape(-1)[:1], scale)
+        assert y.reshape(-1)[0] == one[0]
+
     @pytest.mark.parametrize("dispersion", [1e-100, 0.3, 4.0, 1e20])
     def test_negative_binomial_draws_follow_its_law(self, dispersion):
         # mean mu, variance mu + mu^2 / r and P(y = 0) = (r / (r + mu))^r, each within 5 standard errors

@@ -13,7 +13,14 @@ from glmmselect.model import (
     RandomBlock,
     SamplerSettings,
 )
-from glmmselect.ppc import ROOTOGRAM_MAX_COUNT, mean_sd_scatter, replicate_data, rootogram
+from glmmselect.ppc import (
+    MEAN_SD_COLUMNS,
+    ROOTOGRAM_COLUMNS,
+    ROOTOGRAM_MAX_COUNT,
+    mean_sd_scatter,
+    replicate_data,
+    rootogram,
+)
 from glmmselect.sampler import run_chains
 
 
@@ -102,9 +109,26 @@ class TestReplicateData:
         assert not np.array_equal(cond, marg)
 
 
+def bins_of(observed, replicated, max_count):
+    """The rootogram's rows as dicts keyed by its columns."""
+    return [dict(zip(ROOTOGRAM_COLUMNS, row, strict=True)) for row in rootogram(observed, replicated, max_count)]
+
+
 class TestRootogram:
+    def test_rows_under_the_columns(self):
+        # one (count, observed, expected, sqrt_observed, sqrt_expected) row per bin, the tail bin last
+        rows = rootogram(np.array([0, 1, 1, 5]), np.array([[0, 0, 1, 2], [1, 1, 1, 9]]), max_count=2)
+        assert ROOTOGRAM_COLUMNS == ("count", "observed", "expected", "sqrt_observed", "sqrt_expected")
+        assert rows == [
+            (0, 1.0, 1.0, 1.0, 1.0),
+            (1, 2.0, 2.0, math.sqrt(2.0), math.sqrt(2.0)),
+            (2, 0.0, 0.5, 0.0, math.sqrt(0.5)),
+            (">2", 1.0, 0.5, 1.0, math.sqrt(0.5)),
+        ]
+        assert all(type(v) is float for row in rows for v in row[1:])
+
     def test_all_zero_single_bin(self):
-        bins = rootogram(np.zeros(10), np.zeros((3, 10)), max_count=0)
+        bins = bins_of(np.zeros(10), np.zeros((3, 10)), max_count=0)
         assert bins[0]["observed"] == 10
         assert bins[0]["expected"] == 10
         assert bins[1]["observed"] == 0  # tail bin
@@ -113,7 +137,7 @@ class TestRootogram:
         rng = np.random.default_rng(8)
         n = 10_000
         y = rng.poisson(1.0, n)
-        bins = rootogram(y, np.zeros((0, n)), max_count=8)
+        bins = bins_of(y, np.zeros((0, n)), max_count=8)
         for c in (0, 1):
             p = math.exp(-1.0) / math.factorial(c)
             se = math.sqrt(n * p * (1 - p))
@@ -123,12 +147,12 @@ class TestRootogram:
         rng = np.random.default_rng(9)
         y = rng.poisson(5.0, 500)
         reps = rng.poisson(5.0, (7, 500))
-        bins = rootogram(y, reps, max_count=3)
+        bins = bins_of(y, reps, max_count=3)
         assert sum(b["observed"] for b in bins) == 500
         assert sum(b["expected"] for b in bins) == pytest.approx(500.0)
 
     def test_sqrt_scale(self):
-        bins = rootogram(np.array([0, 0, 1, 2]), np.zeros((0, 4)), max_count=2)
+        bins = bins_of(np.array([0, 0, 1, 2]), np.zeros((0, 4)), max_count=2)
         assert bins[0]["sqrt_observed"] == pytest.approx(math.sqrt(2.0))
 
     def test_expected_is_the_mean_of_the_replicate_frequencies(self):
@@ -139,13 +163,13 @@ class TestRootogram:
             reps = rng.poisson(rng.uniform(0.1, 15.0), (n_rep, n))
             per_rep = [np.bincount(np.minimum(rep, max_count + 1), minlength=max_count + 2) for rep in reps]
             want = np.mean(np.array(per_rep, dtype=float), axis=0)
-            got = np.array([b["expected"] for b in rootogram(reps[0], reps, max_count)])
+            got = np.array([b["expected"] for b in bins_of(reps[0], reps, max_count)])
             assert got.tobytes() == want.tobytes()
 
     def test_max_count_is_bounded(self):
         # a count far past the bound falls in the tail bin; a max_count past it is refused before any bin is made
         y = np.array([0.0, 3.0, 1.1e14])
-        bins = rootogram(y, np.array([y, y]), ROOTOGRAM_MAX_COUNT)
+        bins = bins_of(y, np.array([y, y]), ROOTOGRAM_MAX_COUNT)
         assert len(bins) == ROOTOGRAM_MAX_COUNT + 2
         assert bins[-1]["count"] == f">{ROOTOGRAM_MAX_COUNT}"
         assert bins[-1]["observed"] == bins[-1]["expected"] == 1.0
@@ -161,24 +185,35 @@ class TestRootogram:
 
 
 class TestMeanSd:
+    def test_rows_under_the_columns(self):
+        # one (i, mean, sd) row per replicate, then the observed row
+        rows = mean_sd_scatter(np.array([1.0, 2.0, 6.0]), np.array([[0.0, 2.0, 4.0], [3.0, 3.0, 3.0]]))
+        assert MEAN_SD_COLUMNS == ("replicate", "mean", "sd")
+        assert rows == [(1, 2.0, 2.0), (2, 3.0, 0.0), ("observed", 3.0, math.sqrt(7.0))]
+        assert all(type(v) is float for row in rows for v in row[1:])
+
     def test_constant_replicate(self):
-        out = mean_sd_scatter(np.full((1, 6), 3.0), observed=np.arange(6.0))
-        assert out.pairs[0, 0] == 3.0
-        assert out.pairs[0, 1] == 0.0
+        (_, mean, sd), _ = mean_sd_scatter(np.arange(6.0), np.full((1, 6), 3.0))
+        assert mean == 3.0
+        assert sd == 0.0
 
     def test_two_point_replicate(self):
-        out = mean_sd_scatter(np.array([[0.0, 2.0]]), observed=np.zeros(2))
-        assert out.pairs[0, 0] == pytest.approx(1.0)
-        assert out.pairs[0, 1] == pytest.approx(math.sqrt(2.0))
+        (_, mean, sd), _ = mean_sd_scatter(np.zeros(2), np.array([[0.0, 2.0]]))
+        assert mean == pytest.approx(1.0)
+        assert sd == pytest.approx(math.sqrt(2.0))
 
-    def test_observed_pair_echo(self):
+    def test_observed_row_echo(self):
         y = np.array([1.0, 2.0, 6.0])
-        out = mean_sd_scatter(np.zeros((2, 3)), observed=y)
-        assert out.observed_pair[0] == pytest.approx(y.mean())
-        assert out.observed_pair[1] == pytest.approx(y.std(ddof=1))
+        *_, (label, mean, sd) = mean_sd_scatter(y, np.zeros((2, 3)))
+        assert label == "observed"
+        assert mean == pytest.approx(y.mean())
+        assert sd == pytest.approx(y.std(ddof=1))
+
+    def test_no_replicates_leaves_the_observed_row(self):
+        assert mean_sd_scatter(np.array([1.0, 3.0]), np.zeros((0, 2))) == [("observed", 2.0, math.sqrt(2.0))]
 
     def test_short_replicate_rejected(self):
         with pytest.raises(ConfigurationError, match="replicates need at least 2"):
-            mean_sd_scatter(np.zeros((2, 1)), observed=np.zeros(2))
+            mean_sd_scatter(np.zeros(2), np.zeros((2, 1)))
         with pytest.raises(ConfigurationError, match="observed set needs at least 2"):
-            mean_sd_scatter(np.zeros((2, 3)), observed=np.zeros(1))
+            mean_sd_scatter(np.zeros(1), np.zeros((2, 3)))

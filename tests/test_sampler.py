@@ -250,6 +250,15 @@ class TestTracePersistence:
         assert back.n_chains == 1
         np.testing.assert_array_equal(back.chains[0].beta, trace.chains[0].beta)
 
+    def test_gap_in_the_chain_files_is_rejected(self, tmp_path):
+        # chain_1.csv and chain_3.csv without chain_2.csv: no trace is read from one chain
+        spec, data = small_problem(seed=14, kept=6, chains=3)
+        save_trace(run_chains(spec, data), str(tmp_path))
+        (tmp_path / "chain_2.csv").unlink()
+        missing = re.escape(str(tmp_path / "chain_2.csv"))
+        with pytest.raises(ConfigurationError, match=f"{missing} is missing, but chain_3.csv is there"):
+            load_trace(str(tmp_path), spec, data)
+
     def test_scalar_matrix_lookup(self):
         spec, data = small_problem(seed=12, kept=10)
         trace = run_chains(spec, data)

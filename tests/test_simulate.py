@@ -161,6 +161,13 @@ class TestReplication:
         assert tuple(summ) == STUDY_COLUMNS
         assert all(np.isnan(summ[key]) for key in STUDY_COLUMNS[:3])
         assert (summ["n_ok"], summ["n_failed"]) == (0, 2)
+        assert ReplicationResult([dict(ok=False, error="stopped")] * 2).modal_models() == []
+
+    def test_modal_models_rank_the_finished_replicates(self):
+        # fixed bits are the first len(modal_fixed); failed replicates count in no row
+        rows = [dict(ok=True, modal_fixed=(1, 0), modal_random=r) for r in ((0, 1, 1), (1, 0, 0), (0, 1, 1))]
+        rows.append(dict(ok=False, error="stopped"))
+        assert ReplicationResult(rows).modal_models() == [("1", "2,3", 2, 66.67), ("1", "1", 1, 33.33)]
 
     def test_zero_replicates(self):
         design = replace(scaled_design(), n=10, n_i=4)
