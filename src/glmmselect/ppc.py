@@ -47,12 +47,12 @@ def replicate_data(
     """
     if n_rep < 0:
         raise ConfigurationError(f"the number of replicates must be >= 0, got {n_rep}")
-    if n_rep == 0:
-        return np.zeros((0, data.n_obs))
     totals = [c.n_recorded for c in trace.chains]
     total = sum(totals)
     if total == 0:
         raise ConfigurationError("empty trace")
+    if n_rep == 0:
+        return np.zeros((0, data.n_obs))
     bounds = np.cumsum([0] + totals)
     out = np.zeros((n_rep, data.n_obs))
     fam = spec.family

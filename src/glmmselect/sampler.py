@@ -229,7 +229,8 @@ def _value_problem(field: str, values: np.ndarray) -> str | None:
 def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
     """Rebuild a Trace from chain CSVs written by :func:`save_trace`.
 
-    Chains are read from chain_1.csv to the highest chain_N.csv; a gap raises
+    Chains are read from chain_1.csv to the highest chain_N.csv; a gap, or a
+    chain whose draw count differs from chain_1.csv's, raises
     ConfigurationError.  Columns are found by header name, so their order does
     not matter and other columns are ignored.  A file that :func:`glmmselect.ioutil.read_csv`
     rejects, a missing column or a cell that is not a number raises
@@ -248,6 +249,8 @@ def load_trace(outdir: str, spec: ModelSpec, data: Dataset) -> Trace:
         if not os.path.exists(path):
             raise ConfigurationError(f"{path} is missing, but chain_{last}.csv is there")
         values = parse_floats(path, *read_csv(path), names)
+        if chains and len(values) != chains[0].n_recorded:
+            raise ConfigurationError(f"{path} holds {len(values)} draws, but chain_1.csv holds {chains[0].n_recorded}")
         for field, name, column in zip(fields, names, values.T):
             problem = _value_problem(field, column)
             if problem:

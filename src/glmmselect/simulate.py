@@ -10,6 +10,8 @@ covariance are the design's own (``fixed_truth_mask``, ``random_truth_mask``
 and ``omega``).  A replicate's random-effect term takes the model's one
 road: the (lam, r) of ``cholesky.decompose_covariance(omega)`` -> live_pairs
 -> mask_factors -> ``model.block_term`` -> ``model.linear_predictor``.
+A study simulates each replicate once and fits it under every cell spec, in
+one process pool: ``run_replication`` has one cell, ``run_grid`` one per (v, h).
 """
 
 import logging
@@ -212,58 +214,53 @@ class ReplicationResult:
         ]
 
 
-def _fit_one_replicate(design: SimDesign, spec: ModelSpec, replicate: int) -> list:
-    """Simulate, fit in ``spec.mode`` and score one replicate; its row, as a one-row list."""
+def _fit_one_replicate(design: SimDesign, specs: list, replicate: int) -> list:
+    """Simulate one replicate once, then fit and score it under each spec in order; one row per spec."""
     data, beta = simulate_dataset(design, replicate)
-    row = {"replicate": replicate, "mode": spec.mode, "ok": False}
-    try:
-        trace = run_chains(spec, data)
-        modal = top_models(trace).modal
-        block0, _ = ranked_patterns(indicator_matrix(trace)[:, design.l : design.l + design.q])
-        rand_pattern = tuple(block0[0].tolist())
-        true_fixed = tuple(design.fixed_truth_mask().tolist())
-        true_random = tuple(design.random_truth_mask().tolist())
-        row.update(
-            ok=True,
-            modal_fixed=modal.fixed,
-            modal_random=modal.random[0],
-            true_model=modal.fixed == true_fixed and modal.random[0] == true_random,
-            random_correct=rand_pattern == true_random,
-            rmse=fixed_effect_rmse(trace, beta),
-        )
-    except GlmmSelectError as exc:  # a failed fit marks the replicate failed
-        log.warning("replicate %d mode %s failed: %s", replicate, spec.mode, exc)
-        row["error"] = str(exc)
-    return [row]
+    true_fixed = tuple(design.fixed_truth_mask().tolist())
+    true_random = tuple(design.random_truth_mask().tolist())
+    rows = []
+    for spec in specs:
+        row = {"replicate": replicate, "mode": spec.mode, "ok": False}
+        try:
+            trace = run_chains(spec, data)
+            modal = top_models(trace).modal
+            block0, _ = ranked_patterns(indicator_matrix(trace)[:, design.l : design.l + design.q])
+            rand_pattern = tuple(block0[0].tolist())
+            row.update(
+                ok=True,
+                modal_fixed=modal.fixed,
+                modal_random=modal.random[0],
+                true_model=modal.fixed == true_fixed and modal.random[0] == true_random,
+                random_correct=rand_pattern == true_random,
+                rmse=fixed_effect_rmse(trace, beta),
+            )
+        except GlmmSelectError as exc:  # a failed fit marks this spec's row failed
+            log.warning("replicate %d mode %s failed: %s", replicate, spec.mode, exc)
+            row["error"] = str(exc)
+        rows.append(row)
+    return rows
 
 
-def run_replication(
-    design: SimDesign,
-    spec: ModelSpec,
-    n_replicates: int,
-    workers: int = 1,
-) -> ReplicationResult:
-    """Simulate-fit-score over replicates in ``spec.mode``; embarrassingly parallel."""
-    tasks = [(design, spec, rep) for rep in range(n_replicates)]
-    rows = [row for rep_rows in process_map(_fit_one_replicate, tasks, workers) for row in rep_rows]
-    return ReplicationResult(rows=rows)
+def _run_study(design: SimDesign, specs: list, n_replicates: int, workers: int) -> list:
+    """One ReplicationResult per spec, from one process_map over the replicates."""
+    per_replicate = process_map(_fit_one_replicate, [(design, specs, rep) for rep in range(n_replicates)], workers)
+    return [ReplicationResult(rows=[rows[cell] for rows in per_replicate]) for cell in range(len(specs))]
 
 
-def run_grid(
-    design: SimDesign,
-    spec: ModelSpec,
-    grid,
-    n_replicates: int,
-    workers: int = 1,
-) -> list:
-    """Replication study per (v, h) cell in ``spec.mode``, with shared replicate seeds.
+def run_replication(design: SimDesign, spec: ModelSpec, n_replicates: int, workers: int = 1) -> ReplicationResult:
+    """Simulate-fit-score over replicates in ``spec.mode``: the study of the one cell ``spec``."""
+    return _run_study(design, [spec], n_replicates, workers)[0]
+
+
+def run_grid(design: SimDesign, spec: ModelSpec, grid, n_replicates: int, workers: int = 1) -> list:
+    """One study over the (v, h) cells in ``spec.mode``: the cells share each replicate's dataset and the pool.
 
     ``grid`` is an iterable of (v, h) pairs (v and nu vary together).
     Returns the grid table: one row under :data:`GRID_COLUMNS` per cell,
     sorted by (h, v).
     """
-    rows = []
-    for v, h in sorted(grid, key=lambda vh: (vh[1], vh[0])):
-        cell_spec = replace(spec, hyper=replace(spec.hyper, v=v, nu=v, h=h))
-        rows.append((v, h, *run_replication(design, cell_spec, n_replicates, workers=workers).summary().values()))
-    return rows
+    cells = sorted(grid, key=lambda vh: (vh[1], vh[0]))
+    specs = [replace(spec, hyper=replace(spec.hyper, v=v, nu=v, h=h)) for v, h in cells]
+    results = _run_study(design, specs, n_replicates, workers)
+    return [(v, h, *result.summary().values()) for (v, h), result in zip(cells, results)]

@@ -127,8 +127,7 @@ class TestFit:
         def no_study(*args, **kwargs):
             pytest.fail("the study ran before the output directory was made")
 
-        monkeypatch.setattr(cli, "run_replication", no_study)
-        monkeypatch.setattr(simulate, "run_replication", no_study)
+        monkeypatch.setattr(simulate, "_fit_one_replicate", no_study)
         capsys.readouterr()
         assert main([command, *args, "--out", spec]) == 1
         err = capsys.readouterr().err
@@ -238,7 +237,8 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "chain_2.csv: file is empty" in err
 
-    def test_header_only_chain_csvs_report_empty_trace(self, workspace, capsys):
+    @pytest.mark.parametrize("command", [["report"], ["ppc"], ["ppc", "--n-rep", "0"]], ids=["report", "ppc", "ppc-n-rep-0"])
+    def test_header_only_chain_csvs_report_empty_trace(self, workspace, capsys, command):
         tmp_path, design, spec, data = workspace
         fit_out = tmp_path / "fit"
         assert main(["fit", "--data", data, "--spec", spec, "--out", str(fit_out)]) == 0
@@ -247,7 +247,7 @@ class TestPipeline:
         capsys.readouterr()
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            assert main(["report", "--trace", str(fit_out), "--data", data, "--spec", spec, "--out", str(tmp_path / "rep")]) == 1
+            assert main([*command, "--trace", str(fit_out), "--data", data, "--spec", spec, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: empty trace\n"
 
     def test_rhat_warning_and_summary_table(self, workspace, capsys):

@@ -259,6 +259,16 @@ class TestTracePersistence:
         with pytest.raises(ConfigurationError, match=f"{missing} is missing, but chain_3.csv is there"):
             load_trace(str(tmp_path), spec, data)
 
+    def test_chains_of_different_lengths_are_rejected(self, tmp_path):
+        # a chain cut short would otherwise reach the per-chain diagnostics as a ragged matrix
+        spec, data = small_problem(seed=14, kept=6, chains=3)
+        save_trace(run_chains(spec, data), str(tmp_path))
+        path = tmp_path / "chain_3.csv"
+        path.write_text("\n".join(path.read_text().splitlines()[:4]) + "\n")
+        short = re.escape(str(path))
+        with pytest.raises(ConfigurationError, match=f"^{short} holds 3 draws, but chain_1.csv holds 6$"):
+            load_trace(str(tmp_path), spec, data)
+
     def test_scalar_matrix_lookup(self):
         spec, data = small_problem(seed=12, kept=10)
         trace = run_chains(spec, data)

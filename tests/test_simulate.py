@@ -249,7 +249,7 @@ class TestReplication:
 
 
 class TestGrid:
-    def test_single_cell_reduces_to_replication(self):
+    def _tiny_study(self):
         design = SimDesign(
             n=15, n_i=3, l=2, q=1, n_active_fixed=2,
             omega=np.array([[0.3]]), case=1, base_seed=3,
@@ -258,24 +258,79 @@ class TestGrid:
             design, mode="ssvs-diagonal", hyper=Hyperparameters(v=1.0, nu=1.0),
             sampler=SamplerSettings(chains=1, adapt=10, burnin=10, kept=60, seed=0),
         )
-        rows = run_grid(design, spec, [(1.0, 1.0)], 2)
-        direct = run_replication(design, spec, 2).summary()
-        assert direct["n_ok"] == 2
-        assert rows == [(1.0, 1.0, *direct.values())]
+        return design, spec
+
+    def test_each_cell_reduces_to_replication(self):
+        design, spec = self._tiny_study()
+        rows = run_grid(design, spec, [(1.0, 1.0), (0.1, 0.5)], 2)
+        direct = [run_replication(design, replace(spec, hyper=Hyperparameters(v=v, nu=v, h=h)), 2).summary()
+                  for v, h in ((0.1, 0.5), (1.0, 1.0))]
+        assert [d["n_ok"] for d in direct] == [2, 2]
+        assert rows == [(0.1, 0.5, *direct[0].values()), (1.0, 1.0, *direct[1].values())]
 
     def test_rows_come_back_in_h_then_v_order(self, monkeypatch):
-        # each cell's stand-in study scores its own (v, h), so a row shows whether it kept its cell's values
-        def study(design, spec, n_replicates, workers=1):
-            hyper = spec.hyper
-            assert hyper.nu == hyper.v
-            return ReplicationResult([dict(ok=True, true_model=True, random_correct=False, rmse=hyper.v + 10 * hyper.h)])
+        # the stand-in fit scores each cell's own (v, h), so a row shows whether it kept its cell's values
+        def fit(design, specs, replicate):
+            assert all(spec.hyper.nu == spec.hyper.v for spec in specs)
+            return [dict(ok=True, true_model=True, random_correct=False, rmse=spec.hyper.v + 10 * spec.hyper.h)
+                    for spec in specs]
 
-        monkeypatch.setattr(simulate, "run_replication", study)
+        monkeypatch.setattr(simulate, "_fit_one_replicate", fit)
         design = scaled_design()
         pairs = [(v, h) for h in (1.0, 0.5) for v in (1.0, 0.1, 0.01)]
         rows = run_grid(design, build_model_spec(design), pairs, 1)
         assert [row[:2] for row in rows] == [(0.01, 0.5), (0.1, 0.5), (1.0, 0.5), (0.01, 1.0), (0.1, 1.0), (1.0, 1.0)]
         assert [row[2:] for row in rows] == [(100.0, 0.0, v + 10 * h, 1, 0) for v, h, *_ in rows]
+
+    def test_each_replicate_is_simulated_once_for_all_cells(self, monkeypatch):
+        simulated, fitted, pools = [], [], []
+        real_simulate, real_map = simulate.simulate_dataset, simulate.process_map
+
+        def counted(design, replicate):
+            simulated.append(replicate)
+            return real_simulate(design, replicate)
+
+        def fail(spec, data):
+            fitted.append((spec.hyper.v, spec.hyper.h))
+            raise SamplerError("stop after counting the fit")
+
+        def one_map(fn, tasks, workers):
+            pools.append(len(tasks))
+            return real_map(fn, tasks, workers)
+
+        monkeypatch.setattr(simulate, "simulate_dataset", counted)
+        monkeypatch.setattr(simulate, "run_chains", fail)
+        monkeypatch.setattr(simulate, "process_map", one_map)
+        design, spec = self._tiny_study()
+        cells = [(1.0, 1.0), (0.1, 1.0), (1.0, 0.5)]
+        rows = run_grid(design, spec, cells, 2)
+        assert simulated == [0, 1]
+        assert pools == [2]
+        assert fitted == [(1.0, 0.5), (0.1, 1.0), (1.0, 1.0)] * 2
+        assert [row[-2:] for row in rows] == [(0, 2)] * 3
+
+    def test_sampler_error_fails_only_its_cell(self, monkeypatch):
+        real_run_chains = simulate.run_chains
+
+        def fit(spec, data):
+            if spec.hyper.v == 0.1:
+                raise SamplerError("no feasible start")
+            return real_run_chains(spec, data)
+
+        monkeypatch.setattr(simulate, "run_chains", fit)
+        design, spec = self._tiny_study()
+        rows = run_grid(design, spec, [(1.0, 1.0), (0.1, 1.0)], 2)
+        assert [row[:2] + row[-2:] for row in rows] == [(0.1, 1.0, 0, 2), (1.0, 1.0, 2, 0)]
+        assert all(np.isnan(value) for value in rows[0][2:5])
+
+    def test_programming_error_propagates(self, monkeypatch):
+        def fail(spec, data):
+            raise RuntimeError("bug in the fit")
+
+        monkeypatch.setattr(simulate, "run_chains", fail)
+        design, spec = self._tiny_study()
+        with pytest.raises(RuntimeError, match="bug in the fit"):
+            run_grid(design, spec, [(1.0, 1.0), (0.1, 1.0)], 1)
 
     def test_paired_seeds_share_datasets(self):
         design = replace(scaled_design(), base_seed=11)
