@@ -24,8 +24,9 @@ effects (full: 1, 3, 6; scaled: 1, 3) up to q.  A grid document lists "v"
 
 Each table a command writes or prints takes its header from the column tuple
 of the module that builds its rows: diagnostics.DIAGNOSTIC_COLUMNS,
-report.TOP_MODELS_COLUMNS, ppc.ROOTOGRAM_COLUMNS and MEAN_SD_COLUMNS, and
-simulate's MODAL_MODELS_COLUMNS, SUMMARY_COLUMNS and GRID_COLUMNS.
+report.TOP_MODELS_COLUMNS and INCLUSION_COLUMNS, ppc.ROOTOGRAM_COLUMNS and
+MEAN_SD_COLUMNS, and simulate's MODAL_MODELS_COLUMNS, SUMMARY_COLUMNS and
+GRID_COLUMNS.
 
 All randomness is controlled by the spec/design seed, overridable with
 --seed where a command takes it.  Outputs are written atomically; identical
@@ -48,7 +49,7 @@ from .errors import ConfigurationError, GlmmSelectError, SpecValidationError
 from .ioutil import atomic_write_text, parse_floats, read_csv, write_csv
 from .model import MODES, Hyperparameters, ModelSpec, SamplerSettings, check_int
 from .ppc import MEAN_SD_COLUMNS, ROOTOGRAM_COLUMNS, ROOTOGRAM_MAX_COUNT, mean_sd_scatter, replicate_data, rootogram
-from .report import TOP_MODELS_COLUMNS, format_table, top_models, write_selection_report
+from .report import INCLUSION_COLUMNS, TOP_MODELS_COLUMNS, format_table, top_models
 from .sampler import load_trace, run_chains, save_trace
 from .simulate import GRID_COLUMNS, MODAL_MODELS_COLUMNS, SUMMARY_COLUMNS, SimDesign, build_model_spec
 from .simulate import full_scale_design, run_grid, run_replication, scaled_design, scaled_omega, simulate_dataset
@@ -148,7 +149,8 @@ def _write_reports(trace, outdir: str) -> str:
     report = top_models(trace)
     rows = summarize_trace(trace)
     write_csv(os.path.join(outdir, "diagnostics.csv"), DIAGNOSTIC_COLUMNS, rows)
-    write_selection_report(report, outdir)
+    write_csv(os.path.join(outdir, "top_models.csv"), TOP_MODELS_COLUMNS, report.top_model_rows())
+    write_csv(os.path.join(outdir, "inclusion.csv"), INCLUSION_COLUMNS, report.inclusion_rows())
     worst = max((r[3] for r in rows if np.isfinite(r[3])), default=0.0)
     if worst > RHAT_WARN:
         print(f"warning: max split R-hat {worst:.3f} exceeds {RHAT_WARN}; inspect diagnostics.csv", file=sys.stderr)
@@ -230,7 +232,6 @@ def cmd_report(args) -> int:
     spec = parse_spec(args.spec)
     data = load_dataset(args.data, spec)
     trace = load_trace(args.trace, spec, data)
-    os.makedirs(args.out, exist_ok=True)
     print(_write_reports(trace, args.out))
     return 0
 

@@ -57,9 +57,9 @@ given, then takes what the mode fixes (``model.fix_mode``).
 
 The family scale has one update per kind.  The NB overdispersion r is
 slice-updated on u = log r, whose prior draws span tens of orders of
-magnitude: the target is the sum of ``Family.log_likelihood`` at the cached
-predictor plus its ``Scale.log_prior``, the same formulas ``log_posterior``
-adds up, plus the Jacobian u.  Its slice width is on the log scale.
+magnitude: the target is ``Family.log_likelihood`` at the cached predictor
+plus ``priors.scale_logpdf``, the terms ``log_posterior`` adds up, plus the
+Jacobian u.  Its slice width is on the log scale.
 The gaussian sigma2 is drawn from its inverse-gamma full conditional.
 
 Slice widths live in one store, ``widths``: a :class:`_Width` per parameter
@@ -92,11 +92,12 @@ import math
 import numpy as np
 
 from .errors import SamplerError
-from .families import SIGMA2_IG_SCALE, SIGMA2_IG_SHAPE
 from .model import Dataset, ModelDims, ModelSpec, ParameterState, block_term, fix_mode, linear_predictor
 # total_log_likelihood is unused here but stays importable: bench/child.py wraps engine.total_log_likelihood
 from .model import total_log_likelihood  # noqa: F401
 from .priors import (
+    SIGMA2_IG_SCALE,
+    SIGMA2_IG_SHAPE,
     draw_correlations,
     draw_latent,
     draw_shrinkage,
@@ -107,6 +108,7 @@ from .priors import (
     sample_invgamma,
     sample_modified_halfnormal,
     sample_prior,
+    scale_logpdf,
 )
 from .slicing import SliceStats, slice_update
 from . import cholesky
@@ -171,8 +173,7 @@ class GibbsEngine:
         self._prior_log_odds = math.log(pi) - math.log1p(-pi)
         self.mode = spec.mode
         self.adapting = False
-        scale = spec.family.scale  # its state field is cached: every likelihood evaluation reads it
-        self._scale_attr = scale.field if scale is not None else None
+        self._scale_attr = spec.family.scale  # the state field is cached: every likelihood evaluation reads it
         self._wy = spec.family.kernel_w * data.y  # w y: the slope of the kernel's linear term is _wy . c
         self._update_scale = {"dispersion": self._update_dispersion, "sigma2": self._update_sigma2}.get(self._scale_attr)
 
@@ -550,7 +551,7 @@ class GibbsEngine:
             if not 0.0 < r < math.inf:  # u past the float range of r
                 return -math.inf
             ll = float(np.sum(family.log_likelihood(self.data.y, self._eta, r)))
-            return ll + family.scale.log_prior(r) + u
+            return ll + scale_logpdf(r, "dispersion") + u
 
         u = self._slice(("dispersion", None), 0, tgt, math.log(self.state.dispersion), -math.inf)
         self.state.dispersion = float(np.exp(u))

@@ -10,32 +10,30 @@ string.  A family owns its link (the canonical one of its kind) and
 normalized log-density; the per-observation kernel w y eta - A(y, eta,
 scale), with w = 1 for the count kinds and w = 0 for the gaussian, whose A
 is its residual term; response sampling and validation; whether responses
-are counts; and its :class:`Scale`: the ParameterState field holding the
+are counts; and the name of its scale: the ParameterState field holding the
 family scale (``dispersion`` for the negative binomial, ``sigma2`` for the
-gaussian, none otherwise), which also names its trace column and picks the
-engine's scale update, with the scale's prior log-density and prior draw.
+gaussian, none otherwise), which also names its trace column, picks the
+engine's scale update and keys the scale's prior in :mod:`glmmselect.priors`.
 The scale's value is an argument of the likelihood and the sampler, never a
-field of the family.  The Gamma and inverse-gamma helpers those priors use
-live here so that :mod:`glmmselect.priors` shares them without a cycle.
+field of the family.
 
-Log-gamma lives here as well, without SciPy, whose ``special`` module took
-0.18 s to import, a third of every CLI command's start-up, for three
-functions.  Scalar shapes and scales take ``math.lgamma``.  The count
-likelihoods' log Gamma(y + r) goes through :func:`lgamma_counts`, which uses
-that y is an integer: for y >= 1, log Gamma(y + r) = log Gamma(r + 1) +
-sum_{1 <= j < y} log(r + j), one cumulative sum over 0..max(y).  The table
-stops at ``_LGAMMA_TABLE`` entries; larger counts take Stirling's series.
+The count likelihoods' one normalizer is :func:`log_rising_factorial`, log
+Gamma(k + r) - log Gamma(r) = sum_{j < k} log(r + j) for counts k: Poisson
+subtracts it at r = 1, the negative binomial adds it at its r and subtracts
+it at r = 1.  It is a cumulative sum over 0..max(k) that stops at
+``_LGAMMA_TABLE`` entries, and larger counts take Stirling's series.  It
+needs no SciPy, whose ``special`` module took 0.18 s to import, a third of
+every CLI command's start-up; scalar shifts take ``math.lgamma``.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import ConfigurationError, NumericError
 
-__all__ = ["Family", "Scale", "CANONICAL_LINKS", "ETA_CAP"]
+__all__ = ["Family", "CANONICAL_LINKS", "ETA_CAP"]
 
 CANONICAL_LINKS = {
     "poisson": "log",
@@ -44,44 +42,18 @@ CANONICAL_LINKS = {
     "gaussian": "identity",
 }
 
-NB_DISPERSION_SHAPE = 0.01
-NB_DISPERSION_RATE = 0.01
-SIGMA2_IG_SHAPE = 0.01
-SIGMA2_IG_SCALE = 0.01
+# the ParameterState field holding each scaled kind's scale
+_SCALE_FIELDS = {"negative_binomial": "dispersion", "gaussian": "sigma2"}
 
 # responses of a log-link family are drawn at eta capped here, so exp(eta) stays a usable count mean
 ETA_CAP = 30.0
 _MEAN_CAP = math.exp(ETA_CAP)
 
-# lgamma_counts tables log Gamma(y + r) for y below this bound and uses Stirling's series from it on
+# log_rising_factorial tables counts below this bound and takes Stirling's series from it on
 _LGAMMA_TABLE = 256
 _HALF_LOG_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def invgamma_logpdf(x, shape: float, scale: float):
-    """IG(shape, scale) log-density: x^-(a+1) exp(-scale/x) normalized."""
-    x = np.asarray(x, dtype=float)
-    return shape * np.log(scale) - math.lgamma(shape) - (shape + 1.0) * np.log(x) - scale / x
-
-
-def gamma_logpdf(x, shape: float, rate: float):
-    x = np.asarray(x, dtype=float)
-    return shape * np.log(rate) - math.lgamma(shape) + (shape - 1.0) * np.log(x) - rate * x
-
-
-def _lgamma_table(r: float, top: int) -> np.ndarray:
-    """log Gamma(r + k) for k = 0..max(top, 2) - 1."""
-    table = np.empty(max(top, 2))
-    table[0] = math.lgamma(r)
-    table[1] = math.lgamma(r + 1.0)
-    np.log(np.arange(1.0, top - 1) + r, out=table[2:])
-    tail = table[1:]
-    np.add.accumulate(tail, out=tail)
-    return table
-
-
-# log k! = log Gamma(1 + k), k < _LGAMMA_TABLE: the table of r = 1, built once
-_LOG_FACTORIAL = _lgamma_table(1.0, _LGAMMA_TABLE)
+# log k! for k < _LGAMMA_TABLE: the table of r = 1, built once
+_LOG_FACTORIAL = np.concatenate(([0.0], np.cumsum(np.log(np.arange(1.0, _LGAMMA_TABLE)))))
 
 
 def _stirling_lgamma(x: np.ndarray) -> np.ndarray:
@@ -107,80 +79,27 @@ def as_counts(y) -> np.ndarray | None:
     return None
 
 
-def _count_index(y) -> tuple:
-    """Counts ``y`` as an index array, and max(y) + 1 (1 when there are none).
+def log_rising_factorial(k: np.ndarray | None, r: float = 1.0) -> np.ndarray:
+    """log Gamma(k + r) - log Gamma(r) = sum_{j < k} log(r + j), for the counts k of :func:`as_counts` and a scalar r > 0.
 
-    A ``y`` that :func:`as_counts` rejects raises ConfigurationError: the
-    table identity of :func:`lgamma_counts` holds for counts only.
+    Counts below ``_LGAMMA_TABLE`` index the cumulative sum over 0..max(k),
+    cached for r = 1; larger counts take Stirling's series, so the table
+    never grows past the bound.  ``k`` None, the answer of :func:`as_counts`
+    for a non-count, raises ConfigurationError.
     """
-    k = as_counts(y)
     if k is None:
         raise ConfigurationError("log-gamma of counts needs nonnegative integer y below 2**63")
-    return k, int(k.max()) + 1 if k.size else 1
-
-
-def _lgamma_at(k: np.ndarray, top: int, r=None) -> np.ndarray:
-    """log Gamma(k + r) for the index array ``k`` of :func:`_count_index`, whose maximum is top - 1.
-
-    ``r`` None stands for r = 1, whose table is built once.
-    """
+    top = int(k.max()) + 1 if k.size else 1
     if top > _LGAMMA_TABLE:
-        out = _lgamma_at(np.minimum(k, _LGAMMA_TABLE - 1), _LGAMMA_TABLE, r)
+        out = log_rising_factorial(np.minimum(k, _LGAMMA_TABLE - 1), r)
         big = k >= _LGAMMA_TABLE
-        out[big] = _stirling_lgamma(k[big] + (1.0 if r is None else r))
+        out[big] = _stirling_lgamma(k[big] + r) - math.lgamma(r)
         return out
-    table = _LOG_FACTORIAL if r is None else _lgamma_table(r, top)
-    return table[k]
-
-
-def lgamma_counts(y, r=None) -> np.ndarray:
-    """log Gamma(y + r) for nonnegative integer counts ``y`` and a scalar shift r > 0.
-
-    None, the default, stands for r = 1.  Counts
-    below ``_LGAMMA_TABLE`` index the table log Gamma(r), log Gamma(r + 1) +
-    cumsum_{1 <= j < k} log(r + j) over k = 0..max(y); larger counts take
-    Stirling's series, so the table never grows past the bound.  A negative
-    or non-integer ``y`` raises ConfigurationError.
-    """
-    return _lgamma_at(*_count_index(y), r)
-
-
-def sample_invgamma(rng, shape, scale, size=None):
-    """IG(shape, scale) draws; an array ``scale`` without ``size`` gives one draw per entry."""
-    if size is None and np.ndim(scale):
-        size = np.shape(scale)
-    # numpy's gamma(shape, s) is s * standard_gamma(shape); an array s takes its slow broadcasting path
-    g = rng.standard_gamma(shape, size=size) * (1.0 / scale)
-    # tiny shapes (e.g. nu = 0.01) underflow to exactly 0; cap at the float
-    # boundary so downstream draws stay finite
-    g = np.maximum(g, 1e-300)
-    return 1.0 / g
-
-
-@dataclass(frozen=True)
-class Scale:
-    """A family scale: the ParameterState/ChainTrace field holding it, and its prior."""
-
-    field: str
-    log_prior: Callable[[float], float]
-    draw_prior: Callable[..., np.ndarray]  # (rng, size=None), as numpy samplers take
-
-
-_SCALES = {
-    # NB overdispersion ~ Gamma(0.01, rate 0.01)
-    "negative_binomial": Scale(
-        "dispersion",
-        lambda x: float(gamma_logpdf(x, NB_DISPERSION_SHAPE, NB_DISPERSION_RATE)),
-        # the tiny shape underflows to exactly 0 (about 0.06% of draws); floor as sample_invgamma does
-        lambda rng, size=None: np.maximum(rng.gamma(NB_DISPERSION_SHAPE, 1.0 / NB_DISPERSION_RATE, size), 1e-300),
-    ),
-    # gaussian residual variance sigma2 ~ IG(0.01, 0.01)
-    "gaussian": Scale(
-        "sigma2",
-        lambda x: float(invgamma_logpdf(x, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE)),
-        lambda rng, size=None: sample_invgamma(rng, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE, size),
-    ),
-}
+    if r == 1.0:
+        return _LOG_FACTORIAL[k]
+    table = np.zeros(top)
+    np.log(np.arange(top - 1) + r, out=table[1:])
+    return np.add.accumulate(table, out=table)[k]
 
 
 @dataclass(frozen=True)
@@ -206,8 +125,9 @@ class Family:
         return CANONICAL_LINKS[self.kind]
 
     @property
-    def scale(self) -> Scale | None:
-        return _SCALES.get(self.kind)
+    def scale(self) -> str | None:
+        """The name of the state field holding the family scale, None for kinds without one."""
+        return _SCALE_FIELDS.get(self.kind)
 
     @property
     def counts(self) -> bool:
@@ -221,7 +141,7 @@ class Family:
         """
         if self.scale is None:
             return None
-        value = getattr(source, self.scale.field)
+        value = getattr(source, self.scale)
         return value if index is None else value[index]
 
     def _check_scale(self, scale) -> None:
@@ -310,16 +230,15 @@ class Family:
         self._check_scale(scale)
         with np.errstate(over="ignore", invalid="ignore"):
             kernel = self.log_kernel(y, eta, scale)
-            if self.kind == "poisson":
-                return kernel - lgamma_counts(y)
-            if self.kind == "negative_binomial":
-                counts = _count_index(y)
-                return kernel + (
-                    _lgamma_at(*counts, scale) - math.lgamma(scale) - _lgamma_at(*counts) + scale * np.log(scale)
-                )
             if self.kind == "gaussian":
                 return kernel - 0.5 * np.log(2.0 * np.pi * scale)
-            return kernel
+            if self.kind == "bernoulli":
+                return kernel
+            k = as_counts(y)
+            log_factorial = log_rising_factorial(k)
+            if self.kind == "poisson":
+                return kernel - log_factorial
+            return kernel + (log_rising_factorial(k, scale) - log_factorial + scale * np.log(scale))
 
     def sample(self, rng: np.random.Generator, eta: np.ndarray, scale=None) -> np.ndarray:
         """Draw responses at the given linear predictor and scale.

@@ -13,9 +13,10 @@ Hierarchies (per coefficient / effect), each with the function that draws it:
                    indicators.  Sigma_r is fixed at I and is not a setting.
   latent effects   xi ~ N(0, kappa) with kappa ~ Exp(m^2/2), m ~ Gamma(1, 1):
                    :func:`draw_latent`, or :func:`draw_xi` for xi given kappa
-  family scale     the prior of its family (NB overdispersion ~ Gamma(0.01,
-                   rate 0.01), gaussian sigma2 ~ IG(0.01, 0.01)); see
-                   :mod:`glmmselect.families`
+  family scale     NB overdispersion ~ Gamma(0.01, rate 0.01), gaussian
+                   sigma2 ~ IG(0.01, 0.01), keyed by the state field that
+                   ``Family.scale`` names: :func:`draw_scale`, with its
+                   density :func:`scale_logpdf`
 
 :func:`sample_prior` draws a whole state from these stage functions, and
 the Gibbs engine redraws each excluded effect's hierarchy with the same
@@ -51,7 +52,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, SamplerError
-from .families import Family, gamma_logpdf, invgamma_logpdf, sample_invgamma
+from .families import Family
 from .model import BlockState, Hyperparameters, ModelDims, ParameterState
 
 __all__ = [
@@ -60,10 +61,13 @@ __all__ = [
     "draw_correlations",
     "draw_latent",
     "draw_xi",
+    "draw_scale",
     "log_prior_state",
     "sample_prior",
     "halfnormal_logpdf",
+    "gamma_logpdf",
     "invgamma_logpdf",
+    "scale_logpdf",
     "sample_invgamma",
     "sample_modified_halfnormal",
     "sample_gig",
@@ -72,6 +76,12 @@ __all__ = [
 _LOG_2PI = math.log(2.0 * math.pi)
 # a rejection sampler that has not accepted every draw after this many rounds raises SamplerError
 _MAX_ROUNDS = 200
+
+# the family-scale priors: NB overdispersion ~ Gamma(shape, rate), gaussian sigma2 ~ IG(shape, scale)
+NB_DISPERSION_SHAPE = 0.01
+NB_DISPERSION_RATE = 0.01
+SIGMA2_IG_SHAPE = 0.01
+SIGMA2_IG_SCALE = 0.01
 
 
 def normal_logpdf(x, var):
@@ -87,6 +97,34 @@ def halfnormal_logpdf(x, var):
 
 def exponential_logpdf(x, rate):
     return np.log(rate) - rate * np.asarray(x, dtype=float)
+
+
+def gamma_logpdf(x, shape: float, rate: float):
+    x = np.asarray(x, dtype=float)
+    return shape * np.log(rate) - math.lgamma(shape) + (shape - 1.0) * np.log(x) - rate * x
+
+
+def invgamma_logpdf(x, shape: float, scale: float):
+    """IG(shape, scale) log-density: x^-(a+1) exp(-scale/x) normalized."""
+    x = np.asarray(x, dtype=float)
+    return shape * np.log(scale) - math.lgamma(shape) - (shape + 1.0) * np.log(x) - scale / x
+
+
+def sample_invgamma(rng, shape, scale, size=None):
+    """IG(shape, scale) draws; an array ``scale`` without ``size`` gives one draw per entry."""
+    if size is None and np.ndim(scale):
+        size = np.shape(scale)
+    # numpy's gamma(shape, s) is s * standard_gamma(shape); an array s takes its slow broadcasting path
+    g = rng.standard_gamma(shape, size=size) * (1.0 / scale)
+    # tiny shapes (e.g. nu = 0.01) underflow to exactly 0; the floor keeps downstream draws finite
+    return 1.0 / np.maximum(g, 1e-300)
+
+
+def scale_logpdf(x: float, field: str) -> float:
+    """Prior log-density at x of the family scale held in state field ``field``, "dispersion" or "sigma2"."""
+    if field == "dispersion":
+        return float(gamma_logpdf(x, NB_DISPERSION_SHAPE, NB_DISPERSION_RATE))
+    return float(invgamma_logpdf(x, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE))
 
 
 def _rejection(rng, proposals: list, n_uniforms: int) -> np.ndarray:
@@ -271,12 +309,20 @@ def draw_xi(rng, kappa, n_groups: int):
     return rng.normal(0.0, 1.0, size=kappa.shape[:-1] + (n_groups, kappa.shape[-1])) * np.sqrt(kappa)[..., None, :]
 
 
+def draw_scale(rng, field: str, size=None):
+    """Prior draws of the family scale held in state field ``field``, "dispersion" or "sigma2"; ``size`` as numpy samplers take it."""
+    if field == "dispersion":
+        # the tiny shape underflows to exactly 0 (about 0.06% of draws); floor as sample_invgamma does
+        return np.maximum(rng.gamma(NB_DISPERSION_SHAPE, 1.0 / NB_DISPERSION_RATE, size), 1e-300)
+    return sample_invgamma(rng, SIGMA2_IG_SHAPE, SIGMA2_IG_SCALE, size)
+
+
 def log_prior_state(hyper: Hyperparameters, state: ParameterState, family: Family) -> float:
     """Joint log prior of a full state, pseudo-priors included: the model's one prior density.
 
-    The family's scale, if its kind has one, adds its prior at the value
-    :meth:`Family.scale_of` reads from the state.  Raises ConfigurationError
-    for a negative lam, or a non-positive tau2, h, v or nu.
+    The family's scale, if its kind has one, adds :func:`scale_logpdf` at
+    the value :meth:`Family.scale_of` reads from the state.  Raises
+    ConfigurationError for a negative lam, or a non-positive tau2, h, v or nu.
     """
     pi = hyper.prior_inclusion
 
@@ -307,7 +353,7 @@ def log_prior_state(hyper: Hyperparameters, state: ParameterState, family: Famil
         total += float(np.sum(exponential_logpdf(bs.kappa, bs.m**2 / 2.0)))
         total += float(np.sum(gamma_logpdf(bs.m, 1.0, 1.0)))
     if family.scale is not None:
-        total += family.scale.log_prior(family.scale_of(state))
+        total += scale_logpdf(family.scale_of(state), family.scale)
     return total
 
 
@@ -319,14 +365,13 @@ def sample_prior(
 ) -> ParameterState:
     """Exact draw from the full joint prior, one stage at a time.
 
-    The family's scale, if its kind has one, is drawn from its prior into
-    the state field it names.  ``model.fix_mode`` sets what a mode fixes.
+    The family's scale, if its kind has one, is drawn by :func:`draw_scale`
+    into the state field it names.  ``model.fix_mode`` sets what a mode fixes.
     """
     pi = hyper.prior_inclusion
-    field = family.scale.field if family.scale is not None else None
 
     # sigma2 enters the beta prior, so it is drawn first; any other scale is drawn last
-    sigma2 = float(family.scale.draw_prior(rng)) if field == "sigma2" else 1.0
+    sigma2 = float(draw_scale(rng, "sigma2")) if family.scale == "sigma2" else 1.0
     phi, theta, beta = draw_shrinkage(rng, (dims.l,), sigma2, hyper.g_shrink)
     J = (rng.random(dims.l) < pi).astype(np.int8)
     blocks = []
@@ -336,7 +381,7 @@ def sample_prior(
         r = draw_correlations(rng, (q * (q - 1) // 2,))
         m, kappa, xi = draw_latent(rng, (q,), n_groups)
         blocks.append(BlockState(lam=lam, include=include, tau2=tau2, r=r, xi=xi, kappa=kappa, m=m))
-    dispersion = float(family.scale.draw_prior(rng)) if field == "dispersion" else None
+    dispersion = float(draw_scale(rng, "dispersion")) if family.scale == "dispersion" else None
     return ParameterState(
         beta=beta, J=J, theta=theta, phi=phi, blocks=blocks, dispersion=dispersion, sigma2=sigma2
     )

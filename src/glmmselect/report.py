@@ -12,10 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .ioutil import write_csv
 
 __all__ = [
     "TOP_MODELS_COLUMNS",
+    "INCLUSION_COLUMNS",
     "effect_list",
     "ModelLabel",
     "SelectionReport",
@@ -24,11 +24,12 @@ __all__ = [
     "top_models",
     "fixed_effect_rmse",
     "format_table",
-    "write_selection_report",
 ]
 
 # top_models.csv, and the top-10 table of summary.txt
 TOP_MODELS_COLUMNS = ("model", "count", "percent")
+# inclusion.csv
+INCLUSION_COLUMNS = ("effect", "probability")
 
 
 def effect_list(bits) -> str:
@@ -53,6 +54,17 @@ class SelectionReport:
     inclusion_fixed: np.ndarray
     inclusion_random: list   # per block arrays
     modal: ModelLabel
+
+    def top_model_rows(self) -> list:
+        """The rows of top_models.csv under TOP_MODELS_COLUMNS: the 20 most frequent models."""
+        return [(lab.describe(), cnt, round(pct, 4)) for lab, cnt, pct in self.entries[:20]]
+
+    def inclusion_rows(self) -> list:
+        """The rows of inclusion.csv under INCLUSION_COLUMNS: every fixed effect, then each block's effects."""
+        rows = [(f"beta{p + 1}", float(v)) for p, v in enumerate(self.inclusion_fixed)]
+        for bi, arr in enumerate(self.inclusion_random):
+            rows += [(f"block{bi + 1}_effect{k + 1}", float(v)) for k, v in enumerate(arr)]
+        return rows
 
 
 def indicator_matrix(trace) -> np.ndarray:
@@ -104,13 +116,3 @@ def format_table(header, rows) -> str:
     lines = ["  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() for row in cells]
     lines.insert(1, "  ".join("-" * w for w in widths))
     return "\n".join(lines) + "\n"
-
-
-def write_selection_report(report: SelectionReport, outdir: str) -> None:
-    """top_models.csv (the 20 most frequent models) and inclusion.csv in ``outdir``."""
-    rows = [(lab.describe(), cnt, round(pct, 4)) for lab, cnt, pct in report.entries[:20]]
-    write_csv(f"{outdir}/top_models.csv", TOP_MODELS_COLUMNS, rows)
-    incl_rows = [(f"beta{p + 1}", float(v)) for p, v in enumerate(report.inclusion_fixed)]
-    for bi, arr in enumerate(report.inclusion_random):
-        incl_rows += [(f"block{bi + 1}_effect{k + 1}", float(v)) for k, v in enumerate(arr)]
-    write_csv(f"{outdir}/inclusion.csv", ["effect", "probability"], incl_rows)

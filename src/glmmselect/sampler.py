@@ -56,7 +56,7 @@ def trace_layout(dims: ModelDims, family: Family) -> list:
             ("xi", bi, (n_groups, q), [f"xi{tag}_g{i + 1}_{k + 1}" for i in range(n_groups) for k in range(q)]),
         ]
     if family.scale is not None:
-        layout.append((family.scale.field, None, (), [family.scale.field]))
+        layout.append((family.scale, None, (), [family.scale]))
     return layout
 
 

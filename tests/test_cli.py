@@ -249,6 +249,7 @@ class TestPipeline:
             warnings.simplefilter("error", RuntimeWarning)
             assert main([*command, "--trace", str(fit_out), "--data", data, "--spec", spec, "--out", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == "error: empty trace\n"
+        assert not (tmp_path / "out").exists()  # the check comes before any output is made
 
     def test_rhat_warning_and_summary_table(self, workspace, capsys):
         tmp_path, design, spec, data = workspace

@@ -38,7 +38,7 @@ from glmmselect.model import (
     fix_mode,
     linear_predictor_all,
 )
-from glmmselect.priors import sample_prior
+from glmmselect.priors import draw_scale, sample_prior
 
 N_CHAINS = 40
 N_SCANS = 75
@@ -147,7 +147,7 @@ def test_scan_keeps_the_prior_with_a_family_scale(kind, medians):
     if kind == "negative_binomial":
         spec = replace(spec, hyper=replace(spec.hyper, **LOG_LINK_PRIOR))
         medians = prior_medians(spec, data)
-    scale_median = np.median(spec.family.scale.draw_prior(np.random.default_rng(8), 20_000))
+    scale_median = np.median(draw_scale(np.random.default_rng(8), spec.family.scale, 20_000))
     assert_scan_keeps_the_prior(spec, data, dict(medians, scale=scale_median))
 
 

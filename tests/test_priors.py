@@ -14,6 +14,7 @@ from glmmselect.model import MODES, Hyperparameters, ModelDims, fix_mode
 from glmmselect.priors import (
     draw_correlations,
     draw_latent,
+    draw_scale,
     draw_shrinkage,
     draw_slab,
     halfnormal_logpdf,
@@ -254,9 +255,8 @@ class TestSamplers:
 
     def test_nb_dispersion_draws_positive(self):
         # Gamma(0.01, rate 0.01) underflows to exactly 0 in about 0.06% of raw draws
-        draw = Family("negative_binomial").scale.draw_prior
         rng = np.random.default_rng(0)
-        assert all(draw(rng) > 0 for _ in range(20_000))
+        assert all(draw_scale(rng, "dispersion") > 0 for _ in range(20_000))
 
     def test_no_selection_mode_fixes_indicators(self):
         hyper = Hyperparameters()
